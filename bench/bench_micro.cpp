@@ -176,109 +176,6 @@ void BM_EventBatchDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventBatchDispatch)->Arg(0)->Arg(1);
 
-// ACK/SACK scoreboard batch processing: an 8-ACK dup train with advancing
-// SACK edges against a live scoreboard, fed per-packet (0) or coalesced
-// through HandleBurst (1). Replays are idempotent after the first pass, so
-// every iteration measures the same scoreboard walk.
-void BM_AckBurst(benchmark::State& state) {
-  const bool coalesce = state.range(0) != 0;
-  Simulator sim;
-  Random rng(1);
-  TopologyConfig tc;
-  tc.hosts_per_rack = 2;
-  Topology topo(sim, rng, tc);
-  TcpConfig c;
-  c.mss = 8940;
-  c.cc_factory = MakeCcFactory("cubic");
-  c.tdtcp_enabled = true;
-  c.num_tdns = 2;
-  TcpConnection server(sim, topo.host(1, 0), 1, topo.host_id(0, 0), c);
-  TcpConnection client(sim, topo.host(0, 0), 1, topo.host_id(1, 0), c);
-  server.Listen();
-  client.Connect();
-  client.SetUnlimitedData(true);
-  sim.RunUntil(SimTime::Millis(1));
-
-  constexpr int kBurst = 8;
-  const std::uint64_t una = client.snd_una();
-  const std::uint64_t mss = c.mss;
-  Packet acks[kBurst];
-  Packet* ptrs[kBurst];
-  auto reload = [&] {
-    for (int i = 0; i < kBurst; ++i) {
-      Packet p;
-      p.type = PacketType::kAck;
-      p.flow = 1;
-      p.ack = una;
-      p.size_bytes = 60;
-      p.has_rwnd = true;
-      p.rcv_window = 1u << 30;
-      p.num_sack = 1;
-      p.sack[0] = SackBlock{una + mss, una + mss * (2 + i)};
-      acks[i] = p;
-      ptrs[i] = &acks[i];
-    }
-  };
-  for (auto _ : state) {
-    reload();
-    if (coalesce) {
-      client.HandleBurst(ptrs, kBurst);
-    } else {
-      for (int i = 0; i < kBurst; ++i) client.HandlePacket(std::move(acks[i]));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kBurst);
-  state.counters["scoreboard_segs"] =
-      static_cast<double>(client.send_queue().segments().size());
-}
-BENCHMARK(BM_AckBurst)->Arg(0)->Arg(1);
-
-// Link burst transfer: an 8-packet zero-serialization convoy bouncing
-// between two links; arg toggles Config::allow_burst. Items are packet
-// deliveries.
-struct BenchBouncer : PacketSink {
-  Link* out = nullptr;
-  std::uint64_t received = 0;
-  void HandlePacket(Packet&& p) override {
-    ++received;
-    out->Enqueue(std::move(p));
-  }
-  void HandleBurst(Packet** pkts, std::size_t n) override {
-    received += n;
-    for (std::size_t i = 0; i < n; ++i) out->Enqueue(std::move(*pkts[i]));
-  }
-};
-
-void BM_LinkBurst(benchmark::State& state) {
-  const bool burst = state.range(0) != 0;
-  std::uint64_t delivered = 0;
-  for (auto _ : state) {
-    Simulator sim;
-    BenchBouncer east_sink, west_sink;
-    Link::Config lc;
-    lc.rate_bps = 1'000'000'000'000'000'000ull;  // zero-tx for any real MTU
-    lc.propagation = SimTime::Nanos(100);
-    lc.allow_burst = burst;
-    lc.queue.capacity_packets = 64;
-    Link east(sim, lc, &east_sink);
-    Link west(sim, lc, &west_sink);
-    east_sink.out = &west;
-    west_sink.out = &east;
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      Packet p;
-      p.id = i + 1;
-      p.size_bytes = 9000;
-      p.payload = 8940;
-      east.Enqueue(std::move(p));
-    }
-    sim.RunUntil(SimTime::Millis(1));
-    delivered += east_sink.received + west_sink.received;
-    benchmark::DoNotOptimize(east_sink.received);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
-}
-BENCHMARK(BM_LinkBurst)->Arg(0)->Arg(1);
-
 // Scale benchmarks (tracked in BENCH_scale.json): end-to-end simulated
 // events per wall second on the two heaviest standing configurations. Items
 // are simulator events, so items/s is directly events/s.

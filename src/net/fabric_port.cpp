@@ -18,9 +18,10 @@ void FabricPort::SetMode(const NetworkMode& mode) {
   // network: move the ones whose network just went away back to the stash
   // (this is what strands an MPTCP subflow's tail ACKs for a whole week,
   // §2.2), and pull in stashed packets whose network just came up. The
-  // repack moves packets structurally (PopRaw/Restore): it is not a service
-  // or admission event, so it must not distort sojourn stats, advance the
-  // AQM, or manufacture drops for packets the queue already admitted.
+  // repack moves packets structurally (DrainRawInto/Restore): it is not a
+  // service or admission event, so it must not distort sojourn stats,
+  // advance the AQM, or manufacture drops for packets the queue already
+  // admitted.
   if (!voq_.Empty()) {
     drain_scratch_.clear();
     voq_.DrainRawInto(drain_scratch_);  // one batched structural pop

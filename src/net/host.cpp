@@ -83,35 +83,6 @@ void Host::HandlePacket(Packet&& p) {
   it->second->HandlePacket(std::move(p));
 }
 
-void Host::HandleBurst(Packet** pkts, std::size_t n) {
-  std::size_t i = 0;
-  while (i < n) {
-    Packet& p = *pkts[i];
-    if (!nic_enabled_ || p.type == PacketType::kTdnNotify) {
-      HandlePacket(std::move(p));  // notify/NIC-down handling, per packet
-      ++i;
-      continue;
-    }
-    auto it = endpoints_.find(p.flow);
-    if (it == endpoints_.end()) {
-      HandlePacket(std::move(p));  // the RST-to-closed-endpoint path
-      ++i;
-      continue;
-    }
-    // Extend the run across consecutive packets for the same flow. The
-    // endpoint processes them in order within one call; a teardown
-    // triggered mid-run keeps delivering to the same (still live) object,
-    // which is the burst contract (see Link::Config::allow_burst).
-    std::size_t j = i + 1;
-    while (j < n && pkts[j]->flow == p.flow &&
-           pkts[j]->type != PacketType::kTdnNotify) {
-      ++j;
-    }
-    it->second->HandleBurst(pkts + i, j - i);
-    i = j;
-  }
-}
-
 void Host::DistributeTdn(TdnId tdn, bool imminent, RackId peer) {
   const auto matches = [peer](const ListenerEntry& l) {
     return peer == kAllRacks || l.peer_rack == kAllRacks ||

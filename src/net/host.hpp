@@ -107,13 +107,6 @@ class Host : public PacketSink {
   // Packet arriving from the ToR (or control network).
   void HandlePacket(Packet&& p) override;
 
-  // Burst arrival (link burst fast path): consecutive data packets for the
-  // same registered flow are handed to the endpoint in one
-  // PacketSink::HandleBurst call (one endpoint lookup per run, and the
-  // endpoint can coalesce an ACK train); notifications and unknown flows
-  // fall back to the per-packet path.
-  void HandleBurst(Packet** pkts, std::size_t n) override;
-
   std::uint64_t dropped_no_endpoint() const { return dropped_no_endpoint_; }
   std::uint64_t rsts_sent() const { return rsts_sent_; }
 

@@ -1,6 +1,5 @@
 #include "net/link.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -25,88 +24,22 @@ void Link::set_enabled(bool enabled) {
   if (enabled_) MaybeTransmit();
 }
 
-std::uint32_t Link::ZeroTxMaxBytes() const {
-  // TransmissionTime truncates: size * 8e12 / rate == 0 picos exactly when
-  // size * 8e12 < rate, so the largest qualifying size is
-  // (rate - 1) / 8e12 in integer arithmetic.
-  const std::uint64_t cap = (config_.rate_bps - 1) / 8'000'000'000'000ull;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(cap, 0xffffffffu));
-}
-
 void Link::MaybeTransmit() {
-  for (;;) {
-    if (busy_ || !enabled_ || queue_.Empty()) return;
-    if (config_.allow_burst && config_.reorder_jitter.IsZero()) {
-      const Packet* head = queue_.Peek();
-      if (head != nullptr &&
-          TransmissionTime(head->size_bytes, config_.rate_bps).IsZero()) {
-        // Zero-serialization regime: the whole run would cascade through
-        // same-tick events anyway; take it in one burst and go around for
-        // whatever is left (a larger packet, or overflow past the burst cap).
-        if (!TransmitBurst()) return;
-        continue;
-      }
-    }
-    // An AQM dequeue may consume the whole backlog as drops and come back
-    // empty-handed; there is nothing to transmit then.
-    std::optional<Packet> head = queue_.Dequeue(sim_.now());
-    if (!head) return;
-    // Park the in-flight packet in the simulator's freelist so the event
-    // captures one pointer, not a Packet copy.
-    Packet* p = sim_.StashPacket(std::move(*head));
-    busy_ = true;
-    const SimTime tx = TransmissionTime(p->size_bytes, config_.rate_bps);
-    sim_.ScheduleNoCancel(tx, [this, p] {
-      busy_ = false;
-      Deliver(p);
-      MaybeTransmit();
-    });
-    return;
-  }
-}
-
-bool Link::TransmitBurst() {
-  // Reused across calls: default-constructing kMaxLinkBurst Packets (~7 KB)
-  // here would dwarf the event savings for small bursts. thread_local is
-  // safe — every survivor is stashed before this frame returns, so no state
-  // outlives the call, and concurrent simulators live on separate threads.
-  static thread_local Packet buf[kMaxLinkBurst];
-  const std::size_t n =
-      queue_.DequeueBurst(sim_.now(), kMaxLinkBurst, ZeroTxMaxBytes(), buf);
-  if (n == 0) return false;  // AQM consumed the poppable run as drops
-  // Chain the fault-filter survivors through the packets' intrusive links;
-  // the delivery event then captures one pointer for the whole burst.
-  Packet* head = nullptr;
-  Packet* tail = nullptr;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (has_fault_filter_ && fault_filter_(buf[i])) {
-      ++fault_dropped_;
-      continue;  // lost on the wire
-    }
-    Packet* s = sim_.StashPacket(std::move(buf[i]));
-    s->burst_next = nullptr;
-    if (tail == nullptr) {
-      head = s;
-    } else {
-      tail->burst_next = s;
-    }
-    tail = s;
-    ++delivered_;
-  }
-  if (head != nullptr) {
-    sim_.ScheduleNoCancel(config_.propagation,
-                          [this, head] { DeliverBurst(head); });
-  }
-  return true;
-}
-
-void Link::DeliverBurst(Packet* head) {
-  Packet* pkts[kMaxLinkBurst];
-  std::size_t n = 0;
-  for (Packet* p = head; p != nullptr; p = p->burst_next) pkts[n++] = p;
-  sink_->HandleBurst(pkts, n);
-  for (std::size_t i = 0; i < n; ++i) sim_.ReleasePacket(pkts[i]);
+  if (busy_ || !enabled_ || queue_.Empty()) return;
+  // An AQM dequeue may consume the whole backlog as drops and come back
+  // empty-handed; there is nothing to transmit then.
+  std::optional<Packet> head = queue_.Dequeue(sim_.now());
+  if (!head) return;
+  // Park the in-flight packet in the simulator's freelist so the event
+  // captures one pointer, not a Packet copy.
+  Packet* p = sim_.StashPacket(std::move(*head));
+  busy_ = true;
+  const SimTime tx = TransmissionTime(p->size_bytes, config_.rate_bps);
+  sim_.ScheduleNoCancel(tx, [this, p] {
+    busy_ = false;
+    Deliver(p);
+    MaybeTransmit();
+  });
 }
 
 void Link::Deliver(Packet* p) {

@@ -30,23 +30,8 @@ class Link {
     // extra delay in [0, reorder_jitter]; late packets can overtake, which
     // models intrinsic intra-TDN reordering.
     SimTime reorder_jitter = SimTime::Zero();
-    // Opt-in burst fast path: packets whose serialization time truncates to
-    // zero at this rate (they would all arrive at the same tick anyway, as
-    // separate delivery events) are popped together via
-    // QueueDisc::DequeueBurst and handed to the sink in one
-    // PacketSink::HandleBurst call. Delivery times and per-packet order are
-    // unchanged; what changes is that the burst's deliveries are no longer
-    // interleavable with other same-tick events, so the contract is that no
-    // other producer feeds the sink at the same tick. Requires
-    // reorder_jitter == 0 (jitter would split the arrival tick); ignored
-    // otherwise.
-    bool allow_burst = false;
     std::string name;  // for tracing
   };
-
-  // Upper bound on packets per HandleBurst call (and the stack buffers the
-  // burst path uses). A longer backlog simply takes several bursts.
-  static constexpr std::size_t kMaxLinkBurst = 32;
 
   Link(Simulator& sim, Config config, PacketSink* sink, Random* rng = nullptr);
 
@@ -86,15 +71,6 @@ class Link {
   // `p` is a Simulator-stashed packet owned by the caller's event; Deliver
   // either forwards it (releasing after the final handoff) or drops it.
   void Deliver(Packet* p);
-  // Burst path: pops a zero-serialization run off the queue, runs the fault
-  // filter per packet, and schedules one delivery event for the survivors
-  // (chained through Packet::burst_next). Returns false when it made no
-  // progress (nothing poppable).
-  bool TransmitBurst();
-  void DeliverBurst(Packet* head);
-  // Largest size whose serialization time truncates to zero at this rate
-  // (0 when no packet qualifies — burst never engages).
-  std::uint32_t ZeroTxMaxBytes() const;
 
   Simulator& sim_;
   Config config_;

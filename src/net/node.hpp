@@ -1,9 +1,6 @@
 // Anything that can receive a packet: hosts, switches, TCP endpoints.
 #pragma once
 
-#include <cstddef>
-#include <utility>
-
 #include "net/packet.hpp"
 
 namespace tdtcp {
@@ -12,16 +9,6 @@ class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void HandlePacket(Packet&& p) = 0;
-
-  // Burst delivery: `n` packets that arrived at the same instant, in arrival
-  // order. Ownership semantics match HandlePacket — the sink must move out
-  // of each *pkts[i] and never retain the pointers past the call. The
-  // default simply loops, so a sink overrides only when it can amortize
-  // per-packet work (routing memo, ACK coalescing); behaviour must stay
-  // equivalent to the loop.
-  virtual void HandleBurst(Packet** pkts, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) HandlePacket(std::move(*pkts[i]));
-  }
 };
 
 }  // namespace tdtcp

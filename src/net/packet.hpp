@@ -109,11 +109,6 @@ struct Packet {
   SimTime sent_time = SimTime::Zero();     // when the sender transmitted it
   SimTime enqueue_time = SimTime::Zero();  // last queue admission (for delay)
 
-  // Intrusive link for a link-level same-tick burst (src/net/link.cpp):
-  // valid only between burst formation and delivery, never once a sink has
-  // taken the packet. Not header bytes; carries no protocol meaning.
-  Packet* burst_next = nullptr;
-
   bool IsAckLike() const { return type == PacketType::kAck || payload == 0; }
 };
 

@@ -96,28 +96,6 @@ bool QueueDisc::Enqueue(Packet&& p) {
   return true;
 }
 
-std::optional<Packet> QueueDisc::PopRaw() {
-  if (count_ == 0) return std::nullopt;
-  std::optional<Packet> p(std::move(ring_[head_]));
-  head_ = (head_ + 1) & (ring_.size() - 1);
-  --count_;
-  if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr &&
-      pool_->used > 0) {
-    --pool_->used;
-  }
-  if (shrink_watermark_ != 0) {
-    // The post-shrink overshoot only ever drains: tighten the watermark with
-    // the occupancy and clear it once we are back within capacity.
-    if (count_ <= config_.capacity_packets) {
-      shrink_watermark_ = 0;
-    } else {
-      shrink_watermark_ =
-          std::min(shrink_watermark_, static_cast<std::uint32_t>(count_));
-    }
-  }
-  return p;
-}
-
 void QueueDisc::Restore(Packet&& p) {
   Push(std::move(p));
   if (count_ > config_.capacity_packets) {
@@ -207,10 +185,26 @@ bool QueueDisc::CodelDeliver(Packet& p, SimTime sojourn, SimTime now) {
 
 std::optional<Packet> QueueDisc::Dequeue(SimTime now) {
   for (;;) {
-    std::optional<Packet> p = PopRaw();
-    if (!p) {
+    if (count_ == 0) {
       codel_dropping_ = false;
       return std::nullopt;
+    }
+    std::optional<Packet> p(std::move(ring_[head_]));
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
+    if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr &&
+        pool_->used > 0) {
+      --pool_->used;
+    }
+    if (shrink_watermark_ != 0) {
+      // The post-shrink overshoot only ever drains: tighten the watermark
+      // with the occupancy and clear it once we are back within capacity.
+      if (count_ <= config_.capacity_packets) {
+        shrink_watermark_ = 0;
+      } else {
+        shrink_watermark_ =
+            std::min(shrink_watermark_, static_cast<std::uint32_t>(count_));
+      }
     }
     const SimTime sojourn = now - p->enqueue_time;
     switch (config_.kind) {
@@ -234,79 +228,6 @@ std::optional<Packet> QueueDisc::Dequeue(SimTime now) {
     RecordSojourn(sojourn);
     return p;
   }
-}
-
-std::size_t QueueDisc::DequeueBurst(SimTime now, std::size_t max,
-                                    std::uint32_t max_packet_bytes,
-                                    Packet* out) {
-  std::size_t n = 0;
-  std::uint32_t popped = 0;
-  // Sojourn summary accumulates in locals; one store per burst below. The
-  // histogram still takes a per-packet increment (each packet lands in its
-  // own bucket), but that is one L1 line, not the whole Stats record.
-  std::uint64_t soj_count = 0;
-  std::uint64_t soj_sum_us = 0;
-  SimTime soj_max = stats_.max_sojourn;
-  while (n < max) {
-    if (count_ == 0) {
-      // The (n < max) call that would have found the queue empty: Dequeue's
-      // nullopt return resets the CoDel dropping state, so this does too.
-      codel_dropping_ = false;
-      break;
-    }
-    if (ring_[head_].size_bytes > max_packet_bytes) break;
-    Packet p = std::move(ring_[head_]);
-    head_ = (head_ + 1) & (ring_.size() - 1);
-    --count_;  // live: CoDel's backlog guard reads occupancy per packet
-    ++popped;
-    const SimTime raw_sojourn = now - p.enqueue_time;
-    switch (config_.kind) {
-      case QdiscKind::kDropTail:
-      case QdiscKind::kSharedPool:
-        break;
-      case QdiscKind::kDelayMark:
-        if (raw_sojourn >= config_.delay_mark_threshold &&
-            p.ecn == Ecn::kEct0) {
-          p.ecn = Ecn::kCe;
-          ++stats_.ce_marked;
-          ++stats_.delay_marked;
-        }
-        break;
-      case QdiscKind::kCodel:
-        if (!CodelDeliver(p, raw_sojourn, now)) continue;  // a CoDel drop
-        break;
-    }
-    const SimTime sojourn =
-        raw_sojourn < SimTime::Zero() ? SimTime::Zero() : raw_sojourn;
-    ++soj_count;
-    const std::uint64_t us = static_cast<std::uint64_t>(sojourn.micros());
-    soj_sum_us += us;
-    if (sojourn > soj_max) soj_max = sojourn;
-    std::size_t bucket =
-        us == 0 ? 0 : static_cast<std::size_t>(std::bit_width(us));
-    if (bucket >= Stats::kSojournBuckets) bucket = Stats::kSojournBuckets - 1;
-    ++stats_.sojourn_hist[bucket];
-    out[n++] = std::move(p);
-  }
-  stats_.sojourn_count += soj_count;
-  stats_.sojourn_sum_us += soj_sum_us;
-  stats_.max_sojourn = soj_max;
-  if (popped != 0) {
-    if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr) {
-      pool_->used -= std::min(pool_->used, popped);
-    }
-    if (shrink_watermark_ != 0) {
-      // Occupancy only fell across the burst, so the per-pop tightening
-      // telescopes to one update against the final count.
-      if (count_ <= config_.capacity_packets) {
-        shrink_watermark_ = 0;
-      } else {
-        shrink_watermark_ =
-            std::min(shrink_watermark_, static_cast<std::uint32_t>(count_));
-      }
-    }
-  }
-  return n;
 }
 
 void QueueDisc::DrainRawInto(std::vector<Packet>& out) {

@@ -32,8 +32,8 @@
 // Sojourn accounting: owners stamp Packet::enqueue_time at admission (Link
 // and FabricPort already do) and pass the current time to Dequeue(now),
 // which records the sojourn summary and gives the time-based disciplines
-// their signal. PopRaw()/Restore() are the structural escape hatches for
-// FabricPort's mode-flip repack: they move packets without touching the
+// their signal. DrainRawInto()/Restore() are the structural escape hatches
+// for FabricPort's mode-flip repack: they move packets without touching the
 // sojourn stats or the AQM state, so a repack is invisible to the
 // discipline (the packets' admission promises already happened).
 #pragma once
@@ -160,37 +160,18 @@ class QueueDisc {
   // emptied the queue.
   std::optional<Packet> Dequeue(SimTime now);
 
-  // Burst service: pops up to `max` deliverable packets into `out[0..)` and
-  // returns how many were delivered. Exactly equivalent to calling
-  // Dequeue(now) repeatedly until `max` deliveries or an empty queue — the
-  // AQM control law (CoDel state machine, delay marking, live occupancy)
-  // runs per packet on identical state — but the sojourn-summary, shared-
-  // pool, and shrink-watermark bookkeeping is folded into one update per
-  // burst. A front packet larger than `max_packet_bytes` stops the burst
-  // *before* being popped (the caller's "would this packet still belong to
-  // the burst" predicate, e.g. Link's zero-serialization cap).
-  std::size_t DequeueBurst(SimTime now, std::size_t max,
-                           std::uint32_t max_packet_bytes, Packet* out);
-
-  // Structural bulk drain, the batched form of `while (auto p = PopRaw())`:
-  // moves every queued packet into `out` (appending) with the pool and
-  // watermark accounting applied once. Same non-service semantics as
-  // PopRaw — no sojourn stats, no AQM. For owners repacking a queue.
+  // Structural bulk drain: moves every queued packet into `out` (appending)
+  // with the pool and watermark accounting applied but no sojourn stats and
+  // no AQM. For owners repacking a queue (FabricPort's mode flip) — not a
+  // service path.
   void DrainRawInto(std::vector<Packet>& out);
 
-  // Structural pop: front packet with pool/watermark accounting but no
-  // sojourn stats and no AQM. For owners repacking a queue (FabricPort's
-  // mode flip) — not a service path.
-  std::optional<Packet> PopRaw();
-
-  // Structural push, the inverse of PopRaw: re-admits a packet whose
+  // Structural push, the inverse of DrainRawInto: re-admits a packet whose
   // admission promise was already given, bypassing the admission test (a
   // repack must never manufacture drops). Occupancy may transiently exceed
   // capacity here only if it already did before the repack; the
   // drain-then-shrink watermark is extended to keep WithinBound() honest.
   void Restore(Packet&& p);
-
-  const Packet* Peek() const { return count_ == 0 ? nullptr : &ring_[head_]; }
 
   bool Empty() const { return count_ == 0; }
   std::uint32_t occupancy() const { return static_cast<std::uint32_t>(count_); }

@@ -61,27 +61,6 @@ void ToRSwitch::HandlePacket(Packet&& p) {
   }
 }
 
-void ToRSwitch::HandleBurst(Packet** pkts, std::size_t n) {
-  // Same-tick bursts overwhelmingly share a destination (an incast fan-in
-  // converging on one host); the memo turns the per-packet resolution into
-  // one per run of equal destinations.
-  NodeId memo_dst = kInvalidNode;
-  Route memo;
-  for (std::size_t i = 0; i < n; ++i) {
-    Packet& p = *pkts[i];
-    ++forwarded_;
-    if (p.dst != memo_dst) {
-      memo_dst = p.dst;
-      memo = Resolve(p.dst);
-    }
-    if (memo.downlink != nullptr) {
-      memo.downlink->Enqueue(std::move(p));
-    } else {
-      memo.port->Enqueue(std::move(p));
-    }
-  }
-}
-
 SimTime ToRSwitch::SampleGenDelay() {
   if (notify_.cached_packet) {
     if (rng_ == nullptr) return notify_.gen_delay_cached_median;

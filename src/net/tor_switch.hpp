@@ -72,12 +72,6 @@ class ToRSwitch : public PacketSink {
 
   void HandlePacket(Packet&& p) override;
 
-  // Burst forwarding: consecutive packets for the same destination reuse
-  // the resolved route (one rack resolution + port/downlink lookup per run
-  // instead of per packet). Forwarding behaviour per packet is identical
-  // to HandlePacket.
-  void HandleBurst(Packet** pkts, std::size_t n) override;
-
   // Emits a TDN-change notification to every attached host. Generation cost
   // accumulates per host (the software switch builds packets in a loop), so
   // later hosts learn later. `imminent` is the reTCPdyn advance notice;

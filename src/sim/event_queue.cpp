@@ -342,19 +342,6 @@ EventQueue::Taken EventQueue::TakeNextEntry() {
   return Taken{at, TakeHeapHead()};
 }
 
-EventQueue::Event EventQueue::PopNext() {
-  const Taken t = TakeNextEntry();
-  Slot& s = SlotRef(SlotOf(t.ev));
-  Event ev;
-  ev.at = t.at;
-  ev.id = t.ev;
-  ev.fn = std::move(s.fn);  // relocate out; the slot is immediately reusable
-  s.live = 0;
-  free_slots_.push_back(SlotOf(t.ev));
-  --live_count_;
-  return ev;
-}
-
 void EventQueue::RunNext(SimTime& now_out) {
   const Taken t = TakeNextEntry();
   const std::uint32_t slot = SlotOf(t.ev);
@@ -407,51 +394,6 @@ std::size_t EventQueue::RunBatch(SimTime& now_out, const bool& stop) {
     if (n > counters_.max_batch) counters_.max_batch = n;
   }
   return n;
-}
-
-EventQueue::BatchHorizon EventQueue::PeekBatchHorizon() {
-  DropDeadHeads();
-  BatchHorizon h;
-  if (live_count_ == 0) return h;
-  const LaneEntry* lf = LaneFront();
-  h.at = lf != nullptr ? lf->at : heap_.front().at;
-  if (!heap_.empty() && heap_.front().at < h.at) h.at = heap_.front().at;
-  // Lane times are non-decreasing (each was "now" when pushed), so the scan
-  // stops at the first strictly-later live entry.
-  for (std::size_t i = 0; i < lane_count_; ++i) {
-    const LaneEntry& e = lane_[(lane_head_ + i) & (lane_.size() - 1)];
-    if (EventDead(e.key)) continue;
-    if (e.at == h.at) {
-      ++h.ready;
-    } else {
-      if (e.at < h.next_at) h.next_at = e.at;
-      break;
-    }
-  }
-  // Same-time heap entries form a prefix-closed subtree rooted at the top
-  // (every ancestor of an equal-min entry is also equal-min), so a DFS that
-  // stops at later-time entries touches only the batch plus its frontier.
-  horizon_scratch_.clear();
-  if (!heap_.empty()) horizon_scratch_.push_back(0);
-  while (!horizon_scratch_.empty()) {
-    const std::size_t i = horizon_scratch_.back();
-    horizon_scratch_.pop_back();
-    if (heap_[i].at != h.at) {
-      if (heap_[i].at < h.next_at) h.next_at = heap_[i].at;
-      continue;  // its whole subtree is at or after this time
-    }
-    for (std::uint32_t cur =
-             static_cast<std::uint32_t>(heap_[i].key & kNodeIndexMask);
-         cur != kNilNode; cur = nodes_[cur].next) {
-      if (!EventDead(nodes_[cur].ev)) ++h.ready;
-    }
-    const std::size_t first = kHeapArity * i + 1;
-    for (std::size_t c = first; c < heap_.size() && c < first + kHeapArity;
-         ++c) {
-      horizon_scratch_.push_back(static_cast<std::uint32_t>(c));
-    }
-  }
-  return h;
 }
 
 void EventQueue::LanePush(const LaneEntry& e) {

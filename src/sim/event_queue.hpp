@@ -34,9 +34,7 @@
 //    order identical to a single heap keyed on (time, schedule order).
 //
 // RunBatch() drains every event sharing the earliest timestamp (heap cohort
-// twins + same-time lane arrivals, merged in seq order) in one call, and
-// PeekBatchHorizon() exposes the same boundary as a read-only probe — the
-// lookahead primitive conservative-parallel (PDES) sharding will reuse.
+// twins + same-time lane arrivals, merged in seq order) in one call.
 #pragma once
 
 #include <cassert>
@@ -217,19 +215,6 @@ class EventQueue {
   // Time of the earliest live event; SimTime::Max() when empty.
   SimTime NextTime();
 
-  struct Event {
-    SimTime at;
-    EventId id;
-    InlineEvent fn;
-  };
-
-  // Pops the earliest live event WITHOUT running it. The caller must advance
-  // its clock to event.at before invoking event.fn, so that callbacks
-  // observe the correct current time. The callback is relocated out of its
-  // slot (and the slot recycled) before the caller runs it, so callbacks may
-  // freely schedule new events. Precondition: !Empty().
-  Event PopNext();
-
   // Pops the earliest live event and invokes it in place: one indirect call,
   // no relocation. `now_out` is set to the event's time before the callback
   // runs. Safe against reentrant Schedule/Cancel because slots live in
@@ -248,21 +233,6 @@ class EventQueue {
   // (0 when empty). The dispatch order is bit-identical to calling
   // RunNext() in a loop.
   std::size_t RunBatch(SimTime& now_out, const bool& stop);
-
-  // Read-only probe of the batch boundary: the earliest live timestamp, how
-  // many live events currently share it, and the earliest strictly-later
-  // live timestamp. This is the conservative-parallel (PDES) lookahead
-  // primitive: a shard may safely dispatch `ready` events and advance its
-  // local clock to `next_at` without synchronizing, provided no external
-  // input can arrive before `next_at`. O(ready + twins) — it walks only the
-  // equal-time prefix of the heap (same-time entries form a prefix-closed
-  // subtree rooted at the top).
-  struct BatchHorizon {
-    SimTime at = SimTime::Max();       // earliest live event time
-    SimTime next_at = SimTime::Max();  // earliest strictly-later live time
-    std::size_t ready = 0;             // live events sharing `at`
-  };
-  BatchHorizon PeekBatchHorizon();
 
   // Monotonic internals counters (batching / cancellation observability).
   struct Counters {
@@ -510,7 +480,6 @@ class EventQueue {
   std::size_t heap_dead_ = 0;   // dead chain nodes
   std::size_t lane_dead_ = 0;
   Counters counters_;
-  std::vector<std::uint32_t> horizon_scratch_;  // PeekBatchHorizon DFS stack
 };
 
 }  // namespace tdtcp

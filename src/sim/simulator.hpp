@@ -86,11 +86,6 @@ class Simulator {
   std::uint64_t events_executed() const { return events_executed_; }
   std::size_t pending_events() const { return queue_.size(); }
 
-  // PDES lookahead probe (see EventQueue::PeekBatchHorizon).
-  EventQueue::BatchHorizon PeekBatchHorizon() {
-    return queue_.PeekBatchHorizon();
-  }
-
   // Event-core internals counters, surfaced as sim_* sweep metrics.
   struct Stats {
     std::uint64_t events_executed = 0;

@@ -706,150 +706,6 @@ void TcpConnection::HandlePacket(Packet&& p) {
   }
 }
 
-bool TcpConnection::CoalescableAck(const Packet& p) const {
-  // Only the boring common case coalesces: an established, SACK-enabled,
-  // non-MPTCP connection receiving a bare ACK. Anything carrying control
-  // flags, payload, or DSS side effects takes the sequential path, where
-  // the full per-packet state dispatch applies.
-  return state_ == State::kEstablished && config_.sack_enabled &&
-         !config_.mptcp && p.type == PacketType::kAck && !p.rst && !p.syn &&
-         !p.fin && !p.has_dss && p.payload == 0;
-}
-
-void TcpConnection::HandleBurst(Packet** pkts, std::size_t n) {
-  std::size_t i = 0;
-  while (i < n) {
-    // CoalescableAck reads state_ fresh each group, so a transition caused
-    // by one group (e.g. a FIN sent out of MaybeSend) demotes the rest of
-    // the burst to the sequential path.
-    if (!CoalescableAck(*pkts[i])) {
-      HandlePacket(std::move(*pkts[i]));
-      ++i;
-      continue;
-    }
-    std::size_t j = i + 1;
-    while (j < n && CoalescableAck(*pkts[j])) ++j;
-    if (j - i == 1) {
-      HandlePacket(std::move(*pkts[i]));
-    } else {
-      OnAckBurst(pkts + i, j - i);
-    }
-    i = j;
-  }
-}
-
-void TcpConnection::OnAckBurst(Packet** acks, std::size_t n) {
-  // Phase 1: per-packet header effects, in arrival order — exactly the
-  // prologue each OnAckPacket call would have run (stats, window update,
-  // TDN note, D-SACK consumption) — while collecting the burst's plain
-  // SACK blocks and the highest cumulative ACK.
-  std::uint64_t max_ack = snd_una_;
-  const Packet* last = nullptr;  // last sane ACK: trigger/ECE context
-  const Packet* cum = nullptr;   // first ACK reaching max_ack
-  bool any_ece = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Packet& p = *acks[i];
-    if (has_tap_) tap_(TapDirection::kRx, p);
-    ++stats_.acks_received;
-    if (p.has_rwnd) {
-      peer_rwnd_ = p.rcv_window;
-      if (peer_rwnd_ > 0 && (persist_entry_.armed() || persist_probing_)) {
-        CancelPersist();
-      }
-    }
-    NotePeerTdn(p.ack_tdn);
-    if (p.ack > snd_nxt_) continue;  // acks data never sent
-    NoteCircuitEcho(p.circuit_echo);
-    last = &p;
-    any_ece = any_ece || p.ece;
-    if (tdtcp_active_ && p.ack_tdn != kNoTdn) tdns_.EnsureTdn(p.ack_tdn);
-    if (p.ack > max_ack) {
-      max_ack = p.ack;
-      cum = &p;
-    }
-  }
-  if (last == nullptr) return;  // every ACK was beyond snd_nxt_
-  if (tdns_.TotalPacketsOut() == 0 && max_ack <= snd_una_) {
-    // Stale burst; it may still carry a window reopening (handled above).
-    // The sequential path discards such ACKs before SACK processing, so
-    // their D-SACKs are deliberately not consumed here either.
-    MaybeSend();
-    return;
-  }
-
-  // Second per-packet pass: D-SACK consumption (per ACK, against its own
-  // blocks, exactly as sequential processing would) and the union of the
-  // burst's plain SACK blocks. ApplySack is segment-major, so overlapping
-  // or unsorted blocks need no pre-merge.
-  std::uint32_t sackless_dups = 0;
-  sack_merge_scratch_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Packet& p = *acks[i];
-    if (p.ack > snd_nxt_) continue;
-    std::uint8_t first_block = 0;
-    if (p.num_sack > 0) first_block = SplitDsack(p);
-    for (std::uint8_t k = first_block; k < p.num_sack; ++k) {
-      sack_merge_scratch_.push_back(p.sack[k]);
-    }
-    // Sackless duplicate against the pre-burst snd_una_; only consumed when
-    // the whole burst makes no cumulative progress (below), where the
-    // snapshot comparison is exact.
-    if (p.ack == snd_una_ && first_block >= p.num_sack) ++sackless_dups;
-  }
-
-  const TdnId trigger_tdn =
-      (tdtcp_active_ && last->ack_tdn != kNoTdn) ? last->ack_tdn : ActiveTdn();
-  tdns_.EnsureTdn(trigger_tdn);
-
-  // Phase 2: one scoreboard pass with the merged deltas.
-  acked_pkts_scratch_.assign(tdns_.num_tdns(), 0);
-  acked_bytes_scratch_.assign(tdns_.num_tdns(), 0);
-  sacked_pkts_scratch_.assign(tdns_.num_tdns(), 0);
-  rtt_scratch_.assign(tdns_.num_tdns(), SimTime::Zero());
-  ece_target_tdn_ = trigger_tdn;
-
-  std::uint32_t newly_sacked = 0;
-  if (!sack_merge_scratch_.empty()) {
-    const TdnId sack_tdn = last->ack_tdn;
-    newly_sacked = send_queue_.ApplySack(
-        std::span<const SackBlock>(sack_merge_scratch_),
-        [this, sack_tdn](TxSegment& seg) { NoteSackedSegment(seg, sack_tdn); });
-  }
-
-  if (max_ack > snd_una_) {
-    const bool acked_fresh_data = ProcessCumulativeAck(*cum, trigger_tdn);
-    dupack_count_ = 0;
-    rto_retries_ = 0;
-    persist_backoff_ = 0;
-    persist_probing_ = false;
-    if (acked_fresh_data) rto_backoff_ = 0;
-    tlp_in_flight_ = false;
-    if (recovery_agent_ != nullptr) {
-      recovery_agent_->NoteProgress(recovery_node_);
-    }
-  } else {
-    dupack_count_ += sackless_dups;
-  }
-
-  DetectLosses(trigger_tdn, newly_sacked);
-  // ECE from any ACK in the burst counts once against the merged pass's
-  // target TDN — same once-per-window semantics as sequential processing,
-  // since EnterCwr latches until snd_una_ passes high_seq anyway.
-  Packet merged = *last;
-  merged.ack = max_ack;
-  merged.ece = any_ece;
-  AdvanceStateMachines(merged);
-
-  if (fin_sent_) MaybeAdvanceCloseStates();
-  if (state_ == State::kClosed) return;
-
-  ArmRto();
-  ArmTlp();
-  RunChecker(TcpInvariantChecker::Event::kAck);
-  MaybeSend();
-  if (on_send_ready_) on_send_ready_();
-}
-
 // ---------------------------------------------------------------------------
 // Receiver path
 // ---------------------------------------------------------------------------
@@ -1076,28 +932,28 @@ void TcpConnection::OnAckPacket(const Packet& p) {
 
 std::uint32_t TcpConnection::ProcessSackBlocks(const Packet& p, TdnId trigger_tdn) {
   (void)trigger_tdn;
+  // RFC 2883: a D-SACK is a first block below the cumulative ACK, or one
+  // contained in the second block. It is consumed here and skipped below.
+  std::uint8_t first = 0;
+  if (p.num_sack > 0) {
+    const SackBlock& b0 = p.sack[0];
+    const bool below_cum = b0.end <= p.ack;
+    const bool inside_second = p.num_sack >= 2 &&
+                               b0.start >= p.sack[1].start &&
+                               b0.end <= p.sack[1].end;
+    if (below_cum || inside_second) {
+      ++stats_.dsacks_received;
+      ProcessDsack(b0);
+      first = 1;
+    }
+  }
   // The packet's own block array is applied in place (a span past any
   // leading D-SACK block) — no per-ACK copy of the blocks.
-  const std::uint8_t first = SplitDsack(p);
   const TdnId ack_tdn = p.ack_tdn;
   return send_queue_.ApplySack(
       std::span<const SackBlock>(p.sack.data() + first,
                                  static_cast<std::size_t>(p.num_sack - first)),
       [this, ack_tdn](TxSegment& seg) { NoteSackedSegment(seg, ack_tdn); });
-}
-
-std::uint8_t TcpConnection::SplitDsack(const Packet& p) {
-  // RFC 2883: a D-SACK is a first block below the cumulative ACK, or one
-  // contained in the second block.
-  if (p.num_sack == 0) return 0;
-  const SackBlock& b0 = p.sack[0];
-  const bool below_cum = b0.end <= p.ack;
-  const bool inside_second =
-      p.num_sack >= 2 && b0.start >= p.sack[1].start && b0.end <= p.sack[1].end;
-  if (!below_cum && !inside_second) return 0;
-  ++stats_.dsacks_received;
-  ProcessDsack(b0);
-  return 1;
 }
 
 void TcpConnection::NoteSackedSegment(TxSegment& seg, TdnId ack_tdn) {

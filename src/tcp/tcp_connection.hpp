@@ -239,11 +239,6 @@ class TcpConnection : public PacketSink {
 
   // --- network entry point -----------------------------------------------------
   void HandlePacket(Packet&& p) override;
-  // Link-burst fast path: runs of coalescable pure ACKs (established, SACK
-  // on, no MPTCP/DSS) are merged into one scoreboard pass (OnAckBurst);
-  // everything else falls back to HandlePacket, re-checking state per
-  // packet so a mid-burst transition is honoured.
-  void HandleBurst(Packet** pkts, std::size_t n) override;
 
   // --- hooks -------------------------------------------------------------------
   void SetDeliverCallback(DeliverFn fn) { deliver_ = std::move(fn); }
@@ -415,20 +410,8 @@ class TcpConnection : public PacketSink {
 
   // --- ACK processing -----------------------------------------------------------
   void OnAckPacket(const Packet& p);
-  // True when `p` may join an ACK-coalescing run: pure ACK, connection
-  // established, SACK enabled, no MPTCP/DSS side effects.
-  bool CoalescableAck(const Packet& p) const;
-  // Processes a run of >= 2 coalescable ACKs as one scoreboard pass: merged
-  // SACK blocks, one cumulative advance to the highest ACK, one loss-
-  // detection/state-machine/timer/send round. Per-packet header effects
-  // (stats, window updates, TDN notes, D-SACK) still run per ACK, in order.
-  void OnAckBurst(Packet** acks, std::size_t n);
   std::uint32_t ProcessSackBlocks(const Packet& p, TdnId trigger_tdn);
-  // RFC 2883 D-SACK split: if the packet's first SACK block duplicates
-  // already-received data, consume it (ProcessDsack) and return 1 so the
-  // caller applies only p.sack[1..num_sack); returns 0 otherwise.
-  std::uint8_t SplitDsack(const Packet& p);
-  // Shared ApplySack visitor body: per-TDN sacked_out accounting, lost-undo,
+  // ApplySack visitor body: per-TDN sacked_out accounting, lost-undo,
   // RACK mstamp advance, and SACK RTT sampling against `ack_tdn`.
   void NoteSackedSegment(TxSegment& seg, TdnId ack_tdn);
   void ProcessDsack(const SackBlock& block);
@@ -523,8 +506,6 @@ class TcpConnection : public PacketSink {
   // strictly after scoreboard index i (one backward pass per ACK instead of
   // the O(n^2) per-hole rescan).
   std::vector<std::uint32_t> sacked_above_scratch_;
-  // OnAckBurst: union of the burst's plain (non-D-SACK) SACK blocks.
-  std::vector<SackBlock> sack_merge_scratch_;
 
   // --- per-ACK scratch (per-TDN newly-acked accounting) -------------------------
   std::vector<std::uint32_t> acked_pkts_scratch_;

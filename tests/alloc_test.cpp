@@ -12,8 +12,6 @@
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
-#include "tcp/tcp_connection.hpp"
-#include "test_util.hpp"
 
 namespace tdtcp {
 namespace {
@@ -91,106 +89,6 @@ TEST(AllocFree, LinkPacketPingPongSteadyState) {
   EXPECT_EQ(d.news, 0u) << "packet path steady state allocated";
   EXPECT_EQ(d.deletes, 0u);
   EXPECT_LE(sim.stashed_packets(), 1u);  // at most the one in flight
-}
-
-// Burst handoff variant: a convoy of zero-serialization packets bounces
-// between two burst-enabled links, arriving via HandleBurst. The chained
-// handoff (stack pointer array + Packet::burst_next) must stay off the heap.
-struct BurstBouncer : PacketSink {
-  Link* out = nullptr;
-  std::uint64_t received = 0;
-  std::uint64_t bursts = 0;
-  void HandlePacket(Packet&& p) override {
-    ++received;
-    out->Enqueue(std::move(p));
-  }
-  void HandleBurst(Packet** pkts, std::size_t n) override {
-    ++bursts;
-    received += n;
-    for (std::size_t i = 0; i < n; ++i) out->Enqueue(std::move(*pkts[i]));
-  }
-};
-
-TEST(AllocFree, LinkBurstHandoffSteadyState) {
-  Simulator sim;
-  BurstBouncer east_sink, west_sink;
-  Link::Config lc;
-  lc.rate_bps = 1'000'000'000'000'000'000ull;  // zero-tx for any real MTU
-  lc.propagation = SimTime::Micros(1);
-  lc.allow_burst = true;
-  lc.queue.capacity_packets = 10'000;
-  Link east(sim, lc, &east_sink);
-  Link west(sim, lc, &west_sink);
-  east_sink.out = &west;
-  west_sink.out = &east;
-
-  // An 8-packet convoy: all serialize in 0 ps, so every hop delivers the
-  // whole group in one HandleBurst.
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    Packet p;
-    p.id = i + 1;
-    p.size_bytes = 9000;
-    p.payload = 8940;
-    east.Enqueue(std::move(p));
-  }
-  sim.RunUntil(SimTime::Millis(1));
-  ASSERT_GT(east_sink.bursts + west_sink.bursts, 100u);  // burst path engaged
-
-  const std::uint64_t bursts_before = east_sink.bursts + west_sink.bursts;
-  const AllocDelta d = CountAllocations([&] {
-    sim.RunFor(SimTime::Millis(10));
-  });
-  EXPECT_GT(east_sink.bursts + west_sink.bursts, bursts_before + 1000u);
-  EXPECT_EQ(d.news, 0u) << "link burst steady state allocated";
-  EXPECT_EQ(d.deletes, 0u);
-}
-
-// ACK coalescing: once the merge scratches are warm, a repeated SACK burst
-// through TcpConnection::HandleBurst must not touch the heap — the merged
-// ApplySack callback has to fit std::function's inline buffer and the
-// per-burst block union reuses grown vectors.
-TEST(AllocFree, AckCoalescingSteadyState) {
-  Simulator sim;
-  test::LoopbackHarness harness(sim);
-  TcpConfig config;
-  config.mss = 1000;
-  TcpConnection conn(sim, &harness.host, 1, 99, config);
-  conn.Connect();
-  harness.Settle();
-  Packet syn = harness.out.Pop();
-  conn.HandlePacket(test::LoopbackHarness::SynAckFor(
-      syn, config.tdtcp_enabled, config.num_tdns));
-  harness.Settle();
-  harness.out.packets.clear();
-  conn.AddAppData(20'000);
-  harness.Settle();
-  harness.out.packets.clear();
-
-  // A dup-ACK burst with SACK blocks; identical replays are idempotent on
-  // the scoreboard, so steady state is reached after one warm pass.
-  Packet acks[4];
-  Packet* ptrs[4];
-  auto reload = [&] {
-    acks[0] = test::LoopbackHarness::Ack(1, 1, {{1001, 2001}});
-    acks[1] = test::LoopbackHarness::Ack(1, 1, {{1001, 3001}});
-    acks[2] = test::LoopbackHarness::Ack(1, 1, {{1001, 4001}});
-    acks[3] = test::LoopbackHarness::Ack(1, 1, {{1001, 5001}});
-    for (int i = 0; i < 4; ++i) ptrs[i] = &acks[i];
-  };
-  // Warmup: the first burst grows the merge/recount scratches AND mutates
-  // the scoreboard (fast retransmit, recovery sends), which resizes the
-  // loss-detection scratch; the second runs with every size stable.
-  for (int round = 0; round < 2; ++round) {
-    reload();
-    conn.HandleBurst(ptrs, 4);
-    harness.Settle();
-    harness.out.packets.clear();
-  }
-
-  reload();
-  const AllocDelta d = CountAllocations([&] { conn.HandleBurst(ptrs, 4); });
-  EXPECT_EQ(d.news, 0u) << "ACK coalescing steady state allocated";
-  EXPECT_EQ(d.deletes, 0u);
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
 // Batched-execution equivalence (DESIGN.md §11).
 //
-// Three layers, three contracts:
+// Two layers, two contracts:
 //  - sim core: RunBatch dispatches in exactly the order the sequential
 //    RunNext loop would, including randomized same-timestamp collisions,
 //    mid-batch immediate-lane arrivals, and cancellations;
 //  - experiment level: a seeded churn + fault + trace run is bit-identical
 //    (trace_hash / churn_hash / totals) with batched dispatch forced on and
-//    forced off;
-//  - TCP: a coalesced ACK burst (TcpConnection::HandleBurst) leaves the
-//    scoreboard and per-TDN counters equal to the sequential per-packet
-//    reference, with the invariant checker recount running on both paths.
+//    forced off.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,15 +14,10 @@
 #include <vector>
 
 #include "app/experiment.hpp"
-#include "cc/registry.hpp"
 #include "sim/simulator.hpp"
-#include "tcp/tcp_connection.hpp"
-#include "test_util.hpp"
 
 namespace tdtcp {
 namespace {
-
-using test::LoopbackHarness;
 
 // ---------------------------------------------------------------------------
 // Sim core: randomized firing-order soak
@@ -156,167 +148,6 @@ TEST(BatchSoak, SimStatsSurfaceBatchingCounters) {
   EXPECT_GT(batched.sim_max_batch, 1u);
   EXPECT_EQ(sequential.sim_batches, 0u);
   EXPECT_EQ(sequential.sim_max_batch, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// TCP: coalesced ACK burst == sequential per-packet reference
-// ---------------------------------------------------------------------------
-
-TcpConfig AckConfig() {
-  TcpConfig c;
-  c.mss = 1000;
-  c.cc_factory = MakeCcFactory("reno");
-  return c;
-}
-
-// A sender with `segments` data packets on the wire, built on the loopback
-// harness so crafted ACKs can be injected with exact contents.
-struct Sender {
-  explicit Sender(TcpConfig config = AckConfig())
-      : harness(sim), conn(sim, &harness.host, 1, 99, config) {
-    conn.Connect();
-    harness.Settle();
-    Packet syn = harness.out.Pop();
-    conn.HandlePacket(LoopbackHarness::SynAckFor(
-        syn, conn.config().tdtcp_enabled, conn.config().num_tdns));
-    harness.Settle();
-    harness.out.packets.clear();
-  }
-
-  void SendData(std::uint64_t bytes) {
-    conn.AddAppData(bytes);
-    harness.Settle();
-    harness.out.packets.clear();
-  }
-
-  Simulator sim;
-  LoopbackHarness harness;
-  TcpConnection conn;
-};
-
-struct TdnCounters {
-  std::uint32_t packets_out, sacked_out, lost_out, retrans_out;
-};
-
-// Scoreboard-visible state the burst contract promises to preserve exactly.
-struct AckOutcome {
-  std::uint64_t snd_una;
-  std::vector<TdnCounters> tdns;
-  std::uint32_t q_sacked, q_lost, q_retrans;
-  std::uint64_t acks_received, dsacks;
-
-  static AckOutcome Of(const TcpConnection& c) {
-    AckOutcome o;
-    o.snd_una = c.snd_una();
-    for (std::size_t i = 0; i < c.tdns().num_tdns(); ++i) {
-      const TdnState& st = c.tdns().state(static_cast<TdnId>(i));
-      o.tdns.push_back(
-          {st.packets_out, st.sacked_out, st.lost_out, st.retrans_out});
-    }
-    const SendQueue& q = c.send_queue();
-    o.q_sacked = q.CountSacked();
-    o.q_lost = q.CountLost();
-    o.q_retrans = q.CountRetrans();
-    o.acks_received = c.stats().acks_received;
-    o.dsacks = c.stats().dsacks_received;
-    return o;
-  }
-};
-
-void ExpectEqualOutcome(const AckOutcome& a, const AckOutcome& b) {
-  EXPECT_EQ(a.snd_una, b.snd_una);
-  ASSERT_EQ(a.tdns.size(), b.tdns.size());
-  for (std::size_t i = 0; i < a.tdns.size(); ++i) {
-    EXPECT_EQ(a.tdns[i].packets_out, b.tdns[i].packets_out) << "tdn " << i;
-    EXPECT_EQ(a.tdns[i].sacked_out, b.tdns[i].sacked_out) << "tdn " << i;
-    EXPECT_EQ(a.tdns[i].lost_out, b.tdns[i].lost_out) << "tdn " << i;
-    EXPECT_EQ(a.tdns[i].retrans_out, b.tdns[i].retrans_out) << "tdn " << i;
-  }
-  EXPECT_EQ(a.q_sacked, b.q_sacked);
-  EXPECT_EQ(a.q_lost, b.q_lost);
-  EXPECT_EQ(a.q_retrans, b.q_retrans);
-  EXPECT_EQ(a.acks_received, b.acks_received);
-  EXPECT_EQ(a.dsacks, b.dsacks);
-}
-
-// Feeds `acks` to one connection as a coalesced burst and to an identically
-// prepared twin packet-by-packet, then compares the scoreboard outcome. The
-// invariant checker (on by default) recounts both paths from the scoreboard
-// at every kAck, so an internally inconsistent merged pass throws before the
-// comparison even runs.
-void CheckBurstEquivalence(std::vector<Packet> acks,
-                           std::uint64_t bytes = 10'000) {
-  Sender batched, sequential;
-  batched.SendData(bytes);
-  sequential.SendData(bytes);
-
-  std::vector<Packet> copy = acks;
-  std::vector<Packet*> ptrs;
-  for (Packet& p : acks) ptrs.push_back(&p);
-  batched.conn.HandleBurst(ptrs.data(), ptrs.size());
-  for (Packet& p : copy) sequential.conn.HandlePacket(std::move(p));
-
-  ExpectEqualOutcome(AckOutcome::Of(batched.conn),
-                     AckOutcome::Of(sequential.conn));
-}
-
-TEST(AckBurst, CumulativeTrainMatchesSequential) {
-  // An incast-style train of rising cumulative ACKs.
-  std::vector<Packet> acks;
-  for (std::uint64_t a : {1001u, 2001u, 3001u, 5001u}) {
-    acks.push_back(LoopbackHarness::Ack(1, a));
-  }
-  CheckBurstEquivalence(std::move(acks));
-}
-
-TEST(AckBurst, SackDupTrainMatchesSequential) {
-  // Hole at the head: a train of duplicate ACKs each advancing the SACK
-  // edge, the classic fast-retransmit trigger burst.
-  std::vector<Packet> acks;
-  acks.push_back(LoopbackHarness::Ack(1, 1, {{1001, 2001}}));
-  acks.push_back(LoopbackHarness::Ack(1, 1, {{1001, 3001}}));
-  acks.push_back(LoopbackHarness::Ack(1, 1, {{1001, 4001}}));
-  acks.push_back(LoopbackHarness::Ack(1, 1, {{1001, 5001}}));
-  CheckBurstEquivalence(std::move(acks));
-}
-
-TEST(AckBurst, MixedCumSackAndStaleMatchesSequential) {
-  std::vector<Packet> acks;
-  acks.push_back(LoopbackHarness::Ack(1, 2001));
-  acks.push_back(LoopbackHarness::Ack(1, 2001, {{3001, 4001}}));
-  acks.push_back(LoopbackHarness::Ack(1, 1001));            // stale straggler
-  acks.push_back(LoopbackHarness::Ack(1, 2001, {{3001, 6001}}));
-  acks.push_back(LoopbackHarness::Ack(1, 7001));
-  CheckBurstEquivalence(std::move(acks));
-}
-
-TEST(AckBurst, DsackInBurstCountedOncePerAck) {
-  // First ACK advances; second reports a duplicate below the new cumulative
-  // ACK (a D-SACK) plus fresh SACK info.
-  std::vector<Packet> acks;
-  acks.push_back(LoopbackHarness::Ack(1, 3001));
-  acks.push_back(LoopbackHarness::Ack(1, 3001, {{1001, 2001}, {4001, 5001}}));
-  CheckBurstEquivalence(std::move(acks));
-}
-
-TEST(AckBurst, NonCoalescableFallsBackPerPacket) {
-  // A FIN-bearing data packet inside the run must break coalescing and take
-  // the sequential path; the burst entry point still delivers everything.
-  Sender s;
-  s.SendData(5'000);
-  std::vector<Packet> pkts;
-  pkts.push_back(LoopbackHarness::Ack(1, 1001));
-  Packet rstless_data;  // a bare data packet (payload 0) — ignored, per spec
-  rstless_data.type = PacketType::kData;
-  rstless_data.flow = 1;
-  rstless_data.size_bytes = 60;
-  pkts.push_back(rstless_data);
-  pkts.push_back(LoopbackHarness::Ack(1, 2001));
-  std::vector<Packet*> ptrs;
-  for (Packet& p : pkts) ptrs.push_back(&p);
-  s.conn.HandleBurst(ptrs.data(), ptrs.size());
-  EXPECT_EQ(s.conn.snd_una(), 2001u);
-  EXPECT_EQ(s.conn.stats().acks_received, 2u);
 }
 
 }  // namespace

@@ -183,6 +183,34 @@ TEST(EventCore, CompactionBoundsDeadHeapEntries) {
   EXPECT_TRUE(q.Empty());
 }
 
+TEST(EventCore, CompactionFiltersDeadNodesInsideSameTimeChain) {
+  // Every event shares one timestamp, so they hang off a single cohort
+  // chain and the dead ones sit mid-chain, behind a live head.
+  EventQueue q;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 240; ++i) {
+    ids.push_back(q.Schedule(SimTime::Nanos(50),
+                             [&fired, i] { fired.push_back(i); }));
+  }
+  EXPECT_EQ(q.heap_storage_for_test(), 1u);
+  // Cancel two of every three, keeping multiples of three (the head too).
+  // Going from the back frees the chain's cached tail in the compaction.
+  for (int i = 239; i >= 0; --i) {
+    if (i % 3 != 0) q.Cancel(ids[static_cast<std::size_t>(i)]);
+  }
+  std::vector<int> expect;
+  for (int i = 0; i < 240; i += 3) expect.push_back(i);
+  EXPECT_GT(q.counters().compactions, 0u);
+  EXPECT_EQ(q.size(), expect.size());
+  // A same-time arrival after compaction must not chain onto the freed
+  // tail: it opens a second cohort and still fires last.
+  q.Schedule(SimTime::Nanos(50), [&fired] { fired.push_back(1000); });
+  expect.push_back(1000);
+  Drain(q);
+  EXPECT_EQ(fired, expect);
+}
+
 TEST(EventCore, ScheduleNoCancelInterleavesWithCancellableEvents) {
   Simulator sim;
   std::vector<int> order;

@@ -384,20 +384,30 @@ TEST(SharedPool, NoPoolDegradesToDropTail) {
   EXPECT_EQ(q.stats().shared_rejected, 0u);
 }
 
-TEST(SharedPool, PopRawAndRestoreKeepPoolAccounting) {
+TEST(SharedPool, DrainRawAndRestoreKeepPoolAccounting) {
   SharedBufferPool pool{8, 0};
   QueueDisc q(QueueDisc::Config{.kind = QdiscKind::kSharedPool,
                                 .capacity_packets = 8});
   q.AttachSharedPool(&pool);
   for (std::uint64_t i = 0; i < 3; ++i) q.Enqueue(MakePkt(i));
   EXPECT_EQ(pool.used, 3u);
-  std::optional<Packet> p = q.PopRaw();
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(pool.used, 2u);
-  q.Restore(std::move(*p));
+  // FabricPort's mode-flip repack: drain everything, restore it in order.
+  std::vector<Packet> drained;
+  q.DrainRawInto(drained);
+  ASSERT_EQ(drained.size(), 3u);
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(pool.used, 0u);
+  for (Packet& p : drained) q.Restore(std::move(p));
+  EXPECT_EQ(q.occupancy(), 3u);
   EXPECT_EQ(pool.used, 3u);
   // Structural ops left the sojourn stats untouched.
   EXPECT_EQ(q.stats().sojourn_count, 0u);
+  // Service order survives the repack.
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    std::optional<Packet> p = q.Dequeue(SimTime::Zero());
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->id, i);
+  }
 }
 
 // ---------------------------------------------------------------------------

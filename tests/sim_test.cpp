@@ -57,11 +57,15 @@ TEST(EventQueue, OrdersByTime) {
   q.Schedule(SimTime::Micros(3), [&] { order.push_back(3); });
   q.Schedule(SimTime::Micros(1), [&] { order.push_back(1); });
   q.Schedule(SimTime::Micros(2), [&] { order.push_back(2); });
+  SimTime now = SimTime::Zero();
+  std::vector<SimTime> times;
   while (!q.Empty()) {
-    auto ev = q.PopNext();
-    ev.fn();
+    q.RunNext(now);
+    times.push_back(now);
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(times, (std::vector<SimTime>{SimTime::Micros(1), SimTime::Micros(2),
+                                         SimTime::Micros(3)}));
 }
 
 TEST(EventQueue, SameTimeIsFifo) {
@@ -70,7 +74,9 @@ TEST(EventQueue, SameTimeIsFifo) {
   for (int i = 0; i < 10; ++i) {
     q.Schedule(SimTime::Micros(5), [&order, i] { order.push_back(i); });
   }
-  while (!q.Empty()) q.PopNext().fn();
+  SimTime now = SimTime::Zero();
+  while (!q.Empty()) q.RunNext(now);
+  ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -88,7 +94,8 @@ TEST(EventQueue, CancelSkipsEvent) {
 TEST(EventQueue, CancelFiredIdIsNoOp) {
   EventQueue q;
   EventId id = q.Schedule(SimTime::Micros(1), [] {});
-  q.PopNext().fn();
+  SimTime now = SimTime::Zero();
+  q.RunNext(now);
   q.Cancel(id);  // already fired
   q.Cancel(kInvalidEventId);
   q.Cancel(9999);  // never existed
