@@ -307,6 +307,12 @@ struct A1Scenario {
   std::vector<int> arrivals;
 };
 
+// Prints the arrival order rather than the raw bytes gtest would dump by
+// default, which hold addresses and so change from run to run.
+void PrintTo(const A1Scenario& s, std::ostream* os) {
+  *os << ::testing::PrintToString(s.arrivals);
+}
+
 class AppendixA1 : public ::testing::TestWithParam<A1Scenario> {};
 
 TEST_P(AppendixA1, NoSpuriousRetransmission) {

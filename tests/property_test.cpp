@@ -3,6 +3,7 @@
 // engine configurations.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "app/experiment.hpp"
@@ -207,8 +208,10 @@ INSTANTIATE_TEST_SUITE_P(TdnCounts, TdnCountSweep, ::testing::Values(1, 2, 3, 4,
 // End-to-end RDCN invariants across seeds and variants.
 // ---------------------------------------------------------------------------
 
+// The variant name is a std::string, not a const char*, so the printed
+// parameter (and so the test's name) holds no address.
 class VariantSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(VariantSweep, ProgressWithinPhysicalBounds) {
   const auto [name, seed] = GetParam();
@@ -226,8 +229,7 @@ TEST_P(VariantSweep, ProgressWithinPhysicalBounds) {
   EXPECT_GT(r.goodput_bps, 0.0) << name;
   EXPECT_LE(r.goodput_bps, optimal * 1.05) << name;
   // VOQ bounded by its configured capacity (50 for retcpdyn).
-  const double cap =
-      std::string(name) == "retcpdyn" ? 50.0 : 16.0;
+  const double cap = name == "retcpdyn" ? 50.0 : 16.0;
   for (const auto& s : r.voq_samples) EXPECT_LE(s.value, cap) << name;
 }
 
