@@ -479,8 +479,10 @@ void ChurnGenerator::OpenSlot(RackId src_rack, std::uint32_t src_host,
   slot.sender->AddAppData(bytes);
   slot.sender->Close();  // lingering close: the FIN rides behind the data
 
-  slot.timeout = sim_.Schedule(config_.slot_timeout,
-                               [this, idx] { OnSlotTimeout(idx); });
+  // A fixed delay from a nondecreasing clock: every slot's timeout rides
+  // one stream.
+  slot.timeout = sim_.ScheduleInStream(timeouts_, config_.slot_timeout,
+                                       [this, idx] { OnSlotTimeout(idx); });
   ++stats_.opened;
   ++stats_.opened_by_variant[static_cast<std::size_t>(variant)];
   ++active_;

@@ -310,6 +310,7 @@ class ChurnGenerator {
   double mix_weight_ = 0.0;  // sum of tenant_mix weights
   RackId permutation_shift_ = 1;
   std::vector<Slot> slots_;
+  EventQueue::Stream timeouts_;  // every slot's pending slot_timeout
   std::vector<std::uint32_t> free_;
   std::uint32_t active_ = 0;
   FlowId next_flow_;

@@ -110,7 +110,10 @@ void FabricPort::MaybeTransmit() {
     if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
       prop += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
     }
-    sim_.ScheduleNoCancel(prop, [this, p] {
+    // One stream per port: successive packets arrive in send order unless
+    // a mode switch shortens propagation or jitter reorders them, and then
+    // the stream opens a new heap entry.
+    sim_.ScheduleInStream(in_flight_, prop, [this, p] {
       remote_->HandlePacket(std::move(*p));
       sim_.ReleasePacket(p);
     });

@@ -90,6 +90,7 @@ class FabricPort {
   NetworkMode mode_;
   bool blackout_ = false;
   bool busy_ = false;
+  EventQueue::Stream in_flight_;  // propagation deliveries, in send order
   std::deque<Packet> stash_[2];
   // Scratch for SetMode's VOQ repack; a member so mode flips (4x per RDCN
   // week per port) reuse its capacity instead of allocating a fresh deque.

@@ -53,7 +53,10 @@ void Link::Deliver(Packet* p) {
     delay += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
   }
   ++delivered_;
-  sim_.ScheduleNoCancel(delay, [this, p] {
+  // Deliveries leave in serialization order with a fixed delay, so they
+  // ride one stream (one heap entry for the whole pipeline); jitter breaks
+  // the order now and then, and such a packet just opens its own entry.
+  sim_.ScheduleInStream(in_flight_, delay, [this, p] {
     sink_->HandlePacket(std::move(*p));
     sim_.ReleasePacket(p);
   });

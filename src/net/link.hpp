@@ -81,6 +81,7 @@ class Link {
   bool has_fault_filter_ = false;
   bool busy_ = false;
   bool enabled_ = true;
+  EventQueue::Stream in_flight_;  // propagation deliveries, in send order
   std::uint64_t delivered_ = 0;
   std::uint64_t fault_dropped_ = 0;
 };

@@ -62,26 +62,24 @@ void EventQueue::ThrowSeqExhausted() const {
   throw std::length_error("EventQueue: schedule sequence space exhausted");
 }
 
-std::uint32_t EventQueue::AllocNode(std::uint64_t ev) {
+std::uint32_t EventQueue::AllocNode(std::uint64_t ev, SimTime at) {
   std::uint32_t n = node_free_;
   if (n == kNilNode) {
     if (nodes_.size() >= kMaxNodes) {
       throw std::length_error("EventQueue: chain node pool exhausted");
     }
     n = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(Node{ev, kNilNode});
+    nodes_.push_back(Node{ev, at, kNilNode});
     return n;
   }
   node_free_ = nodes_[n].next;
-  nodes_[n] = Node{ev, kNilNode};
+  nodes_[n] = Node{ev, at, kNilNode};
   return n;
 }
 
 EventId EventQueue::ScheduleHeap(SimTime at, std::uint32_t slot) {
-  const std::uint64_t seq = NextSeq();
-  SlotRef(slot).live = seq;
-  const EventId id = MakeKey(seq, slot);
-  const std::uint32_t node = AllocNode(id);
+  const EventId id = TagLive(slot);
+  const std::uint32_t node = AllocNode(id, at);
   const std::int64_t ps = at.picos();
   CohortSet& set = cohort_cache_[CohortIndex(ps)];
   // One fused pass over the set's four ways (one cache line): find the hit
@@ -103,8 +101,7 @@ EventId EventQueue::ScheduleHeap(SimTime at, std::uint32_t slot) {
     hit->tail = node;
     ++counters_.cohort_hits;
   } else {
-    heap_.push_back(Entry{at, HeapKey(seq, node)});
-    SiftUp(heap_.size() - 1);
+    PushChain(at, SeqOf(id), node);
     if (ps >= 0) {
       // No empty way: replace round-robin. Replacement is deterministic (a
       // counter, not wall-clock or randomness) and only ever costs
@@ -113,6 +110,29 @@ EventId EventQueue::ScheduleHeap(SimTime at, std::uint32_t slot) {
       *empty = CohortRef{ps, node, 0};
     }
   }
+  ++heap_nodes_;
+  ++live_count_;
+  return id;
+}
+
+EventId EventQueue::AppendToStream(Stream& stream, SimTime at,
+                                   std::uint32_t slot) {
+  const EventId id = TagLive(slot);
+  const std::uint32_t node = AllocNode(id, at);
+  // The tail node still holding the tail's id means it is still linked as
+  // its chain's last node (freed nodes have ev == 0, and a reused node
+  // holds a different, never-recycled id). Appending a time no earlier
+  // than the tail's keeps the chain sorted by (time, seq).
+  const std::uint32_t tail = stream.tail_node_;
+  if (tail < nodes_.size() && nodes_[tail].ev == stream.tail_ev_ &&
+      at >= stream.tail_at_) {
+    nodes_[tail].next = node;
+  } else {
+    PushChain(at, SeqOf(id), node);
+  }
+  stream.tail_node_ = node;
+  stream.tail_ev_ = id;
+  stream.tail_at_ = at;
   ++heap_nodes_;
   ++live_count_;
   return id;
@@ -158,6 +178,23 @@ void EventQueue::SiftUp(std::size_t i) {
   heap_[i] = e;
 }
 
+std::size_t EventQueue::MinChild(std::size_t first, std::size_t n) const {
+  if (first + kHeapArity <= n) {
+    // Full node: tournament min — the two pair-compares are independent,
+    // and with the branchless comparator each pick is a cmov.
+    const std::size_t a = After(heap_[first], heap_[first + 1])
+                              ? first + 1 : first;
+    const std::size_t b = After(heap_[first + 2], heap_[first + 3])
+                              ? first + 3 : first + 2;
+    return After(heap_[a], heap_[b]) ? b : a;
+  }
+  std::size_t best = first;
+  for (std::size_t c = first + 1; c < n; ++c) {
+    if (After(heap_[best], heap_[c])) best = c;
+  }
+  return best;
+}
+
 void EventQueue::SiftDown(std::size_t i) {
   // Bottom-up sift (Floyd): walk the hole down the min-child path to a leaf,
   // then bubble the displaced element back up. HeapPopTop feeds this a leaf
@@ -169,21 +206,7 @@ void EventQueue::SiftDown(std::size_t i) {
   for (;;) {
     const std::size_t first = kHeapArity * hole + 1;
     if (first >= n) break;
-    std::size_t best;
-    if (first + kHeapArity <= n) {
-      // Full node: tournament min — the two pair-compares are independent,
-      // and with the branchless comparator each pick is a cmov.
-      const std::size_t a = After(heap_[first], heap_[first + 1])
-                                ? first + 1 : first;
-      const std::size_t b = After(heap_[first + 2], heap_[first + 3])
-                                ? first + 3 : first + 2;
-      best = After(heap_[a], heap_[b]) ? b : a;
-    } else {
-      best = first;
-      for (std::size_t c = first + 1; c < n; ++c) {
-        if (After(heap_[best], heap_[c])) best = c;
-      }
-    }
+    const std::size_t best = MinChild(first, n);
     heap_[hole] = heap_[best];
     hole = best;
   }
@@ -194,6 +217,20 @@ void EventQueue::SiftDown(std::size_t i) {
     hole = parent;
   }
   heap_[hole] = e;
+}
+
+void EventQueue::SiftDownShort(std::size_t i) {
+  const std::size_t n = heap_.size();
+  const Entry e = heap_[i];
+  for (;;) {
+    const std::size_t first = kHeapArity * i + 1;
+    if (first >= n) break;
+    const std::size_t best = MinChild(first, n);
+    if (!After(e, heap_[best])) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = e;
 }
 
 void EventQueue::HeapPopTop() {
@@ -214,26 +251,12 @@ void EventQueue::DropDeadHeads() {
   }
   if (heap_dead_ != 0) {
     while (!heap_.empty()) {
-      Entry& front = heap_.front();
       const std::uint32_t head =
-          static_cast<std::uint32_t>(front.key & kNodeIndexMask);
+          static_cast<std::uint32_t>(heap_.front().key & kNodeIndexMask);
       if (!EventDead(nodes_[head].ev)) break;
-      const std::uint32_t next = nodes_[head].next;
-      FreeNode(head);
-      --heap_nodes_;
+      TakeHeapHead();
       --heap_dead_;
       ++counters_.dead_dropped;
-      if (next == kNilNode) {
-        // Whole cohort gone: the cache entry (if still ours) must die with
-        // it, or a later same-time schedule would append to a freed node.
-        ClearCohortRef(front.at);
-        HeapPopTop();
-      } else {
-        // Advance the cohort in place. The front stays the true minimum:
-        // within the chain seqs ascend, and any same-time twin was created
-        // strictly later, so all its seqs are larger than the whole chain.
-        front.key = HeapKey(nodes_[next].ev >> kSlotIndexBits, next);
-      }
       if (heap_dead_ == 0) break;
     }
   }
@@ -274,7 +297,8 @@ void EventQueue::Compact() {
     }
     if (head != kNilNode) {
       nodes_[tail].next = kNilNode;
-      heap_[w++] = Entry{e.at, HeapKey(nodes_[head].ev >> kSlotIndexBits, head)};
+      heap_[w++] = Entry{nodes_[head].at,
+                         HeapKey(nodes_[head].ev >> kSlotIndexBits, head)};
     }
   }
   heap_.resize_down(w);
@@ -282,6 +306,8 @@ void EventQueue::Compact() {
     if (i < heap_.size()) SiftDown(i);
   }
   // Chain tails may have moved or died; a wholesale wipe is always safe.
+  // (Streams need nothing: a surviving tail is still its chain's last node,
+  // and a freed one no longer holds the stream's tail id.)
   InvalidateCohortCache();
   ++counters_.compactions;
 }
@@ -312,10 +338,16 @@ std::uint64_t EventQueue::TakeHeapHead() {
   FreeNode(head);
   --heap_nodes_;
   if (next == kNilNode) {
-    ClearCohortRef(front.at);
+    // Whole chain gone: a cache way naming this node as its tail must die
+    // with it, or a later same-time schedule would append to a freed node.
+    ClearCohortRef(front.at, head);
     HeapPopTop();
   } else {
+    // The next head can sort after another chain's head (a later time in a
+    // stream, or a seq interleaved with a same-time chain), so re-sift.
+    front.at = nodes_[next].at;
     front.key = HeapKey(nodes_[next].ev >> kSlotIndexBits, next);
+    SiftDownShort(0);
   }
   return ev;
 }
@@ -357,7 +389,11 @@ void EventQueue::RunNext(SimTime& now_out) {
   free_slots_.push_back(slot);
 }
 
-std::size_t EventQueue::RunBatch(SimTime& now_out, const bool& stop) {
+std::size_t EventQueue::RunBatch(SimTime& now_out, const bool& stop,
+                                 SimTime until) {
+  // One dead-head sweep fixes a LIVE batch time; inside the batch each
+  // popped entry is checked once, against the slot line the dispatch reads
+  // anyway.
   DropDeadHeads();
   if (live_count_ == 0) return 0;
   const LaneEntry* lf = LaneFront();
@@ -365,24 +401,37 @@ std::size_t EventQueue::RunBatch(SimTime& now_out, const bool& stop) {
   if (lf != nullptr && !heap_.empty() && heap_.front().at < t) {
     t = heap_.front().at;
   }
+  if (t > until) return 0;
   now_out = t;
   std::size_t n = 0;
   while (!stop) {
-    DropDeadHeads();
     const LaneEntry* lane = LaneFront();
     const bool heap_ready = !heap_.empty() && heap_.front().at == t;
     std::uint64_t ev;
+    bool from_lane;
     if (lane != nullptr && lane->at == t &&
         (!heap_ready || SeqOf(lane->key) < HeapFirstSeq(heap_.front()))) {
       ev = lane->key;
+      from_lane = true;
       LanePop();
     } else if (heap_ready) {
       ev = TakeHeapHead();
+      from_lane = false;
     } else {
-      break;  // nothing live left at t — the batch boundary
+      break;  // nothing left at t — the batch boundary
     }
     const std::uint32_t slot = SlotOf(ev);
     Slot& s = SlotRef(slot);
+    if ((s.live & ~kLaneFlag) != SeqOf(ev)) {
+      // Cancelled while pending: its slot is already back on the freelist.
+      if (from_lane) {
+        --lane_dead_;
+      } else {
+        --heap_dead_;
+      }
+      ++counters_.dead_dropped;
+      continue;
+    }
     s.live = 0;
     --live_count_;
     s.fn.InvokeAndReset();

@@ -10,31 +10,40 @@
 //  * Callback slots live in a recycled slab of fixed-size blocks (stable
 //    addresses, one cache line per slot); the 4-ary min-heap orders 16-byte
 //    POD entries {time, key}.
-//  * Same-time events are batched into COHORTS: the heap holds one entry per
-//    distinct timestamp, and all events sharing that timestamp hang off it
-//    as a FIFO chain through a recycled node pool. A direct-mapped
-//    time->tail cache makes the append O(1) — no sift — so draining N
-//    same-time events costs one sift-down total instead of N. The cache is
-//    a pure accelerator: a missed hit merely creates a second heap entry
-//    ("twin cohort") at the same time, and because appends only ever go to
-//    the most recently cached cohort while sequence numbers are globally
-//    monotonic, every seq in an older twin is smaller than every seq in a
-//    newer one — the per-entry first-seq key keeps twins in exact FIFO
-//    order.
+//  * The heap holds CHAINS, not events: FIFO lists of nodes through a
+//    recycled pool, each node carrying its own event id and time, with
+//    times nondecreasing and sequence numbers ascending along the chain.
+//    A heap entry is keyed on its chain head's (time, seq), so popping
+//    heads off the heap is a k-way merge and the firing order is exactly
+//    (time, schedule order) whatever the chain shapes. Advancing a head
+//    re-sifts the entry (top-down, early exit): the new head may now sort
+//    after another chain, e.g. a stream node interleaved by seq with a
+//    same-time cohort.
+//  * Chains come from two producers. COHORTS: a set-associative
+//    time->tail cache appends a same-time event to the chain opened for
+//    that timestamp in O(1), no sift, so draining N same-time events costs
+//    one heap entry instead of N. The cache is a pure accelerator: a miss
+//    opens a second entry ("twin cohort") at the same time, and the
+//    (time, head seq) key orders twins exactly. STREAMS: a caller-owned
+//    EventQueue::Stream appends events whose times never decrease (a
+//    link's propagation pipeline, a fixed-delay timeout) behind its
+//    still-pending tail, so K packets in flight cost one heap entry. An
+//    append that would break the order (an earlier time, or a tail that
+//    already fired or was reclaimed) just opens a new entry.
 //  * Cancellation is sequence-tagged: an EventId packs {seq, slot}, where
 //    seq is the event's globally unique schedule sequence number. A chain
 //    node whose seq no longer matches its slot's live seq is dead, so
 //    Cancel() is O(1) with zero hashing, and a stale id can never alias a
 //    later event (sequence numbers are monotonic, never recycled). Dead
-//    nodes are skipped at the head and compacted wholesale when they exceed
-//    half the pending chain nodes.
+//    nodes are skipped when popped and compacted wholesale when they exceed
+//    half the chain nodes.
 //  * Zero-delay events (Schedule(0, ...) via the Simulator — the dominant
 //    pattern in link/queue handoff) bypass the heap entirely through a FIFO
 //    lane, while the shared sequence counter keeps the combined firing
 //    order identical to a single heap keyed on (time, schedule order).
 //
-// RunBatch() drains every event sharing the earliest timestamp (heap cohort
-// twins + same-time lane arrivals, merged in seq order) in one call.
+// RunBatch() drains every event sharing the earliest timestamp (heap
+// chains + same-time lane arrivals, merged in seq order) in one call.
 #pragma once
 
 #include <cassert>
@@ -193,6 +202,36 @@ class EventQueue {
     return ScheduleHeap(at, slot);
   }
 
+  // A caller-owned FIFO of events whose times never decrease. Only its
+  // oldest pending event holds a heap entry; each later one is appended
+  // behind the stream's tail in O(1). The stream remembers its tail by node
+  // index, event id and time only — no pointer into the queue — so the
+  // owner and the queue may be destroyed in either order. Firing order is
+  // still exactly (time, schedule order): a stream only changes how pending
+  // events are stored, never when they fire.
+  class Stream {
+   public:
+    Stream() = default;
+    Stream(const Stream&) = delete;
+    Stream& operator=(const Stream&) = delete;
+
+   private:
+    friend class EventQueue;
+    std::uint32_t tail_node_ = kNilNode;
+    EventId tail_ev_ = kInvalidEventId;
+    SimTime tail_at_;
+  };
+
+  // Schedules through `stream`: behind its tail when the tail is still
+  // pending (or cancelled but not yet reclaimed) and `at` is no earlier
+  // than the tail's time, else as a new heap entry. Either way the event
+  // becomes the stream's tail and is cancellable like any other.
+  template <typename F>
+  EventId ScheduleInStream(Stream& stream, SimTime at, F&& fn) {
+    const std::uint32_t slot = AcquireSlot(std::forward<F>(fn));
+    return AppendToStream(stream, at, slot);
+  }
+
   template <typename F>
   EventId ScheduleImmediate(SimTime at, F&& fn) {
     const std::uint32_t slot = AcquireSlot(std::forward<F>(fn));
@@ -222,17 +261,18 @@ class EventQueue {
   // before invocation. Precondition: !Empty().
   void RunNext(SimTime& now_out);
 
-  // Drains EVERY live event sharing the earliest timestamp — the heap
-  // cohort, its twins, and lane entries at the same instant, merged in
-  // schedule-sequence order — and invokes each in place. Events the
-  // callbacks schedule at the same instant (zero-delay chains through the
-  // lane) join the batch, exactly as repeated RunNext calls would take
+  // Drains EVERY live event sharing the earliest timestamp — the heads of
+  // every heap chain at that time and lane entries at the same instant,
+  // merged in schedule-sequence order — and invokes each in place. Events
+  // the callbacks schedule at the same instant (zero-delay chains through
+  // the lane) join the batch, exactly as repeated RunNext calls would take
   // them. `now_out` is set to the batch timestamp before the first callback
   // runs; `stop` is re-checked between events so Simulator::Stop() keeps
-  // its between-events semantics. Returns the number of events dispatched
-  // (0 when empty). The dispatch order is bit-identical to calling
-  // RunNext() in a loop.
-  std::size_t RunBatch(SimTime& now_out, const bool& stop);
+  // its between-events semantics. Returns the number of events dispatched:
+  // 0 when empty or when the earliest live event is later than `until`
+  // (`now_out` is then left alone). The dispatch order is bit-identical to
+  // calling RunNext() in a loop.
+  std::size_t RunBatch(SimTime& now_out, const bool& stop, SimTime until);
 
   // Monotonic internals counters (batching / cancellation observability).
   struct Counters {
@@ -250,7 +290,7 @@ class EventQueue {
   }
   static std::uint64_t SeqOf(EventId id) { return id >> kSlotIndexBits; }
   // Backing-store sizes, for compaction tests. heap_storage counts heap
-  // entries (one per distinct pending timestamp, dead cohorts included).
+  // entries (one per pending chain, dead chains included).
   std::size_t heap_storage_for_test() const { return heap_.size(); }
   std::size_t slab_size_for_test() const {
     return slot_blocks_.size() * kSlotBlock;
@@ -263,11 +303,11 @@ class EventQueue {
   }
 
  private:
-  // POD heap entry: 16 bytes, one per distinct pending timestamp. `key` is
-  // (first_seq << kNodeIndexBits) | head_node: comparing keys compares the
-  // chain head's FIFO sequence number (unique, so the node bits below never
-  // decide), which both orders twin cohorts correctly and recovers the
-  // chain head in O(1).
+  // POD heap entry: 16 bytes, one per pending chain. `at` is the chain
+  // head's time and `key` is (head_seq << kNodeIndexBits) | head_node:
+  // comparing keys compares the head's schedule sequence number (unique, so
+  // the node bits below never decide), which orders same-time chains in
+  // FIFO order and recovers the chain head in O(1).
   struct Entry {
     SimTime at;
     std::uint64_t key;
@@ -281,17 +321,21 @@ class EventQueue {
     std::uint64_t key;
   };
 
-  // Chain node: the event's id plus the next node of its cohort (kNilNode
-  // terminates). Free nodes thread the freelist through `next`.
+  // Chain node: the event's id and time plus the next node of its chain
+  // (kNilNode terminates). Free nodes have ev == 0 (no event id is 0, which
+  // is how a Stream tells its tail was reclaimed) and thread the freelist
+  // through `next`.
   struct Node {
     std::uint64_t ev;
+    SimTime at;
     std::uint32_t next;
   };
   static constexpr std::uint32_t kNilNode = 0xffffffffu;
   // Node-index width inside a heap key. One bit wider than the slot space:
   // cancelled events free their slot immediately but leave the chain node
-  // in place until compaction, and compaction (triggered at >50% dead)
-  // bounds dead nodes by live ones — so the pool never exceeds 2x slots.
+  // in place until compaction, and compaction (triggered when more than
+  // half the chain nodes are dead) bounds dead nodes by live ones — so the
+  // pool never exceeds 2x slots.
   static constexpr std::uint32_t kNodeIndexBits = kSlotIndexBits + 1;
   static constexpr std::uint32_t kMaxNodes = 1u << kNodeIndexBits;
   static constexpr std::uint64_t kNodeIndexMask = kMaxNodes - 1;
@@ -317,13 +361,19 @@ class EventQueue {
     return e.key >> kNodeIndexBits;
   }
 
-  // Fires-after ordering for the min-heap. Deliberately bitwise rather than
-  // short-circuit: the sift loops compare essentially random entries, and a
-  // flag-combine + cmov beats a ~50% mispredicted branch pair.
+  // Fires-after ordering for the min-heap: (time, key) compared as one
+  // unsigned 128-bit value, with time's sign bit flipped so signed order
+  // survives. That is a sub/sbb pair and a flag read — no branch — because
+  // the sift loops compare essentially random entries, and a branch pair
+  // there mispredicts about half the time.
+  __extension__ using OrderKey = unsigned __int128;
+  static OrderKey Order(const Entry& e) {
+    const std::uint64_t biased =
+        static_cast<std::uint64_t>(e.at.picos()) ^ (std::uint64_t{1} << 63);
+    return (static_cast<OrderKey>(biased) << 64) | e.key;
+  }
   static bool After(const Entry& a, const Entry& b) {
-    const std::int64_t at_a = a.at.picos();
-    const std::int64_t at_b = b.at.picos();
-    return (at_a > at_b) | ((at_a == at_b) & (a.key > b.key));
+    return Order(a) > Order(b);
   }
 
   std::uint64_t NextSeq() {
@@ -367,8 +417,10 @@ class EventQueue {
   // — a direct-mapped table thrashes badly at the event core's typical
   // ~1000 live timestamps. Eviction and wholesale invalidation are always
   // CORRECT (the next same-time schedule just opens a twin cohort); the one
-  // mandatory maintenance point is clearing the entry when its cohort fully
-  // drains — a stale hit would append to a freed node and lose the event.
+  // mandatory maintenance point is clearing the way whose cached tail is a
+  // node being freed — a stale hit would append to a freed node and lose
+  // the event. Only cohort chains are ever cached: a stream chain's tail
+  // belongs to its Stream, and a cache append behind it would fork it.
   static constexpr std::uint32_t kCohortSetBits = 9;
   static constexpr std::size_t kCohortSets = std::size_t{1} << kCohortSetBits;
   static constexpr std::size_t kCohortWays = 4;
@@ -385,10 +437,13 @@ class EventQueue {
         (static_cast<std::uint64_t>(ps) * 0x9E3779B97F4A7C15ull) >>
         (64 - kCohortSetBits));
   }
-  void ClearCohortRef(SimTime at) {
+  // Called when `node`, the last node of a chain, is freed. Matching the
+  // node (not just the time) leaves a same-time twin's way alone, and makes
+  // the call a harmless miss for a drained stream chain.
+  void ClearCohortRef(SimTime at, std::uint32_t node) {
     CohortSet& set = cohort_cache_[CohortIndex(at.picos())];
     for (std::size_t w = 0; w < kCohortWays; ++w) {
-      if (set.way[w].at_ps == at.picos()) {
+      if (set.way[w].at_ps == at.picos() && set.way[w].tail == node) {
         set.way[w].at_ps = -1;
         return;
       }
@@ -397,14 +452,27 @@ class EventQueue {
   void InvalidateCohortCache();
 
   EventId ScheduleHeap(SimTime at, std::uint32_t slot);
-  std::uint32_t AllocNode(std::uint64_t ev);
+  EventId AppendToStream(Stream& stream, SimTime at, std::uint32_t slot);
+  // Draws the event's sequence number and tags its slot live with it.
+  EventId TagLive(std::uint32_t slot) {
+    const std::uint64_t seq = NextSeq();
+    SlotRef(slot).live = seq;
+    return MakeKey(seq, slot);
+  }
+  std::uint32_t AllocNode(std::uint64_t ev, SimTime at);
   void FreeNode(std::uint32_t n) {
+    nodes_[n].ev = 0;
     nodes_[n].next = node_free_;
     node_free_ = n;
   }
-  // Detaches and frees the heap front's chain head (advancing the cohort or
-  // popping the entry) and returns the event id. Precondition: the head
-  // node's event is live.
+  // Opens a heap entry for a chain whose head (and, so far, tail) is `node`.
+  void PushChain(SimTime at, std::uint64_t seq, std::uint32_t node) {
+    heap_.push_back(Entry{at, HeapKey(seq, node)});
+    SiftUp(heap_.size() - 1);
+  }
+  // Detaches and frees the heap front's chain head — re-keying the entry
+  // to the next node and re-sifting it, or popping the entry when the chain
+  // drains — and returns the event id, live or not.
   std::uint64_t TakeHeapHead();
 
   static constexpr std::size_t kHeapArity = 4;
@@ -449,11 +517,17 @@ class EventQueue {
   };
   Taken TakeNextEntry();
   void SiftUp(std::size_t i);
+  // Index of the earliest of the children first..min(first+4, n)-1.
+  std::size_t MinChild(std::size_t first, std::size_t n) const;
+  // Bottom-up (Floyd) sift, for an entry that belongs near the leaves.
   void SiftDown(std::size_t i);
+  // Top-down sift with an early exit, for an entry that usually belongs at
+  // or near `i` (an advanced chain head).
+  void SiftDownShort(std::size_t i);
   void HeapPopTop();
   void DropDeadHeads();
   // Rebuilds the heap without dead chain nodes once they exceed half the
-  // pending pool, so cancel-heavy workloads (RTO timers under low loss)
+  // chain nodes, so cancel-heavy workloads (RTO timers under low loss)
   // stay bounded.
   void MaybeCompact();
   void Compact();

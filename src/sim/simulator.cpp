@@ -61,7 +61,7 @@ void Simulator::Run() {
     // RunBatch advances the clock before the first callback and drains the
     // whole timestamp; Stop() is honored between events via the reference.
     while (!stopped_ && !queue_.Empty()) {
-      events_executed_ += queue_.RunBatch(now_, stopped_);
+      events_executed_ += queue_.RunBatch(now_, stopped_, SimTime::Max());
     }
     return;
   }
@@ -77,10 +77,13 @@ void Simulator::Run() {
 void Simulator::RunUntil(SimTime until) {
   stopped_ = false;
   if (batched_dispatch_) {
-    // A batch never crosses a timestamp, so the NextTime guard bounds it to
-    // events at <= until exactly as the event-at-a-time loop does.
-    while (!stopped_ && !queue_.Empty() && queue_.NextTime() <= until) {
-      events_executed_ += queue_.RunBatch(now_, stopped_);
+    // A batch never crosses a timestamp and RunBatch refuses one later than
+    // `until`, so this runs exactly the events the event-at-a-time loop
+    // does; 0 means empty, past `until`, or stopped.
+    while (!stopped_) {
+      const std::size_t n = queue_.RunBatch(now_, stopped_, until);
+      if (n == 0) break;
+      events_executed_ += n;
     }
   } else {
     while (!stopped_ && !queue_.Empty() && queue_.NextTime() <= until) {

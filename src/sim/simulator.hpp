@@ -46,6 +46,18 @@ class Simulator {
     return queue_.Schedule(at, std::forward<F>(fn));
   }
 
+  // Schedules `fn` `delay` from now through a caller-owned monotone stream
+  // (see EventQueue::Stream): for producers whose successive events never
+  // go back in time, e.g. a link's propagation pipeline. Like ScheduleAt it
+  // throws on a past time, and a zero delay takes the lane.
+  template <typename F>
+  EventId ScheduleInStream(EventQueue::Stream& stream, SimTime delay, F&& fn) {
+    const SimTime at = now_ + delay;
+    if (at < now_) ThrowScheduledInPast(at);
+    if (at == now_) return queue_.ScheduleImmediate(at, std::forward<F>(fn));
+    return queue_.ScheduleInStream(stream, at, std::forward<F>(fn));
+  }
+
   // Fire-once scheduling for "schedule and forget" call sites: never assigns
   // the caller an EventId, so the event cannot be cancelled and no liveness
   // handle escapes. (With sequence-tagged slots the bookkeeping itself is
@@ -85,6 +97,10 @@ class Simulator {
 
   std::uint64_t events_executed() const { return events_executed_; }
   std::size_t pending_events() const { return queue_.size(); }
+  // Heap entries (pending chains), for tests that pin stream usage.
+  std::size_t heap_storage_for_test() const {
+    return queue_.heap_storage_for_test();
+  }
 
   // Event-core internals counters, surfaced as sim_* sweep metrics.
   struct Stats {

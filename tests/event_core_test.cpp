@@ -1,16 +1,18 @@
 // The allocation-free event core's contract (see event_queue.hpp): exact
 // FIFO among equal timestamps no matter how slots are recycled, O(1)
 // sequence-tagged cancellation that can never alias a later event, the
-// zero-delay lane's ordering against the heap, dead-entry compaction, and
-// end-to-end bit-identity of a seeded RDCN run.
+// zero-delay lane's ordering against the heap, monotone streams, dead-entry
+// compaction, and end-to-end bit-identity of a seeded RDCN run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "app/experiment.hpp"
 #include "cc/registry.hpp"
+#include "net/link.hpp"
 #include "net/topology.hpp"
 #include "rdcn/controller.hpp"
 #include "sim/event_queue.hpp"
@@ -234,6 +236,251 @@ TEST(EventCore, SlabGrowsInBlocksAndRecycles) {
     Drain(q);
   }
   EXPECT_EQ(q.slab_size_for_test(), grown);
+}
+
+// Randomized oracle for streams. Events come from plain Schedule calls, from
+// three streams (mostly at a fixed per-stream delay, sometimes at a random
+// one that breaks monotonicity) and through the zero-delay lane; delays sit
+// on a coarse grid so stream nodes tie with cohort chains and lane entries.
+// Callbacks schedule more events and cancel stream tails and arbitrary
+// pending events (mid-chain nodes). Whatever the structure, the firing order
+// must be the stable sort of the uncancelled events by (time, schedule
+// index). Batched and sequential dispatch share the structure, so each is
+// checked against the oracle rather than against the other.
+class StreamOracle {
+ public:
+  StreamOracle(Simulator& sim, std::uint64_t seed, std::size_t budget)
+      : sim_(sim), rng_(seed), budget_(budget) {}
+
+  void Start(int initial) {
+    for (int i = 0; i < initial; ++i) ScheduleOne();
+  }
+
+  std::vector<std::size_t> Expected() const {
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < recs_.size(); ++i) {
+      if (!recs_[i].cancelled) order.push_back(i);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return recs_[a].at < recs_[b].at;
+                     });
+    return order;
+  }
+  const std::vector<std::size_t>& fired() const { return fired_; }
+  std::size_t cancelled() const { return cancelled_; }
+
+ private:
+  static constexpr int kStreams = 3;
+  struct Rec {
+    SimTime at;
+    EventId id = kInvalidEventId;
+    bool fired = false;
+    bool cancelled = false;
+  };
+
+  void ScheduleOne() {
+    const std::size_t idx = recs_.size();
+    const int kind = static_cast<int>(rng_.UniformInt(0, 2 + kStreams));
+    SimTime delay = SimTime::Nanos(4 * rng_.UniformInt(0, 16));
+    recs_.push_back(Rec{sim_.now() + delay});
+    auto fn = [this, idx] { Fire(idx); };
+    EventId id;
+    if (kind < 3) {
+      id = sim_.Schedule(delay, fn);
+    } else {
+      const int s = kind - 3;
+      if (!rng_.Bernoulli(0.2)) {
+        delay = SimTime::Nanos(8 * (s + 1));  // the stream's own fixed delay
+        recs_[idx].at = sim_.now() + delay;
+      }
+      id = sim_.ScheduleInStream(streams_[s], delay, fn);
+      tails_[s] = idx;
+    }
+    recs_[idx].id = id;
+  }
+
+  void CancelRec(std::size_t idx) {
+    Rec& r = recs_[idx];
+    if (!r.fired && !r.cancelled) {
+      r.cancelled = true;
+      ++cancelled_;
+    }
+    sim_.Cancel(r.id);  // a no-op when it already fired or was cancelled
+  }
+
+  void Fire(std::size_t idx) {
+    ASSERT_FALSE(recs_[idx].cancelled) << "cancelled event " << idx << " fired";
+    ASSERT_EQ(sim_.now(), recs_[idx].at);
+    recs_[idx].fired = true;
+    fired_.push_back(idx);
+    if (recs_.size() < budget_) {
+      const int more = static_cast<int>(rng_.UniformInt(0, 3));
+      for (int i = 0; i < more; ++i) ScheduleOne();
+    }
+    if (rng_.Bernoulli(0.25)) {
+      CancelRec(tails_[static_cast<std::size_t>(rng_.UniformInt(0, kStreams - 1))]);
+    }
+    if (rng_.Bernoulli(0.5)) {
+      const std::size_t lo = recs_.size() > 256 ? recs_.size() - 256 : 0;
+      CancelRec(static_cast<std::size_t>(rng_.UniformInt(
+          static_cast<std::int64_t>(lo),
+          static_cast<std::int64_t>(recs_.size() - 1))));
+    }
+    if (fired_.size() % 500 == 0) {
+      // A cancellation burst: most pending events die at once, mid-chain
+      // included, which pushes the dead share past half and compacts.
+      for (std::size_t i = fired_.size() > 400 ? recs_.size() - 400 : 0;
+           i < recs_.size(); ++i) {
+        if (rng_.Bernoulli(0.8)) CancelRec(i);
+      }
+    }
+  }
+
+  Simulator& sim_;
+  Random rng_;
+  std::size_t budget_;
+  EventQueue::Stream streams_[kStreams];
+  std::size_t tails_[kStreams] = {0, 0, 0};
+  std::vector<Rec> recs_;
+  std::vector<std::size_t> fired_;
+  std::size_t cancelled_ = 0;
+};
+
+TEST(EventCore, StreamsFireInTimeThenScheduleOrder) {
+  for (const bool batched : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "batched=" << batched
+                                      << " seed=" << seed);
+      Simulator sim;
+      sim.set_batched_dispatch(batched);
+      StreamOracle oracle(sim, seed, 20000);
+      oracle.Start(200);
+      sim.Run();
+      EXPECT_GT(oracle.cancelled(), 1000u);
+      EXPECT_GT(sim.GetStats().compactions, 0u);
+      EXPECT_EQ(sim.pending_events(), 0u);
+      EXPECT_EQ(oracle.fired(), oracle.Expected());
+    }
+  }
+}
+
+TEST(EventCore, StreamCompactionKeepsOrderAndReopensAfterFreedTail) {
+  EventQueue q;
+  EventQueue::Stream stream;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 200; ++i) {
+    ids.push_back(q.ScheduleInStream(stream, SimTime::Nanos(100 + i),
+                                     [&fired, i] { fired.push_back(i); }));
+  }
+  EXPECT_EQ(q.heap_storage_for_test(), 1u);  // one chain for the stream
+  // Cancel the tail first, then two of every three from the back: more
+  // than half the nodes die, so Compact() runs and frees the tail's node.
+  q.Cancel(ids[199]);
+  for (int i = 198; i >= 0; --i) {
+    if (i % 3 != 0) q.Cancel(ids[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_GT(q.counters().compactions, 0u);
+  EXPECT_EQ(q.heap_storage_for_test(), 1u);
+  // Fire the first survivor, so the node pool's free list hands the next
+  // append a different node than the stream's reclaimed tail.
+  SimTime now = SimTime::Zero();
+  q.RunNext(now);
+  // The tail's node was reclaimed, so the next append cannot go behind it:
+  // it opens a new heap entry.
+  q.ScheduleInStream(stream, SimTime::Nanos(1000),
+                     [&fired] { fired.push_back(1000); });
+  EXPECT_EQ(q.heap_storage_for_test(), 2u);
+  // The stream's tail is pending again, so a later time appends in O(1).
+  q.ScheduleInStream(stream, SimTime::Nanos(1001),
+                     [&fired] { fired.push_back(1001); });
+  EXPECT_EQ(q.heap_storage_for_test(), 2u);
+  std::vector<int> expect;
+  for (int i = 0; i < 200; i += 3) expect.push_back(i);
+  expect.push_back(1000);
+  expect.push_back(1001);
+  Drain(q);
+  EXPECT_EQ(fired, expect);
+}
+
+TEST(EventCore, StreamAppendEarlierThanTailOpensNewEntry) {
+  // A mode switch that shortens propagation: the later-scheduled packet
+  // arrives first, so it must not be chained behind the tail.
+  Simulator sim;
+  EventQueue::Stream stream;
+  std::vector<int> order;
+  sim.ScheduleInStream(stream, SimTime::Nanos(50), [&order] { order.push_back(0); });
+  sim.ScheduleInStream(stream, SimTime::Nanos(20), [&order] { order.push_back(1); });
+  EXPECT_EQ(sim.heap_storage_for_test(), 2u);
+  sim.ScheduleInStream(stream, SimTime::Nanos(20), [&order] { order.push_back(2); });
+  EXPECT_EQ(sim.heap_storage_for_test(), 2u);
+  EXPECT_THROW(sim.ScheduleInStream(stream, SimTime::Nanos(-1), [] {}),
+               std::logic_error);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
+}
+
+struct CountingSink : PacketSink {
+  Simulator* sim = nullptr;
+  std::uint64_t received = 0;
+  std::size_t max_heap = 0;
+  void HandlePacket(Packet&&) override {
+    ++received;
+    max_heap = std::max(max_heap, sim->heap_storage_for_test());
+  }
+};
+
+TEST(EventCore, LinkPropagationPipelineHoldsOneHeapEntry) {
+  // 100 us of propagation against 0.72 us of serialization puts ~140
+  // packets in flight; through the link's stream they share one heap entry,
+  // next to the serializer's own event.
+  Simulator sim;
+  CountingSink sink;
+  sink.sim = &sim;
+  Link::Config lc;
+  lc.rate_bps = 100'000'000'000;
+  lc.propagation = SimTime::Micros(100);
+  lc.queue.capacity_packets = 1000;
+  Link link(sim, lc, &sink);
+  Packet p;
+  p.size_bytes = 9000;
+  p.payload = 8940;
+  for (int i = 0; i < 1000; ++i) {
+    p.id = static_cast<std::uint64_t>(i + 1);
+    link.Enqueue(Packet(p));
+  }
+  std::size_t max_heap = sim.heap_storage_for_test();
+  std::size_t max_in_flight = 0;
+  while (sink.received < 1000) {
+    sim.RunFor(SimTime::Micros(1));
+    max_heap = std::max(max_heap, sim.heap_storage_for_test());
+    max_in_flight = std::max(max_in_flight, sim.stashed_packets());
+    ASSERT_LT(sim.now(), SimTime::Millis(2));
+  }
+  EXPECT_GT(max_in_flight, 100u);
+  EXPECT_LE(max_heap, 3u);
+  EXPECT_LE(sink.max_heap, 3u);
+}
+
+TEST(EventCore, RunUntilStopsAtUntilWhenOnlyADeadEventIsInside) {
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "batched=" << batched);
+    Simulator sim;
+    sim.set_batched_dispatch(batched);
+    int ran = 0;
+    const EventId inside =
+        sim.ScheduleAt(SimTime::Nanos(5), [&ran] { ran += 1; });
+    sim.ScheduleAt(SimTime::Nanos(20), [&ran] { ran += 10; });
+    sim.Cancel(inside);
+    sim.RunUntil(SimTime::Nanos(10));
+    EXPECT_EQ(ran, 0);
+    EXPECT_EQ(sim.now(), SimTime::Nanos(10));
+    EXPECT_EQ(sim.events_executed(), 0u);
+    sim.RunUntil(SimTime::Nanos(30));
+    EXPECT_EQ(ran, 10);
+    EXPECT_EQ(sim.now(), SimTime::Nanos(30));
+  }
 }
 
 // Digest of every packet a connection sends or receives, in tap order.
