@@ -26,7 +26,7 @@
 //    opens a second entry ("twin cohort") at the same time, and the
 //    (time, head seq) key orders twins exactly. STREAMS: a caller-owned
 //    EventQueue::Stream appends events whose times never decrease (a
-//    link's propagation pipeline, a fixed-delay timeout) behind its
+//    fabric port's propagation pipeline, a fixed-delay timeout) behind its
 //    still-pending tail, so K packets in flight cost one heap entry. An
 //    append that would break the order (an earlier time, or a tail that
 //    already fired or was reclaimed) just opens a new entry.
@@ -219,6 +219,9 @@ class EventQueue {
     friend class EventQueue;
     std::uint32_t tail_node_ = kNilNode;
     EventId tail_ev_ = kInvalidEventId;
+    // Equals the tail node's own time while the id matches; kept here
+    // anyway: comparing against the node's copy instead measured 1.2%
+    // slower on perfbench rotor_churn (Release, 4-core Xeon KVM guest).
     SimTime tail_at_;
   };
 

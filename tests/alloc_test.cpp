@@ -92,8 +92,9 @@ TEST(AllocFree, LinkPacketPingPongSteadyState) {
 }
 
 // One link feeding back into itself with 16 jumbo packets circulating:
-// 10 us of propagation against 0.72 us of serialization keeps ~14 packets
-// in flight, so every delivery is appended behind a pending stream tail.
+// 10 us of propagation (longer than a rack link's 500 ns, to hold the pipe
+// full) against 0.72 us of serialization keeps ~14 packets in flight, so
+// every delivery is appended behind a pending stream tail.
 TEST(AllocFree, LinkPipelineSteadyState) {
   Simulator sim;
   Bouncer loop_sink;

@@ -12,6 +12,7 @@
 
 #include "app/experiment.hpp"
 #include "cc/registry.hpp"
+#include "net/fabric_port.hpp"
 #include "net/link.hpp"
 #include "net/topology.hpp"
 #include "rdcn/controller.hpp"
@@ -432,23 +433,56 @@ struct CountingSink : PacketSink {
 };
 
 TEST(EventCore, LinkPropagationPipelineHoldsOneHeapEntry) {
-  // 100 us of propagation against 0.72 us of serialization puts ~140
-  // packets in flight; through the link's stream they share one heap entry,
-  // next to the serializer's own event.
+  // A rack NIC link as Topology builds it (500 ns, 100 Gbps) carrying
+  // ACK-sized packets: each serializes in about 5 ns, so ~100 are in flight
+  // at once. Through the link's stream they share one heap entry, next to
+  // the serializer's own event.
+  const TopologyConfig topo;
   Simulator sim;
   CountingSink sink;
   sink.sim = &sim;
   Link::Config lc;
-  lc.rate_bps = 100'000'000'000;
-  lc.propagation = SimTime::Micros(100);
+  lc.rate_bps = topo.host_link_rate_bps;
+  lc.propagation = topo.host_link_delay;
   lc.queue.capacity_packets = 1000;
   Link link(sim, lc, &sink);
+  Packet p;
+  p.size_bytes = 64;
+  for (int i = 0; i < 1000; ++i) {
+    p.id = static_cast<std::uint64_t>(i + 1);
+    link.Enqueue(Packet(p));
+  }
+  std::size_t max_heap = sim.heap_storage_for_test();
+  std::size_t max_in_flight = 0;
+  while (sink.received < 1000) {
+    sim.RunFor(SimTime::Nanos(10));
+    max_heap = std::max(max_heap, sim.heap_storage_for_test());
+    max_in_flight = std::max(max_in_flight, sim.stashed_packets());
+    ASSERT_LT(sim.now(), SimTime::Micros(20));
+  }
+  EXPECT_GT(max_in_flight, 80u);
+  EXPECT_LE(max_heap, 3u);
+  EXPECT_LE(sink.max_heap, 3u);
+}
+
+TEST(EventCore, FabricPortPropagationPipelineHoldsOneHeapEntry) {
+  // A circuit-mode fabric port (18 us, 100 Gbps) carrying jumbos: 0.72 us
+  // of serialization keeps ~25 packets in flight, all on one heap entry.
+  Simulator sim;
+  CountingSink sink;
+  sink.sim = &sim;
+  FabricPort::Config fc;
+  fc.initial_mode.rate_bps = 100'000'000'000;
+  fc.initial_mode.propagation = SimTime::Micros(18);
+  fc.initial_mode.circuit = true;
+  fc.voq.capacity_packets = 1000;
+  FabricPort port(sim, fc, &sink);
   Packet p;
   p.size_bytes = 9000;
   p.payload = 8940;
   for (int i = 0; i < 1000; ++i) {
     p.id = static_cast<std::uint64_t>(i + 1);
-    link.Enqueue(Packet(p));
+    port.Enqueue(Packet(p));
   }
   std::size_t max_heap = sim.heap_storage_for_test();
   std::size_t max_in_flight = 0;
@@ -458,7 +492,7 @@ TEST(EventCore, LinkPropagationPipelineHoldsOneHeapEntry) {
     max_in_flight = std::max(max_in_flight, sim.stashed_packets());
     ASSERT_LT(sim.now(), SimTime::Millis(2));
   }
-  EXPECT_GT(max_in_flight, 100u);
+  EXPECT_GT(max_in_flight, 20u);
   EXPECT_LE(max_heap, 3u);
   EXPECT_LE(sink.max_heap, 3u);
 }
