@@ -32,6 +32,7 @@
 #include "bench_util.hpp"
 
 #include "app/flow_cdf.hpp"
+#include "sim/hash.hpp"
 
 using namespace tdtcp;
 using namespace tdtcp::bench;
@@ -143,8 +144,8 @@ BenchRun ToRun(const Cell& cell, const ExperimentResult& r) {
     c[prefix + "_p999_us"] = bucket.p999_us;
   }
   // 53-bit determinism fingerprints (JSON-double safe).
-  c["churn_hash"] = static_cast<double>(r.churn_hash & ((1ull << 53) - 1));
-  c["trace_hash"] = static_cast<double>(r.trace_hash & ((1ull << 53) - 1));
+  c["churn_hash"] = static_cast<double>(Fingerprint53(r.churn_hash));
+  c["trace_hash"] = static_cast<double>(Fingerprint53(r.trace_hash));
   return run;
 }
 

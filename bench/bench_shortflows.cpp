@@ -22,6 +22,8 @@
 // --metric=fct_p50_us,fct_p99_us,fct_p999_us.
 #include "bench_util.hpp"
 
+#include "sim/hash.hpp"
+
 using namespace tdtcp;
 using namespace tdtcp::bench;
 
@@ -93,7 +95,7 @@ BenchRun ToRun(const Cell& cell, const ExperimentResult& r) {
   c["recovery_spurious"] = static_cast<double>(r.recovery_spurious);
   // 53-bit determinism fingerprint: two runs of this bench match iff their
   // churn lifecycles are bit-identical (the jobs=1 == jobs=N check).
-  c["churn_hash"] = static_cast<double>(r.churn_hash & ((1ull << 53) - 1));
+  c["churn_hash"] = static_cast<double>(Fingerprint53(r.churn_hash));
   return run;
 }
 

@@ -24,6 +24,8 @@
 // (<out>_sweep.json/.csv) carrying the stability_* metric family.
 #include "bench_util.hpp"
 
+#include "sim/hash.hpp"
+
 using namespace tdtcp;
 using namespace tdtcp::bench;
 
@@ -117,7 +119,7 @@ BenchRun ToRun(const Cell& cell, const ExperimentResult& r) {
   c["worst_period_us"] = r.stability_worst_period_us;
   c["goodput_gbps"] = r.goodput_bps / 1e9;
   c["timeouts"] = static_cast<double>(r.timeouts);
-  c["trace_hash"] = static_cast<double>(r.trace_hash & ((1ull << 53) - 1));
+  c["trace_hash"] = static_cast<double>(Fingerprint53(r.trace_hash));
   return run;
 }
 

@@ -1,9 +1,8 @@
 #include "app/result_io.hpp"
 
-#include <cctype>
 #include <cstdio>
-#include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace tdtcp {
 
@@ -17,6 +16,13 @@ void AppendMetricStats(std::string& out, const MetricStats& s) {
   out += ",\"stddev\":" + NumberToJson(s.stddev);
   out += ",\"ci95\":" + NumberToJson(s.ci95);
   out += ",\"n\":" + NumberToJson(static_cast<double>(s.n)) + "}";
+}
+
+const MetricStats* FindStats(const SweepCell& cell, const std::string& name) {
+  for (const auto& [n, s] : cell.metrics) {
+    if (n == name) return &s;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -44,19 +50,22 @@ std::string SweepToJson(const SweepResult& sweep) {
       if (r) out += ",";
       out += "{\"seed\":" + NumberToJson(static_cast<double>(run.seed));
       out += ",\"metrics\":{";
-      const auto metrics = ScalarMetrics(run.result);
-      for (std::size_t m = 0; m < metrics.size(); ++m) {
-        if (m) out += ",";
-        out += "\"" + EscapeJson(metrics[m].first) +
-               "\":" + NumberToJson(metrics[m].second);
+      const char* sep = "";
+      for (const MetricDef& m : MetricTable()) {
+        out += sep + ("\"" + EscapeJson(m.name) + "\":") +
+               NumberToJson(m.get(run.result));
+        sep = ",";
       }
       out += "}}";
     }
     out += "],\"aggregates\":{";
-    for (std::size_t m = 0; m < cell.metrics.size(); ++m) {
-      if (m) out += ",";
-      out += "\"" + EscapeJson(cell.metrics[m].first) + "\":";
-      AppendMetricStats(out, cell.metrics[m].second);
+    const char* sep = "";
+    for (const MetricDef& m : MetricTable()) {
+      if (const MetricStats* s = FindStats(cell, m.name)) {
+        out += sep + ("\"" + EscapeJson(m.name) + "\":");
+        AppendMetricStats(out, *s);
+        sep = ",";
+      }
     }
     out += "}}";
   }
@@ -65,84 +74,39 @@ std::string SweepToJson(const SweepResult& sweep) {
 }
 
 void WriteSweepJson(const std::string& path, const SweepResult& sweep) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw std::runtime_error("cannot open " + path);
-  const std::string json = SweepToJson(sweep);
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  WriteTextFile(path, SweepToJson(sweep));
 }
 
 // --- JSON parsing -----------------------------------------------------------
 
 namespace {
 
-double RequireNumber(const JsonValue& obj, const std::string& key) {
+// Null when `key` is absent; throws when it is present but not a number.
+const JsonValue* FindNumber(const JsonValue& obj, const std::string& key) {
   const JsonValue* v = obj.Find(key);
-  if (!v || v->type != JsonValue::Type::kNumber) {
-    throw std::runtime_error("tdtcp-sweep: missing numeric field " + key);
+  if (v && v->type != JsonValue::Type::kNumber) {
+    throw std::runtime_error("tdtcp-sweep: non-numeric field " + key);
   }
+  return v;
+}
+
+double RequireNumber(const JsonValue& obj, const std::string& key) {
+  const JsonValue* v = FindNumber(obj, key);
+  if (!v) throw std::runtime_error("tdtcp-sweep: missing numeric field " + key);
   return v->number;
 }
 
-// Applies a named scalar metric back onto an ExperimentResult, inverting
-// ScalarMetrics for the round-trip.
-void ApplyMetric(ExperimentResult& r, const std::string& name, double value) {
-  const auto u64 = [&] { return static_cast<std::uint64_t>(value); };
-  if (name == "goodput_bps") r.goodput_bps = value;
-  else if (name == "total_bytes") r.total_bytes = u64();
-  else if (name == "retransmissions") r.retransmissions = u64();
-  else if (name == "timeouts") r.timeouts = u64();
-  else if (name == "reorder_events") r.reorder_events = u64();
-  else if (name == "reorder_marked_lost") r.reorder_marked_lost = u64();
-  else if (name == "duplicate_segments") r.duplicate_segments = u64();
-  else if (name == "undo_events") r.undo_events = u64();
-  else if (name == "cross_tdn_exemptions") r.cross_tdn_exemptions = u64();
-  else if (name == "faults_injected") r.faults_injected = u64();
-  else if (name == "notifications_dropped") r.notifications_dropped = u64();
-  else if (name == "stale_notifications") r.stale_notifications = u64();
-  else if (name == "tdn_inferred_switches") r.tdn_inferred_switches = u64();
-  else if (name == "voq_shrink_deferred") r.voq_shrink_deferred = u64();
-  else if (name == "voq_drops") r.voq_drops = u64();
-  else if (name == "voq_ce_marked") r.voq_ce_marked = u64();
-  else if (name == "voq_codel_drops") r.voq_codel_drops = u64();
-  else if (name == "voq_codel_marks") r.voq_codel_marks = u64();
-  else if (name == "voq_delay_marked") r.voq_delay_marked = u64();
-  else if (name == "voq_shared_rejected") r.voq_shared_rejected = u64();
-  else if (name == "voq_sojourn_mean_us") r.voq_sojourn_mean_us = value;
-  else if (name == "voq_sojourn_p99_us") r.voq_sojourn_p99_us = value;
-  else if (name == "voq_sojourn_max_us") r.voq_sojourn_max_us = value;
-  else if (name == "trace_hash") r.trace_hash = u64();  // 53-bit fingerprint
-  else if (name == "trace_records") r.trace_records = u64();
-  else if (name == "recovery_forced") r.recovery_forced = u64();
-  else if (name == "recovery_rescued") r.recovery_rescued = u64();
-  else if (name == "recovery_spurious") r.recovery_spurious = u64();
-  else if (name == "sim_events") r.sim_events = u64();
-  else if (name == "sim_batches") r.sim_batches = u64();
-  else if (name == "sim_max_batch") r.sim_max_batch = u64();
-  else if (name == "sim_cohort_hits") r.sim_cohort_hits = u64();
-  else if (name == "sim_dead_dropped") r.sim_dead_dropped = u64();
-  else if (name == "sim_compactions") r.sim_compactions = u64();
-  else if (name.rfind("churn_fct_", 0) == 0) {
-    // Per-size-bucket FCT family: churn_fct_<bucket>_{count,p50_us,...}.
-    for (std::size_t bkt = 0; bkt < kNumFctBuckets; ++bkt) {
-      const std::string prefix = std::string("churn_fct_") +
-                                 kFctBucketNames[bkt] + "_";
-      if (name.rfind(prefix, 0) != 0) continue;
-      const std::string field = name.substr(prefix.size());
-      auto& bucket = r.churn_fct_bucket[bkt];
-      if (field == "count") bucket.count = u64();
-      else if (field == "p50_us") bucket.p50_us = value;
-      else if (field == "p99_us") bucket.p99_us = value;
-      else if (field == "p999_us") bucket.p999_us = value;
-      break;
-    }
-  }
-  // Unknown metrics from a newer minor schema are ignored.
+template <typename Int>
+Int RequireInt(const JsonValue& obj, const std::string& key) {
+  return JsonToInt<Int>(RequireNumber(obj, key), "tdtcp-sweep: " + key);
 }
 
 }  // namespace
 
+// Per-run values and aggregates both follow MetricTable: a name outside it
+// is ignored, a table name absent from the document (written before the
+// metric existed) keeps its default, and aggregates come back in table
+// order whatever order the document's sorted object model holds.
 SweepResult SweepFromJson(const std::string& json) {
   const JsonValue doc = ParseJson(json);
   const JsonValue* schema = doc.Find("schema");
@@ -151,7 +115,7 @@ SweepResult SweepFromJson(const std::string& json) {
   }
 
   SweepResult out;
-  out.jobs = static_cast<int>(RequireNumber(doc, "jobs"));
+  out.jobs = RequireInt<int>(doc, "jobs");
   out.wall_seconds = RequireNumber(doc, "wall_seconds");
 
   const JsonValue* cells = doc.Find("cells");
@@ -166,18 +130,18 @@ SweepResult SweepFromJson(const std::string& json) {
     }
     if (const JsonValue* v = jc.Find("schedule")) cell.schedule_label = v->string;
     if (const JsonValue* v = jc.Find("qdisc")) cell.qdisc_label = v->string;
-    cell.duration = SimTime::Picos(
-        static_cast<std::int64_t>(RequireNumber(jc, "duration_ps")));
+    cell.duration = SimTime::Picos(RequireInt<std::int64_t>(jc, "duration_ps"));
 
     if (const JsonValue* runs = jc.Find("runs")) {
       for (const JsonValue& jr : runs->array) {
         SweepRun run;
-        run.seed = static_cast<std::uint64_t>(RequireNumber(jr, "seed"));
+        run.seed = RequireInt<std::uint64_t>(jr, "seed");
         run.result.variant = cell.variant;
         run.result.duration = cell.duration;
         if (const JsonValue* metrics = jr.Find("metrics")) {
-          for (const auto& [name, value] : metrics->object) {
-            ApplyMetric(run.result, name, value.NumberOr(0));
+          for (const MetricDef& m : MetricTable()) {
+            const JsonValue* v = FindNumber(*metrics, m.name);
+            if (v && m.set) m.set(run.result, v->number);
           }
         }
         cell.runs.push_back(std::move(run));
@@ -185,26 +149,15 @@ SweepResult SweepFromJson(const std::string& json) {
     }
 
     if (const JsonValue* aggs = jc.Find("aggregates")) {
-      // Rebuild in canonical ScalarMetrics order (the JSON object model is
-      // a sorted map), so round-tripped cells compare equal to the writer's.
-      auto take = [&](const std::string& name, const JsonValue& jstats) {
+      for (const MetricDef& m : MetricTable()) {
+        const JsonValue* js = aggs->Find(m.name);
+        if (!js) continue;
         MetricStats s;
-        s.mean = RequireNumber(jstats, "mean");
-        s.stddev = RequireNumber(jstats, "stddev");
-        s.ci95 = RequireNumber(jstats, "ci95");
-        s.n = static_cast<std::size_t>(RequireNumber(jstats, "n"));
-        cell.metrics.emplace_back(name, s);
-      };
-      std::set<std::string> taken;
-      for (const auto& [name, unused] : ScalarMetrics(ExperimentResult{})) {
-        (void)unused;
-        if (const JsonValue* jstats = aggs->Find(name)) {
-          take(name, *jstats);
-          taken.insert(name);
-        }
-      }
-      for (const auto& [name, jstats] : aggs->object) {
-        if (!taken.count(name)) take(name, jstats);
+        s.mean = RequireNumber(*js, "mean");
+        s.stddev = RequireNumber(*js, "stddev");
+        s.ci95 = RequireNumber(*js, "ci95");
+        s.n = RequireInt<std::size_t>(*js, "n");
+        cell.metrics.emplace_back(m.name, s);
       }
     }
     out.cells.push_back(std::move(cell));
@@ -213,14 +166,7 @@ SweepResult SweepFromJson(const std::string& json) {
 }
 
 SweepResult ReadSweepJson(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) throw std::runtime_error("cannot open " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return SweepFromJson(text);
+  return SweepFromJson(ReadTextFile(path));
 }
 
 // --- microbenchmark serialization -------------------------------------------
@@ -259,12 +205,7 @@ std::string BenchToJson(const BenchReport& report) {
 }
 
 void WriteBenchJson(const std::string& path, const BenchReport& report) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw std::runtime_error("cannot open " + path);
-  const std::string json = BenchToJson(report);
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  WriteTextFile(path, BenchToJson(report));
 }
 
 BenchReport BenchFromJson(const std::string& json) {
@@ -301,29 +242,20 @@ BenchReport BenchFromJson(const std::string& json) {
 }
 
 BenchReport ReadBenchJson(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) throw std::runtime_error("cannot open " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return BenchFromJson(text);
+  return BenchFromJson(ReadTextFile(path));
 }
 
 // --- CSV --------------------------------------------------------------------
 
+// Columns follow MetricTable, so every row matches the header; an
+// aggregate the cell lacks is an empty field.
 void WriteSweepCsv(const std::string& path, const SweepResult& sweep) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) throw std::runtime_error("cannot open " + path);
 
   std::fprintf(f, "label,variant,schedule,qdisc,duration_ms,seed");
-  if (!sweep.cells.empty() && !sweep.cells.front().runs.empty()) {
-    for (const auto& [name, value] :
-         ScalarMetrics(sweep.cells.front().runs.front().result)) {
-      (void)value;
-      std::fprintf(f, ",%s", name.c_str());
-    }
+  for (const MetricDef& m : MetricTable()) {
+    std::fprintf(f, ",%s", m.name.c_str());
   }
   std::fprintf(f, "\n");
 
@@ -333,22 +265,21 @@ void WriteSweepCsv(const std::string& path, const SweepResult& sweep) {
                    VariantName(cell.variant), cell.schedule_label.c_str(),
                    cell.qdisc_label.c_str(), cell.duration.millis_f(),
                    static_cast<unsigned long long>(run.seed));
-      for (const auto& [name, value] : ScalarMetrics(run.result)) {
-        (void)name;
-        std::fprintf(f, ",%.17g", value);
+      for (const MetricDef& m : MetricTable()) {
+        std::fprintf(f, ",%.17g", m.get(run.result));
       }
       std::fprintf(f, "\n");
     }
-    for (const char* row : {"mean", "stddev", "ci95"}) {
+    for (const auto& [row, field] : {std::pair{"mean", &MetricStats::mean},
+                                     std::pair{"stddev", &MetricStats::stddev},
+                                     std::pair{"ci95", &MetricStats::ci95}}) {
       std::fprintf(f, "%s,%s,%s,%s,%.6g,%s", cell.label.c_str(),
                    VariantName(cell.variant), cell.schedule_label.c_str(),
                    cell.qdisc_label.c_str(), cell.duration.millis_f(), row);
-      for (const auto& [name, stats] : cell.metrics) {
-        (void)name;
-        const double v = std::string(row) == "mean"     ? stats.mean
-                         : std::string(row) == "stddev" ? stats.stddev
-                                                        : stats.ci95;
-        std::fprintf(f, ",%.17g", v);
+      for (const MetricDef& m : MetricTable()) {
+        const MetricStats* s = FindStats(cell, m.name);
+        std::fputc(',', f);
+        if (s) std::fprintf(f, "%.17g", s->*field);
       }
       std::fprintf(f, "\n");
     }

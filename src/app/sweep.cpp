@@ -1,11 +1,16 @@
 #include "app/sweep.hpp"
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+
+#include "sim/hash.hpp"
+#include "sim/json.hpp"
 
 namespace tdtcp {
 
@@ -60,6 +65,130 @@ double TCritical95(std::size_t df) {
   return 1.96;
 }
 
+// "PeerReset" -> "peer_reset".
+std::string SnakeCase(const char* camel) {
+  std::string out;
+  for (const char* c = camel; *c; ++c) {
+    const auto u = static_cast<unsigned char>(*c);
+    if (std::isupper(u) && c != camel) out += '_';
+    out += static_cast<char>(std::tolower(u));
+  }
+  return out;
+}
+
+// A stored field, named by a data-member pointer or by a generic lambda
+// returning a reference to it (std::invoke takes both). Integer fields
+// read back through JsonToInt, a bool as value != 0.
+template <typename Field>
+MetricDef Stored(std::string name, Field field) {
+  using T = std::remove_cvref_t<std::invoke_result_t<Field, ExperimentResult&>>;
+  const std::string what = "tdtcp-sweep: metric " + name;
+  return {std::move(name),
+          [field](const ExperimentResult& r) {
+            return static_cast<double>(std::invoke(field, r));
+          },
+          [field, what](ExperimentResult& r, double v) {
+            if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+              std::invoke(field, r) = JsonToInt<T>(v, what);
+            } else {
+              std::invoke(field, r) = static_cast<T>(v);
+            }
+          }};
+}
+
+std::vector<MetricDef> BuildMetricTable() {
+  using R = ExperimentResult;
+  std::vector<MetricDef> t;
+  const auto add = [&t](std::string name, auto field) {
+    t.push_back(Stored(std::move(name), field));
+  };
+  // A hash reads as its Fingerprint53 and stores that back, so it
+  // recomputes exactly after a round trip.
+  const auto hash = [&](std::string name, std::uint64_t R::*field) {
+    add(std::move(name), field);
+    t.back().get = [field](const R& r) {
+      return static_cast<double>(Fingerprint53(r.*field));
+    };
+  };
+  add("goodput_bps", &R::goodput_bps);
+  add("total_bytes", &R::total_bytes);
+  add("retransmissions", &R::retransmissions);
+  add("timeouts", &R::timeouts);
+  add("reorder_events", &R::reorder_events);
+  add("reorder_marked_lost", &R::reorder_marked_lost);
+  add("duplicate_segments", &R::duplicate_segments);
+  add("undo_events", &R::undo_events);
+  add("cross_tdn_exemptions", &R::cross_tdn_exemptions);
+  add("faults_injected", &R::faults_injected);
+  add("notifications_dropped", &R::notifications_dropped);
+  add("stale_notifications", &R::stale_notifications);
+  add("tdn_inferred_switches", &R::tdn_inferred_switches);
+  add("voq_shrink_deferred", &R::voq_shrink_deferred);
+  add("voq_drops", &R::voq_drops);
+  add("voq_ce_marked", &R::voq_ce_marked);
+  add("voq_codel_drops", &R::voq_codel_drops);
+  add("voq_codel_marks", &R::voq_codel_marks);
+  add("voq_delay_marked", &R::voq_delay_marked);
+  add("voq_shared_rejected", &R::voq_shared_rejected);
+  add("voq_sojourn_mean_us", &R::voq_sojourn_mean_us);
+  add("voq_sojourn_p99_us", &R::voq_sojourn_p99_us);
+  add("voq_sojourn_max_us", &R::voq_sojourn_max_us);
+  hash("trace_hash", &R::trace_hash);
+  add("trace_records", &R::trace_records);
+  // Churn lifecycle metrics (zero when churn was disabled).
+  add("churn_opened", [](auto& r) -> auto& { return r.churn.opened; });
+  add("churn_closed", [](auto& r) -> auto& { return r.churn.closed; });
+  // Derived: closed - reasons[kNormal], both in the table.
+  t.push_back({"churn_abnormal",
+               [](const R& r) {
+                 return static_cast<double>(r.churn.abnormal());
+               },
+               nullptr});
+  add("churn_app_timeouts",
+      [](auto& r) -> auto& { return r.churn.app_timeouts; });
+  add("churn_bytes", [](auto& r) -> auto& { return r.churn.bytes_completed; });
+  hash("churn_hash", &R::churn_hash);
+  add("churn_all_closed", &R::churn_all_closed);
+  add("recovery_forced", &R::recovery_forced);
+  add("recovery_rescued", &R::recovery_rescued);
+  add("recovery_spurious", &R::recovery_spurious);
+  add("sim_events", &R::sim_events);
+  add("sim_batches", &R::sim_batches);
+  add("sim_max_batch", &R::sim_max_batch);
+  add("sim_cohort_hits", &R::sim_cohort_hits);
+  add("sim_dead_dropped", &R::sim_dead_dropped);
+  add("sim_compactions", &R::sim_compactions);
+  // Per-size-bucket FCT tails: count + nearest-rank p50/p99/p99.9 in µs.
+  for (std::size_t b = 0; b < kNumFctBuckets; ++b) {
+    const std::string p = std::string("churn_fct_") + kFctBucketNames[b] + "_";
+    add(p + "count",
+        [b](auto& r) -> auto& { return r.churn_fct_bucket[b].count; });
+    add(p + "p50_us",
+        [b](auto& r) -> auto& { return r.churn_fct_bucket[b].p50_us; });
+    add(p + "p99_us",
+        [b](auto& r) -> auto& { return r.churn_fct_bucket[b].p99_us; });
+    add(p + "p999_us",
+        [b](auto& r) -> auto& { return r.churn_fct_bucket[b].p999_us; });
+  }
+  // Convergence-oracle verdicts + schedule-perturbation accounting.
+  add("stability_converged", &R::stability_converged);
+  add("stability_oscillating", &R::stability_oscillating);
+  add("stability_starved", &R::stability_starved);
+  add("stability_insufficient", &R::stability_insufficient);
+  add("stability_worst_amplitude", &R::stability_worst_amplitude);
+  add("stability_worst_period_us", &R::stability_worst_period_us);
+  add("schedule_changes", &R::schedule_changes);
+  add("restart_holds", &R::restart_holds);
+  add("tdn_reconfigs", &R::tdn_reconfigs);
+  // Sender-side close-reason histogram, one entry per CloseReason.
+  for (std::size_t i = 0; i < kNumCloseReasons; ++i) {
+    const auto reason = static_cast<CloseReason>(i);
+    add("churn_reason_" + SnakeCase(CloseReasonName(reason)),
+        [i](auto& r) -> auto& { return r.churn.reasons[i]; });
+  }
+  return t;
+}
+
 }  // namespace
 
 MetricStats ComputeStats(const std::vector<double>& values) {
@@ -78,106 +207,28 @@ MetricStats ComputeStats(const std::vector<double>& values) {
   return s;
 }
 
+const std::vector<MetricDef>& MetricTable() {
+  static const std::vector<MetricDef> table = BuildMetricTable();
+  return table;
+}
+
 std::vector<std::pair<std::string, double>> ScalarMetrics(
     const ExperimentResult& r) {
-  return {
-      {"goodput_bps", r.goodput_bps},
-      {"total_bytes", static_cast<double>(r.total_bytes)},
-      {"retransmissions", static_cast<double>(r.retransmissions)},
-      {"timeouts", static_cast<double>(r.timeouts)},
-      {"reorder_events", static_cast<double>(r.reorder_events)},
-      {"reorder_marked_lost", static_cast<double>(r.reorder_marked_lost)},
-      {"duplicate_segments", static_cast<double>(r.duplicate_segments)},
-      {"undo_events", static_cast<double>(r.undo_events)},
-      {"cross_tdn_exemptions", static_cast<double>(r.cross_tdn_exemptions)},
-      {"faults_injected", static_cast<double>(r.faults_injected)},
-      {"notifications_dropped", static_cast<double>(r.notifications_dropped)},
-      {"stale_notifications", static_cast<double>(r.stale_notifications)},
-      {"tdn_inferred_switches", static_cast<double>(r.tdn_inferred_switches)},
-      {"voq_shrink_deferred", static_cast<double>(r.voq_shrink_deferred)},
-      // Queue-discipline metrics (PR 6). Inserted mid-list is fine: the
-      // regression fixtures pin only the leading entries' order.
-      {"voq_drops", static_cast<double>(r.voq_drops)},
-      {"voq_ce_marked", static_cast<double>(r.voq_ce_marked)},
-      {"voq_codel_drops", static_cast<double>(r.voq_codel_drops)},
-      {"voq_codel_marks", static_cast<double>(r.voq_codel_marks)},
-      {"voq_delay_marked", static_cast<double>(r.voq_delay_marked)},
-      {"voq_shared_rejected", static_cast<double>(r.voq_shared_rejected)},
-      {"voq_sojourn_mean_us", r.voq_sojourn_mean_us},
-      {"voq_sojourn_p99_us", r.voq_sojourn_p99_us},
-      {"voq_sojourn_max_us", r.voq_sojourn_max_us},
-      // Masked to the double mantissa so the value survives the JSON
-      // round-trip exactly; 53 bits is ample for an equality fingerprint.
-      {"trace_hash", static_cast<double>(r.trace_hash & ((1ull << 53) - 1))},
-      {"trace_records", static_cast<double>(r.trace_records)},
-      // Churn lifecycle metrics (zero when churn was disabled). Appended at
-      // the end: downstream consumers index metrics by name, but the sweep
-      // regression fixtures pin the leading entries' order.
-      {"churn_opened", static_cast<double>(r.churn.opened)},
-      {"churn_closed", static_cast<double>(r.churn.closed)},
-      {"churn_abnormal", static_cast<double>(r.churn.abnormal())},
-      {"churn_app_timeouts", static_cast<double>(r.churn.app_timeouts)},
-      {"churn_bytes", static_cast<double>(r.churn.bytes_completed)},
-      {"churn_hash", static_cast<double>(r.churn_hash & ((1ull << 53) - 1))},
-      {"churn_all_closed", r.churn_all_closed ? 1.0 : 0.0},
-      // Host recovery agent metrics (PR 7); appended at the end like the
-      // churn family so fixture-pinned leading entries keep their order.
-      {"recovery_forced", static_cast<double>(r.recovery_forced)},
-      {"recovery_rescued", static_cast<double>(r.recovery_rescued)},
-      {"recovery_spurious", static_cast<double>(r.recovery_spurious)},
-      // Simulator event-core metrics (batched dispatch + queue bookkeeping);
-      // appended at the end like the families above.
-      {"sim_events", static_cast<double>(r.sim_events)},
-      {"sim_batches", static_cast<double>(r.sim_batches)},
-      {"sim_max_batch", static_cast<double>(r.sim_max_batch)},
-      {"sim_cohort_hits", static_cast<double>(r.sim_cohort_hits)},
-      {"sim_dead_dropped", static_cast<double>(r.sim_dead_dropped)},
-      {"sim_compactions", static_cast<double>(r.sim_compactions)},
-      // Per-size-bucket FCT tails (this PR); appended at the end like the
-      // families above. Bucket b: count + nearest-rank p50/p99/p99.9 in µs.
-      {"churn_fct_s_count", static_cast<double>(r.churn_fct_bucket[0].count)},
-      {"churn_fct_s_p50_us", r.churn_fct_bucket[0].p50_us},
-      {"churn_fct_s_p99_us", r.churn_fct_bucket[0].p99_us},
-      {"churn_fct_s_p999_us", r.churn_fct_bucket[0].p999_us},
-      {"churn_fct_m_count", static_cast<double>(r.churn_fct_bucket[1].count)},
-      {"churn_fct_m_p50_us", r.churn_fct_bucket[1].p50_us},
-      {"churn_fct_m_p99_us", r.churn_fct_bucket[1].p99_us},
-      {"churn_fct_m_p999_us", r.churn_fct_bucket[1].p999_us},
-      {"churn_fct_l_count", static_cast<double>(r.churn_fct_bucket[2].count)},
-      {"churn_fct_l_p50_us", r.churn_fct_bucket[2].p50_us},
-      {"churn_fct_l_p99_us", r.churn_fct_bucket[2].p99_us},
-      {"churn_fct_l_p999_us", r.churn_fct_bucket[2].p999_us},
-      {"churn_fct_xl_count", static_cast<double>(r.churn_fct_bucket[3].count)},
-      {"churn_fct_xl_p50_us", r.churn_fct_bucket[3].p50_us},
-      {"churn_fct_xl_p99_us", r.churn_fct_bucket[3].p99_us},
-      {"churn_fct_xl_p999_us", r.churn_fct_bucket[3].p999_us},
-      // Convergence-oracle verdicts + schedule-perturbation accounting
-      // (appended at the end: fixtures pin the leading order).
-      {"stability_converged", static_cast<double>(r.stability_converged)},
-      {"stability_oscillating", static_cast<double>(r.stability_oscillating)},
-      {"stability_starved", static_cast<double>(r.stability_starved)},
-      {"stability_insufficient",
-       static_cast<double>(r.stability_insufficient)},
-      {"stability_worst_amplitude", r.stability_worst_amplitude},
-      {"stability_worst_period_us", r.stability_worst_period_us},
-      {"schedule_changes", static_cast<double>(r.schedule_changes)},
-      {"restart_holds", static_cast<double>(r.restart_holds)},
-      {"tdn_reconfigs", static_cast<double>(r.tdn_reconfigs)},
-  };
+  std::vector<std::pair<std::string, double>> out;
+  for (const MetricDef& m : MetricTable()) out.emplace_back(m.name, m.get(r));
+  return out;
 }
 
 std::vector<std::pair<std::string, MetricStats>> AggregateRuns(
     const std::vector<SweepRun>& runs) {
   std::vector<std::pair<std::string, MetricStats>> out;
   if (runs.empty()) return out;
-  const auto names = ScalarMetrics(runs.front().result);
-  for (std::size_t m = 0; m < names.size(); ++m) {
-    std::vector<double> values;
-    values.reserve(runs.size());
-    for (const SweepRun& run : runs) {
-      values.push_back(ScalarMetrics(run.result)[m].second);
+  std::vector<double> values(runs.size());
+  for (const MetricDef& m : MetricTable()) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      values[i] = m.get(runs[i].result);
     }
-    out.emplace_back(names[m].first, ComputeStats(values));
+    out.emplace_back(m.name, ComputeStats(values));
   }
   return out;
 }

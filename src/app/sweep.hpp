@@ -47,8 +47,20 @@ struct MetricStats {
 
 MetricStats ComputeStats(const std::vector<double>& values);
 
-// The scalar metrics a sweep aggregates across seeds, as (name, value)
-// pairs — one place defines the set for aggregation, JSON, and CSV alike.
+// One scalar metric of an ExperimentResult: how to read it and, unless it
+// is derived from other entries (churn_abnormal), how to write it back.
+struct MetricDef {
+  std::string name;
+  std::function<double(const ExperimentResult&)> get;
+  std::function<void(ExperimentResult&, double)> set;  // empty if derived
+};
+
+// The only list of the metrics a sweep reports. Aggregation, the
+// tdtcp-sweep/1 writer and reader, and the CSV columns all iterate it, in
+// this order. New entries go at the end: fixtures pin the leading ones.
+const std::vector<MetricDef>& MetricTable();
+
+// The table's values for one result, as (name, value) pairs.
 std::vector<std::pair<std::string, double>> ScalarMetrics(
     const ExperimentResult& r);
 

@@ -23,4 +23,10 @@ class Fnv1a64 {
   std::uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV offset basis
 };
 
+// The low 53 bits of `h`: a double holds them exactly, so the fingerprint
+// survives a JSON round trip. 53 bits is ample for an equality check.
+inline constexpr std::uint64_t Fingerprint53(std::uint64_t h) {
+  return h & ((1ull << 53) - 1);
+}
+
 }  // namespace tdtcp

@@ -8,7 +8,10 @@
 // third-party dependencies.
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,6 +36,21 @@ struct JsonValue {
 
 // Parses a JSON document; throws std::runtime_error on malformed input.
 JsonValue ParseJson(const std::string& text);
+
+// A parsed number as a non-negative integer field. Casting an out-of-range
+// double to an integer is undefined and a fractional one truncates, so a
+// negative, fractional or too-large value throws std::runtime_error naming
+// `what` instead.
+template <typename Int>
+Int JsonToInt(double v, const std::string& what) {
+  const double limit = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  if (!(v >= 0 && v < limit && v == std::floor(v))) {
+    throw std::runtime_error(what + " is not an integer in [0, 2^" +
+                             std::to_string(std::numeric_limits<Int>::digits) +
+                             ")");
+  }
+  return static_cast<Int>(v);
+}
 
 // %.17g: round-trips every finite double exactly.
 std::string NumberToJson(double v);

@@ -116,7 +116,7 @@ std::vector<TraceRecord> RecordsFromJsonArray(const JsonValue& arr) {
 // duplicated table on the Python side.
 std::string PointNamesJson() {
   std::string out = "{";
-  for (std::uint32_t p = 0; p <= static_cast<std::uint32_t>(TracePoint::kTdnRetire); ++p) {
+  for (std::uint32_t p = 0; p < kNumTracePoints; ++p) {
     if (p) out += ',';
     out += '"';
     out += std::to_string(p);

@@ -65,6 +65,8 @@ enum class TracePoint : std::uint32_t {
   kSchedRestartHold = 23, // a0=hold ps, a1=day index, a2=was night (0/1)
   kTdnRetire = 24,        // a0=live tdn count, a1=sets retired, a2=active moved
 };
+// One past the last point: bump it with every appended point.
+inline constexpr std::uint32_t kNumTracePoints = 25;
 
 // Timer identity for kTcpTimer{Arm,Cancel,Fire}.
 enum class TraceTimer : std::uint64_t {

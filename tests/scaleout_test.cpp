@@ -349,7 +349,7 @@ TEST(RotorSweep, BucketMetricsRoundTripThroughSweepJson) {
   // The per-bucket family is on the wire...
   EXPECT_NE(json.find("churn_fct_s_p99_us"), std::string::npos);
   EXPECT_NE(json.find("churn_fct_xl_count"), std::string::npos);
-  // ...and ApplyMetric inverts it on the way back in.
+  // ...and SweepFromJson reads it back through the metric table.
   const SweepResult parsed = SweepFromJson(json);
   ASSERT_EQ(parsed.cells.size(), 1u);
   ASSERT_EQ(parsed.cells[0].runs.size(), 1u);

@@ -6,8 +6,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/result_io.hpp"
@@ -355,6 +358,156 @@ TEST(ResultIo, TruncatedSweepJsonAlwaysThrowsCleanly) {
   }
   // The intact document still parses.
   EXPECT_NO_THROW(SweepFromJson(json));
+}
+
+// ---------------------------------------------------------------------------
+// The metric table
+// ---------------------------------------------------------------------------
+
+// Every settable entry moved off its default: a bool flipped, every other
+// entry a distinct nonzero value. Values fall along the table, so
+// churn_closed (earlier) exceeds churn_reason_normal (later) and the
+// derived churn_abnormal is a plain positive count.
+ExperimentResult EveryMetricSet() {
+  const std::vector<MetricDef>& table = MetricTable();
+  const ExperimentResult def{};
+  ExperimentResult r;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (!table[i].set) continue;
+    table[i].set(r, table[i].get(def) != 0
+                        ? 0
+                        : static_cast<double>(table.size() - i));
+  }
+  // Bits above the 53-bit fingerprint must not reach the output.
+  r.trace_hash |= 1ull << 60;
+  r.churn_hash |= 1ull << 60;
+  return r;
+}
+
+std::vector<std::string> SplitCsv(const std::string& line) {
+  std::vector<std::string> out(1);
+  for (char c : line) {
+    if (c == ',') out.emplace_back();
+    else if (c != '\n') out.back() += c;
+  }
+  return out;
+}
+
+TEST(MetricTable, EveryEntryRoundTripsThroughJsonAndCsv) {
+  const std::vector<MetricDef>& table = MetricTable();
+  SweepCell cell;
+  cell.label = "tdtcp";
+  cell.duration = SimTime::Micros(2800);
+  cell.runs.push_back(SweepRun{7, EveryMetricSet()});
+  cell.metrics = AggregateRuns(cell.runs);
+  SweepResult sweep;
+  sweep.cells.push_back(cell);
+  const ExperimentResult& orig = cell.runs[0].result;
+
+  const SweepResult back = SweepFromJson(SweepToJson(sweep));
+  ASSERT_EQ(back.cells.size(), 1u);
+  ASSERT_EQ(back.cells[0].runs.size(), 1u);
+  ASSERT_EQ(back.cells[0].metrics.size(), table.size());
+  const ExperimentResult& rt = back.cells[0].runs[0].result;
+  std::vector<std::string> lost;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const MetricDef& m = table[i];
+    const double want = m.get(orig);
+    EXPECT_NE(want, m.get(ExperimentResult{})) << m.name;
+    if (m.get(rt) != want) lost.push_back(m.name);
+    EXPECT_EQ(back.cells[0].metrics[i].first, m.name);
+    EXPECT_EQ(back.cells[0].metrics[i].second.mean, want) << m.name;
+    EXPECT_EQ(back.cells[0].metrics[i].second.n, 1u) << m.name;
+  }
+  EXPECT_TRUE(lost.empty()) << "lost in the JSON round trip: " << [&] {
+    std::string s;
+    for (const std::string& name : lost) s += name + " ";
+    return s;
+  }();
+
+  const std::string path = ::testing::TempDir() + "/metric_table.csv";
+  WriteSweepCsv(path, sweep);
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  std::vector<std::vector<std::string>> rows;
+  char line[16384];
+  while (std::fgets(line, sizeof line, f)) rows.push_back(SplitCsv(line));
+  std::fclose(f);
+  std::remove(path.c_str());
+  ASSERT_EQ(rows.size(), 1u + 1u + 3u);  // header, one run, mean/stddev/ci95
+  const std::size_t kLead = 6;  // label,variant,schedule,qdisc,duration,seed
+  ASSERT_EQ(rows[0].size(), kLead + table.size());
+  for (const auto& row : rows) EXPECT_EQ(row.size(), rows[0].size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const double want = table[i].get(orig);
+    EXPECT_EQ(rows[0][kLead + i], table[i].name);
+    EXPECT_EQ(std::strtod(rows[1][kLead + i].c_str(), nullptr), want)
+        << table[i].name;
+    EXPECT_EQ(std::strtod(rows[2][kLead + i].c_str(), nullptr), want)
+        << table[i].name;
+  }
+}
+
+TEST(MetricTable, CloseReasonHistogramIsAppendedInReasonOrder) {
+  const std::vector<MetricDef>& table = MetricTable();
+  ASSERT_GE(table.size(), kNumCloseReasons);
+  EXPECT_EQ(table[0].name, "goodput_bps");
+  EXPECT_EQ(table[table.size() - kNumCloseReasons - 1].name, "tdn_reconfigs");
+  const char* expected[kNumCloseReasons] = {
+      "none",            "normal",      "peer_reset",      "connect_timeout",
+      "syn_ack_timeout", "retry_limit", "persist_timeout", "user_abort"};
+  for (std::size_t i = 0; i < kNumCloseReasons; ++i) {
+    const MetricDef& m = table[table.size() - kNumCloseReasons + i];
+    EXPECT_EQ(m.name, std::string("churn_reason_") + expected[i]);
+    ExperimentResult r;
+    r.churn.reasons[i] = 3;
+    EXPECT_EQ(m.get(r), 3.0) << m.name;
+  }
+}
+
+// A one-cell document with `field` replaced by `value`.
+std::string OneCellDoc(const std::string& field, const std::string& value) {
+  std::map<std::string, std::string> v = {{"jobs", "2"},
+                                          {"duration_ps", "2800000000"},
+                                          {"seed", "9"},
+                                          {"n", "1"},
+                                          {"timeouts", "5"}};
+  if (!field.empty()) v[field] = value;
+  return "{\"schema\":\"tdtcp-sweep/1\",\"jobs\":" + v["jobs"] +
+         ",\"wall_seconds\":0,\"cells\":[{\"label\":\"tdtcp\","
+         "\"variant\":\"tdtcp\",\"duration_ps\":" + v["duration_ps"] +
+         ",\"runs\":[{\"seed\":" + v["seed"] +
+         ",\"metrics\":{\"timeouts\":" + v["timeouts"] +
+         ",\"no_such_metric\":\"ignored\"}}],\"aggregates\":{"
+         "\"timeouts\":{\"mean\":5,\"stddev\":0,\"ci95\":0,\"n\":" +
+         v["n"] + "},\"no_such_metric\":{}}}]}";
+}
+
+TEST(ResultIo, IntegerFieldsRejectNegativeFractionalAndHugeValues) {
+  const SweepResult ok = SweepFromJson(OneCellDoc("", ""));
+  EXPECT_EQ(ok.jobs, 2);
+  ASSERT_EQ(ok.cells.size(), 1u);
+  EXPECT_EQ(ok.cells[0].duration, SimTime::Micros(2800));
+  ASSERT_EQ(ok.cells[0].runs.size(), 1u);
+  EXPECT_EQ(ok.cells[0].runs[0].seed, 9u);
+  EXPECT_EQ(ok.cells[0].runs[0].result.timeouts, 5u);
+  ASSERT_EQ(ok.cells[0].metrics.size(), 1u);  // unknown names are ignored
+  EXPECT_EQ(ok.cells[0].metrics[0].second.n, 1u);
+
+  // 2^31 is one past INT_MAX (jobs); 2^63 one past INT64_MAX (duration_ps).
+  const std::vector<std::pair<std::string, std::vector<std::string>>> bad = {
+      {"jobs", {"-1", "1.5", "2147483648", "1e300"}},
+      {"duration_ps", {"-1", "0.5", "9223372036854775808", "1e300"}},
+      {"seed", {"-1", "2.5", "18446744073709551616", "1e300"}},
+      {"n", {"-5", "1.5", "1e300"}},
+      {"timeouts", {"-1", "0.5", "1e300", "\"5\""}},
+  };
+  for (const auto& [field, values] : bad) {
+    for (const std::string& value : values) {
+      EXPECT_THROW(SweepFromJson(OneCellDoc(field, value)), std::runtime_error)
+          << field << "=" << value;
+    }
+  }
 }
 
 TEST(ResultIo, FileRoundTripAndCsv) {
