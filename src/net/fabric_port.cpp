@@ -1,18 +1,34 @@
 #include "net/fabric_port.hpp"
 
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace tdtcp {
+
+namespace {
+
+void CheckMode(const NetworkMode& mode) {
+  // TransmissionTime divides by the rate.
+  if (mode.rate_bps == 0) {
+    throw std::invalid_argument(
+        "FabricPort: NetworkMode rate_bps must be positive");
+  }
+}
+
+}  // namespace
 
 FabricPort::FabricPort(Simulator& sim, Config config, PacketSink* remote,
                        Random* rng)
     : sim_(sim), config_(std::move(config)), remote_(remote), rng_(rng),
       voq_(config_.voq), mode_(config_.initial_mode) {
-  assert(remote_ != nullptr);
+  if (remote_ == nullptr) {
+    throw std::invalid_argument("FabricPort: null remote");
+  }
+  CheckMode(mode_);
 }
 
 void FabricPort::SetMode(const NetworkMode& mode) {
+  CheckMode(mode);
   mode_ = mode;
   // Pinned packets already admitted to the VOQ must not ride the wrong
   // network: move the ones whose network just went away back to the stash
@@ -82,43 +98,52 @@ void FabricPort::TopUpFromStash() {
 }
 
 void FabricPort::MaybeTransmit() {
-  if (busy_ || blackout_) return;
-  TopUpFromStash();
-  if (voq_.Empty()) return;
-  // An AQM dequeue may consume the whole backlog as drops and come back
-  // empty-handed; there is nothing to serialize then.
-  std::optional<Packet> head = voq_.Dequeue(sim_.now());
-  if (!head) return;
-  // Park the in-flight packet in the simulator's freelist so each hop's
-  // event captures one pointer, not a Packet copy.
-  Packet* p = sim_.StashPacket(std::move(*head));
-  // reTCP switch support: stamp which network carried this packet.
-  p->circuit_mark = mode_.circuit;
-  busy_ = true;
-  const SimTime tx = TransmissionTime(p->size_bytes, mode_.rate_bps);
-  sim_.ScheduleNoCancel(tx, [this, p] {
-    busy_ = false;
-    if (has_fault_filter_ && fault_filter_(*p)) {
-      ++fault_dropped_;  // lost on the wire
-      sim_.ReleasePacket(p);
-      MaybeTransmit();
+  while (!kick_pending_ && !blackout_) {
+    const SimTime now = sim_.now();
+    if (now < busy_until_) {
+      // The wire is still serializing: while a packet waits for it (in the
+      // VOQ or the active path's stash), one start event waits too.
+      if (voq_.Empty() && stash_[active_path()].empty()) return;
+      kick_pending_ = true;
+      sim_.ScheduleAtNoCancel(busy_until_, [this] {
+        kick_pending_ = false;
+        MaybeTransmit();
+      });
       return;
     }
-    // Propagation parameters are read at serialization-complete time: a mode
-    // change during serialization affects this packet's flight, as before.
-    SimTime prop = mode_.propagation;
-    if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
-      prop += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
+    TopUpFromStash();
+    if (voq_.Empty()) return;
+    // An AQM dequeue may consume the whole backlog as drops and come back
+    // empty-handed; there is nothing to serialize then.
+    std::optional<Packet> head = voq_.Dequeue(now);
+    if (!head) return;
+    const SimTime tx = TransmissionTime(head->size_bytes, mode_.rate_bps);
+    busy_until_ = now + tx;
+    // The fault filter and the jitter draw run at serialization start; a
+    // dropped packet still holds the wire for its tx time.
+    if (has_fault_filter_ && fault_filter_(*head)) {
+      ++fault_dropped_;  // lost on the wire
+      continue;
     }
-    // One stream per port: successive packets arrive in send order unless
-    // a mode switch shortens propagation or jitter reorders them, and then
-    // the stream opens a new heap entry.
-    sim_.ScheduleInStream(in_flight_, prop, [this, p] {
+    // reTCP switch support: stamp which network carried this packet.
+    head->circuit_mark = mode_.circuit;
+    // Propagation is fixed when serialization starts: a mode change during
+    // serialization does not re-route this packet.
+    SimTime delay = tx + mode_.propagation;
+    if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
+      delay += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
+    }
+    // Park the in-flight packet in the simulator's freelist so the event
+    // captures one pointer, not a Packet copy. One stream per port:
+    // successive packets arrive in send order unless a mode switch shortens
+    // propagation or jitter reorders them, and then the stream opens a new
+    // heap entry.
+    Packet* p = sim_.StashPacket(std::move(*head));
+    sim_.ScheduleInStream(in_flight_, delay, [this, p] {
       remote_->HandlePacket(std::move(*p));
       sim_.ReleasePacket(p);
     });
-    MaybeTransmit();
-  });
+  }
 }
 
 }  // namespace tdtcp

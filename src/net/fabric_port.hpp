@@ -7,6 +7,10 @@
 // reconfiguration nights. Leftover packets from a packet day drain at
 // circuit speed once the circuit comes up (A.3's "quickly drained").
 //
+// Like a Link, the port acts on a packet once, when it starts serializing:
+// the arrival is scheduled then, and one start event waits while packets
+// queue behind the wire.
+//
 // MPTCP experiments pin subflows to one network (§2.2). Pinned packets whose
 // network is not currently active wait in a side stash and join the VOQ when
 // their network returns — this is what strands subflow traffic and produces
@@ -46,9 +50,13 @@ class FabricPort {
     std::string name;
   };
 
+  // Throws std::invalid_argument on a null remote or a zero-rate mode.
   FabricPort(Simulator& sim, Config config, PacketSink* remote, Random* rng = nullptr);
 
-  // Schedule control (driven by the RDCN controller).
+  // Schedule control (driven by the RDCN controller). SetMode throws
+  // std::invalid_argument on a zero-rate mode. A packet already serializing
+  // keeps the rate and propagation of the mode it started under; a
+  // blackout lets it finish and holds the rest.
   void SetMode(const NetworkMode& mode);
   void SetBlackout(bool blackout);
 
@@ -64,8 +72,9 @@ class FabricPort {
   std::uint32_t pinned_waiting() const;
   std::uint64_t pinned_dropped() const { return pinned_dropped_; }
 
-  // Fault-injection hook (src/fault): consulted once per packet after it
-  // finishes serializing, before propagation. Returning true drops it.
+  // Fault-injection hook (src/fault): consulted once per packet when it
+  // starts serializing. Returning true drops it; it still occupies the
+  // transmitter for its tx time.
   using FaultFilter = std::function<bool(const Packet&)>;
   void SetFaultFilter(FaultFilter filter) {
     fault_filter_ = std::move(filter);
@@ -80,6 +89,8 @@ class FabricPort {
   int active_path() const { return mode_.circuit ? 1 : 0; }
 
   void TopUpFromStash();
+  // Starts serializing the head when the wire is free (the packet's arrival
+  // is scheduled right then), else arms the one start event at busy_until_.
   void MaybeTransmit();
 
   Simulator& sim_;
@@ -89,8 +100,9 @@ class FabricPort {
   QueueDisc voq_;
   NetworkMode mode_;
   bool blackout_ = false;
-  bool busy_ = false;
-  EventQueue::Stream in_flight_;  // propagation deliveries, in send order
+  SimTime busy_until_;        // end of the serialization in progress
+  bool kick_pending_ = false;  // a start event waits at busy_until_
+  EventQueue::Stream in_flight_;  // arrivals, in serialization order
   std::deque<Packet> stash_[2];
   // Scratch for SetMode's VOQ repack; a member so mode flips (4x per RDCN
   // week per port) reuse its capacity instead of allocating a fresh deque.

@@ -1,6 +1,6 @@
 #include "net/link.hpp"
 
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace tdtcp {
@@ -8,8 +8,10 @@ namespace tdtcp {
 Link::Link(Simulator& sim, Config config, PacketSink* sink, Random* rng)
     : sim_(sim), config_(std::move(config)), sink_(sink), rng_(rng),
       queue_(config_.queue) {
-  assert(sink_ != nullptr);
-  assert(config_.rate_bps > 0);
+  if (sink_ == nullptr) throw std::invalid_argument("Link: null sink");
+  if (config_.rate_bps == 0) {
+    throw std::invalid_argument("Link: rate_bps must be positive");
+  }
 }
 
 void Link::Enqueue(Packet&& p) {
@@ -25,41 +27,44 @@ void Link::set_enabled(bool enabled) {
 }
 
 void Link::MaybeTransmit() {
-  if (busy_ || !enabled_ || queue_.Empty()) return;
-  // An AQM dequeue may consume the whole backlog as drops and come back
-  // empty-handed; there is nothing to transmit then.
-  std::optional<Packet> head = queue_.Dequeue(sim_.now());
-  if (!head) return;
-  // Park the in-flight packet in the simulator's freelist so the event
-  // captures one pointer, not a Packet copy.
-  Packet* p = sim_.StashPacket(std::move(*head));
-  busy_ = true;
-  const SimTime tx = TransmissionTime(p->size_bytes, config_.rate_bps);
-  sim_.ScheduleNoCancel(tx, [this, p] {
-    busy_ = false;
-    Deliver(p);
-    MaybeTransmit();
-  });
-}
-
-void Link::Deliver(Packet* p) {
-  if (has_fault_filter_ && fault_filter_(*p)) {
-    ++fault_dropped_;
-    sim_.ReleasePacket(p);
-    return;  // lost on the wire
+  while (!kick_pending_ && enabled_ && !queue_.Empty()) {
+    const SimTime now = sim_.now();
+    if (now < busy_until_) {
+      // The wire is still serializing: one start event waits for it.
+      kick_pending_ = true;
+      sim_.ScheduleAtNoCancel(busy_until_, [this] {
+        kick_pending_ = false;
+        MaybeTransmit();
+      });
+      return;
+    }
+    // An AQM dequeue may consume the whole backlog as drops and come back
+    // empty-handed; there is nothing to transmit then.
+    std::optional<Packet> head = queue_.Dequeue(now);
+    if (!head) return;
+    const SimTime tx = TransmissionTime(head->size_bytes, config_.rate_bps);
+    busy_until_ = now + tx;
+    // The fault filter and the jitter draw run at serialization start; a
+    // dropped packet still holds the wire for its tx time.
+    if (has_fault_filter_ && fault_filter_(*head)) {
+      ++fault_dropped_;  // lost on the wire
+      continue;
+    }
+    SimTime delay = tx + config_.propagation;
+    if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
+      delay += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
+    }
+    // Park the packet in the simulator's freelist so the event captures one
+    // pointer, not a Packet copy. Arrivals leave in serialization order
+    // with a fixed delay, so they ride one stream (one heap entry for the
+    // whole pipeline); jitter breaks the order now and then, and such a
+    // packet just opens its own entry.
+    Packet* p = sim_.StashPacket(std::move(*head));
+    sim_.ScheduleInStream(in_flight_, delay, [this, p] {
+      sink_->HandlePacket(std::move(*p));
+      sim_.ReleasePacket(p);
+    });
   }
-  SimTime delay = config_.propagation;
-  if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
-    delay += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
-  }
-  ++delivered_;
-  // Deliveries leave in serialization order with a fixed delay, so they
-  // ride one stream (one heap entry for the whole pipeline); jitter breaks
-  // the order now and then, and such a packet just opens its own entry.
-  sim_.ScheduleInStream(in_flight_, delay, [this, p] {
-    sink_->HandlePacket(std::move(*p));
-    sim_.ReleasePacket(p);
-  });
 }
 
 }  // namespace tdtcp

@@ -2,7 +2,11 @@
 // propagation delay.
 //
 // Packets serialize back-to-back at `rate_bps`, then arrive at the sink
-// after `propagation`. A link can be disabled (RDCN night): the
+// after `propagation`. Serialization start is the only point where the link
+// acts on a packet: it dequeues the head and schedules the arrival at
+// start + tx + propagation, so a packet that finds the transmitter idle
+// costs one event. While the queue holds packets, exactly one start event
+// waits for the wire to free up. A link can be disabled (RDCN night): the
 // in-progress transmission completes, queued packets wait. Optional random
 // jitter models intra-TDN reordering (off by default; Fig. 10's baseline
 // reordering experiments enable it).
@@ -33,15 +37,17 @@ class Link {
     std::string name;  // for tracing
   };
 
+  // Throws std::invalid_argument on a null sink or a zero rate.
   Link(Simulator& sim, Config config, PacketSink* sink, Random* rng = nullptr);
 
   // Admits a packet to the queue (may drop) and kicks the transmitter.
   void Enqueue(Packet&& p);
 
-  // Fault-injection hook (src/fault): consulted once per packet after it
-  // finishes serializing, before propagation. Returning true drops the
-  // packet on the wire (loss or corruption; a corrupted packet fails the
-  // receiver checksum, which is indistinguishable from loss here).
+  // Fault-injection hook (src/fault): consulted once per packet when it
+  // starts serializing. Returning true drops the packet on the wire (loss
+  // or corruption; a corrupted packet fails the receiver checksum, which is
+  // indistinguishable from loss here); it still holds the transmitter for
+  // its tx time.
   using FaultFilter = std::function<bool(const Packet&)>;
   void SetFaultFilter(FaultFilter filter) {
     fault_filter_ = std::move(filter);
@@ -64,13 +70,10 @@ class Link {
   const QueueDisc& queue() const { return queue_; }
   const std::string& name() const { return config_.name; }
 
-  std::uint64_t delivered() const { return delivered_; }
-
  private:
+  // Starts serializing the head when the wire is free (the packet's arrival
+  // is scheduled right then), else arms the one start event at busy_until_.
   void MaybeTransmit();
-  // `p` is a Simulator-stashed packet owned by the caller's event; Deliver
-  // either forwards it (releasing after the final handoff) or drops it.
-  void Deliver(Packet* p);
 
   Simulator& sim_;
   Config config_;
@@ -79,10 +82,10 @@ class Link {
   QueueDisc queue_;
   FaultFilter fault_filter_;
   bool has_fault_filter_ = false;
-  bool busy_ = false;
+  SimTime busy_until_;        // end of the serialization in progress
+  bool kick_pending_ = false;  // a start event waits at busy_until_
   bool enabled_ = true;
-  EventQueue::Stream in_flight_;  // propagation deliveries, in send order
-  std::uint64_t delivered_ = 0;
+  EventQueue::Stream in_flight_;  // arrivals, in serialization order
   std::uint64_t fault_dropped_ = 0;
 };
 

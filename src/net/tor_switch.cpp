@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace tdtcp {
@@ -43,11 +45,17 @@ ToRSwitch::Route ToRSwitch::Resolve(NodeId dst) {
       }
     }
     auto it = host_index_.find(dst);
-    assert(it != host_index_.end() && "unknown local host");
+    if (it == host_index_.end()) {
+      throw std::logic_error("ToRSwitch: unknown local host " +
+                             std::to_string(dst));
+    }
     return Route{hosts_[it->second].downlink, nullptr};
   }
   auto it = ports_.find(dst_rack);
-  assert(it != ports_.end() && "no fabric port for destination rack");
+  if (it == ports_.end()) {
+    throw std::logic_error("ToRSwitch: no fabric port for destination rack " +
+                           std::to_string(dst_rack));
+  }
   return Route{nullptr, it->second.get()};
 }
 

@@ -118,7 +118,9 @@ class ToRSwitch : public PacketSink {
 
   SimTime SampleGenDelay();
 
-  // Resolved forwarding target: exactly one of the two is non-null.
+  // Resolved forwarding target: exactly one of the two is non-null. Resolve
+  // throws std::logic_error for a local host that was never attached or a
+  // remote rack with no fabric port.
   struct Route {
     Link* downlink = nullptr;
     FabricPort* port = nullptr;

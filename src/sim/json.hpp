@@ -52,6 +52,22 @@ Int JsonToInt(double v, const std::string& what) {
   return static_cast<Int>(v);
 }
 
+// JsonToInt for a signed field that may be negative (a time, a path index
+// with a -1 sentinel): [-2^digits, 2^digits).
+template <typename Int>
+Int JsonToSignedInt(double v, const std::string& what) {
+  static_assert(std::numeric_limits<Int>::is_signed);
+  const double limit = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  if (!(v >= -limit && v < limit && v == std::floor(v))) {
+    throw std::runtime_error(what + " is not an integer in [-2^" +
+                             std::to_string(std::numeric_limits<Int>::digits) +
+                             ", 2^" +
+                             std::to_string(std::numeric_limits<Int>::digits) +
+                             ")");
+  }
+  return static_cast<Int>(v);
+}
+
 // %.17g: round-trips every finite double exactly.
 std::string NumberToJson(double v);
 

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "cc/registry.hpp"
@@ -99,14 +100,19 @@ std::vector<TraceRecord> RecordsFromJsonArray(const JsonValue& arr) {
     if (jr.type != JsonValue::Type::kArray || jr.array.size() != 7) {
       throw std::runtime_error("tdtcp-trace: malformed record");
     }
+    static const std::string kField[7] = {
+        "tdtcp-trace: record time_ps", "tdtcp-trace: record point",
+        "tdtcp-trace: record flow",    "tdtcp-trace: record a0",
+        "tdtcp-trace: record a1",      "tdtcp-trace: record a2",
+        "tdtcp-trace: record a3"};
     TraceRecord r;
-    r.time_ps = static_cast<std::int64_t>(jr.array[0].number);
-    r.point = static_cast<std::uint32_t>(jr.array[1].number);
-    r.flow = static_cast<std::uint32_t>(jr.array[2].number);
-    r.a0 = static_cast<std::uint64_t>(jr.array[3].number);
-    r.a1 = static_cast<std::uint64_t>(jr.array[4].number);
-    r.a2 = static_cast<std::uint64_t>(jr.array[5].number);
-    r.a3 = static_cast<std::uint64_t>(jr.array[6].number);
+    r.time_ps = JsonToSignedInt<std::int64_t>(jr.array[0].number, kField[0]);
+    r.point = JsonToInt<std::uint32_t>(jr.array[1].number, kField[1]);
+    r.flow = JsonToInt<std::uint32_t>(jr.array[2].number, kField[2]);
+    r.a0 = JsonToInt<std::uint64_t>(jr.array[3].number, kField[3]);
+    r.a1 = JsonToInt<std::uint64_t>(jr.array[4].number, kField[4]);
+    r.a2 = JsonToInt<std::uint64_t>(jr.array[5].number, kField[5]);
+    r.a3 = JsonToInt<std::uint64_t>(jr.array[6].number, kField[6]);
     out.push_back(r);
   }
   return out;
@@ -194,6 +200,25 @@ double NumOr(const JsonValue& obj, const char* key, double def) {
   return v ? v->NumberOr(def) : def;
 }
 
+// An integer field, `def` when absent; a present value must be an exact
+// integer in Int's range (JsonToInt), so a corrupt fixture throws instead of
+// truncating or overflowing the cast.
+template <typename Int>
+Int IntOr(const JsonValue& obj, const char* key, Int def) {
+  const JsonValue* v = obj.Find(key);
+  if (v == nullptr || v->type != JsonValue::Type::kNumber) return def;
+  const std::string what = std::string("tdtcp-trace: ") + key;
+  if constexpr (std::numeric_limits<Int>::is_signed) {
+    return JsonToSignedInt<Int>(v->number, what);
+  } else {
+    return JsonToInt<Int>(v->number, what);
+  }
+}
+
+SimTime PicosOr(const JsonValue& obj, const char* key, SimTime def) {
+  return SimTime::Picos(IntOr<std::int64_t>(obj, key, def.picos()));
+}
+
 bool BoolOr(const JsonValue& obj, const char* key, bool def) {
   // ParseJson models true/false as numbers 1/0.
   const JsonValue* v = obj.Find(key);
@@ -202,17 +227,17 @@ bool BoolOr(const JsonValue& obj, const char* key, bool def) {
 
 Packet PacketFromJson(const JsonValue& j) {
   Packet p;
-  p.flow = static_cast<FlowId>(NumOr(j, "flow", p.flow));
-  p.src = static_cast<NodeId>(NumOr(j, "src", p.src));
-  p.dst = static_cast<NodeId>(NumOr(j, "dst", p.dst));
+  p.flow = IntOr<FlowId>(j, "flow", p.flow);
+  p.src = IntOr<NodeId>(j, "src", p.src);
+  p.dst = IntOr<NodeId>(j, "dst", p.dst);
   p.type = static_cast<PacketType>(
-      static_cast<int>(NumOr(j, "type", static_cast<int>(p.type))));
-  p.size_bytes = static_cast<std::uint32_t>(NumOr(j, "size", p.size_bytes));
-  p.pinned_path = static_cast<std::int8_t>(NumOr(j, "pin", p.pinned_path));
-  p.seq = static_cast<std::uint64_t>(NumOr(j, "seq", 0));
-  p.ack = static_cast<std::uint64_t>(NumOr(j, "ack", 0));
-  p.payload = static_cast<std::uint32_t>(NumOr(j, "payload", 0));
-  p.rcv_window = static_cast<std::uint32_t>(NumOr(j, "rwnd", 0));
+      IntOr<std::uint8_t>(j, "type", static_cast<std::uint8_t>(p.type)));
+  p.size_bytes = IntOr<std::uint32_t>(j, "size", p.size_bytes);
+  p.pinned_path = IntOr<std::int8_t>(j, "pin", p.pinned_path);
+  p.seq = IntOr<std::uint64_t>(j, "seq", 0);
+  p.ack = IntOr<std::uint64_t>(j, "ack", 0);
+  p.payload = IntOr<std::uint32_t>(j, "payload", 0);
+  p.rcv_window = IntOr<std::uint32_t>(j, "rwnd", 0);
   p.has_rwnd = BoolOr(j, "has_rwnd", false);
   p.syn = BoolOr(j, "syn", false);
   p.fin = BoolOr(j, "fin", false);
@@ -222,31 +247,35 @@ Packet PacketFromJson(const JsonValue& j) {
   if (const JsonValue* sacks = j.Find("sack")) {
     for (const JsonValue& b : sacks->array) {
       if (p.num_sack >= kMaxSackBlocks) break;
-      p.sack[p.num_sack].start = static_cast<std::uint64_t>(b.array[0].number);
-      p.sack[p.num_sack].end = static_cast<std::uint64_t>(b.array[1].number);
+      if (b.array.size() != 2) {
+        throw std::runtime_error("tdtcp-trace: malformed sack block");
+      }
+      p.sack[p.num_sack].start = JsonToInt<std::uint64_t>(
+          b.array[0].number, "tdtcp-trace: sack start");
+      p.sack[p.num_sack].end = JsonToInt<std::uint64_t>(
+          b.array[1].number, "tdtcp-trace: sack end");
       ++p.num_sack;
     }
   }
-  p.ecn = static_cast<Ecn>(static_cast<int>(NumOr(j, "ecn", 0)));
+  p.ecn = static_cast<Ecn>(IntOr<std::uint8_t>(j, "ecn", 0));
   p.circuit_mark = BoolOr(j, "cmark", false);
   p.circuit_echo = BoolOr(j, "cecho", false);
   p.td_capable = BoolOr(j, "td_capable", false);
-  p.td_num_tdns = static_cast<std::uint8_t>(NumOr(j, "td_num_tdns", 0));
-  p.data_tdn = static_cast<TdnId>(NumOr(j, "data_tdn", kNoTdn));
-  p.ack_tdn = static_cast<TdnId>(NumOr(j, "ack_tdn", kNoTdn));
-  p.notify_tdn = static_cast<TdnId>(NumOr(j, "notify_tdn", kNoTdn));
+  p.td_num_tdns = IntOr<std::uint8_t>(j, "td_num_tdns", 0);
+  p.data_tdn = IntOr<TdnId>(j, "data_tdn", kNoTdn);
+  p.ack_tdn = IntOr<TdnId>(j, "ack_tdn", kNoTdn);
+  p.notify_tdn = IntOr<TdnId>(j, "notify_tdn", kNoTdn);
   p.circuit_imminent = BoolOr(j, "imminent", false);
-  p.notify_peer = static_cast<RackId>(NumOr(j, "notify_peer", p.notify_peer));
-  p.notify_seq = static_cast<std::uint64_t>(NumOr(j, "notify_seq", 0));
-  p.subflow = static_cast<std::uint8_t>(NumOr(j, "subflow", 0));
+  p.notify_peer = IntOr<RackId>(j, "notify_peer", p.notify_peer);
+  p.notify_seq = IntOr<std::uint64_t>(j, "notify_seq", 0);
+  p.subflow = IntOr<std::uint8_t>(j, "subflow", 0);
   p.has_dss = BoolOr(j, "has_dss", false);
-  p.dss_seq = static_cast<std::uint64_t>(NumOr(j, "dss_seq", 0));
-  p.dss_ack = static_cast<std::uint64_t>(NumOr(j, "dss_ack", 0));
-  p.dss_rwnd = static_cast<std::uint64_t>(NumOr(j, "dss_rwnd", 0));
+  p.dss_seq = IntOr<std::uint64_t>(j, "dss_seq", 0);
+  p.dss_ack = IntOr<std::uint64_t>(j, "dss_ack", 0);
+  p.dss_rwnd = IntOr<std::uint64_t>(j, "dss_rwnd", 0);
   p.is_mptcp = BoolOr(j, "is_mptcp", false);
-  p.sent_time = SimTime::Picos(static_cast<std::int64_t>(NumOr(j, "sent_ps", 0)));
-  p.enqueue_time =
-      SimTime::Picos(static_cast<std::int64_t>(NumOr(j, "enq_ps", 0)));
+  p.sent_time = PicosOr(j, "sent_ps", SimTime::Zero());
+  p.enqueue_time = PicosOr(j, "enq_ps", SimTime::Zero());
   return p;
 }
 
@@ -297,13 +326,13 @@ std::string EventToJson(const RecordedEvent& ev) {
 
 RecordedEvent EventFromJson(const JsonValue& j) {
   RecordedEvent ev;
-  ev.t_ps = static_cast<std::int64_t>(NumOr(j, "t", 0));
+  ev.t_ps = IntOr<std::int64_t>(j, "t", 0);
   const JsonValue* kind = j.Find("kind");
   if (!kind) throw std::runtime_error("tdtcp-trace: event without kind");
   ev.kind = EventKindFromName(kind->string);
-  ev.app_bytes = static_cast<std::uint64_t>(NumOr(j, "bytes", 0));
+  ev.app_bytes = IntOr<std::uint64_t>(j, "bytes", 0);
   if (const JsonValue* pkt = j.Find("pkt")) ev.packet = PacketFromJson(*pkt);
-  ev.tdn = static_cast<TdnId>(NumOr(j, "tdn", 0));
+  ev.tdn = IntOr<TdnId>(j, "tdn", 0);
   ev.imminent = BoolOr(j, "imminent", false);
   return ev;
 }
@@ -364,51 +393,38 @@ std::string ConfigToJson(const RecordedConnection& rec) {
 
 void ConfigFromJson(const JsonValue& j, RecordedConnection& rec) {
   TcpConfig c;
-  c.mss = static_cast<std::uint32_t>(NumOr(j, "mss", c.mss));
-  c.header_bytes =
-      static_cast<std::uint32_t>(NumOr(j, "header_bytes", c.header_bytes));
-  c.ack_bytes = static_cast<std::uint32_t>(NumOr(j, "ack_bytes", c.ack_bytes));
-  c.initial_cwnd =
-      static_cast<std::uint32_t>(NumOr(j, "initial_cwnd", c.initial_cwnd));
-  c.snd_buf_bytes = static_cast<std::uint64_t>(
-      NumOr(j, "snd_buf_bytes", static_cast<double>(c.snd_buf_bytes)));
-  c.rcv_buf_bytes = static_cast<std::uint64_t>(
-      NumOr(j, "rcv_buf_bytes", static_cast<double>(c.rcv_buf_bytes)));
+  c.mss = IntOr(j, "mss", c.mss);
+  c.header_bytes = IntOr(j, "header_bytes", c.header_bytes);
+  c.ack_bytes = IntOr(j, "ack_bytes", c.ack_bytes);
+  c.initial_cwnd = IntOr(j, "initial_cwnd", c.initial_cwnd);
+  c.snd_buf_bytes = IntOr(j, "snd_buf_bytes", c.snd_buf_bytes);
+  c.rcv_buf_bytes = IntOr(j, "rcv_buf_bytes", c.rcv_buf_bytes);
   c.tdtcp_enabled = BoolOr(j, "tdtcp_enabled", c.tdtcp_enabled);
-  c.num_tdns = static_cast<std::uint8_t>(NumOr(j, "num_tdns", c.num_tdns));
+  c.num_tdns = IntOr(j, "num_tdns", c.num_tdns);
   c.relaxed_reordering = BoolOr(j, "relaxed_reordering", c.relaxed_reordering);
   c.per_tdn_rtt = BoolOr(j, "per_tdn_rtt", c.per_tdn_rtt);
   c.synthesized_rto = BoolOr(j, "synthesized_rto", c.synthesized_rto);
   c.invariant_checks = BoolOr(j, "invariant_checks", c.invariant_checks);
   c.tdn_inference = BoolOr(j, "tdn_inference", c.tdn_inference);
-  c.tdn_infer_packets = static_cast<std::uint32_t>(
-      NumOr(j, "tdn_infer_packets", c.tdn_infer_packets));
+  c.tdn_infer_packets = IntOr(j, "tdn_infer_packets", c.tdn_infer_packets);
   c.sack_enabled = BoolOr(j, "sack_enabled", c.sack_enabled);
-  c.dupack_threshold = static_cast<std::uint32_t>(
-      NumOr(j, "dupack_threshold", c.dupack_threshold));
+  c.dupack_threshold = IntOr(j, "dupack_threshold", c.dupack_threshold);
   c.rack_enabled = BoolOr(j, "rack_enabled", c.rack_enabled);
   c.tlp_enabled = BoolOr(j, "tlp_enabled", c.tlp_enabled);
   c.ecn_enabled = BoolOr(j, "ecn_enabled", c.ecn_enabled);
-  c.rtt.initial_rto = SimTime::Picos(static_cast<std::int64_t>(
-      NumOr(j, "initial_rto_ps", c.rtt.initial_rto.picos())));
-  c.rtt.min_rto = SimTime::Picos(static_cast<std::int64_t>(
-      NumOr(j, "min_rto_ps", c.rtt.min_rto.picos())));
-  c.rtt.max_rto = SimTime::Picos(static_cast<std::int64_t>(
-      NumOr(j, "max_rto_ps", c.rtt.max_rto.picos())));
-  c.max_syn_retries = static_cast<std::uint32_t>(
-      NumOr(j, "max_syn_retries", c.max_syn_retries));
-  c.max_synack_retries = static_cast<std::uint32_t>(
-      NumOr(j, "max_synack_retries", c.max_synack_retries));
-  c.max_rto_retries = static_cast<std::uint32_t>(
-      NumOr(j, "max_rto_retries", c.max_rto_retries));
-  c.max_persist_retries = static_cast<std::uint32_t>(
-      NumOr(j, "max_persist_retries", c.max_persist_retries));
-  c.time_wait_duration = SimTime::Picos(static_cast<std::int64_t>(
-      NumOr(j, "time_wait_ps", c.time_wait_duration.picos())));
+  c.rtt.initial_rto = PicosOr(j, "initial_rto_ps", c.rtt.initial_rto);
+  c.rtt.min_rto = PicosOr(j, "min_rto_ps", c.rtt.min_rto);
+  c.rtt.max_rto = PicosOr(j, "max_rto_ps", c.rtt.max_rto);
+  c.max_syn_retries = IntOr(j, "max_syn_retries", c.max_syn_retries);
+  c.max_synack_retries = IntOr(j, "max_synack_retries", c.max_synack_retries);
+  c.max_rto_retries = IntOr(j, "max_rto_retries", c.max_rto_retries);
+  c.max_persist_retries =
+      IntOr(j, "max_persist_retries", c.max_persist_retries);
+  c.time_wait_duration = PicosOr(j, "time_wait_ps", c.time_wait_duration);
   c.close_on_peer_fin = BoolOr(j, "close_on_peer_fin", c.close_on_peer_fin);
   c.pacing_enabled = BoolOr(j, "pacing_enabled", c.pacing_enabled);
   c.pacing_gain = NumOr(j, "pacing_gain", c.pacing_gain);
-  c.peer_rack = static_cast<RackId>(NumOr(j, "peer_rack", c.peer_rack));
+  c.peer_rack = IntOr(j, "peer_rack", c.peer_rack);
 
   rec.cc_name = "cubic";
   if (const JsonValue* cc = j.Find("cc")) rec.cc_name = cc->string;
@@ -491,10 +507,10 @@ RecordedConnection RecordedConnectionFromJson(const std::string& text) {
     throw std::runtime_error("tdtcp-trace: document has no recorded section");
   }
   RecordedConnection rec;
-  rec.flow = static_cast<FlowId>(NumOr(*recorded, "flow", 0));
-  rec.host = static_cast<NodeId>(NumOr(*recorded, "host", 0));
-  rec.peer = static_cast<NodeId>(NumOr(*recorded, "peer", 0));
-  rec.end_ps = static_cast<std::int64_t>(NumOr(*recorded, "end_ps", 0));
+  rec.flow = IntOr<FlowId>(*recorded, "flow", 0);
+  rec.host = IntOr<NodeId>(*recorded, "host", 0);
+  rec.peer = IntOr<NodeId>(*recorded, "peer", 0);
+  rec.end_ps = IntOr<std::int64_t>(*recorded, "end_ps", 0);
   rec.wrapped = BoolOr(*recorded, "wrapped", false);
   if (const JsonValue* cfg = recorded->Find("config")) {
     ConfigFromJson(*cfg, rec);

@@ -1,12 +1,21 @@
 // Network substrate: queues, links, fabric ports, hosts, ToR switches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "net/fabric_port.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/queue_disc.hpp"
 #include "net/topology.hpp"
 #include "net/tor_switch.hpp"
+#include "sim/hash.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 
@@ -179,6 +188,102 @@ TEST(Link, ReorderJitterCanReorder) {
   EXPECT_TRUE(reordered);
 }
 
+// Stage contract: a stage acts on a packet once, when it starts serializing.
+// A packet that finds the transmitter idle costs one event (its arrival); a
+// packet queued behind the wire costs one more (the start event).
+
+Link::Config StageLink() {
+  Link::Config lc;
+  lc.rate_bps = 10'000'000'000;  // 9000B -> 7.2 us
+  lc.propagation = SimTime::Micros(1);
+  return lc;
+}
+
+TEST(Link, LonePacketCostsOneEvent) {
+  Simulator sim;
+  CaptureSink sink;
+  Link link(sim, StageLink(), &sink);
+  link.Enqueue(MakeData(9000));
+  sim.Run();
+  EXPECT_EQ(sink.packets.size(), 1u);
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(Link, SameTimeBurstCostsTwoNMinusOneEvents) {
+  constexpr std::uint64_t kBurst = 7;
+  Simulator sim;
+  CaptureSink sink;
+  Link link(sim, StageLink(), &sink);
+  for (std::uint64_t i = 0; i < kBurst; ++i) link.Enqueue(MakeData(9000));
+  sim.Run();
+  EXPECT_EQ(sink.packets.size(), kBurst);
+  EXPECT_EQ(sim.events_executed(), 2 * kBurst - 1);
+  EXPECT_EQ(sim.now(), SimTime::Nanos(kBurst * 7200) + SimTime::Micros(1));
+}
+
+TEST(Link, DisableMidSerializationDeliversThatPacketAndHoldsTheRest) {
+  Simulator sim;
+  CaptureSink sink;
+  Link link(sim, StageLink(), &sink);
+  for (int i = 0; i < 3; ++i) link.Enqueue(MakeData(9000));
+  sim.RunUntil(SimTime::Micros(3));  // first packet mid-serialization
+  link.set_enabled(false);
+  sim.RunUntil(SimTime::Millis(1));
+  ASSERT_EQ(sink.packets.size(), 1u);
+  EXPECT_EQ(link.queue().occupancy(), 2u);
+  link.set_enabled(true);
+  sim.Run();
+  EXPECT_EQ(sink.packets.size(), 3u);
+  EXPECT_EQ(sim.now(),
+            SimTime::Millis(1) + SimTime::Nanos(2 * 7200) + SimTime::Micros(1));
+}
+
+TEST(Link, FaultDroppedPacketStillOccupiesTheWire) {
+  Simulator sim;
+  CaptureSink sink;
+  Link link(sim, StageLink(), &sink);
+  bool first = true;
+  link.SetFaultFilter(
+      [&](const Packet&) { return std::exchange(first, false); });
+  link.Enqueue(MakeData(9000));
+  link.Enqueue(MakeData(9000));
+  sim.Run();
+  EXPECT_EQ(link.fault_dropped(), 1u);
+  ASSERT_EQ(sink.packets.size(), 1u);
+  // The survivor waited out the dropped packet's 7.2 us on the wire.
+  EXPECT_EQ(sim.now(), SimTime::Nanos(2 * 7200) + SimTime::Micros(1));
+}
+
+TEST(Link, EnqueuesWhileBusyKeepOneStartEvent) {
+  Simulator sim;
+  CaptureSink sink;
+  Link::Config lc = StageLink();
+  lc.queue.capacity_packets = 1000;
+  Link link(sim, lc, &sink);
+  // One heap entry for the arrival stream, one for the start event, however
+  // many packets queue behind the wire.
+  for (int i = 0; i < 50; ++i) {
+    link.Enqueue(MakeData(9000));
+    EXPECT_LE(sim.heap_storage_for_test(), 2u);
+  }
+  for (int step = 1; step <= 20; ++step) {
+    sim.RunUntil(SimTime::Nanos(step * 5000));
+    for (int i = 0; i < 3; ++i) link.Enqueue(MakeData(1500));
+    EXPECT_LE(sim.heap_storage_for_test(), 2u);
+  }
+  sim.Run();
+  EXPECT_EQ(sink.packets.size(), 110u);
+}
+
+TEST(Link, RejectsZeroRateAndNullSink) {
+  Simulator sim;
+  CaptureSink sink;
+  Link::Config lc;
+  lc.rate_bps = 0;
+  EXPECT_THROW((Link{sim, lc, &sink}), std::invalid_argument);
+  EXPECT_THROW((Link{sim, Link::Config{}, nullptr}), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // FabricPort
 // ---------------------------------------------------------------------------
@@ -293,6 +398,99 @@ TEST(FabricPort, PinnedStashCapacityDrops) {
   }
   EXPECT_EQ(port.pinned_waiting(), 2u);
   EXPECT_EQ(port.pinned_dropped(), 3u);
+}
+
+TEST(FabricPort, LonePacketAndBurstEventCounts) {
+  {
+    Simulator sim;
+    CaptureSink sink;
+    FabricPort port(sim, PortConfig(), &sink);
+    port.Enqueue(MakeData(9000));
+    sim.Run();
+    EXPECT_EQ(sink.packets.size(), 1u);
+    EXPECT_EQ(sim.events_executed(), 1u);
+  }
+  {
+    constexpr std::uint64_t kBurst = 9;
+    Simulator sim;
+    CaptureSink sink;
+    FabricPort port(sim, PortConfig(), &sink);
+    for (std::uint64_t i = 0; i < kBurst; ++i) port.Enqueue(MakeData(9000));
+    sim.Run();
+    EXPECT_EQ(sink.packets.size(), kBurst);
+    EXPECT_EQ(sim.events_executed(), 2 * kBurst - 1);
+  }
+}
+
+TEST(FabricPort, BlackoutMidSerializationDeliversThatPacketAndHoldsTheRest) {
+  Simulator sim;
+  CaptureSink sink;
+  FabricPort port(sim, PortConfig(), &sink);
+  for (int i = 0; i < 3; ++i) port.Enqueue(MakeData(9000));
+  sim.RunUntil(SimTime::Micros(3));
+  port.SetBlackout(true);
+  sim.RunUntil(SimTime::Millis(1));
+  ASSERT_EQ(sink.packets.size(), 1u);
+  EXPECT_EQ(port.voq().occupancy(), 2u);
+  port.SetBlackout(false);
+  sim.Run();
+  EXPECT_EQ(sink.packets.size(), 3u);
+}
+
+TEST(FabricPort, ModeSwitchMidSerializationKeepsOldPropagation) {
+  Simulator sim;
+  CaptureSink sink;
+  FabricPort port(sim, PortConfig(), &sink);  // 10G, 48 us
+  port.Enqueue(MakeData(9000));
+  sim.RunUntil(SimTime::Micros(3));
+  port.SetMode(CircuitMode());  // 100G, 18 us
+  sim.Run();
+  ASSERT_EQ(sink.packets.size(), 1u);
+  EXPECT_FALSE(sink.packets[0].circuit_mark);
+  EXPECT_EQ(sim.now(), SimTime::Nanos(7200) + SimTime::Micros(48));
+}
+
+TEST(FabricPort, FaultDroppedPacketStillOccupiesTheWire) {
+  Simulator sim;
+  CaptureSink sink;
+  FabricPort port(sim, PortConfig(), &sink);
+  bool first = true;
+  port.SetFaultFilter(
+      [&](const Packet&) { return std::exchange(first, false); });
+  port.Enqueue(MakeData(9000));
+  port.Enqueue(MakeData(9000));
+  sim.Run();
+  EXPECT_EQ(port.fault_dropped(), 1u);
+  ASSERT_EQ(sink.packets.size(), 1u);
+  EXPECT_EQ(sim.now(), SimTime::Nanos(2 * 7200) + SimTime::Micros(48));
+}
+
+TEST(FabricPort, EnqueuesWhileBusyKeepOneStartEvent) {
+  Simulator sim;
+  CaptureSink sink;
+  FabricPort::Config fc = PortConfig();
+  fc.voq.capacity_packets = 1000;
+  FabricPort port(sim, fc, &sink);
+  for (int i = 0; i < 50; ++i) {
+    port.Enqueue(MakeData(9000));
+    EXPECT_LE(sim.heap_storage_for_test(), 2u);
+  }
+  sim.Run();
+  EXPECT_EQ(sink.packets.size(), 50u);
+}
+
+TEST(FabricPort, RejectsNullRemoteAndZeroRateModes) {
+  Simulator sim;
+  CaptureSink sink;
+  EXPECT_THROW((FabricPort{sim, PortConfig(), nullptr}), std::invalid_argument);
+  FabricPort::Config fc = PortConfig();
+  fc.initial_mode.rate_bps = 0;
+  EXPECT_THROW((FabricPort{sim, fc, &sink}), std::invalid_argument);
+  FabricPort port(sim, PortConfig(), &sink);
+  NetworkMode dead = CircuitMode();
+  dead.rate_bps = 0;
+  EXPECT_THROW(port.SetMode(dead), std::invalid_argument);
+  EXPECT_EQ(port.mode().rate_bps, PortConfig().initial_mode.rate_bps);
 }
 
 // ---------------------------------------------------------------------------
@@ -481,6 +679,164 @@ TEST(ToRSwitch, DataPlaneDeliveryRidesDownlink) {
   EXPECT_FALSE(notified);  // still serializing the data packet (72ms at 1Mbps)
   sim.Run();
   EXPECT_TRUE(notified);
+}
+
+TEST(ToRSwitch, UnknownLocalHostThrows) {
+  Simulator sim;
+  Random rng(1);
+  ToRSwitch tor(sim, 0, NotifyGenConfig{}, &rng);
+  tor.SetUniformRackSize(4);
+  Host h(sim, 0);
+  CaptureSink sink;
+  Link down(sim, Link::Config{}, &sink);
+  tor.AttachHost(0, &down, &h);
+  EXPECT_THROW(tor.HandlePacket(MakeData(9000, 2)), std::logic_error);
+}
+
+TEST(ToRSwitch, MissingFabricPortThrows) {
+  Simulator sim;
+  Random rng(1);
+  ToRSwitch tor(sim, 0, NotifyGenConfig{}, &rng);
+  tor.SetUniformRackSize(4);
+  EXPECT_THROW(tor.HandlePacket(MakeData(9000, 9)), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Delivery-multiset soak
+// ---------------------------------------------------------------------------
+
+// (time in ps, sink, packet id) of every delivery.
+using DeliveryLog = std::vector<std::tuple<std::int64_t, int, std::uint64_t>>;
+
+// Records every delivery, optionally forwarding the packet to the next stage.
+struct SoakTap : PacketSink {
+  SoakTap(Simulator& sim, DeliveryLog& log, int id)
+      : sim(sim), log(log), id(id) {}
+  void HandlePacket(Packet&& p) override {
+    log.emplace_back(sim.now().picos(), id, p.id);
+    if (link != nullptr) link->Enqueue(std::move(p));
+    if (port != nullptr) port->Enqueue(std::move(p));
+  }
+  Simulator& sim;
+  DeliveryLog& log;
+  int id;
+  Link* link = nullptr;
+  FabricPort* port = nullptr;
+};
+
+// Two racks' uplink -> fabric port -> downlink paths under seeded random
+// traffic (64-9000 B, some pinned to one network, some same-instant
+// bursts), an RDCN-like schedule of blackouts and mode switches, and one
+// downlink-disable window. No TCP, faults or jitter. Every night outlasts
+// the longest serialization (9000 B at 10 Gbps = 7.2 us), so no mode switch
+// lands mid-serialization. The deliveries, sorted by (time, sink, packet
+// id) and hashed, are pinned: how a stage schedules its events may reorder
+// same-time ties, but must not move any delivery's time or drop set.
+TEST(Soak, DeliveryMultisetIsPinned) {
+  Simulator sim;
+  Random rng(20221);
+  DeliveryLog log;
+
+  Link::Config lc;
+  lc.rate_bps = 40'000'000'000;
+  lc.propagation = SimTime::Micros(1);
+  lc.queue.capacity_packets = 48;
+  FabricPort::Config fc = PortConfig();
+  fc.voq.capacity_packets = 64;
+  fc.pinned_stash_capacity = 32;
+
+  std::vector<std::unique_ptr<SoakTap>> taps;
+  for (int i = 0; i < 6; ++i) {
+    taps.push_back(std::make_unique<SoakTap>(sim, log, i));
+  }
+  // Rack r: uplink[r] -> tap(3r) -> port[r] -> tap(3r+1) -> downlink[1-r]
+  // -> tap(3r+2).
+  std::vector<std::unique_ptr<Link>> up, down;
+  std::vector<std::unique_ptr<FabricPort>> ports;
+  for (int r = 0; r < 2; ++r) {
+    up.push_back(std::make_unique<Link>(sim, lc, taps[3 * r].get()));
+    ports.push_back(
+        std::make_unique<FabricPort>(sim, fc, taps[3 * r + 1].get()));
+  }
+  for (int r = 0; r < 2; ++r) {
+    down.push_back(
+        std::make_unique<Link>(sim, lc, taps[3 * (1 - r) + 2].get()));
+  }
+  for (int r = 0; r < 2; ++r) {
+    taps[3 * r]->port = ports[r].get();
+    taps[3 * r + 1]->link = down[1 - r].get();
+  }
+
+  // Traffic: about 3000 packets per rack over 4 ms; a quarter of the
+  // arrival instants carry a same-instant burst of 2-4, and one packet in
+  // ten is pinned to a network.
+  constexpr std::int64_t kSpanPs = 4'000'000'000;
+  std::uint64_t next_id = 1;
+  std::vector<std::pair<int, Packet>> sends;
+  for (int r = 0; r < 2; ++r) {
+    for (int n = 0; n < 3000;) {
+      const SimTime at = SimTime::Picos(rng.UniformInt(0, kSpanPs));
+      const int burst =
+          rng.Bernoulli(0.25) ? static_cast<int>(rng.UniformInt(2, 4)) : 1;
+      for (int b = 0; b < burst; ++b, ++n) {
+        Packet p =
+            MakeData(static_cast<std::uint32_t>(rng.UniformInt(64, 9000)));
+        p.id = next_id++;
+        if (rng.Bernoulli(0.1)) {
+          p.pinned_path = static_cast<std::int8_t>(rng.UniformInt(0, 1));
+        }
+        sends.emplace_back(r, std::move(p));
+        sim.ScheduleAtNoCancel(at, [&, k = sends.size() - 1] {
+          up[sends[k].first]->Enqueue(std::move(sends[k].second));
+        });
+      }
+    }
+  }
+  // Schedule: 180 us days alternating packet / circuit mode, 20 us nights.
+  const NetworkMode modes[2] = {PortConfig().initial_mode, CircuitMode()};
+  int week_slot = 0;
+  for (SimTime t = SimTime::Micros(180); t < SimTime::Micros(4600);
+       t += SimTime::Micros(200)) {
+    const NetworkMode next = modes[++week_slot % 2];
+    sim.ScheduleAtNoCancel(t, [&] {
+      for (auto& port : ports) port->SetBlackout(true);
+    });
+    sim.ScheduleAtNoCancel(t + SimTime::Micros(20), [&, next] {
+      for (auto& port : ports) {
+        port->SetMode(next);
+        port->SetBlackout(false);
+      }
+    });
+  }
+  // One downlink goes dark for 300 us.
+  sim.ScheduleAtNoCancel(SimTime::Micros(1500),
+                         [&] { down[1]->set_enabled(false); });
+  sim.ScheduleAtNoCancel(SimTime::Micros(1800),
+                         [&] { down[1]->set_enabled(true); });
+  sim.Run();
+
+  std::sort(log.begin(), log.end());
+  Fnv1a64 h;
+  h.Mix(log.size());
+  for (const auto& [t, sink, id] : log) {
+    h.Mix(static_cast<std::uint64_t>(t));
+    h.Mix(static_cast<std::uint64_t>(sink));
+    h.Mix(id);
+  }
+  // Enough traffic reached every stage, and enough was dropped, for the pin
+  // to mean something.
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_GT(std::count_if(log.begin(), log.end(),
+                            [i](const auto& e) { return std::get<1>(e) == i; }),
+              500)
+        << "sink " << i;
+  }
+  EXPECT_GT(ports[0]->voq().stats().dropped, 0u);
+  EXPECT_GT(down[1]->queue().stats().dropped, 0u);
+  // Computed on the earlier two-event stage design (a serialization-complete
+  // event, then the arrival); DESIGN.md §4, "One event per packet stage".
+  EXPECT_EQ(log.size(), 15457u);
+  EXPECT_EQ(h.value(), 11362410912502062180ull);
 }
 
 }  // namespace
