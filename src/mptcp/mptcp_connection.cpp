@@ -1,7 +1,8 @@
 #include "mptcp/mptcp_connection.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace tdtcp {
 
@@ -9,32 +10,21 @@ MptcpConnection::MptcpConnection(Simulator& sim, Host* host, FlowId flow,
                                  NodeId peer, Config config)
     : sim_(sim), host_(host), flow_(flow), config_(config),
       last_progress_(sim.now()) {
-  assert(config_.num_subflows >= 1 && config_.num_subflows <= 8);
+  if (config_.num_subflows < 1 || config_.num_subflows > 8) {
+    throw std::invalid_argument(
+        "MptcpConnection: num_subflows must be 1-8, got " +
+        std::to_string(config_.num_subflows));
+  }
+  TcpConfig sc = config_.subflow;
+  sc.tdtcp_enabled = false;
+  SubflowOwner* owner = this;  // the base is private: convert here
   for (std::uint32_t i = 0; i < config_.num_subflows; ++i) {
-    TcpConfig sc = config_.subflow;
-    sc.mptcp = true;
-    sc.pin_path = static_cast<std::int8_t>(i);
-    sc.subflow_id = static_cast<std::uint8_t>(i);
-    sc.tdtcp_enabled = false;
-    sc.register_endpoint = false;       // the meta owns the flow demux entry
-    sc.listen_tdn_notifications = false;  // tdm_schd is driven by the meta
-    auto sub = std::make_unique<TcpConnection>(sim_, host_, flow_, peer, sc);
+    auto sub = std::make_unique<TcpConnection>(
+        sim_, host_, flow_, peer, sc, owner, static_cast<std::uint8_t>(i));
     TcpConnection* raw = sub.get();
     raw->SetDeliverCallback([this](const TcpConnection::DeliverInfo& info) {
       OnSubflowDeliver(info);
     });
-    raw->SetDssAckProvider([this] { return meta_rcv_.rcv_nxt(); });
-    raw->SetRwndProvider([this] {
-      const std::uint64_t used = meta_rcv_.ooo_bytes();
-      return config_.meta_rcv_buf_bytes > used
-                 ? config_.meta_rcv_buf_bytes - used
-                 : 0;
-    });
-    raw->SetDssAckCallback([this](std::uint64_t ack, std::uint64_t wnd) {
-      OnDssAck(ack, wnd);
-    });
-    raw->SetSendReadyCallback([this] { TrySchedule(); });
-    raw->SetEstablishedCallback([this] { TrySchedule(); });
     raw->SetClosedCallback([this, i](CloseReason reason) {
       OnSubflowClosed(i, reason);
     });
@@ -187,7 +177,13 @@ void MptcpConnection::TrySchedule() {
   }
 }
 
-void MptcpConnection::OnDssAck(std::uint64_t dss_ack, std::uint64_t dss_rwnd) {
+std::uint64_t MptcpConnection::MetaWindow() const {
+  const std::uint64_t used = meta_rcv_.ooo_bytes();
+  return config_.meta_rcv_buf_bytes > used ? config_.meta_rcv_buf_bytes - used
+                                           : 0;
+}
+
+void MptcpConnection::OnMetaAck(std::uint64_t dss_ack, std::uint64_t dss_rwnd) {
   peer_meta_wnd_ = dss_rwnd;
   if (peer_meta_wnd_ == 0) ++mp_stats_.zero_window_acks;
   if (dss_ack <= dss_una_) {

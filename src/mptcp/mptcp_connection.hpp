@@ -23,11 +23,12 @@
 #include "net/node.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/receive_buffer.hpp"
+#include "tcp/subflow_owner.hpp"
 #include "tcp/tcp_connection.hpp"
 
 namespace tdtcp {
 
-class MptcpConnection : public PacketSink {
+class MptcpConnection : public PacketSink, private SubflowOwner {
  public:
   struct Config {
     TcpConfig subflow;                 // base subflow configuration
@@ -65,6 +66,7 @@ class MptcpConnection : public PacketSink {
     std::uint64_t unrescued_bytes = 0;
   };
 
+  // Throws std::invalid_argument unless 1 <= num_subflows <= 8.
   MptcpConnection(Simulator& sim, Host* host, FlowId flow, NodeId peer,
                   Config config);
   ~MptcpConnection() override;
@@ -109,8 +111,12 @@ class MptcpConnection : public PacketSink {
   // Remap DSS ranges stranded on a dead subflow onto a surviving one.
   void ReinjectOrphans(std::uint32_t dead_idx);
   TcpConnection* FindSurvivor(std::uint32_t excluding);
-  void TrySchedule();
-  void OnDssAck(std::uint64_t dss_ack, std::uint64_t dss_rwnd);
+  // SubflowOwner (tcp/subflow_owner.hpp): what the subflows ask of and
+  // report to the meta.
+  std::uint64_t MetaAck() const override { return meta_rcv_.rcv_nxt(); }
+  std::uint64_t MetaWindow() const override;
+  void OnMetaAck(std::uint64_t dss_ack, std::uint64_t dss_rwnd) override;
+  void TrySchedule() override;
   void OnSubflowDeliver(const TcpConnection::DeliverInfo& info);
   void ArmReinjectTimer();
   void MaybeReinject();

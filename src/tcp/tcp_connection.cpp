@@ -35,12 +35,16 @@ TdnManager::IndexedCcFactory ResolveFactory(const TcpConfig& config) {
 }  // namespace
 
 TcpConnection::TcpConnection(Simulator& sim, Host* host, FlowId flow,
-                             NodeId peer, TcpConfig config)
+                             NodeId peer, TcpConfig config,
+                             SubflowOwner* owner, std::uint8_t subflow)
     : sim_(sim), host_(host), flow_(flow), peer_(peer),
-      config_(std::move(config)),
+      config_(std::move(config)), owner_(owner), subflow_(subflow),
       tdns_(config_.tdtcp_enabled ? config_.num_tdns : 1,
             ResolveFactory(config_), config_.rtt, config_.initial_cwnd) {
-  assert(host_ != nullptr);
+  if (host_ == nullptr) {
+    throw std::invalid_argument("TcpConnection on flow " +
+                                std::to_string(flow_) + ": null host");
+  }
   rto_entry_.Init(this, &RtoTrampoline);
   tlp_entry_.Init(this, &TlpTrampoline);
   persist_entry_.Init(this, &PersistTrampoline);
@@ -48,30 +52,29 @@ TcpConnection::TcpConnection(Simulator& sim, Host* host, FlowId flow,
   if (config_.invariant_checks) {
     checker_ = std::make_unique<TcpInvariantChecker>();
   }
-  if (config_.register_endpoint) {
-    host_->RegisterEndpoint(flow_, this);
-    endpoint_registered_ = true;
-  }
   recovery_agent_ = host_->recovery_agent();
   if (recovery_agent_ != nullptr) {
     recovery_agent_->Register(*this, recovery_node_);
   }
-  if (config_.listen_tdn_notifications) {
+  // A subflow's meta-connection owns the flow demux entry, and tdm_schd is
+  // driven by the meta's notifications.
+  if (owner_ == nullptr) {
+    host_->RegisterEndpoint(flow_, this);
     host_->AddTdnListener(
         this,
         [this](TdnId tdn, bool imminent) { OnTdnChange(tdn, imminent); },
         config_.peer_rack);
     host_->AddTdnReconfigListener(
         this, [this](std::uint32_t live) { OnTdnReconfig(live); });
-    tdn_listener_registered_ = true;
+    host_registered_ = true;
   }
 }
 
 TcpConnection::~TcpConnection() {
   CancelTimers();
   if (recovery_agent_ != nullptr) recovery_agent_->Deregister(recovery_node_);
-  if (endpoint_registered_) host_->UnregisterEndpoint(flow_, this);
-  if (tdn_listener_registered_) {
+  if (host_registered_) {
+    host_->UnregisterEndpoint(flow_, this);
     host_->RemoveTdnListener(this);
     host_->RemoveTdnReconfigListener(this);
   }
@@ -135,11 +138,11 @@ void TcpConnection::Connect() {
     LifecycleError("Connect");
   }
   SetState(State::kSynSent);
-  SendSyn(/*is_synack=*/false);
+  SendSyn();
   ArmRto();
 }
 
-void TcpConnection::SendSyn(bool is_synack) {
+void TcpConnection::SendSyn() {
   // The SYN occupies one virtual sequence byte. It is always accounted to
   // TDN 0 (Appendix A.2): the TDTCP negotiation has not completed, so there
   // is no notion of an active TDN yet.
@@ -154,29 +157,16 @@ void TcpConnection::SendSyn(bool is_synack) {
   snd_nxt_ = 1;
 
   ResendSynPacket();
-  (void)is_synack;
 }
 
 void TcpConnection::ResendSynPacket() {
-  Packet p;
-  p.id = sim_.NextPacketId();
-  p.type = PacketType::kData;
-  p.flow = flow_;
-  p.dst = peer_;
+  Packet p = NewPacket(PacketType::kData, config_.header_bytes);
   p.syn = true;
-  p.seq = 0;
-  p.payload = 0;
-  p.size_bytes = config_.header_bytes;
   p.td_capable = config_.tdtcp_enabled;
   p.td_num_tdns = config_.num_tdns;
-  p.pinned_path = config_.pin_path;
-  p.subflow = config_.subflow_id;
-  p.is_mptcp = config_.mptcp;
-  p.sent_time = sim_.now();
   if (state_ == State::kSynReceived) p.ack = 1;  // SYN/ACK
   ++stats_.segments_sent;
-  if (has_tap_) tap_(TapDirection::kTx, p);
-  host_->Send(std::move(p));
+  Emit(std::move(p));
 }
 
 void TcpConnection::OnSyn(const Packet& p) {
@@ -185,7 +175,7 @@ void TcpConnection::OnSyn(const Packet& p) {
   tdtcp_active_ = config_.tdtcp_enabled && p.td_capable &&
                   p.td_num_tdns == config_.num_tdns;
   SetState(State::kSynReceived);
-  SendSyn(/*is_synack=*/true);
+  SendSyn();
   ArmRto();
 }
 
@@ -217,26 +207,16 @@ void TcpConnection::OnSynAck(const Packet& p) {
   CompleteHandshake();
 
   // Final handshake ACK.
-  Packet a;
-  a.id = sim_.NextPacketId();
-  a.type = PacketType::kAck;
-  a.flow = flow_;
-  a.dst = peer_;
+  Packet a = NewPacket(PacketType::kAck, config_.ack_bytes);
   a.ack = 1;
-  a.size_bytes = config_.ack_bytes;
-  a.pinned_path = config_.pin_path;
-  a.subflow = config_.subflow_id;
-  a.is_mptcp = config_.mptcp;
-  a.sent_time = sim_.now();
-  if (has_tap_) tap_(TapDirection::kTx, a);
-  host_->Send(std::move(a));
+  Emit(std::move(a));
 }
 
 void TcpConnection::CompleteHandshake() {
   SetState(State::kEstablished);
   CancelTimers();
   rto_retries_ = 0;
-  if (on_established_) on_established_();
+  if (owner_ != nullptr) owner_->TrySchedule();
   // A Close() issued before the handshake completed (lingering close) takes
   // effect now: the FIN follows whatever data was queued.
   if (fin_pending_ && state_ == State::kEstablished) {
@@ -331,27 +311,15 @@ void TcpConnection::Abort(CloseReason reason) {
 }
 
 void TcpConnection::SendRst() {
-  Packet p;
-  p.id = sim_.NextPacketId();
-  p.type = PacketType::kData;
+  Packet p = NewPacket(PacketType::kData, config_.header_bytes);
   p.rst = true;
-  p.flow = flow_;
-  p.dst = peer_;
   p.seq = snd_nxt_;
-  p.payload = 0;
-  p.size_bytes = config_.header_bytes;
-  p.pinned_path = config_.pin_path;
-  p.subflow = config_.subflow_id;
-  p.is_mptcp = config_.mptcp;
-  p.sent_time = sim_.now();
   ++stats_.rsts_sent;
   Trace(TracePoint::kTcpRstOut, static_cast<std::uint64_t>(state_));
-  if (has_tap_) tap_(TapDirection::kTx, p);
-  host_->Send(std::move(p));
+  Emit(std::move(p));
 }
 
-void TcpConnection::OnRst(const Packet& p) {
-  (void)p;
+void TcpConnection::OnRst() {
   ++stats_.rsts_received;
   Trace(TracePoint::kTcpRstIn, static_cast<std::uint64_t>(state_));
   switch (state_) {
@@ -428,7 +396,7 @@ void TcpConnection::ToClosed(CloseReason reason) {
   // MPTCP: snapshot data-level ranges stranded on this subflow before the
   // scoreboard is released, so the meta-connection can reinject them onto a
   // surviving subflow.
-  if (config_.mptcp && reason != CloseReason::kNormal) {
+  if (owner_ != nullptr && reason != CloseReason::kNormal) {
     orphaned_dss_ = UnackedDssRanges();
     for (const auto& r : PendingDssRanges()) orphaned_dss_.push_back(r);
   }
@@ -459,14 +427,11 @@ void TcpConnection::ToClosed(CloseReason reason) {
   if (recovery_agent_ != nullptr) recovery_agent_->Deregister(recovery_node_);
   SetState(State::kClosed);
   close_reason_ = reason;
-  if (endpoint_registered_) {
+  if (host_registered_) {
     host_->UnregisterEndpoint(flow_, this);
-    endpoint_registered_ = false;
-  }
-  if (tdn_listener_registered_) {
     host_->RemoveTdnListener(this);
     host_->RemoveTdnReconfigListener(this);
-    tdn_listener_registered_ = false;
+    host_registered_ = false;
   }
   RunChecker(TcpInvariantChecker::Event::kClose);
   Trace(TracePoint::kTcpClosed, static_cast<std::uint64_t>(reason));
@@ -652,7 +617,7 @@ void TcpConnection::HandlePacket(Packet&& p) {
     return;
   }
   if (p.rst) {
-    OnRst(p);
+    OnRst();
     return;
   }
   if (state_ == State::kClosed) {
@@ -759,24 +724,11 @@ void TcpConnection::OnDataSegment(Packet&& p) {
 
 void TcpConnection::SendAck(const ReceiveBuffer::Result& result,
                             const Packet& data) {
-  Packet a;
-  a.id = sim_.NextPacketId();
-  a.type = PacketType::kAck;
-  a.flow = flow_;
-  a.dst = peer_;
+  Packet a = NewPacket(PacketType::kAck, config_.ack_bytes);
   a.ack = AckValue();
-  a.size_bytes = config_.ack_bytes;
   const std::uint64_t used = rcv_buffer_.ooo_bytes();
-  std::uint64_t wnd =
+  const std::uint64_t wnd =
       config_.rcv_buf_bytes > used ? config_.rcv_buf_bytes - used : 0;
-  // Plain TCP: an injected window constraint (application backpressure) caps
-  // the advertised window directly — a zero here is what arms the peer's
-  // persist timer. MPTCP subflows keep their subflow window open and carry
-  // the shared meta constraint in dss_rwnd instead (below), so hole-filling
-  // reinjections are never blocked by the very stall they are repairing.
-  if (!config_.mptcp && rwnd_provider_) {
-    wnd = std::min(wnd, rwnd_provider_());
-  }
   a.rcv_window = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(wnd, 0xffffffffu));
   a.has_rwnd = true;
@@ -792,39 +744,21 @@ void TcpConnection::SendAck(const ReceiveBuffer::Result& result,
   a.circuit_echo = data.circuit_mark;
   // TD_DATA_ACK: the TDN this ACK is being sent on (A bit).
   if (tdtcp_active_) a.ack_tdn = ActiveTdn();
-  a.pinned_path = config_.pin_path;
-  a.subflow = config_.subflow_id;
-  a.is_mptcp = config_.mptcp;
-  if (config_.mptcp && dss_ack_provider_) {
+  if (owner_ != nullptr) {
     a.has_dss = true;
-    a.dss_ack = dss_ack_provider_();
-    // The meta-level window rides the DSS option; it is enforced by the
-    // peer's meta scheduler (not per subflow, so hole-filling reinjections
-    // are never blocked by the very stall they are repairing).
-    if (rwnd_provider_) a.dss_rwnd = rwnd_provider_();
+    a.dss_ack = owner_->MetaAck();
+    a.dss_rwnd = owner_->MetaWindow();
   }
-  a.sent_time = sim_.now();
-  if (has_tap_) tap_(TapDirection::kTx, a);
-  host_->Send(std::move(a));
+  Emit(std::move(a));
 }
 
 void TcpConnection::SendPureAck() {
   // Bare re-ACK (retransmitted SYN-ACK or peer FIN): no SACK blocks, no
   // window recomputation — just the cumulative ACK the peer is missing.
-  Packet a;
-  a.id = sim_.NextPacketId();
-  a.type = PacketType::kAck;
-  a.flow = flow_;
-  a.dst = peer_;
+  Packet a = NewPacket(PacketType::kAck, config_.ack_bytes);
   a.ack = AckValue();
-  a.size_bytes = config_.ack_bytes;
   if (tdtcp_active_) a.ack_tdn = ActiveTdn();
-  a.pinned_path = config_.pin_path;
-  a.subflow = config_.subflow_id;
-  a.is_mptcp = config_.mptcp;
-  a.sent_time = sim_.now();
-  if (has_tap_) tap_(TapDirection::kTx, a);
-  host_->Send(std::move(a));
+  Emit(std::move(a));
 }
 
 // ---------------------------------------------------------------------------
@@ -833,7 +767,7 @@ void TcpConnection::SendPureAck() {
 
 void TcpConnection::OnAckPacket(const Packet& p) {
   ++stats_.acks_received;
-  if (on_dss_ack_ && p.has_dss) on_dss_ack_(p.dss_ack, p.dss_rwnd);
+  if (owner_ != nullptr && p.has_dss) owner_->OnMetaAck(p.dss_ack, p.dss_rwnd);
   if (p.has_rwnd) {
     peer_rwnd_ = p.rcv_window;  // zero means flow-control stall
     if (peer_rwnd_ > 0 && (persist_entry_.armed() || persist_probing_)) {
@@ -873,13 +807,13 @@ void TcpConnection::OnAckPacket(const Packet& p) {
 
   std::uint32_t newly_sacked = 0;
   if (config_.sack_enabled && p.num_sack > 0) {
-    newly_sacked = ProcessSackBlocks(p, trigger_tdn);
+    newly_sacked = ProcessSackBlocks(p);
   }
 
   const std::uint32_t total_acked_before = tdns_.TotalPacketsOut();
   std::uint32_t newly_acked_total = 0;
   if (p.ack > snd_una_) {
-    const bool acked_fresh_data = ProcessCumulativeAck(p, trigger_tdn);
+    const bool acked_fresh_data = ProcessCumulativeAck(p);
     newly_acked_total = total_acked_before - tdns_.TotalPacketsOut();
     dupack_count_ = 0;
     rto_retries_ = 0;      // forward progress: the peer is alive
@@ -927,11 +861,10 @@ void TcpConnection::OnAckPacket(const Packet& p) {
   ArmTlp();
   RunChecker(TcpInvariantChecker::Event::kAck);
   MaybeSend();
-  if (on_send_ready_) on_send_ready_();
+  if (owner_ != nullptr) owner_->TrySchedule();
 }
 
-std::uint32_t TcpConnection::ProcessSackBlocks(const Packet& p, TdnId trigger_tdn) {
-  (void)trigger_tdn;
+std::uint32_t TcpConnection::ProcessSackBlocks(const Packet& p) {
   // RFC 2883: a D-SACK is a first block below the cumulative ACK, or one
   // contained in the second block. It is consumed here and skipped below.
   std::uint8_t first = 0;
@@ -1038,9 +971,9 @@ void TcpConnection::ProcessDsack(const SackBlock& block) {
   }
 }
 
-bool TcpConnection::ProcessCumulativeAck(const Packet& p, TdnId trigger_tdn) {
+bool TcpConnection::ProcessCumulativeAck(const Packet& p) {
   bool acked_fresh_data = false;
-  send_queue_.AckThrough(p.ack, [this, &p, trigger_tdn,
+  send_queue_.AckThrough(p.ack, [this, &p,
                                  &acked_fresh_data](const TxSegment& seg) {
     // §4.3 "specific TDN": scan the retransmission queue and update the
     // tracking variables of the TDN each segment belongs to.
@@ -1091,7 +1024,6 @@ bool TcpConnection::ProcessCumulativeAck(const Packet& p, TdnId trigger_tdn) {
       st.rtt.AddSample(rtt);
       rtt_scratch_[seg.tdn] = rtt;
     }
-    (void)trigger_tdn;
   });
   snd_una_ = p.ack;
   return acked_fresh_data;
@@ -1637,13 +1569,10 @@ bool TcpConnection::RetransmitOneLost() {
 }
 
 void TcpConnection::TransmitSegment(TxSegment& seg, bool is_retransmission) {
-  Packet p;
-  p.id = sim_.NextPacketId();
-  p.type = PacketType::kData;
-  p.flow = flow_;
-  p.dst = peer_;
+  const std::uint32_t payload = (seg.syn || seg.fin) ? 0 : seg.len;
+  Packet p = NewPacket(PacketType::kData, payload + config_.header_bytes);
   p.seq = seg.seq;
-  p.payload = (seg.syn || seg.fin) ? 0 : seg.len;
+  p.payload = payload;
   p.syn = seg.syn;
   // A SYN segment retransmitted from any state past kSynSent is our SYN-ACK
   // (the active opener's SYN is retired before it leaves kSynSent): carry the
@@ -1651,17 +1580,12 @@ void TcpConnection::TransmitSegment(TxSegment& seg, bool is_retransmission) {
   // virtual byte an implicit handshake completion left on the scoreboard.
   if (seg.syn && state_ != State::kSynSent) p.ack = 1;
   p.fin = seg.fin;
-  p.size_bytes = p.payload + config_.header_bytes;
   if (config_.ecn_enabled || ActiveState().cc->WantsEcn()) p.ecn = Ecn::kEct0;
   if (tdtcp_active_) p.data_tdn = seg.tdn;  // TD_DATA_ACK, D bit
-  p.pinned_path = config_.pin_path;
-  p.subflow = config_.subflow_id;
-  p.is_mptcp = config_.mptcp;
   if (seg.has_dss) {
     p.has_dss = true;
     p.dss_seq = seg.dss_seq;
   }
-  p.sent_time = sim_.now();
   if (!is_retransmission) ++stats_.segments_sent;
   if (is_retransmission) {
     Trace(TracePoint::kTcpSackEdit,
@@ -1669,6 +1593,26 @@ void TcpConnection::TransmitSegment(TxSegment& seg, bool is_retransmission) {
           seg.len, seg.tdn);
   }
   NotePacedTransmission(p.size_bytes);
+  Emit(std::move(p));
+}
+
+Packet TcpConnection::NewPacket(PacketType type, std::uint32_t size_bytes) {
+  Packet p;
+  p.id = sim_.NextPacketId();
+  p.type = type;
+  p.flow = flow_;
+  p.dst = peer_;
+  p.size_bytes = size_bytes;
+  if (owner_ != nullptr) {
+    p.pinned_path = static_cast<std::int8_t>(subflow_);
+    p.subflow = subflow_;
+    p.is_mptcp = true;
+  }
+  return p;
+}
+
+void TcpConnection::Emit(Packet&& p) {
+  p.sent_time = sim_.now();
   if (has_tap_) tap_(TapDirection::kTx, p);
   host_->Send(std::move(p));
 }

@@ -7,7 +7,7 @@
 //     carry TD_DATA_ACK TDN tags, the relaxed reordering heuristic and
 //     per-TDN RTT filtering are active;
 //   * MPTCP subflows: pinned to one network, carrying DSS mappings, driven
-//     by the meta-connection in src/mptcp/.
+//     by the meta-connection in src/mptcp/ through a SubflowOwner.
 //
 // The engine mirrors the Linux machinery the paper modifies: a SACK
 // scoreboard, the Open/Disorder/CWR/Recovery/Loss state machine
@@ -32,6 +32,7 @@
 #include "tcp/receive_buffer.hpp"
 #include "tcp/rtt_estimator.hpp"
 #include "tcp/send_queue.hpp"
+#include "tcp/subflow_owner.hpp"
 #include "tcp/types.hpp"
 #include "tdtcp/congestion_control.hpp"
 #include "tdtcp/reordering.hpp"
@@ -57,6 +58,11 @@ struct TcpConfig {
   bool relaxed_reordering = true;  // §3.4 heuristic       (ablation switch)
   bool per_tdn_rtt = true;         // §4.4 sample matching (ablation switch)
   bool synthesized_rto = true;     // §4.4 pessimistic RTO (ablation switch)
+
+  // --- multi-rack fabrics ---------------------------------------------------
+  // Only react to notifications about paths toward the peer's rack
+  // (kAllRacks = the paper's fabric-wide semantics).
+  RackId peer_rack = kAllRacks;
 
   // --- robustness (§3.2: unreliable control plane) --------------------------
   // Always-on accounting validation after every ACK/loss/RTO/TDN-switch
@@ -124,18 +130,6 @@ struct TcpConfig {
   // single flow." When non-empty, TDN i uses per_tdn_cc[min(i, size-1)]
   // instead of cc_factory.
   std::vector<CcFactory> per_tdn_cc;
-
-  // --- MPTCP subflow plumbing -----------------------------------------------
-  std::int8_t pin_path = kUnpinned;
-  std::uint8_t subflow_id = 0;
-  bool mptcp = false;  // stamp DSS fields on segments/ACKs
-  // MPTCP subflows don't own the host's flow demux entry or notifications;
-  // the meta-connection does.
-  bool register_endpoint = true;
-  bool listen_tdn_notifications = true;
-  // Multi-rack fabrics: only react to notifications about paths toward the
-  // peer's rack (kAllRacks = the paper's fabric-wide semantics).
-  RackId peer_rack = kAllRacks;
 };
 
 struct TcpStats {
@@ -192,8 +186,12 @@ class TcpConnection : public PacketSink {
   };
   using DeliverFn = std::function<void(const DeliverInfo&)>;
 
+  // A non-null `owner` makes this MPTCP subflow `subflow` of that
+  // meta-connection (tcp/subflow_owner.hpp). Throws std::invalid_argument on
+  // a null host.
   TcpConnection(Simulator& sim, Host* host, FlowId flow, NodeId peer,
-                TcpConfig config);
+                TcpConfig config, SubflowOwner* owner = nullptr,
+                std::uint8_t subflow = 0);
   ~TcpConnection() override;
 
   TcpConnection(const TcpConnection&) = delete;
@@ -242,25 +240,6 @@ class TcpConnection : public PacketSink {
 
   // --- hooks -------------------------------------------------------------------
   void SetDeliverCallback(DeliverFn fn) { deliver_ = std::move(fn); }
-  // Receiver side: value to stamp into outgoing ACKs' dss_ack (MPTCP meta
-  // cumulative ACK).
-  void SetDssAckProvider(std::function<std::uint64_t()> fn) {
-    dss_ack_provider_ = std::move(fn);
-  }
-  // Receiver side: additional receive-window constraint advertised in ACKs
-  // (MPTCP subflows share the meta-level receive buffer, so a data-sequence
-  // hole parked on a dead subflow shrinks every subflow's window — the
-  // flow-control stall of §2.2/§3.3).
-  void SetRwndProvider(std::function<std::uint64_t()> fn) {
-    rwnd_provider_ = std::move(fn);
-  }
-  // Sender side: observed peer dss_ack (and meta window) on an ACK.
-  void SetDssAckCallback(std::function<void(std::uint64_t, std::uint64_t)> fn) {
-    on_dss_ack_ = std::move(fn);
-  }
-  void SetEstablishedCallback(std::function<void()> fn) {
-    on_established_ = std::move(fn);
-  }
   // Debug tap: observes every packet this endpoint sends/receives (the
   // counterpart of the paper artifact's Wireshark TDTCP dissector).
   enum class TapDirection : std::uint8_t { kTx, kRx };
@@ -270,10 +249,6 @@ class TcpConnection : public PacketSink {
     // Hoisted emptiness flag: the per-packet paths test one bool instead of
     // probing the std::function's vtable pointer.
     has_tap_ = static_cast<bool>(tap_);
-  }
-  // Fired after ACK processing frees window space (MPTCP scheduler hook).
-  void SetSendReadyCallback(std::function<void()> fn) {
-    on_send_ready_ = std::move(fn);
   }
   // Fault-trace context for invariant-violation reports (the armed
   // FaultInjector, when an experiment runs with a FaultPlan).
@@ -304,6 +279,8 @@ class TcpConnection : public PacketSink {
   const TcpConfig& config() const { return config_; }
   const SendQueue& send_queue() const { return send_queue_; }
   FlowId flow() const { return flow_; }
+  // An MPTCP subflow (built with a SubflowOwner).
+  bool is_subflow() const { return owner_ != nullptr; }
   std::uint32_t rto_backoff() const { return rto_backoff_; }
   bool persist_timer_armed() const { return persist_entry_.armed(); }
   // Our FIN is on the wire: no further stream bytes (AddMappedData refuses),
@@ -344,7 +321,7 @@ class TcpConnection : public PacketSink {
   };
 
   // --- handshake ---------------------------------------------------------------
-  void SendSyn(bool is_synack);
+  void SendSyn();
   void ResendSynPacket();
   void OnSyn(const Packet& p);
   void OnSynAck(const Packet& p);
@@ -374,7 +351,7 @@ class TcpConnection : public PacketSink {
   void EnterTimeWait();
   void OnTimeWaitFire();
   void SendRst();
-  void OnRst(const Packet& p);
+  void OnRst();
   void SendPureAck();
   bool CanTransmit() const {
     return state_ == State::kEstablished || state_ == State::kFinWait1 ||
@@ -402,7 +379,12 @@ class TcpConnection : public PacketSink {
   void SendNewSegment(std::uint32_t len_cap = 0);
   bool RetransmitOneLost();
   void TransmitSegment(TxSegment& seg, bool is_retransmission);
-  Packet BuildDataPacket(const TxSegment& seg) const;
+  // Every packet this endpoint sends starts here: id (drawn first, so ids
+  // keep their order), type, flow, destination, wire size, and a subflow's
+  // path pin, index and MPTCP flag.
+  Packet NewPacket(PacketType type, std::uint32_t size_bytes);
+  // ...and leaves here: stamps sent_time, taps it, hands it to the host.
+  void Emit(Packet&& p);
 
   // --- receiving ----------------------------------------------------------------
   void OnDataSegment(Packet&& p);
@@ -410,7 +392,7 @@ class TcpConnection : public PacketSink {
 
   // --- ACK processing -----------------------------------------------------------
   void OnAckPacket(const Packet& p);
-  std::uint32_t ProcessSackBlocks(const Packet& p, TdnId trigger_tdn);
+  std::uint32_t ProcessSackBlocks(const Packet& p);
   // ApplySack visitor body: per-TDN sacked_out accounting, lost-undo,
   // RACK mstamp advance, and SACK RTT sampling against `ack_tdn`.
   void NoteSackedSegment(TxSegment& seg, TdnId ack_tdn);
@@ -418,7 +400,7 @@ class TcpConnection : public PacketSink {
   // Returns true when the ACK retired at least one data segment that was
   // never retransmitted — the only ACKs Karn's algorithm lets reset the RTO
   // backoff.
-  bool ProcessCumulativeAck(const Packet& p, TdnId trigger_tdn);
+  bool ProcessCumulativeAck(const Packet& p);
   void DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked);
   void MarkSegmentLost(TxSegment& seg);
   void AdvanceStateMachines(const Packet& p);
@@ -474,10 +456,14 @@ class TcpConnection : public PacketSink {
   FlowId flow_;
   NodeId peer_;
   TcpConfig config_;
+  // MPTCP meta-connection; null for a plain connection.
+  SubflowOwner* owner_;
   State state_ = State::kClosed;
 
   // Negotiated at handshake: both ends TD_CAPABLE with equal TDN counts.
   bool tdtcp_active_ = false;
+  // Subflow index: the path the packets are pinned to (owner_ only).
+  std::uint8_t subflow_;
 
   TdnManager tdns_;
   SendQueue send_queue_;
@@ -562,8 +548,8 @@ class TcpConnection : public PacketSink {
   bool fin_received_ = false;   // peer FIN seen (possibly out of order)
   std::uint64_t peer_fin_seq_ = 0;
   bool fin_consumed_ = false;   // peer FIN reached rcv_nxt: ACK covers it
-  bool endpoint_registered_ = false;  // still owns the host demux entry
-  bool tdn_listener_registered_ = false;
+  // Still owns the host demux entry and TDN listeners (never a subflow's).
+  bool host_registered_ = false;
   std::uint32_t rto_retries_ = 0;  // consecutive data RTOs without progress
 
   // --- pacing ---------------------------------------------------------------------
@@ -591,11 +577,6 @@ class TcpConnection : public PacketSink {
   bool has_tap_ = false;
   TraceRing* trace_ = nullptr;
   bool has_trace_ = false;
-  std::function<std::uint64_t()> dss_ack_provider_;
-  std::function<std::uint64_t()> rwnd_provider_;
-  std::function<void(std::uint64_t, std::uint64_t)> on_dss_ack_;
-  std::function<void()> on_established_;
-  std::function<void()> on_send_ready_;
   ClosedFn on_closed_;
   // MPTCP: DSS ranges stranded when an aborted subflow's scoreboard was
   // released — the meta-connection reinjects them onto a survivor.

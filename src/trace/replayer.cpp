@@ -1,9 +1,9 @@
 #include "trace/replayer.hpp"
 
-#include <cassert>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 
 #include "net/link.hpp"
 
@@ -21,7 +21,10 @@ struct DiscardSink : PacketSink {
 
 TraceRecorder::TraceRecorder(Simulator& sim, TcpConnection& conn, Host& host)
     : sim_(sim), conn_(conn), host_(host) {
-  assert(!conn.config().mptcp && "recording MPTCP subflows is unsupported");
+  if (conn.is_subflow()) {
+    throw std::invalid_argument(
+        "TraceRecorder: recording MPTCP subflows is unsupported");
+  }
   conn_.SetPacketTap([this](TcpConnection::TapDirection dir, const Packet& p) {
     if (dir != TcpConnection::TapDirection::kRx) return;
     RecordedEvent ev;

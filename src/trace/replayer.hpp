@@ -39,6 +39,7 @@ namespace tdtcp {
 // it makes them.
 class TraceRecorder {
  public:
+  // Throws std::invalid_argument when `conn` is an MPTCP subflow.
   TraceRecorder(Simulator& sim, TcpConnection& conn, Host& host);
   ~TraceRecorder();
 

@@ -338,8 +338,8 @@ RecordedEvent EventFromJson(const JsonValue& j) {
 }
 
 // Engine-config snapshot. Only fields that influence sender behavior are
-// serialized; MPTCP plumbing is out of scope for recorded fixtures (the
-// recorder refuses mptcp connections).
+// serialized. TcpConfig holds no MPTCP state (a subflow is a connection
+// built with a SubflowOwner), and the recorder refuses subflows.
 std::string ConfigToJson(const RecordedConnection& rec) {
   const TcpConfig& c = rec.config;
   std::string out;

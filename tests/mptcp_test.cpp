@@ -2,19 +2,34 @@
 // connection-level reinjection, shared meta receive window.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "app/experiment.hpp"
 #include "mptcp/mptcp_connection.hpp"
 #include "net/topology.hpp"
 #include "rdcn/controller.hpp"
+#include "sim/hash.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace tdtcp {
 namespace {
 
-// Full two-rack RDCN with one MPTCP flow.
+// One packet seen by a subflow's tap: which meta (0 = sender, 1 =
+// receiver), which subflow index, and the direction.
+struct WirePacket {
+  SimTime t;
+  int side;
+  std::uint32_t index;
+  TcpConnection::TapDirection dir;
+  Packet p;
+};
+
+// Full two-rack RDCN with one MPTCP flow. With `record_wire`, every subflow
+// packet of both metas is logged to `wire`, from the first SYN on.
 struct MptcpFixture {
-  MptcpFixture() : rng(1), topo(sim, rng, TopoCfg()) {
+  explicit MptcpFixture(bool record_wire = false)
+      : rng(1), topo(sim, rng, TopoCfg()) {
     RdcnController::Config rc;
     rc.packet_mode = topo.config().packet_mode;
     rc.circuit_mode = topo.config().circuit_mode;
@@ -29,6 +44,18 @@ struct MptcpFixture {
                                                  topo.host_id(0, 0), mc);
     sender = std::make_unique<MptcpConnection>(sim, topo.host(0, 0), 1,
                                                topo.host_id(1, 0), mc);
+    if (record_wire) {
+      for (int side = 0; side < 2; ++side) {
+        MptcpConnection* meta = side == 0 ? sender.get() : receiver.get();
+        for (std::uint32_t i = 0; i < mc.num_subflows; ++i) {
+          meta->subflow(i)->SetPacketTap(
+              [this, side, i](TcpConnection::TapDirection dir,
+                              const Packet& p) {
+                wire.push_back(WirePacket{sim.now(), side, i, dir, p});
+              });
+        }
+      }
+    }
     receiver->Listen();
     controller->Start();
     sender->Connect();
@@ -47,6 +74,7 @@ struct MptcpFixture {
   std::unique_ptr<RdcnController> controller;
   std::unique_ptr<MptcpConnection> sender;
   std::unique_ptr<MptcpConnection> receiver;
+  std::vector<WirePacket> wire;
 };
 
 TEST(Mptcp, SubflowZeroEstablishesImmediately) {
@@ -58,6 +86,21 @@ TEST(Mptcp, SubflowZeroEstablishesImmediately) {
   EXPECT_NE(f.sender->subflow(1)->state(), TcpConnection::State::kEstablished);
   f.sim.RunUntil(SimTime::Millis(2));
   EXPECT_EQ(f.sender->subflow(1)->state(), TcpConnection::State::kEstablished);
+}
+
+TEST(Mptcp, SubflowCountOutsideOneToEightThrows) {
+  Simulator sim;
+  Host host(sim, 0);
+  for (std::uint32_t n : {0u, 9u}) {
+    MptcpConnection::Config mc;
+    mc.num_subflows = n;
+    EXPECT_THROW(MptcpConnection(sim, &host, 1, 99, mc), std::invalid_argument)
+        << "num_subflows " << n;
+  }
+  MptcpConnection::Config mc;
+  mc.num_subflows = 8;
+  MptcpConnection eight(sim, &host, 1, 99, mc);
+  EXPECT_EQ(eight.subflow(7)->flow(), 1u);
 }
 
 TEST(Mptcp, SchedulerSteersByActiveTdn) {
@@ -148,13 +191,102 @@ TEST(Mptcp, ThroughputBelowTdtcp) {
 }
 
 TEST(Mptcp, SubflowPacketsCarryPinAndDss) {
-  MptcpFixture f;
+  // Every packet either meta's subflows send is stamped with its subflow's
+  // path pin and index; data carries its DSS mapping, and the receiver's
+  // ACKs carry the meta DATA_ACK and meta window.
+  MptcpFixture f(/*record_wire=*/true);
   f.sim.RunUntil(SimTime::Millis(2));
-  // Inspect sender-side subflow configuration effects indirectly: subflow 1
-  // data is only acked during/after optical days, and DSS mappings exist.
-  EXPECT_TRUE(f.sender->subflow(1)->config().mptcp);
-  EXPECT_EQ(f.sender->subflow(1)->config().pin_path, 1);
-  EXPECT_EQ(f.sender->subflow(0)->config().pin_path, 0);
+  enum Kind { kSyn, kSynAck, kHandshakeAck, kData, kAck, kNumKinds };
+  std::uint64_t seen[2][kNumKinds] = {};
+  for (const WirePacket& w : f.wire) {
+    if (w.dir != TcpConnection::TapDirection::kTx) continue;
+    const Packet& p = w.p;
+    SCOPED_TRACE(testing::Message() << "side " << w.side << " subflow "
+                                    << w.index << " t=" << w.t.picos());
+    EXPECT_EQ(p.pinned_path, static_cast<std::int8_t>(w.index));
+    EXPECT_EQ(p.subflow, w.index);
+    EXPECT_TRUE(p.is_mptcp);
+    Kind kind;
+    if (p.syn) {
+      kind = w.side == 0 ? kSyn : kSynAck;
+      EXPECT_EQ(p.ack, w.side == 0 ? 0u : 1u);
+    } else if (w.side == 0 && p.type == PacketType::kAck) {
+      kind = kHandshakeAck;
+      EXPECT_EQ(p.ack, 1u);
+    } else if (w.side == 0) {
+      kind = kData;
+      ASSERT_GT(p.payload, 0u);
+      EXPECT_TRUE(p.has_dss);
+      EXPECT_GE(p.dss_seq, 1u);
+    } else {
+      kind = kAck;
+      ASSERT_EQ(p.type, PacketType::kAck);
+      EXPECT_TRUE(p.has_dss);
+      EXPECT_GE(p.dss_ack, 1u);
+      EXPECT_GT(p.dss_rwnd, 0u);
+    }
+    ++seen[w.index][kind];
+  }
+  // Both subflows completed a handshake and carried data inside 2 ms.
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    for (int k = 0; k < kNumKinds; ++k) {
+      EXPECT_GT(seen[i][k], 0u) << "subflow " << i << " kind " << k;
+    }
+  }
+}
+
+TEST(Mptcp, WireDigestIsPinned) {
+  // Pins the MPTCP wire behaviour: an order-sensitive digest of every
+  // subflow packet both metas send and receive over 20 ms, plus both metas'
+  // stats. No benchmark baseline runs MPTCP, and subflows are not on the
+  // trace ring, so this is the regression oracle for the subflow/meta
+  // interface.
+  MptcpFixture f(/*record_wire=*/true);
+  f.sim.RunUntil(SimTime::Millis(20));
+  Fnv1a64 h;
+  h.Mix(f.wire.size());
+  for (const WirePacket& w : f.wire) {
+    const Packet& p = w.p;
+    h.Mix(static_cast<std::uint64_t>(w.t.picos()));
+    h.Mix(static_cast<std::uint64_t>(w.side) << 8 |
+          static_cast<std::uint64_t>(w.dir));
+    h.Mix(w.index);
+    h.Mix(p.subflow);
+    h.Mix(p.seq);
+    h.Mix(p.ack);
+    h.Mix(p.payload);
+    h.Mix(static_cast<std::uint64_t>(p.syn) | std::uint64_t{p.fin} << 1 |
+          std::uint64_t{p.rst} << 2 | std::uint64_t{p.has_dss} << 3 |
+          std::uint64_t{p.is_mptcp} << 4 |
+          static_cast<std::uint64_t>(p.type) << 8 |
+          static_cast<std::uint64_t>(static_cast<std::uint8_t>(p.pinned_path))
+              << 16);
+    h.Mix(p.rcv_window);
+    h.Mix(p.dss_seq);
+    h.Mix(p.dss_ack);
+    h.Mix(p.dss_rwnd);
+  }
+  for (const MptcpConnection* meta : {f.sender.get(), f.receiver.get()}) {
+    const MptcpConnection::Stats& s = meta->stats();
+    for (std::uint64_t v :
+         {s.scheduled_segments, s.reinjections, s.reinjected_bytes,
+          s.stall_checks, s.meta_duplicates, s.zero_window_acks,
+          s.subflow_aborts, s.abort_reinjections, s.unrescued_ranges,
+          s.unrescued_bytes}) {
+      h.Mix(v);
+    }
+    h.Mix(meta->meta_bytes_acked());
+    h.Mix(meta->meta_bytes_delivered());
+  }
+  // Enough happened for the pin to mean something: both subflows moved
+  // data, and the DATA_ACK advanced the sender's meta.
+  EXPECT_GT(f.sender->subflow(0)->bytes_acked(), 0u);
+  EXPECT_GT(f.sender->subflow(1)->bytes_acked(), 0u);
+  EXPECT_GT(f.sender->meta_bytes_acked(), 0u);
+  // Computed on the engine with per-hook std::function callbacks, before
+  // the subflow/meta interface became SubflowOwner.
+  EXPECT_EQ(f.wire.size(), 14460u);
+  EXPECT_EQ(h.value(), 14289442736780406851ull);
 }
 
 }  // namespace

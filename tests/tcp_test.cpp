@@ -3,6 +3,8 @@
 // backoff, TLP, ECN/CWR, flow control.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cc/reno.hpp"
 #include "cc/registry.hpp"
 #include "tcp/tcp_connection.hpp"
@@ -56,6 +58,12 @@ struct ClientFixture {
   LoopbackHarness harness;
   TcpConnection conn;
 };
+
+TEST(Construction, NullHostThrows) {
+  Simulator sim;
+  EXPECT_THROW(TcpConnection(sim, nullptr, 1, 99, BaseConfig()),
+               std::invalid_argument);
+}
 
 // ---------------------------------------------------------------------------
 // Handshake and negotiation
