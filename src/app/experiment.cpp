@@ -486,8 +486,4 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   return r;
 }
 
-ExperimentResult RunPaperExperiment(Variant v, SimTime duration) {
-  return RunExperiment(PaperConfig(v).WithDuration(duration));
-}
-
 }  // namespace tdtcp

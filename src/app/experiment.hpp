@@ -384,9 +384,4 @@ struct ExperimentResult {
 // many other experiments run concurrently.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
-// DEPRECATED: use RunExperiment(PaperConfig(v).WithDuration(duration)).
-// Kept (comment-level deprecation) for out-of-tree callers; no in-repo
-// caller remains.
-ExperimentResult RunPaperExperiment(Variant v, SimTime duration = SimTime::Millis(200));
-
 }  // namespace tdtcp

@@ -15,12 +15,10 @@ Topology::Topology(Simulator& sim, Random& rng, const TopologyConfig& config)
 
   tors_.reserve(config.num_racks);
   for (RackId r = 0; r < config.num_racks; ++r) {
-    tors_.push_back(std::make_unique<ToRSwitch>(sim, r, config.notify, &rng));
-    tors_.back()->SetRackResolver(
-        [hpr = config.hosts_per_rack](NodeId id) { return id / hpr; });
-    // The builder numbers hosts rack-major and attaches them in id order, so
-    // the ToR can route with arithmetic instead of the resolver above.
-    tors_.back()->SetUniformRackSize(config.hosts_per_rack);
+    // The builder numbers hosts rack-major and attaches them in id order,
+    // which is what the ToR's arithmetic routing assumes.
+    tors_.push_back(std::make_unique<ToRSwitch>(sim, r, config.hosts_per_rack,
+                                                config.notify, &rng));
   }
 
   // Rack machine NICs (shared by all hosts in the rack, per Fig. 6).

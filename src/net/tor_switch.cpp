@@ -1,15 +1,25 @@
 #include "net/tor_switch.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace tdtcp {
 
+ToRSwitch::ToRSwitch(Simulator& sim, RackId rack, std::uint32_t hosts_per_rack,
+                     NotifyGenConfig notify, Random* rng)
+    : sim_(sim),
+      rack_(rack),
+      hosts_per_rack_(hosts_per_rack),
+      notify_(notify),
+      rng_(rng) {
+  if (hosts_per_rack_ == 0) {
+    throw std::invalid_argument("ToRSwitch: hosts_per_rack must be positive");
+  }
+}
+
 void ToRSwitch::AttachHost(NodeId host, Link* downlink, PacketSink* control_sink) {
-  host_index_[host] = hosts_.size();
   hosts_.push_back(HostPort{host, downlink, control_sink});
 }
 
@@ -28,28 +38,16 @@ FabricPort* ToRSwitch::AddRemoteRack(RackId rack, FabricPort::Config config,
 }
 
 ToRSwitch::Route ToRSwitch::Resolve(NodeId dst) {
-  RackId dst_rack;
-  if (hosts_per_rack_ != 0) {
-    dst_rack = static_cast<RackId>(dst / hosts_per_rack_);
-  } else {
-    assert(rack_of_ && "rack resolver not installed");
-    dst_rack = rack_of_(dst);
-  }
+  const RackId dst_rack = static_cast<RackId>(dst / hosts_per_rack_);
   if (dst_rack == rack_) {
-    if (hosts_per_rack_ != 0) {
-      // Uniform topology: host slots are attached in id order, so the
-      // downlink index is arithmetic, not a hash probe.
-      const std::size_t idx = static_cast<std::size_t>(dst % hosts_per_rack_);
-      if (idx < hosts_.size() && hosts_[idx].id == dst) {
-        return Route{hosts_[idx].downlink, nullptr};
-      }
-    }
-    auto it = host_index_.find(dst);
-    if (it == host_index_.end()) {
+    // Host slots are attached in id order, so the downlink index is
+    // arithmetic, not a hash probe.
+    const std::size_t idx = static_cast<std::size_t>(dst % hosts_per_rack_);
+    if (idx >= hosts_.size() || hosts_[idx].id != dst) {
       throw std::logic_error("ToRSwitch: unknown local host " +
                              std::to_string(dst));
     }
-    return Route{hosts_[it->second].downlink, nullptr};
+    return Route{hosts_[idx].downlink, nullptr};
   }
   auto it = ports_.find(dst_rack);
   if (it == ports_.end()) {

@@ -40,13 +40,17 @@ struct NotifyGenConfig {
 
 class ToRSwitch : public PacketSink {
  public:
-  ToRSwitch(Simulator& sim, RackId rack, NotifyGenConfig notify, Random* rng)
-      : sim_(sim), rack_(rack), notify_(notify), rng_(rng) {}
+  // Hosts are numbered rack-major: rack r holds ids r*hosts_per_rack up to
+  // (r+1)*hosts_per_rack - 1, so routing is pure arithmetic. Throws
+  // std::invalid_argument when `hosts_per_rack` is zero.
+  ToRSwitch(Simulator& sim, RackId rack, std::uint32_t hosts_per_rack,
+            NotifyGenConfig notify, Random* rng);
 
   RackId rack() const { return rack_; }
 
   // `control_sink` receives ICMP notifications delivered over the control
-  // network (in practice, the host itself).
+  // network (in practice, the host itself). Hosts are attached in id order,
+  // so host `id` sits at slot id % hosts_per_rack.
   void AttachHost(NodeId host, Link* downlink, PacketSink* control_sink);
 
   // Creates the fabric port toward `rack`. A port configured with
@@ -56,19 +60,6 @@ class ToRSwitch : public PacketSink {
   // sharing.
   FabricPort* AddRemoteRack(RackId rack, FabricPort::Config config,
                             PacketSink* remote_tor);
-
-  // Maps a host id to its rack; installed by the topology builder.
-  void SetRackResolver(std::function<RackId(NodeId)> resolver) {
-    rack_of_ = std::move(resolver);
-  }
-
-  // Uniform-topology fast path: when every rack holds `hosts_per_rack`
-  // consecutively numbered hosts, routing is pure arithmetic and the
-  // per-packet std::function resolver is bypassed entirely. Zero disables
-  // the fast path (irregular topologies fall back to the resolver).
-  void SetUniformRackSize(std::uint32_t hosts_per_rack) {
-    hosts_per_rack_ = hosts_per_rack;
-  }
 
   void HandlePacket(Packet&& p) override;
 
@@ -129,14 +120,12 @@ class ToRSwitch : public PacketSink {
 
   Simulator& sim_;
   RackId rack_;
+  std::uint32_t hosts_per_rack_;
   NotifyGenConfig notify_;
   Random* rng_;
   std::vector<HostPort> hosts_;
-  std::unordered_map<NodeId, std::size_t> host_index_;
   std::unordered_map<RackId, std::unique_ptr<FabricPort>> ports_;
   SharedBufferPool shared_pool_;
-  std::function<RackId(NodeId)> rack_of_;
-  std::uint32_t hosts_per_rack_ = 0;  // 0 = use rack_of_
   NotifyFaultHook notify_fault_;
   bool has_notify_fault_ = false;
   std::uint64_t forwarded_ = 0;

@@ -146,20 +146,15 @@ void EventQueue::Cancel(EventId id) {
   // the event already fired, was already cancelled, or the id is bogus. A
   // free slot's tag is 0, which only the (invalid) zero sequence matches.
   const std::uint64_t seq = SeqOf(id);
-  if (seq == 0 || (s.live & ~kLaneFlag) != seq) return;
-  const bool was_lane = (s.live & kLaneFlag) != 0;
+  if (seq == 0 || s.live != seq) return;
   s.fn.Reset();  // destroy the capture eagerly; the entry is now dead
   s.live = 0;
   free_slots_.push_back(slot);
   --live_count_;
-  if (was_lane) {
-    ++lane_dead_;
-  } else {
-    // The chain node stays linked (O(1) cancel); drain skips it lazily and
-    // compaction reclaims it wholesale.
-    ++heap_dead_;
-    MaybeCompact();
-  }
+  // The chain node stays linked (O(1) cancel); drain skips it lazily and
+  // compaction reclaims it wholesale.
+  ++heap_dead_;
+  MaybeCompact();
 }
 
 // The heap is 4-ary: half the dependent levels of a binary heap, and the
@@ -240,25 +235,17 @@ void EventQueue::HeapPopTop() {
 }
 
 void EventQueue::DropDeadHeads() {
-  // The dead counters gate the slot probes: with no pending cancellations
-  // (the common case) this is two compare-to-zero branches, no slab reads.
-  if (lane_dead_ != 0) {
-    while (lane_count_ != 0 && EventDead(lane_[lane_head_].key)) {
-      LanePop();
-      --lane_dead_;
-      ++counters_.dead_dropped;
-    }
-  }
-  if (heap_dead_ != 0) {
-    while (!heap_.empty()) {
-      const std::uint32_t head =
-          static_cast<std::uint32_t>(heap_.front().key & kNodeIndexMask);
-      if (!EventDead(nodes_[head].ev)) break;
-      TakeHeapHead();
-      --heap_dead_;
-      ++counters_.dead_dropped;
-      if (heap_dead_ == 0) break;
-    }
+  // The dead counter gates the slot probes: with no pending cancellations
+  // (the common case) this is one compare-to-zero branch, no slab reads.
+  if (heap_dead_ == 0) return;
+  while (!heap_.empty()) {
+    const std::uint32_t head =
+        static_cast<std::uint32_t>(heap_.front().key & kNodeIndexMask);
+    if (!EventDead(nodes_[head].ev)) break;
+    TakeHeapHead();
+    --heap_dead_;
+    ++counters_.dead_dropped;
+    if (heap_dead_ == 0) break;
   }
 }
 
@@ -314,13 +301,7 @@ void EventQueue::Compact() {
 
 SimTime EventQueue::NextTime() {
   DropDeadHeads();
-  const LaneEntry* lane = LaneFront();
-  if (lane == nullptr) {
-    return heap_.empty() ? SimTime::Max() : heap_.front().at;
-  }
-  // Lane entries were scheduled at what was then "now", which can only be at
-  // or before every heap entry's time.
-  return lane->at;
+  return heap_.empty() ? SimTime::Max() : heap_.front().at;
 }
 
 std::uint64_t EventQueue::TakeHeapHead() {
@@ -352,31 +333,11 @@ std::uint64_t EventQueue::TakeHeapHead() {
   return ev;
 }
 
-EventQueue::Taken EventQueue::TakeNextEntry() {
+void EventQueue::RunNext(SimTime& now_out) {
   DropDeadHeads();
   assert(live_count_ > 0);
-  const LaneEntry* lane = LaneFront();
-  if (lane != nullptr) {
-    // A heap cohort at the same instant whose head has a smaller sequence
-    // number was scheduled earlier and must keep its FIFO position. Lane
-    // keys and heap keys use different layouts, so compare seqs explicitly.
-    const bool lane_first =
-        heap_.empty() || lane->at < heap_.front().at ||
-        (lane->at == heap_.front().at &&
-         SeqOf(lane->key) < HeapFirstSeq(heap_.front()));
-    if (lane_first) {
-      const Taken t{lane->at, lane->key};
-      LanePop();
-      return t;
-    }
-  }
   const SimTime at = heap_.front().at;
-  return Taken{at, TakeHeapHead()};
-}
-
-void EventQueue::RunNext(SimTime& now_out) {
-  const Taken t = TakeNextEntry();
-  const std::uint32_t slot = SlotOf(t.ev);
+  const std::uint32_t slot = SlotOf(TakeHeapHead());
   Slot& s = SlotRef(slot);
   // Retire the entry before running: a reentrant Cancel of this id is a
   // no-op, and the slot stays off the freelist until the callback returns,
@@ -384,7 +345,7 @@ void EventQueue::RunNext(SimTime& now_out) {
   // (slot blocks never relocate, see GrowSlab).
   s.live = 0;
   --live_count_;
-  now_out = t.at;
+  now_out = at;
   s.fn.InvokeAndReset();
   free_slots_.push_back(slot);
 }
@@ -396,39 +357,18 @@ std::size_t EventQueue::RunBatch(SimTime& now_out, const bool& stop,
   // anyway.
   DropDeadHeads();
   if (live_count_ == 0) return 0;
-  const LaneEntry* lf = LaneFront();
-  SimTime t = lf != nullptr ? lf->at : heap_.front().at;
-  if (lf != nullptr && !heap_.empty() && heap_.front().at < t) {
-    t = heap_.front().at;
-  }
+  const SimTime t = heap_.front().at;
   if (t > until) return 0;
   now_out = t;
   std::size_t n = 0;
-  while (!stop) {
-    const LaneEntry* lane = LaneFront();
-    const bool heap_ready = !heap_.empty() && heap_.front().at == t;
-    std::uint64_t ev;
-    bool from_lane;
-    if (lane != nullptr && lane->at == t &&
-        (!heap_ready || SeqOf(lane->key) < HeapFirstSeq(heap_.front()))) {
-      ev = lane->key;
-      from_lane = true;
-      LanePop();
-    } else if (heap_ready) {
-      ev = TakeHeapHead();
-      from_lane = false;
-    } else {
-      break;  // nothing left at t — the batch boundary
-    }
+  // An empty heap or a later front is the batch boundary.
+  while (!stop && !heap_.empty() && heap_.front().at == t) {
+    const std::uint64_t ev = TakeHeapHead();
     const std::uint32_t slot = SlotOf(ev);
     Slot& s = SlotRef(slot);
-    if ((s.live & ~kLaneFlag) != SeqOf(ev)) {
+    if (s.live != SeqOf(ev)) {
       // Cancelled while pending: its slot is already back on the freelist.
-      if (from_lane) {
-        --lane_dead_;
-      } else {
-        --heap_dead_;
-      }
+      --heap_dead_;
       ++counters_.dead_dropped;
       continue;
     }
@@ -443,25 +383,6 @@ std::size_t EventQueue::RunBatch(SimTime& now_out, const bool& stop,
     if (n > counters_.max_batch) counters_.max_batch = n;
   }
   return n;
-}
-
-void EventQueue::LanePush(const LaneEntry& e) {
-  if (lane_count_ == lane_.size()) {
-    // Grow and re-linearize (power-of-two sizes keep the index mask cheap).
-    std::vector<LaneEntry> bigger(std::max<std::size_t>(8, lane_.size() * 2));
-    for (std::size_t i = 0; i < lane_count_; ++i) {
-      bigger[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
-    }
-    lane_ = std::move(bigger);
-    lane_head_ = 0;
-  }
-  lane_[(lane_head_ + lane_count_) & (lane_.size() - 1)] = e;
-  ++lane_count_;
-}
-
-void EventQueue::LanePop() {
-  lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
-  --lane_count_;
 }
 
 }  // namespace tdtcp

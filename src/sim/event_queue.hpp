@@ -37,13 +37,9 @@
 //    later event (sequence numbers are monotonic, never recycled). Dead
 //    nodes are skipped when popped and compacted wholesale when they exceed
 //    half the chain nodes.
-//  * Zero-delay events (Schedule(0, ...) via the Simulator — the dominant
-//    pattern in link/queue handoff) bypass the heap entirely through a FIFO
-//    lane, while the shared sequence counter keeps the combined firing
-//    order identical to a single heap keyed on (time, schedule order).
 //
-// RunBatch() drains every event sharing the earliest timestamp (heap
-// chains + same-time lane arrivals, merged in seq order) in one call.
+// RunBatch() drains every event sharing the earliest timestamp (the heads
+// of every chain at that time, merged in seq order) in one call.
 #pragma once
 
 #include <cassert>
@@ -191,11 +187,8 @@ class EventQueue {
 
   EventQueue();
 
-  // Schedules through the time-ordered heap. `ScheduleImmediate` is the
-  // zero-delay fast lane: the caller (the Simulator) guarantees `at` equals
-  // the current simulation time, so the entry can skip the heap and drain
-  // FIFO. Both share one sequence counter, so the combined firing order is
-  // exactly (time, schedule order).
+  // Schedules at absolute time `at`: appended to the cohort chain already
+  // open for `at` when the cache holds one, else as a new heap entry.
   template <typename F>
   EventId Schedule(SimTime at, F&& fn) {
     const std::uint32_t slot = AcquireSlot(std::forward<F>(fn));
@@ -235,16 +228,6 @@ class EventQueue {
     return AppendToStream(stream, at, slot);
   }
 
-  template <typename F>
-  EventId ScheduleImmediate(SimTime at, F&& fn) {
-    const std::uint32_t slot = AcquireSlot(std::forward<F>(fn));
-    const std::uint64_t seq = NextSeq();
-    SlotRef(slot).live = seq | kLaneFlag;
-    LanePush(LaneEntry{at, MakeKey(seq, slot)});
-    ++live_count_;
-    return MakeKey(seq, slot);
-  }
-
   // Cancels a pending event. Cancelling an already-fired, already-cancelled,
   // or invalid id is a harmless no-op, which simplifies timer management in
   // protocol code. O(1): the slot's live tag is cleared so the queued entry
@@ -265,16 +248,15 @@ class EventQueue {
   void RunNext(SimTime& now_out);
 
   // Drains EVERY live event sharing the earliest timestamp — the heads of
-  // every heap chain at that time and lane entries at the same instant,
-  // merged in schedule-sequence order — and invokes each in place. Events
-  // the callbacks schedule at the same instant (zero-delay chains through
-  // the lane) join the batch, exactly as repeated RunNext calls would take
-  // them. `now_out` is set to the batch timestamp before the first callback
-  // runs; `stop` is re-checked between events so Simulator::Stop() keeps
-  // its between-events semantics. Returns the number of events dispatched:
-  // 0 when empty or when the earliest live event is later than `until`
-  // (`now_out` is then left alone). The dispatch order is bit-identical to
-  // calling RunNext() in a loop.
+  // every heap chain at that time, merged in schedule-sequence order — and
+  // invokes each in place. Events the callbacks schedule at the same instant
+  // (a zero delay) join the batch, exactly as repeated RunNext calls would
+  // take them. `now_out` is set to the batch timestamp before the first
+  // callback runs; `stop` is re-checked between events so Simulator::Stop()
+  // keeps its between-events semantics. Returns the number of events
+  // dispatched: 0 when empty or when the earliest live event is later than
+  // `until` (`now_out` is then left alone). The dispatch order is
+  // bit-identical to calling RunNext() in a loop.
   std::size_t RunBatch(SimTime& now_out, const bool& stop, SimTime until);
 
   // Monotonic internals counters (batching / cancellation observability).
@@ -316,14 +298,6 @@ class EventQueue {
     std::uint64_t key;
   };
 
-  // Lane entries reuse the 16-byte shape but their `key` is the EventId
-  // (seq << kSlotIndexBits | slot) directly — the lane never mixes into the
-  // heap, and the one lane-vs-heap merge point compares seqs explicitly.
-  struct LaneEntry {
-    SimTime at;
-    std::uint64_t key;
-  };
-
   // Chain node: the event's id and time plus the next node of its chain
   // (kNilNode terminates). Free nodes have ev == 0 (no event id is 0, which
   // is how a Stream tells its tail was reclaimed) and thread the freelist
@@ -347,21 +321,16 @@ class EventQueue {
   // One cache line: 48B capture + ops pointer + live tag.
   struct Slot {
     InlineEvent fn;
-    // Sequence number of the pending event occupying this slot (bit 63 set
-    // when the entry is in the zero-delay lane, not the heap); 0 when free
+    // Sequence number of the pending event occupying this slot; 0 when free
     // or dead.
     std::uint64_t live = 0;
   };
-  static constexpr std::uint64_t kLaneFlag = std::uint64_t{1} << 63;
 
   static EventId MakeKey(std::uint64_t seq, std::uint32_t slot) {
     return (seq << kSlotIndexBits) | slot;
   }
   static std::uint64_t HeapKey(std::uint64_t seq, std::uint32_t node) {
     return (seq << kNodeIndexBits) | node;
-  }
-  static std::uint64_t HeapFirstSeq(const Entry& e) {
-    return e.key >> kNodeIndexBits;
   }
 
   // Fires-after ordering for the min-heap: (time, key) compared as one
@@ -410,7 +379,7 @@ class EventQueue {
   void GrowSlab();
 
   bool EventDead(std::uint64_t ev) const {
-    return (SlotRef(SlotOf(ev)).live & ~kLaneFlag) != (ev >> kSlotIndexBits);
+    return SlotRef(SlotOf(ev)).live != (ev >> kSlotIndexBits);
   }
 
   // --- cohort plumbing -------------------------------------------------------
@@ -514,11 +483,6 @@ class EventQueue {
     std::size_t cap_ = 0;
   };
 
-  struct Taken {
-    SimTime at;
-    EventId ev;
-  };
-  Taken TakeNextEntry();
   void SiftUp(std::size_t i);
   // Index of the earliest of the children first..min(first+4, n)-1.
   std::size_t MinChild(std::size_t first, std::size_t n) const;
@@ -535,12 +499,6 @@ class EventQueue {
   void MaybeCompact();
   void Compact();
 
-  void LanePush(const LaneEntry& e);
-  void LanePop();
-  const LaneEntry* LaneFront() const {
-    return lane_count_ == 0 ? nullptr : &lane_[lane_head_];
-  }
-
   std::vector<std::unique_ptr<Slot[]>> slot_blocks_;
   std::vector<std::uint32_t> free_slots_;
   EntryBuf heap_;
@@ -548,14 +506,10 @@ class EventQueue {
   std::uint32_t node_free_ = kNilNode;
   std::unique_ptr<CohortSet[]> cohort_cache_;
   std::uint32_t cohort_rr_ = 0;  // round-robin way replacement cursor
-  std::vector<LaneEntry> lane_;  // circular; size is a power of two
-  std::size_t lane_head_ = 0;
-  std::size_t lane_count_ = 0;
   std::uint64_t seq_ = 1;
   std::size_t live_count_ = 0;
   std::size_t heap_nodes_ = 0;  // chain nodes linked into the heap (incl. dead)
   std::size_t heap_dead_ = 0;   // dead chain nodes
-  std::size_t lane_dead_ = 0;
   Counters counters_;
 };
 

@@ -28,9 +28,9 @@ class Simulator {
 
   SimTime now() const { return now_; }
 
-  // Schedules `fn` to run `delay` after the current time (delay may be zero;
-  // zero-delay events run after the current event completes, in FIFO order,
-  // through a dedicated lane that bypasses the heap).
+  // Schedules `fn` to run `delay` after the current time. The delay may be
+  // zero: such an event runs after the current event completes, behind every
+  // event already pending for this instant.
   template <typename F>
   EventId Schedule(SimTime delay, F&& fn) {
     return ScheduleAt(now_ + delay, std::forward<F>(fn));
@@ -42,19 +42,17 @@ class Simulator {
   template <typename F>
   EventId ScheduleAt(SimTime at, F&& fn) {
     if (at < now_) ThrowScheduledInPast(at);
-    if (at == now_) return queue_.ScheduleImmediate(at, std::forward<F>(fn));
     return queue_.Schedule(at, std::forward<F>(fn));
   }
 
   // Schedules `fn` `delay` from now through a caller-owned monotone stream
   // (see EventQueue::Stream): for producers whose successive events never
   // go back in time, e.g. a link's propagation pipeline. Like ScheduleAt it
-  // throws on a past time, and a zero delay takes the lane.
+  // throws on a past time.
   template <typename F>
   EventId ScheduleInStream(EventQueue::Stream& stream, SimTime delay, F&& fn) {
     const SimTime at = now_ + delay;
     if (at < now_) ThrowScheduledInPast(at);
-    if (at == now_) return queue_.ScheduleImmediate(at, std::forward<F>(fn));
     return queue_.ScheduleInStream(stream, at, std::forward<F>(fn));
   }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 namespace tdtcp {
 
@@ -117,7 +118,7 @@ double PercentileNearestRank(const std::vector<double>& values, double p) {
 void WriteSeriesCsv(const std::string& path,
                     const std::vector<NamedSeries>& series) {
   std::ofstream f(path);
-  if (!f) return;
+  if (!f) throw std::runtime_error("cannot open " + path);
   f << "offset_us";
   for (const auto& s : series) f << "," << s.name;
   f << "\n";
@@ -136,7 +137,7 @@ void WriteSeriesCsv(const std::string& path,
 void WriteCdfCsv(const std::string& path, const std::string& name,
                  const std::vector<CdfPoint>& cdf) {
   std::ofstream f(path);
-  if (!f) return;
+  if (!f) throw std::runtime_error("cannot open " + path);
   f << name << ",cdf\n";
   for (const auto& p : cdf) f << p.value << "," << p.probability << "\n";
 }

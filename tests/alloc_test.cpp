@@ -32,7 +32,7 @@ struct Tick {
 TEST(AllocFree, SelfReschedulingTimerSteadyState) {
   Simulator sim;
   std::int64_t fires = 0;
-  // Warmup: first fires grow the slot slab, heap buffer, and lane.
+  // Warmup: first fires grow the slot slab, heap buffer, and node pool.
   sim.Schedule(SimTime::Nanos(100), Tick{sim, fires, 1000});
   sim.Run();
   ASSERT_EQ(fires, 1000);

@@ -3,7 +3,7 @@
 // Two layers, two contracts:
 //  - sim core: RunBatch dispatches in exactly the order the sequential
 //    RunNext loop would, including randomized same-timestamp collisions,
-//    mid-batch immediate-lane arrivals, and cancellations;
+//    mid-batch zero-delay arrivals, and cancellations;
 //  - experiment level: a seeded churn + fault + trace run is bit-identical
 //    (trace_hash / churn_hash / totals) with batched dispatch forced on and
 //    forced off.
@@ -44,8 +44,8 @@ struct Lcg {
 };
 
 // Schedules `rounds` wavefronts of events with heavy timestamp collisions;
-// handlers re-schedule (same tick via the immediate lane, and into the
-// future), and every third event schedules a victim it then cancels.
+// handlers re-schedule (same tick at zero delay, and into the future), and
+// every third event schedules a victim it then cancels.
 // Returns a digest of (now, marker) in firing order.
 std::uint64_t RunRandomSoak(std::uint64_t seed, bool batched) {
   Simulator sim;
@@ -62,7 +62,7 @@ std::uint64_t RunRandomSoak(std::uint64_t seed, bool batched) {
     if (spawned >= kMaxSpawn) return;
     const std::uint64_t r = rng.Next();
     if (r % 4 == 0) {
-      // Same-tick follow-up through the zero-delay lane.
+      // Same-tick follow-up at zero delay: joins the batch being drained.
       ++spawned;
       const std::uint64_t m = marker * 31 + 1;
       sim.Schedule(SimTime::Zero(), [&fire, m] { fire(m); });

@@ -1,8 +1,9 @@
 // The allocation-free event core's contract (see event_queue.hpp): exact
 // FIFO among equal timestamps no matter how slots are recycled, O(1)
-// sequence-tagged cancellation that can never alias a later event, the
-// zero-delay lane's ordering against the heap, monotone streams, dead-entry
-// compaction, and end-to-end bit-identity of a seeded RDCN run.
+// sequence-tagged cancellation that can never alias a later event,
+// zero-delay events' ordering behind same-instant pending ones, monotone
+// streams, dead-entry compaction, and end-to-end bit-identity of a seeded
+// RDCN run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,9 +113,9 @@ TEST(EventCore, MaxSequenceEventStillOrdersAfterEarlierOnes) {
 }
 
 TEST(EventCore, ZeroDelayLaneKeepsScheduleOrderAgainstHeap) {
-  // Heap events at time T were scheduled before the lane events that a
-  // callback at T spawns, so every heap event at T fires first, then the
-  // lane events in FIFO order.
+  // Events pending at time T were scheduled before the zero-delay events
+  // that a callback at T spawns, so every pending event at T fires first,
+  // then the zero-delay ones in FIFO order.
   Simulator sim;
   std::vector<int> order;
   sim.ScheduleAt(SimTime::Nanos(10), [&] {
@@ -241,17 +242,20 @@ TEST(EventCore, SlabGrowsInBlocksAndRecycles) {
 
 // Randomized oracle for streams. Events come from plain Schedule calls, from
 // three streams (mostly at a fixed per-stream delay, sometimes at a random
-// one that breaks monotonicity) and through the zero-delay lane; delays sit
-// on a coarse grid so stream nodes tie with cohort chains and lane entries.
-// Callbacks schedule more events and cancel stream tails and arbitrary
-// pending events (mid-chain nodes). Whatever the structure, the firing order
+// one that breaks monotonicity); random delays sit on a coarse grid that
+// includes zero, so stream nodes tie with cohort chains and same-instant
+// events append to the chains being drained. `zero_delay` forces that share
+// of the random delays to zero on top of the grid's own 1 in 17. Callbacks
+// schedule more events and cancel stream tails and arbitrary pending events
+// (mid-chain nodes). Whatever the structure, the firing order
 // must be the stable sort of the uncancelled events by (time, schedule
 // index). Batched and sequential dispatch share the structure, so each is
 // checked against the oracle rather than against the other.
 class StreamOracle {
  public:
-  StreamOracle(Simulator& sim, std::uint64_t seed, std::size_t budget)
-      : sim_(sim), rng_(seed), budget_(budget) {}
+  StreamOracle(Simulator& sim, std::uint64_t seed, std::size_t budget,
+               double zero_delay = 0.0)
+      : sim_(sim), rng_(seed), budget_(budget), zero_delay_(zero_delay) {}
 
   void Start(int initial) {
     for (int i = 0; i < initial; ++i) ScheduleOne();
@@ -283,7 +287,9 @@ class StreamOracle {
   void ScheduleOne() {
     const std::size_t idx = recs_.size();
     const int kind = static_cast<int>(rng_.UniformInt(0, 2 + kStreams));
-    SimTime delay = SimTime::Nanos(4 * rng_.UniformInt(0, 16));
+    SimTime delay = zero_delay_ > 0.0 && rng_.Bernoulli(zero_delay_)
+                        ? SimTime::Zero()
+                        : SimTime::Nanos(4 * rng_.UniformInt(0, 16));
     recs_.push_back(Rec{sim_.now() + delay});
     auto fn = [this, idx] { Fire(idx); };
     EventId id;
@@ -341,6 +347,7 @@ class StreamOracle {
   Simulator& sim_;
   Random rng_;
   std::size_t budget_;
+  double zero_delay_;
   EventQueue::Stream streams_[kStreams];
   std::size_t tails_[kStreams] = {0, 0, 0};
   std::vector<Rec> recs_;
@@ -349,19 +356,24 @@ class StreamOracle {
 };
 
 TEST(EventCore, StreamsFireInTimeThenScheduleOrder) {
-  for (const bool batched : {true, false}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      SCOPED_TRACE(testing::Message() << "batched=" << batched
-                                      << " seed=" << seed);
-      Simulator sim;
-      sim.set_batched_dispatch(batched);
-      StreamOracle oracle(sim, seed, 20000);
-      oracle.Start(200);
-      sim.Run();
-      EXPECT_GT(oracle.cancelled(), 1000u);
-      EXPECT_GT(sim.GetStats().compactions, 0u);
-      EXPECT_EQ(sim.pending_events(), 0u);
-      EXPECT_EQ(oracle.fired(), oracle.Expected());
+  // The second pass puts half the random delays at zero: same-instant
+  // appends to the cohort or stream chain a batch is draining.
+  for (const double zero_delay : {0.0, 0.5}) {
+    for (const bool batched : {true, false}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(testing::Message() << "zero_delay=" << zero_delay
+                                        << " batched=" << batched
+                                        << " seed=" << seed);
+        Simulator sim;
+        sim.set_batched_dispatch(batched);
+        StreamOracle oracle(sim, seed, 20000, zero_delay);
+        oracle.Start(200);
+        sim.Run();
+        EXPECT_GT(oracle.cancelled(), 1000u);
+        EXPECT_GT(sim.GetStats().compactions, 0u);
+        EXPECT_EQ(sim.pending_events(), 0u);
+        EXPECT_EQ(oracle.fired(), oracle.Expected());
+      }
     }
   }
 }

@@ -618,7 +618,7 @@ TEST(ToRSwitch, NotifyViaControlNetworkTiming) {
   Simulator sim;
   Random rng(1);
   NotifyGenConfig nc;  // cached, control network
-  ToRSwitch tor(sim, 0, nc, &rng);
+  ToRSwitch tor(sim, 0, 2, nc, &rng);
   Host h0(sim, 0), h1(sim, 1);
   std::vector<SimTime> when(2, SimTime::Max());
   int o0, o1;
@@ -642,8 +642,8 @@ TEST(ToRSwitch, FreshGenerationSlowerThanCached) {
   NotifyGenConfig cached;
   NotifyGenConfig fresh;
   fresh.cached_packet = false;
-  ToRSwitch tor_cached(sim, 0, cached, &rng);
-  ToRSwitch tor_fresh(sim, 1, fresh, &rng);
+  ToRSwitch tor_cached(sim, 0, 1, cached, &rng);
+  ToRSwitch tor_fresh(sim, 1, 1, fresh, &rng);
   Host h(sim, 0);
   tor_cached.AttachHost(0, nullptr, &h);
   tor_fresh.AttachHost(0, nullptr, &h);
@@ -662,7 +662,7 @@ TEST(ToRSwitch, DataPlaneDeliveryRidesDownlink) {
   Random rng(1);
   NotifyGenConfig nc;
   nc.via_control_network = false;
-  ToRSwitch tor(sim, 0, nc, &rng);
+  ToRSwitch tor(sim, 0, 2, nc, &rng);
   Host h(sim, 0);
   CaptureSink sink;
   Link::Config lc;
@@ -684,8 +684,7 @@ TEST(ToRSwitch, DataPlaneDeliveryRidesDownlink) {
 TEST(ToRSwitch, UnknownLocalHostThrows) {
   Simulator sim;
   Random rng(1);
-  ToRSwitch tor(sim, 0, NotifyGenConfig{}, &rng);
-  tor.SetUniformRackSize(4);
+  ToRSwitch tor(sim, 0, 4, NotifyGenConfig{}, &rng);
   Host h(sim, 0);
   CaptureSink sink;
   Link down(sim, Link::Config{}, &sink);
@@ -696,8 +695,7 @@ TEST(ToRSwitch, UnknownLocalHostThrows) {
 TEST(ToRSwitch, MissingFabricPortThrows) {
   Simulator sim;
   Random rng(1);
-  ToRSwitch tor(sim, 0, NotifyGenConfig{}, &rng);
-  tor.SetUniformRackSize(4);
+  ToRSwitch tor(sim, 0, 4, NotifyGenConfig{}, &rng);
   EXPECT_THROW(tor.HandlePacket(MakeData(9000, 9)), std::logic_error);
 }
 

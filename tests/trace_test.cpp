@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include "cc/registry.hpp"
 #include "sim/simulator.hpp"
@@ -148,6 +149,20 @@ TEST(Csv, WritesCdfFile) {
   std::getline(f, line);
   EXPECT_EQ(line, "1,0.5");
   std::remove(path.c_str());
+}
+
+// A figure bench pointed at a missing directory must fail, not report
+// success with no file written.
+TEST(Csv, SeriesThrowsWhenFileCannotBeOpened) {
+  NamedSeries a{"alpha", {{0.0, 1.0}}};
+  EXPECT_THROW(WriteSeriesCsv("/nonexistent_tdtcp_dir/series.csv", {a}),
+               std::runtime_error);
+}
+
+TEST(Csv, CdfThrowsWhenFileCannotBeOpened) {
+  EXPECT_THROW(WriteCdfCsv("/nonexistent_tdtcp_dir/cdf.csv", "events",
+                           MakeCdf({1.0})),
+               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
