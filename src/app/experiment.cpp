@@ -290,45 +290,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   r.seq_curve = FoldWeeks(r.seq_samples, r.week, config.warmup, plot_weeks);
   if (voq) {
     r.voq_samples = voq->samples();
-    // VOQ occupancy is a level, not a counter: fold raw values by averaging
-    // levels at each offset. Reuse FoldWeeks on (value - week start) would
-    // distort; instead fold absolute values via a zero-based trick: FoldWeeks
-    // subtracts the week-start value, so add it back by folding value+large
-    // constant is wrong. We fold levels directly below.
-    r.voq_curve.clear();
-    // Direct level folding:
-    const auto& s = r.voq_samples;
-    if (s.size() >= 2) {
-      const SimTime interval = s[1].t - s[0].t;
-      const std::int64_t per_week = r.week / interval;
-      if (per_week > 0) {
-        SimTime aligned = s.front().t + config.warmup;
-        const SimTime rem = aligned % r.week;
-        if (!rem.IsZero()) aligned += r.week - rem;
-        std::size_t start = 0;
-        while (start < s.size() && s[start].t < aligned) ++start;
-        std::vector<double> sums(static_cast<std::size_t>(per_week), 0.0);
-        std::size_t weeks = 0;
-        for (std::size_t w = start;
-             w + static_cast<std::size_t>(per_week) <= s.size();
-             w += static_cast<std::size_t>(per_week)) {
-          for (std::int64_t k = 0; k < per_week; ++k) {
-            sums[static_cast<std::size_t>(k)] += s[w + static_cast<std::size_t>(k)].value;
-          }
-          ++weeks;
-        }
-        if (weeks > 0) {
-          for (int pw = 0; pw < plot_weeks; ++pw) {
-            for (std::int64_t k = 0; k < per_week; ++k) {
-              FoldedPoint p;
-              p.offset_us = (interval * k).micros_f() + r.week.micros_f() * pw;
-              p.mean = sums[static_cast<std::size_t>(k)] / static_cast<double>(weeks);
-              r.voq_curve.push_back(p);
-            }
-          }
-        }
-      }
-    }
+    r.voq_curve = FoldLevels(r.voq_samples, r.week, config.warmup, plot_weeks);
   }
 
   if (reorder_ev) {

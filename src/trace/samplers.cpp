@@ -8,74 +8,93 @@
 
 namespace tdtcp {
 
-std::vector<FoldedPoint> FoldWeeks(const std::vector<Sample>& samples,
-                                   SimTime week, SimTime warmup,
-                                   int plot_weeks) {
-  std::vector<FoldedPoint> out;
-  if (samples.size() < 2 || week <= SimTime::Zero()) return out;
+namespace {
 
-  // Assume a fixed sampling interval (SeriesSampler guarantees it).
-  const SimTime interval = samples[1].t - samples[0].t;
-  if (interval <= SimTime::Zero()) return out;
-  const std::int64_t per_week = week / interval;
-  if (per_week <= 0) return out;
+// Where week folding starts: the fixed sampling interval (SeriesSampler
+// guarantees one), whole samples per week, and the index of the first sample
+// at or after the first week boundary past `warmup`. per_week is 0 when the
+// input cannot be folded.
+struct WeekGrid {
+  SimTime interval;
+  std::size_t per_week = 0;
+  std::size_t start = 0;
+};
 
-  // First sample index at/after the first week boundary past warmup.
-  const SimTime t0 = samples.front().t;
-  SimTime aligned_start = t0 + warmup;
+WeekGrid AlignWeeks(const std::vector<Sample>& samples, SimTime week,
+                    SimTime warmup) {
+  WeekGrid g;
+  if (samples.size() < 2 || week <= SimTime::Zero()) return g;
+  g.interval = samples[1].t - samples[0].t;
+  if (g.interval <= SimTime::Zero()) return g;
+  g.per_week = static_cast<std::size_t>(week / g.interval);
+  if (g.per_week == 0) return g;
+
+  SimTime aligned_start = samples.front().t + warmup;
   const SimTime rem = aligned_start % week;
   if (!rem.IsZero()) aligned_start += week - rem;
-  std::size_t start = 0;
-  while (start < samples.size() && samples[start].t < aligned_start) ++start;
+  while (g.start < samples.size() && samples[g.start].t < aligned_start) {
+    ++g.start;
+  }
+  return g;
+}
 
-  // Average per-offset progress across complete weeks.
-  std::vector<double> sums(static_cast<std::size_t>(per_week) + 1, 0.0);
+// Averages each offset over the complete weeks from g.start and tiles the
+// result `plot_weeks` times. A counter is taken relative to its week's first
+// sample, and its week closes on the next week's first sample: that closing
+// point is the weekly gain each later tile adds, and tiles share it.
+std::vector<FoldedPoint> Fold(const std::vector<Sample>& samples, SimTime week,
+                              SimTime warmup, int plot_weeks, bool counter) {
+  std::vector<FoldedPoint> out;
+  const WeekGrid g = AlignWeeks(samples, week, warmup);
+  if (g.per_week == 0) return out;
+  const std::size_t points = g.per_week + (counter ? 1 : 0);
+  std::vector<double> sums(points, 0.0);
   std::size_t weeks = 0;
-  for (std::size_t w = start;
-       w + static_cast<std::size_t>(per_week) < samples.size();
-       w += static_cast<std::size_t>(per_week)) {
-    const double base = samples[w].value;
-    for (std::int64_t k = 0; k <= per_week; ++k) {
-      sums[static_cast<std::size_t>(k)] += samples[w + static_cast<std::size_t>(k)].value - base;
+  for (std::size_t w = g.start; w + points <= samples.size();
+       w += g.per_week) {
+    const double base = counter ? samples[w].value : 0.0;
+    for (std::size_t k = 0; k < points; ++k) {
+      sums[k] += samples[w + k].value - base;
     }
     ++weeks;
   }
   if (weeks == 0) return out;
 
-  const double weekly_gain = sums[static_cast<std::size_t>(per_week)] / weeks;
+  const double weekly_gain = counter ? sums[g.per_week] / weeks : 0.0;
   for (int pw = 0; pw < plot_weeks; ++pw) {
-    // Skip the duplicated boundary point on subsequent tiles.
-    const std::int64_t first = pw == 0 ? 0 : 1;
-    for (std::int64_t k = first; k <= per_week; ++k) {
+    for (std::size_t k = counter && pw > 0 ? 1 : 0; k < points; ++k) {
       FoldedPoint p;
-      p.offset_us = (interval * k).micros_f() + week.micros_f() * pw;
-      p.mean = sums[static_cast<std::size_t>(k)] / weeks + weekly_gain * pw;
+      p.offset_us = (g.interval * static_cast<std::int64_t>(k)).micros_f() +
+                    week.micros_f() * pw;
+      p.mean = sums[k] / weeks + weekly_gain * pw;
       out.push_back(p);
     }
   }
   return out;
 }
 
+}  // namespace
+
+std::vector<FoldedPoint> FoldWeeks(const std::vector<Sample>& samples,
+                                   SimTime week, SimTime warmup,
+                                   int plot_weeks) {
+  return Fold(samples, week, warmup, plot_weeks, /*counter=*/true);
+}
+
+std::vector<FoldedPoint> FoldLevels(const std::vector<Sample>& samples,
+                                    SimTime week, SimTime warmup,
+                                    int plot_weeks) {
+  return Fold(samples, week, warmup, plot_weeks, /*counter=*/false);
+}
+
 std::vector<double> PerWeekDeltas(const std::vector<Sample>& samples,
                                   SimTime week, SimTime warmup) {
   std::vector<double> out;
-  if (samples.size() < 2 || week <= SimTime::Zero()) return out;
-  const SimTime interval = samples[1].t - samples[0].t;
-  const std::int64_t per_week = week / interval;
-  if (per_week <= 0) return out;
-
-  const SimTime t0 = samples.front().t;
-  SimTime aligned_start = t0 + warmup;
-  const SimTime rem = aligned_start % week;
-  if (!rem.IsZero()) aligned_start += week - rem;
-  std::size_t start = 0;
-  while (start < samples.size() && samples[start].t < aligned_start) ++start;
-
-  for (std::size_t w = start;
-       w + static_cast<std::size_t>(per_week) < samples.size();
-       w += static_cast<std::size_t>(per_week)) {
-    out.push_back(samples[w + static_cast<std::size_t>(per_week)].value -
-                  samples[w].value);
+  const WeekGrid g = AlignWeeks(samples, week, warmup);
+  if (g.per_week == 0) return out;
+  for (std::size_t w = g.start; w + g.per_week < samples.size();
+       w += g.per_week) {
+    out.push_back(samples[w + g.per_week].value - samples[w].value);
   }
   return out;
 }

@@ -54,6 +54,13 @@ std::vector<FoldedPoint> FoldWeeks(const std::vector<Sample>& samples,
                                    SimTime week, SimTime warmup,
                                    int plot_weeks = 1);
 
+// FoldWeeks for a level (a queue occupancy), not a counter: averages the raw
+// value at each offset over complete weeks, one point per sample of the week
+// (no closing boundary point), tiled `plot_weeks` times without a gain.
+std::vector<FoldedPoint> FoldLevels(const std::vector<Sample>& samples,
+                                    SimTime week, SimTime warmup,
+                                    int plot_weeks = 1);
+
 // Per-week deltas of a monotonically increasing counter, aligned to week
 // boundaries after `warmup` (Fig. 10 bins its counters per optical day; with
 // one optical day per week the two are the same).

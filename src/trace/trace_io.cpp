@@ -1,10 +1,13 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <cinttypes>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "cc/registry.hpp"
 #include "sim/json.hpp"
@@ -14,6 +17,17 @@ namespace tdtcp {
 namespace {
 
 constexpr const char* kTraceSchema = "tdtcp-trace/1";
+
+// Event kind names, indexed by RecordedEvent::Kind.
+constexpr const char* kEventKindNames[] = {"connect", "unlimited", "appdata",
+                                           "packet",  "notify",    "close"};
+
+// The last enumerator of each enum serialized as a number: larger is corrupt.
+constexpr PacketType LastEnumerator(PacketType) { return PacketType::kTdnNotify; }
+constexpr Ecn LastEnumerator(Ecn) { return Ecn::kCe; }
+
+template <typename T>
+concept Integer = std::integral<T> && !std::same_as<T, bool>;
 
 std::string U64ToHex(std::uint64_t v) {
   char buf[32];
@@ -25,31 +39,176 @@ std::uint64_t HexToU64(const std::string& s) {
   return std::strtoull(s.c_str(), nullptr, 16);
 }
 
-// Writer helper: appends `"key":value` pairs, inserting commas as needed.
+// A packet's SACK option as one value: the block array and its live count.
+template <typename Blocks, typename Count>
+struct SackList {
+  Blocks& blocks;
+  Count& count;
+  bool operator==(const SackList& o) const {
+    return count == o.count &&
+           std::equal(blocks.begin(), blocks.begin() + count, o.blocks.begin());
+  }
+};
+
+// The `config` object: TcpConfig plus the cc registry names that rebuild its
+// factories, which RecordedConnection keeps beside it.
+template <typename R>
+struct ConfigObject {
+  R& rec;
+};
+
+// --- field lists --------------------------------------------------------------
+// One ordered list per serialized struct, walked by both the writer and the
+// reader: f(key, field, ...) once per field, in document order. Keys are the
+// tdtcp-trace/1 schema: never rename one, and read a new one as optional
+// (absent keeps the struct's default) so older fixtures still load.
+
+// Only fields that influence sender behavior are serialized. TcpConfig holds
+// no MPTCP state (a subflow is a connection built with a SubflowOwner), and
+// the recorder refuses subflows.
+template <typename R, typename F>
+void ConfigFields(R& rec, F&& f) {
+  auto& c = rec.config;
+  f("mss", c.mss);
+  f("header_bytes", c.header_bytes);
+  f("ack_bytes", c.ack_bytes);
+  f("initial_cwnd", c.initial_cwnd);
+  f("snd_buf_bytes", c.snd_buf_bytes);
+  f("rcv_buf_bytes", c.rcv_buf_bytes);
+  f("tdtcp_enabled", c.tdtcp_enabled);
+  f("num_tdns", c.num_tdns);
+  f("relaxed_reordering", c.relaxed_reordering);
+  f("per_tdn_rtt", c.per_tdn_rtt);
+  f("synthesized_rto", c.synthesized_rto);
+  f("invariant_checks", c.invariant_checks);
+  f("tdn_inference", c.tdn_inference);
+  f("tdn_infer_packets", c.tdn_infer_packets);
+  f("sack_enabled", c.sack_enabled);
+  f("sack_rtt", c.sack_rtt);
+  f("dupack_threshold", c.dupack_threshold);
+  f("rack_enabled", c.rack_enabled);
+  f("tlp_enabled", c.tlp_enabled);
+  f("ecn_enabled", c.ecn_enabled);
+  f("initial_rto_ps", c.rtt.initial_rto);
+  f("min_rto_ps", c.rtt.min_rto);
+  f("max_rto_ps", c.rtt.max_rto);
+  f("max_syn_retries", c.max_syn_retries);
+  f("max_synack_retries", c.max_synack_retries);
+  f("max_rto_retries", c.max_rto_retries);
+  f("max_persist_retries", c.max_persist_retries);
+  f("time_wait_ps", c.time_wait_duration);
+  f("close_on_peer_fin", c.close_on_peer_fin);
+  f("pacing_enabled", c.pacing_enabled);
+  f("pacing_gain", c.pacing_gain);
+  f("cc", rec.cc_name);
+  f("per_tdn_cc", rec.per_tdn_cc);
+  f("peer_rack", c.peer_rack);
+}
+
+// f(key, field, default, bounds...): `d` is a default Packet, whose fields
+// the writer omits so ACK-heavy fixtures stay small.
+template <typename P, typename F>
+void PacketFields(P& p, const Packet& d, F&& f) {
+  f("flow", p.flow, d.flow);
+  f("src", p.src, d.src);
+  f("dst", p.dst, d.dst);
+  f("type", p.type, d.type);
+  f("size", p.size_bytes, d.size_bytes);
+  f("pin", p.pinned_path, d.pinned_path, kUnpinned, 1);
+  f("seq", p.seq, d.seq);
+  f("ack", p.ack, d.ack);
+  f("payload", p.payload, d.payload);
+  f("rwnd", p.rcv_window, d.rcv_window);
+  f("has_rwnd", p.has_rwnd, d.has_rwnd);
+  f("syn", p.syn, d.syn);
+  f("fin", p.fin, d.fin);
+  f("rst", p.rst, d.rst);
+  f("ece", p.ece, d.ece);
+  f("cwr", p.cwr, d.cwr);
+  f("sack", SackList{p.sack, p.num_sack}, SackList{d.sack, d.num_sack});
+  f("ecn", p.ecn, d.ecn);
+  f("cmark", p.circuit_mark, d.circuit_mark);
+  f("cecho", p.circuit_echo, d.circuit_echo);
+  f("td_capable", p.td_capable, d.td_capable);
+  f("td_num_tdns", p.td_num_tdns, d.td_num_tdns);
+  f("data_tdn", p.data_tdn, d.data_tdn);
+  f("ack_tdn", p.ack_tdn, d.ack_tdn);
+  f("notify_tdn", p.notify_tdn, d.notify_tdn);
+  f("imminent", p.circuit_imminent, d.circuit_imminent);
+  f("notify_peer", p.notify_peer, d.notify_peer);
+  f("notify_seq", p.notify_seq, d.notify_seq);
+  f("subflow", p.subflow, d.subflow);
+  f("has_dss", p.has_dss, d.has_dss);
+  f("dss_seq", p.dss_seq, d.dss_seq);
+  f("dss_ack", p.dss_ack, d.dss_ack);
+  f("dss_rwnd", p.dss_rwnd, d.dss_rwnd);
+  f("is_mptcp", p.is_mptcp, d.is_mptcp);
+  f("sent_ps", p.sent_time, d.sent_time);
+  f("enq_ps", p.enqueue_time, d.enqueue_time);
+}
+
+// The kind decides which payload fields follow; the reader has already read
+// it when it reaches them.
+template <typename E, typename F>
+void EventFields(E& ev, F&& f) {
+  using Kind = RecordedEvent::Kind;
+  f("t", ev.t_ps);
+  f("kind", ev.kind);
+  if (ev.kind == Kind::kAppData) f("bytes", ev.app_bytes);
+  if (ev.kind == Kind::kPacket) f("pkt", ev.packet);
+  if (ev.kind == Kind::kNotify) {
+    f("tdn", ev.tdn);
+    f("imminent", ev.imminent);
+  }
+}
+
+// A record is a positional array, not an object: the keys name its fields
+// in errors only.
+template <typename T, typename F>
+void RecordFields(T& r, F&& f) {
+  f("time_ps", r.time_ps);
+  f("point", r.point);
+  f("flow", r.flow);
+  f("a0", r.a0);
+  f("a1", r.a1);
+  f("a2", r.a2);
+  f("a3", r.a3);
+}
+
+// The `recorded` section. The records and their hash live at the document's
+// top level, shared with plain ring dumps.
+template <typename R, typename F>
+void RecordedFields(R& rec, F&& f) {
+  f("flow", rec.flow);
+  f("host", rec.host);
+  f("peer", rec.peer);
+  f("end_ps", rec.end_ps);
+  f("wrapped", rec.wrapped);
+  f("config", ConfigObject{rec});
+  f("events", rec.events);
+}
+
+// --- writer -------------------------------------------------------------------
+
+// Appends one JSON object: `"key":value` pairs, one Value overload per value
+// shape.
 class ObjectWriter {
  public:
   explicit ObjectWriter(std::string& out) : out_(out) { out_ += '{'; }
-  void Num(const char* key, double v) {
+  template <typename T>
+  void Field(const char* key, const T& v) {
     Key(key);
-    out_ += NumberToJson(v);
+    Value(v);
   }
-  void Int(const char* key, std::int64_t v) { Num(key, static_cast<double>(v)); }
-  void U64(const char* key, std::uint64_t v) {
-    Num(key, static_cast<double>(v));
-  }
-  void Bool(const char* key, bool v) {
+  // An empty string list is omitted; the reader takes absent as empty.
+  void Field(const char* key, const std::vector<std::string>& v) {
+    if (v.empty()) return;
     Key(key);
-    out_ += v ? "true" : "false";
+    Value(v);
   }
-  void Str(const char* key, const std::string& v) {
+  void Raw(const char* key, const std::string& json) {
     Key(key);
-    out_ += '"';
-    out_ += EscapeJson(v);
-    out_ += '"';
-  }
-  void Raw(const char* key, const std::string& v) {
-    Key(key);
-    out_ += v;
+    out_ += json;
   }
   void Close() { out_ += '}'; }
 
@@ -61,62 +220,244 @@ class ObjectWriter {
     out_ += key;
     out_ += "\":";
   }
+
+  template <std::same_as<bool> B>
+  void Value(B v) {
+    out_ += v ? "true" : "false";
+  }
+  template <Integer Int>
+  void Value(Int v) {
+    out_ += NumberToJson(static_cast<double>(v));
+  }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void Value(E v) {
+    Value(static_cast<std::underlying_type_t<E>>(v));
+  }
+  void Value(RecordedEvent::Kind k) {
+    Value(std::string(kEventKindNames[static_cast<std::size_t>(k)]));
+  }
+  void Value(double v) { out_ += NumberToJson(v); }
+  void Value(SimTime t) { Value(t.picos()); }
+  void Value(const std::string& s) {
+    out_ += '"';
+    out_ += EscapeJson(s);
+    out_ += '"';
+  }
+  template <typename T>
+  void Value(const std::vector<T>& v) {
+    out_ += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i) out_ += ',';
+      Value(v[i]);
+    }
+    out_ += ']';
+  }
+  template <typename B, typename C>
+  void Value(const SackList<B, C>& s) {
+    out_ += '[';
+    for (std::size_t i = 0; i < s.count; ++i) {
+      if (i) out_ += ',';
+      out_ += '[';
+      Value(s.blocks[i].start);
+      out_ += ',';
+      Value(s.blocks[i].end);
+      out_ += ']';
+    }
+    out_ += ']';
+  }
+  void Value(const TraceRecord& r) {
+    char sep = '[';
+    RecordFields(r, [&](const char*, const auto& v) {
+      out_ += sep;
+      sep = ',';
+      Value(v);
+    });
+    out_ += ']';
+  }
+  void Value(const Packet& p) {
+    ObjectWriter w(out_);
+    PacketFields(p, Packet{},
+                 [&](const char* key, const auto& v, const auto& def, auto...) {
+                   if (!(v == def)) w.Field(key, v);
+                 });
+    w.Close();
+  }
+  template <typename T>
+  void Object(const T& v, auto fields) {
+    ObjectWriter w(out_);
+    fields(v, [&](const char* key, const auto& field) { w.Field(key, field); });
+    w.Close();
+  }
+  void Value(const ConfigObject<const RecordedConnection>& c) {
+    Object(c.rec, [](const auto& r, auto&& f) { ConfigFields(r, f); });
+  }
+  void Value(const RecordedEvent& ev) {
+    Object(ev, [](const auto& e, auto&& f) { EventFields(e, f); });
+  }
+  void Value(const RecordedConnection& rec) {
+    Object(rec, [](const auto& r, auto&& f) { RecordedFields(r, f); });
+  }
+
   std::string& out_;
   bool first_ = true;
 };
 
-std::string RecordsToJsonArray(const std::vector<TraceRecord>& records) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const TraceRecord& r = records[i];
-    if (i) out += ',';
-    out += '[';
-    out += NumberToJson(static_cast<double>(r.time_ps));
-    out += ',';
-    out += NumberToJson(r.point);
-    out += ',';
-    out += NumberToJson(r.flow);
-    out += ',';
-    out += NumberToJson(static_cast<double>(r.a0));
-    out += ',';
-    out += NumberToJson(static_cast<double>(r.a1));
-    out += ',';
-    out += NumberToJson(static_cast<double>(r.a2));
-    out += ',';
-    out += NumberToJson(static_cast<double>(r.a3));
-    out += ']';
-  }
-  out += ']';
-  return out;
-}
+// --- reader -------------------------------------------------------------------
 
-std::vector<TraceRecord> RecordsFromJsonArray(const JsonValue& arr) {
-  if (arr.type != JsonValue::Type::kArray) {
-    throw std::runtime_error("tdtcp-trace: records must be an array");
+// Reads one JSON object into a struct that already holds its defaults: an
+// absent key keeps the default, and a present value of the wrong shape
+// throws naming the key.
+class ObjectReader {
+ public:
+  ObjectReader(const JsonValue& obj, const std::string& what) : obj_(obj) {
+    Expect(obj, JsonValue::Type::kObject, what);
   }
-  std::vector<TraceRecord> out;
-  out.reserve(arr.array.size());
-  for (const JsonValue& jr : arr.array) {
-    if (jr.type != JsonValue::Type::kArray || jr.array.size() != 7) {
+  template <typename T, typename... Bounds>
+  void Field(const char* key, T&& v, Bounds... bounds) const {
+    if (const JsonValue* j = obj_.Find(key)) {
+      Read(*j, std::string("tdtcp-trace: ") + key, v, bounds...);
+    }
+  }
+
+ private:
+  // `j` itself, or a throw naming `what` when it is not of `type`.
+  static const JsonValue& Expect(const JsonValue& j, JsonValue::Type type,
+                                 const std::string& what) {
+    // Indexed by JsonValue::Type.
+    static constexpr const char* kWant[] = {"null", "a number", "a string",
+                                            "an array", "an object"};
+    if (j.type != type) {
+      throw std::runtime_error(what + " is not " +
+                               kWant[static_cast<std::size_t>(type)]);
+    }
+    return j;
+  }
+  // An integer in [lo, hi], checked before any cast.
+  template <typename Int>
+  static Int ToInt(const JsonValue& j, const std::string& what,
+                   std::type_identity_t<Int> lo = std::numeric_limits<Int>::min(),
+                   std::type_identity_t<Int> hi = std::numeric_limits<Int>::max()) {
+    const double n = Expect(j, JsonValue::Type::kNumber, what).number;
+    Int v;
+    if constexpr (std::numeric_limits<Int>::is_signed) {
+      v = JsonToSignedInt<Int>(n, what);
+    } else {
+      v = JsonToInt<Int>(n, what);
+    }
+    if (v < lo || v > hi) {
+      throw std::runtime_error(what + " is outside [" + std::to_string(lo) +
+                               ", " + std::to_string(hi) + "]");
+    }
+    return v;
+  }
+  static void Read(const JsonValue& j, const std::string& what, bool& v) {
+    // ParseJson models true/false as numbers 1/0.
+    v = ToInt<std::uint8_t>(j, what, 0, 1) != 0;
+  }
+  template <Integer Int, typename... Bounds>
+  static void Read(const JsonValue& j, const std::string& what, Int& v,
+                   Bounds... bounds) {
+    v = ToInt<Int>(j, what, bounds...);
+  }
+  template <typename E>
+    requires std::is_enum_v<E>
+  static void Read(const JsonValue& j, const std::string& what, E& v) {
+    using U = std::underlying_type_t<E>;
+    v = static_cast<E>(ToInt<U>(j, what, 0, static_cast<U>(LastEnumerator(E{}))));
+  }
+  static void Read(const JsonValue& j, const std::string& what,
+                   RecordedEvent::Kind& v) {
+    std::string name;
+    Read(j, what, name);
+    const auto* it = std::find(std::begin(kEventKindNames),
+                               std::end(kEventKindNames), name);
+    if (it == std::end(kEventKindNames)) {
+      throw std::runtime_error("tdtcp-trace: unknown event kind " + name);
+    }
+    v = static_cast<RecordedEvent::Kind>(it - std::begin(kEventKindNames));
+  }
+  static void Read(const JsonValue& j, const std::string& what, double& v) {
+    v = Expect(j, JsonValue::Type::kNumber, what).number;
+  }
+  static void Read(const JsonValue& j, const std::string& what, SimTime& v) {
+    v = SimTime::Picos(ToInt<std::int64_t>(j, what));
+  }
+  static void Read(const JsonValue& j, const std::string& what, std::string& v) {
+    v = Expect(j, JsonValue::Type::kString, what).string;
+  }
+  template <typename T>
+  static void Read(const JsonValue& j, const std::string& what,
+                   std::vector<T>& v) {
+    const std::vector<JsonValue>& items =
+        Expect(j, JsonValue::Type::kArray, what).array;
+    v.assign(items.size(), T{});
+    for (std::size_t i = 0; i < items.size(); ++i) Read(items[i], what, v[i]);
+  }
+  template <typename B, typename C>
+  static void Read(const JsonValue& j, const std::string& what,
+                   const SackList<B, C>& s) {
+    const std::vector<JsonValue>& blocks =
+        Expect(j, JsonValue::Type::kArray, what).array;
+    if (blocks.size() > s.blocks.size()) {
+      throw std::runtime_error(what + " has more than " +
+                               std::to_string(s.blocks.size()) + " blocks");
+    }
+    s.count = static_cast<C>(blocks.size());
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const std::vector<JsonValue>& b =
+          Expect(blocks[i], JsonValue::Type::kArray, what).array;
+      if (b.size() != 2) {
+        throw std::runtime_error("tdtcp-trace: malformed sack block");
+      }
+      s.blocks[i].start = ToInt<std::uint64_t>(b[0], what + " start");
+      s.blocks[i].end = ToInt<std::uint64_t>(b[1], what + " end");
+    }
+  }
+  static void Read(const JsonValue& j, const std::string&, TraceRecord& r) {
+    if (j.type != JsonValue::Type::kArray || j.array.size() != 7) {
       throw std::runtime_error("tdtcp-trace: malformed record");
     }
-    static const std::string kField[7] = {
-        "tdtcp-trace: record time_ps", "tdtcp-trace: record point",
-        "tdtcp-trace: record flow",    "tdtcp-trace: record a0",
-        "tdtcp-trace: record a1",      "tdtcp-trace: record a2",
-        "tdtcp-trace: record a3"};
-    TraceRecord r;
-    r.time_ps = JsonToSignedInt<std::int64_t>(jr.array[0].number, kField[0]);
-    r.point = JsonToInt<std::uint32_t>(jr.array[1].number, kField[1]);
-    r.flow = JsonToInt<std::uint32_t>(jr.array[2].number, kField[2]);
-    r.a0 = JsonToInt<std::uint64_t>(jr.array[3].number, kField[3]);
-    r.a1 = JsonToInt<std::uint64_t>(jr.array[4].number, kField[4]);
-    r.a2 = JsonToInt<std::uint64_t>(jr.array[5].number, kField[5]);
-    r.a3 = JsonToInt<std::uint64_t>(jr.array[6].number, kField[6]);
-    out.push_back(r);
+    std::size_t i = 0;
+    RecordFields(r, [&](const char* name, auto& v) {
+      Read(j.array[i++], std::string("tdtcp-trace: record ") + name, v);
+    });
   }
-  return out;
-}
+  static void Read(const JsonValue& j, const std::string& what, Packet& p) {
+    const ObjectReader r(j, what);
+    // The defaults go unused: p starts as a default Packet.
+    PacketFields(p, p, [&](const char* key, auto&& v, const auto&,
+                           auto... bounds) { r.Field(key, v, bounds...); });
+  }
+  template <typename T>
+  static void Object(const JsonValue& j, const std::string& what, T& v,
+                     auto fields) {
+    const ObjectReader r(j, what);
+    fields(v, [&](const char* key, auto&& field) { r.Field(key, field); });
+  }
+  static void Read(const JsonValue& j, const std::string& what,
+                   const ConfigObject<RecordedConnection>& c) {
+    Object(j, what, c.rec, [](auto& r, auto&& f) { ConfigFields(r, f); });
+    TcpConfig& config = c.rec.config;
+    config.cc_factory = MakeCcFactory(c.rec.cc_name);
+    for (const std::string& name : c.rec.per_tdn_cc) {
+      config.per_tdn_cc.push_back(MakeCcFactory(name));
+    }
+  }
+  static void Read(const JsonValue& j, const std::string& what,
+                   RecordedEvent& ev) {
+    if (j.Find("kind") == nullptr) {
+      throw std::runtime_error("tdtcp-trace: event without kind");
+    }
+    Object(j, what, ev, [](auto& e, auto&& f) { EventFields(e, f); });
+  }
+  static void Read(const JsonValue& j, const std::string& what,
+                   RecordedConnection& rec) {
+    Object(j, what, rec, [](auto& r, auto&& f) { RecordedFields(r, f); });
+  }
+
+  const JsonValue& obj_;
+};
 
 // The point-name map keeps trace2tsv.py in sync with the enum without a
 // duplicated table on the Python side.
@@ -134,309 +475,19 @@ std::string PointNamesJson() {
   return out;
 }
 
-// Packet serialization: defaults are omitted so ACK-heavy fixtures stay
-// small. The reader starts from a default-constructed Packet, which makes
-// the omission lossless.
-std::string PacketToJson(const Packet& p) {
+// The document both shapes share; `rec` adds the replay section.
+std::string TraceDocument(std::uint64_t hash,
+                          const std::vector<TraceRecord>& records,
+                          const RecordedConnection* rec) {
   std::string out;
   ObjectWriter w(out);
-  const Packet d;
-  if (p.flow != d.flow) w.U64("flow", p.flow);
-  if (p.src != d.src) w.U64("src", p.src);
-  if (p.dst != d.dst) w.U64("dst", p.dst);
-  if (p.type != d.type) w.Int("type", static_cast<int>(p.type));
-  if (p.size_bytes != d.size_bytes) w.U64("size", p.size_bytes);
-  if (p.pinned_path != d.pinned_path) w.Int("pin", p.pinned_path);
-  if (p.seq != d.seq) w.U64("seq", p.seq);
-  if (p.ack != d.ack) w.U64("ack", p.ack);
-  if (p.payload != d.payload) w.U64("payload", p.payload);
-  if (p.rcv_window != d.rcv_window) w.U64("rwnd", p.rcv_window);
-  if (p.has_rwnd != d.has_rwnd) w.Bool("has_rwnd", p.has_rwnd);
-  if (p.syn != d.syn) w.Bool("syn", p.syn);
-  if (p.fin != d.fin) w.Bool("fin", p.fin);
-  if (p.rst != d.rst) w.Bool("rst", p.rst);
-  if (p.ece != d.ece) w.Bool("ece", p.ece);
-  if (p.cwr != d.cwr) w.Bool("cwr", p.cwr);
-  if (p.num_sack > 0) {
-    std::string sacks = "[";
-    for (std::uint8_t i = 0; i < p.num_sack; ++i) {
-      if (i) sacks += ',';
-      sacks += '[';
-      sacks += NumberToJson(static_cast<double>(p.sack[i].start));
-      sacks += ',';
-      sacks += NumberToJson(static_cast<double>(p.sack[i].end));
-      sacks += ']';
-    }
-    sacks += ']';
-    w.Raw("sack", sacks);
-  }
-  if (p.ecn != d.ecn) w.Int("ecn", static_cast<int>(p.ecn));
-  if (p.circuit_mark != d.circuit_mark) w.Bool("cmark", p.circuit_mark);
-  if (p.circuit_echo != d.circuit_echo) w.Bool("cecho", p.circuit_echo);
-  if (p.td_capable != d.td_capable) w.Bool("td_capable", p.td_capable);
-  if (p.td_num_tdns != d.td_num_tdns) w.Int("td_num_tdns", p.td_num_tdns);
-  if (p.data_tdn != d.data_tdn) w.Int("data_tdn", p.data_tdn);
-  if (p.ack_tdn != d.ack_tdn) w.Int("ack_tdn", p.ack_tdn);
-  if (p.notify_tdn != d.notify_tdn) w.Int("notify_tdn", p.notify_tdn);
-  if (p.circuit_imminent != d.circuit_imminent) {
-    w.Bool("imminent", p.circuit_imminent);
-  }
-  if (p.notify_peer != d.notify_peer) w.U64("notify_peer", p.notify_peer);
-  if (p.notify_seq != d.notify_seq) w.U64("notify_seq", p.notify_seq);
-  if (p.subflow != d.subflow) w.Int("subflow", p.subflow);
-  if (p.has_dss != d.has_dss) w.Bool("has_dss", p.has_dss);
-  if (p.dss_seq != d.dss_seq) w.U64("dss_seq", p.dss_seq);
-  if (p.dss_ack != d.dss_ack) w.U64("dss_ack", p.dss_ack);
-  if (p.dss_rwnd != d.dss_rwnd) w.U64("dss_rwnd", p.dss_rwnd);
-  if (p.is_mptcp != d.is_mptcp) w.Bool("is_mptcp", p.is_mptcp);
-  if (!p.sent_time.IsZero()) w.Int("sent_ps", p.sent_time.picos());
-  if (!p.enqueue_time.IsZero()) w.Int("enq_ps", p.enqueue_time.picos());
+  w.Field("schema", std::string(kTraceSchema));
+  w.Field("hash", U64ToHex(hash));
+  w.Raw("points", PointNamesJson());
+  if (rec != nullptr) w.Field("recorded", *rec);
+  w.Field("records", records);
   w.Close();
   return out;
-}
-
-double NumOr(const JsonValue& obj, const char* key, double def) {
-  const JsonValue* v = obj.Find(key);
-  return v ? v->NumberOr(def) : def;
-}
-
-// An integer field, `def` when absent; a present value must be an exact
-// integer in Int's range (JsonToInt), so a corrupt fixture throws instead of
-// truncating or overflowing the cast.
-template <typename Int>
-Int IntOr(const JsonValue& obj, const char* key, Int def) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->type != JsonValue::Type::kNumber) return def;
-  const std::string what = std::string("tdtcp-trace: ") + key;
-  if constexpr (std::numeric_limits<Int>::is_signed) {
-    return JsonToSignedInt<Int>(v->number, what);
-  } else {
-    return JsonToInt<Int>(v->number, what);
-  }
-}
-
-SimTime PicosOr(const JsonValue& obj, const char* key, SimTime def) {
-  return SimTime::Picos(IntOr<std::int64_t>(obj, key, def.picos()));
-}
-
-bool BoolOr(const JsonValue& obj, const char* key, bool def) {
-  // ParseJson models true/false as numbers 1/0.
-  const JsonValue* v = obj.Find(key);
-  return v ? v->NumberOr(def ? 1 : 0) != 0 : def;
-}
-
-Packet PacketFromJson(const JsonValue& j) {
-  Packet p;
-  p.flow = IntOr<FlowId>(j, "flow", p.flow);
-  p.src = IntOr<NodeId>(j, "src", p.src);
-  p.dst = IntOr<NodeId>(j, "dst", p.dst);
-  p.type = static_cast<PacketType>(
-      IntOr<std::uint8_t>(j, "type", static_cast<std::uint8_t>(p.type)));
-  p.size_bytes = IntOr<std::uint32_t>(j, "size", p.size_bytes);
-  p.pinned_path = IntOr<std::int8_t>(j, "pin", p.pinned_path);
-  p.seq = IntOr<std::uint64_t>(j, "seq", 0);
-  p.ack = IntOr<std::uint64_t>(j, "ack", 0);
-  p.payload = IntOr<std::uint32_t>(j, "payload", 0);
-  p.rcv_window = IntOr<std::uint32_t>(j, "rwnd", 0);
-  p.has_rwnd = BoolOr(j, "has_rwnd", false);
-  p.syn = BoolOr(j, "syn", false);
-  p.fin = BoolOr(j, "fin", false);
-  p.rst = BoolOr(j, "rst", false);
-  p.ece = BoolOr(j, "ece", false);
-  p.cwr = BoolOr(j, "cwr", false);
-  if (const JsonValue* sacks = j.Find("sack")) {
-    for (const JsonValue& b : sacks->array) {
-      if (p.num_sack >= kMaxSackBlocks) break;
-      if (b.array.size() != 2) {
-        throw std::runtime_error("tdtcp-trace: malformed sack block");
-      }
-      p.sack[p.num_sack].start = JsonToInt<std::uint64_t>(
-          b.array[0].number, "tdtcp-trace: sack start");
-      p.sack[p.num_sack].end = JsonToInt<std::uint64_t>(
-          b.array[1].number, "tdtcp-trace: sack end");
-      ++p.num_sack;
-    }
-  }
-  p.ecn = static_cast<Ecn>(IntOr<std::uint8_t>(j, "ecn", 0));
-  p.circuit_mark = BoolOr(j, "cmark", false);
-  p.circuit_echo = BoolOr(j, "cecho", false);
-  p.td_capable = BoolOr(j, "td_capable", false);
-  p.td_num_tdns = IntOr<std::uint8_t>(j, "td_num_tdns", 0);
-  p.data_tdn = IntOr<TdnId>(j, "data_tdn", kNoTdn);
-  p.ack_tdn = IntOr<TdnId>(j, "ack_tdn", kNoTdn);
-  p.notify_tdn = IntOr<TdnId>(j, "notify_tdn", kNoTdn);
-  p.circuit_imminent = BoolOr(j, "imminent", false);
-  p.notify_peer = IntOr<RackId>(j, "notify_peer", p.notify_peer);
-  p.notify_seq = IntOr<std::uint64_t>(j, "notify_seq", 0);
-  p.subflow = IntOr<std::uint8_t>(j, "subflow", 0);
-  p.has_dss = BoolOr(j, "has_dss", false);
-  p.dss_seq = IntOr<std::uint64_t>(j, "dss_seq", 0);
-  p.dss_ack = IntOr<std::uint64_t>(j, "dss_ack", 0);
-  p.dss_rwnd = IntOr<std::uint64_t>(j, "dss_rwnd", 0);
-  p.is_mptcp = BoolOr(j, "is_mptcp", false);
-  p.sent_time = PicosOr(j, "sent_ps", SimTime::Zero());
-  p.enqueue_time = PicosOr(j, "enq_ps", SimTime::Zero());
-  return p;
-}
-
-const char* EventKindName(RecordedEvent::Kind k) {
-  switch (k) {
-    case RecordedEvent::Kind::kConnect: return "connect";
-    case RecordedEvent::Kind::kUnlimited: return "unlimited";
-    case RecordedEvent::Kind::kAppData: return "appdata";
-    case RecordedEvent::Kind::kPacket: return "packet";
-    case RecordedEvent::Kind::kNotify: return "notify";
-    case RecordedEvent::Kind::kClose: return "close";
-  }
-  return "?";
-}
-
-RecordedEvent::Kind EventKindFromName(const std::string& name) {
-  if (name == "connect") return RecordedEvent::Kind::kConnect;
-  if (name == "unlimited") return RecordedEvent::Kind::kUnlimited;
-  if (name == "appdata") return RecordedEvent::Kind::kAppData;
-  if (name == "packet") return RecordedEvent::Kind::kPacket;
-  if (name == "notify") return RecordedEvent::Kind::kNotify;
-  if (name == "close") return RecordedEvent::Kind::kClose;
-  throw std::runtime_error("tdtcp-trace: unknown event kind " + name);
-}
-
-std::string EventToJson(const RecordedEvent& ev) {
-  std::string out;
-  ObjectWriter w(out);
-  w.Int("t", ev.t_ps);
-  w.Str("kind", EventKindName(ev.kind));
-  switch (ev.kind) {
-    case RecordedEvent::Kind::kAppData:
-      w.U64("bytes", ev.app_bytes);
-      break;
-    case RecordedEvent::Kind::kPacket:
-      w.Raw("pkt", PacketToJson(ev.packet));
-      break;
-    case RecordedEvent::Kind::kNotify:
-      w.Int("tdn", ev.tdn);
-      w.Bool("imminent", ev.imminent);
-      break;
-    default:
-      break;
-  }
-  w.Close();
-  return out;
-}
-
-RecordedEvent EventFromJson(const JsonValue& j) {
-  RecordedEvent ev;
-  ev.t_ps = IntOr<std::int64_t>(j, "t", 0);
-  const JsonValue* kind = j.Find("kind");
-  if (!kind) throw std::runtime_error("tdtcp-trace: event without kind");
-  ev.kind = EventKindFromName(kind->string);
-  ev.app_bytes = IntOr<std::uint64_t>(j, "bytes", 0);
-  if (const JsonValue* pkt = j.Find("pkt")) ev.packet = PacketFromJson(*pkt);
-  ev.tdn = IntOr<TdnId>(j, "tdn", 0);
-  ev.imminent = BoolOr(j, "imminent", false);
-  return ev;
-}
-
-// Engine-config snapshot. Only fields that influence sender behavior are
-// serialized. TcpConfig holds no MPTCP state (a subflow is a connection
-// built with a SubflowOwner), and the recorder refuses subflows.
-std::string ConfigToJson(const RecordedConnection& rec) {
-  const TcpConfig& c = rec.config;
-  std::string out;
-  ObjectWriter w(out);
-  w.U64("mss", c.mss);
-  w.U64("header_bytes", c.header_bytes);
-  w.U64("ack_bytes", c.ack_bytes);
-  w.U64("initial_cwnd", c.initial_cwnd);
-  w.U64("snd_buf_bytes", c.snd_buf_bytes);
-  w.U64("rcv_buf_bytes", c.rcv_buf_bytes);
-  w.Bool("tdtcp_enabled", c.tdtcp_enabled);
-  w.Int("num_tdns", c.num_tdns);
-  w.Bool("relaxed_reordering", c.relaxed_reordering);
-  w.Bool("per_tdn_rtt", c.per_tdn_rtt);
-  w.Bool("synthesized_rto", c.synthesized_rto);
-  w.Bool("invariant_checks", c.invariant_checks);
-  w.Bool("tdn_inference", c.tdn_inference);
-  w.U64("tdn_infer_packets", c.tdn_infer_packets);
-  w.Bool("sack_enabled", c.sack_enabled);
-  w.U64("dupack_threshold", c.dupack_threshold);
-  w.Bool("rack_enabled", c.rack_enabled);
-  w.Bool("tlp_enabled", c.tlp_enabled);
-  w.Bool("ecn_enabled", c.ecn_enabled);
-  w.Int("initial_rto_ps", c.rtt.initial_rto.picos());
-  w.Int("min_rto_ps", c.rtt.min_rto.picos());
-  w.Int("max_rto_ps", c.rtt.max_rto.picos());
-  w.U64("max_syn_retries", c.max_syn_retries);
-  w.U64("max_synack_retries", c.max_synack_retries);
-  w.U64("max_rto_retries", c.max_rto_retries);
-  w.U64("max_persist_retries", c.max_persist_retries);
-  w.Int("time_wait_ps", c.time_wait_duration.picos());
-  w.Bool("close_on_peer_fin", c.close_on_peer_fin);
-  w.Bool("pacing_enabled", c.pacing_enabled);
-  w.Num("pacing_gain", c.pacing_gain);
-  w.Str("cc", rec.cc_name);
-  if (!rec.per_tdn_cc.empty()) {
-    std::string arr = "[";
-    for (std::size_t i = 0; i < rec.per_tdn_cc.size(); ++i) {
-      if (i) arr += ',';
-      arr += '"';
-      arr += EscapeJson(rec.per_tdn_cc[i]);
-      arr += '"';
-    }
-    arr += ']';
-    w.Raw("per_tdn_cc", arr);
-  }
-  w.U64("peer_rack", c.peer_rack);
-  w.Close();
-  return out;
-}
-
-void ConfigFromJson(const JsonValue& j, RecordedConnection& rec) {
-  TcpConfig c;
-  c.mss = IntOr(j, "mss", c.mss);
-  c.header_bytes = IntOr(j, "header_bytes", c.header_bytes);
-  c.ack_bytes = IntOr(j, "ack_bytes", c.ack_bytes);
-  c.initial_cwnd = IntOr(j, "initial_cwnd", c.initial_cwnd);
-  c.snd_buf_bytes = IntOr(j, "snd_buf_bytes", c.snd_buf_bytes);
-  c.rcv_buf_bytes = IntOr(j, "rcv_buf_bytes", c.rcv_buf_bytes);
-  c.tdtcp_enabled = BoolOr(j, "tdtcp_enabled", c.tdtcp_enabled);
-  c.num_tdns = IntOr(j, "num_tdns", c.num_tdns);
-  c.relaxed_reordering = BoolOr(j, "relaxed_reordering", c.relaxed_reordering);
-  c.per_tdn_rtt = BoolOr(j, "per_tdn_rtt", c.per_tdn_rtt);
-  c.synthesized_rto = BoolOr(j, "synthesized_rto", c.synthesized_rto);
-  c.invariant_checks = BoolOr(j, "invariant_checks", c.invariant_checks);
-  c.tdn_inference = BoolOr(j, "tdn_inference", c.tdn_inference);
-  c.tdn_infer_packets = IntOr(j, "tdn_infer_packets", c.tdn_infer_packets);
-  c.sack_enabled = BoolOr(j, "sack_enabled", c.sack_enabled);
-  c.dupack_threshold = IntOr(j, "dupack_threshold", c.dupack_threshold);
-  c.rack_enabled = BoolOr(j, "rack_enabled", c.rack_enabled);
-  c.tlp_enabled = BoolOr(j, "tlp_enabled", c.tlp_enabled);
-  c.ecn_enabled = BoolOr(j, "ecn_enabled", c.ecn_enabled);
-  c.rtt.initial_rto = PicosOr(j, "initial_rto_ps", c.rtt.initial_rto);
-  c.rtt.min_rto = PicosOr(j, "min_rto_ps", c.rtt.min_rto);
-  c.rtt.max_rto = PicosOr(j, "max_rto_ps", c.rtt.max_rto);
-  c.max_syn_retries = IntOr(j, "max_syn_retries", c.max_syn_retries);
-  c.max_synack_retries = IntOr(j, "max_synack_retries", c.max_synack_retries);
-  c.max_rto_retries = IntOr(j, "max_rto_retries", c.max_rto_retries);
-  c.max_persist_retries =
-      IntOr(j, "max_persist_retries", c.max_persist_retries);
-  c.time_wait_duration = PicosOr(j, "time_wait_ps", c.time_wait_duration);
-  c.close_on_peer_fin = BoolOr(j, "close_on_peer_fin", c.close_on_peer_fin);
-  c.pacing_enabled = BoolOr(j, "pacing_enabled", c.pacing_enabled);
-  c.pacing_gain = NumOr(j, "pacing_gain", c.pacing_gain);
-  c.peer_rack = IntOr(j, "peer_rack", c.peer_rack);
-
-  rec.cc_name = "cubic";
-  if (const JsonValue* cc = j.Find("cc")) rec.cc_name = cc->string;
-  c.cc_factory = MakeCcFactory(rec.cc_name);
-  rec.per_tdn_cc.clear();
-  if (const JsonValue* per = j.Find("per_tdn_cc")) {
-    for (const JsonValue& name : per->array) {
-      rec.per_tdn_cc.push_back(name.string);
-      c.per_tdn_cc.push_back(MakeCcFactory(name.string));
-    }
-  }
-  rec.config = std::move(c);
 }
 
 }  // namespace
@@ -456,44 +507,11 @@ std::uint64_t HashTraceRecords(const std::vector<TraceRecord>& records) {
 }
 
 std::string TraceToJson(const std::vector<TraceRecord>& records) {
-  std::string out;
-  ObjectWriter w(out);
-  w.Str("schema", kTraceSchema);
-  w.Str("hash", U64ToHex(HashTraceRecords(records)));
-  w.Raw("points", PointNamesJson());
-  w.Raw("records", RecordsToJsonArray(records));
-  w.Close();
-  return out;
+  return TraceDocument(HashTraceRecords(records), records, nullptr);
 }
 
 std::string RecordedConnectionToJson(const RecordedConnection& rec) {
-  std::string out;
-  ObjectWriter w(out);
-  w.Str("schema", kTraceSchema);
-  w.Str("hash", U64ToHex(rec.hash));
-  w.Raw("points", PointNamesJson());
-  {
-    std::string r;
-    ObjectWriter rw(r);
-    rw.U64("flow", rec.flow);
-    rw.U64("host", rec.host);
-    rw.U64("peer", rec.peer);
-    rw.Int("end_ps", rec.end_ps);
-    rw.Bool("wrapped", rec.wrapped);
-    rw.Raw("config", ConfigToJson(rec));
-    std::string evs = "[";
-    for (std::size_t i = 0; i < rec.events.size(); ++i) {
-      if (i) evs += ',';
-      evs += EventToJson(rec.events[i]);
-    }
-    evs += ']';
-    rw.Raw("events", evs);
-    rw.Close();
-    w.Raw("recorded", r);
-  }
-  w.Raw("records", RecordsToJsonArray(rec.records));
-  w.Close();
-  return out;
+  return TraceDocument(rec.hash, rec.records, &rec);
 }
 
 RecordedConnection RecordedConnectionFromJson(const std::string& text) {
@@ -502,33 +520,18 @@ RecordedConnection RecordedConnectionFromJson(const std::string& text) {
   if (!schema || schema->string != kTraceSchema) {
     throw std::runtime_error("tdtcp-trace: unsupported schema");
   }
-  const JsonValue* recorded = doc.Find("recorded");
-  if (!recorded) {
+  if (!doc.Find("recorded")) {
     throw std::runtime_error("tdtcp-trace: document has no recorded section");
   }
   RecordedConnection rec;
-  rec.flow = IntOr<FlowId>(*recorded, "flow", 0);
-  rec.host = IntOr<NodeId>(*recorded, "host", 0);
-  rec.peer = IntOr<NodeId>(*recorded, "peer", 0);
-  rec.end_ps = IntOr<std::int64_t>(*recorded, "end_ps", 0);
-  rec.wrapped = BoolOr(*recorded, "wrapped", false);
-  if (const JsonValue* cfg = recorded->Find("config")) {
-    ConfigFromJson(*cfg, rec);
-  }
-  if (const JsonValue* evs = recorded->Find("events")) {
-    for (const JsonValue& je : evs->array) {
-      rec.events.push_back(EventFromJson(je));
-    }
-  }
-  if (const JsonValue* records = doc.Find("records")) {
-    rec.records = RecordsFromJsonArray(*records);
-  }
+  const ObjectReader r(doc, "tdtcp-trace: document");
+  r.Field("recorded", rec);
+  r.Field("records", rec.records);
   rec.hash = HashTraceRecords(rec.records);
-  if (const JsonValue* h = doc.Find("hash")) {
-    if (HexToU64(h->string) != rec.hash) {
-      throw std::runtime_error(
-          "tdtcp-trace: stored hash does not match records (corrupt fixture?)");
-    }
+  const JsonValue* hash = doc.Find("hash");
+  if (hash && HexToU64(hash->string) != rec.hash) {
+    throw std::runtime_error(
+        "tdtcp-trace: stored hash does not match records (corrupt fixture?)");
   }
   return rec;
 }

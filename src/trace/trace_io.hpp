@@ -7,6 +7,16 @@
 //     RecordedConnection (engine config snapshot + ordered ingress events)
 //     that trace/replayer.hpp re-executes and asserts bit-identical.
 //
+// Each serialized struct (TcpConfig with its cc names, Packet, RecordedEvent,
+// TraceRecord, the recorded section) has one ordered field list in
+// trace_io.cpp; the writer and the reader both walk it, so the two cannot
+// drift apart. A struct field left off its list is not replayed, so a field
+// that influences sender behavior needs a line there. The reader starts from
+// the struct's own defaults and rejects a present value of the wrong shape (a
+// string for a number, a bool other than 0/1, an enum past its last
+// enumerator) naming the key. A new key must stay optional on read, so
+// fixtures written before it still load.
+//
 // JSON numbers are doubles, so every serialized integer must stay below
 // 2^53. Times (picoseconds), sequence numbers, and tracepoint arguments all
 // do for any run the fixtures cover; the full 64-bit ring hash does not and

@@ -5,11 +5,8 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "cc/registry.hpp"
 #include "sim/simulator.hpp"
-#include "trace/flow_logger.hpp"
 #include "trace/samplers.hpp"
-#include "test_util.hpp"
 
 namespace tdtcp {
 namespace {
@@ -87,6 +84,62 @@ TEST(FoldWeeks, DegenerateInputsReturnEmpty) {
   EXPECT_TRUE(FoldWeeks({}, SimTime::Micros(100), SimTime::Zero()).empty());
   auto two = LinearCounter(SimTime::Micros(10), 2, 1.0);
   EXPECT_TRUE(FoldWeeks(two, SimTime::Micros(1), SimTime::Zero()).empty());
+  // The first two samples share a time: no sampling interval to fold on.
+  const std::vector<Sample> same_time = {{SimTime::Zero(), 0.0},
+                                         {SimTime::Zero(), 1.0},
+                                         {SimTime::Micros(10), 2.0}};
+  EXPECT_TRUE(
+      FoldWeeks(same_time, SimTime::Micros(100), SimTime::Zero()).empty());
+}
+
+// Week k holds level i + 2 * (k % 2) at sample offset i: offset i averages
+// to i + 1 over an even number of weeks.
+std::vector<Sample> AlternatingLevels(int weeks) {
+  std::vector<Sample> out;
+  for (int n = 0; n < weeks * 10; ++n) {
+    out.push_back(Sample{SimTime::Micros(10) * n,
+                         static_cast<double>(n % 10 + 2 * (n / 10 % 2))});
+  }
+  return out;
+}
+
+TEST(FoldLevels, AveragesRawLevelsPerOffset) {
+  // Unlike FoldWeeks, the last week needs no closing sample: 100 samples
+  // make 10 weeks of 10 points each.
+  const auto curve = FoldLevels(AlternatingLevels(10), SimTime::Micros(100),
+                                SimTime::Zero(), 1);
+  ASSERT_EQ(curve.size(), 10u);
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    EXPECT_DOUBLE_EQ(curve[i].offset_us, 10.0 * i);
+    EXPECT_DOUBLE_EQ(curve[i].mean, i + 1.0);
+  }
+  // Tiles repeat the week, shifted by one week, with no added gain.
+  const auto two = FoldLevels(AlternatingLevels(10), SimTime::Micros(100),
+                              SimTime::Zero(), 2);
+  ASSERT_EQ(two.size(), 20u);
+  EXPECT_DOUBLE_EQ(two[13].offset_us, 130.0);
+  EXPECT_DOUBLE_EQ(two[13].mean, two[3].mean);
+  // A one-week warmup drops week 0: offset i averages to i + 10/9 over
+  // weeks 1..9, five of them odd.
+  const auto warm = FoldLevels(AlternatingLevels(10), SimTime::Micros(100),
+                               SimTime::Micros(100), 1);
+  ASSERT_EQ(warm.size(), 10u);
+  EXPECT_NEAR(warm[0].mean, 10.0 / 9, 1e-12);
+}
+
+TEST(FoldLevels, DegenerateInputsReturnEmpty) {
+  EXPECT_TRUE(FoldLevels({}, SimTime::Micros(100), SimTime::Zero()).empty());
+  const auto levels = AlternatingLevels(2);
+  EXPECT_TRUE(FoldLevels(levels, SimTime::Micros(1), SimTime::Zero()).empty());
+  EXPECT_TRUE(FoldLevels(levels, SimTime::Zero(), SimTime::Zero()).empty());
+  // Warmup past the last sample leaves no complete week.
+  EXPECT_TRUE(
+      FoldLevels(levels, SimTime::Micros(100), SimTime::Micros(200)).empty());
+  const std::vector<Sample> same_time = {{SimTime::Zero(), 0.0},
+                                         {SimTime::Zero(), 1.0},
+                                         {SimTime::Micros(10), 2.0}};
+  EXPECT_TRUE(
+      FoldLevels(same_time, SimTime::Micros(100), SimTime::Zero()).empty());
 }
 
 TEST(PerWeekDeltas, CountsPerWeek) {
@@ -98,6 +151,17 @@ TEST(PerWeekDeltas, CountsPerWeek) {
   auto deltas = PerWeekDeltas(samples, SimTime::Micros(100), SimTime::Zero());
   ASSERT_GE(deltas.size(), 8u);
   for (double d : deltas) EXPECT_NEAR(d, 5.0, 1e-9);
+}
+
+TEST(PerWeekDeltas, DegenerateInputsReturnEmpty) {
+  EXPECT_TRUE(PerWeekDeltas({}, SimTime::Micros(100), SimTime::Zero()).empty());
+  // The first two samples share a time: no sampling interval (this divided
+  // by zero before the shared alignment guard).
+  const std::vector<Sample> same_time = {{SimTime::Zero(), 0.0},
+                                         {SimTime::Zero(), 1.0},
+                                         {SimTime::Micros(10), 2.0}};
+  EXPECT_TRUE(
+      PerWeekDeltas(same_time, SimTime::Micros(100), SimTime::Zero()).empty());
 }
 
 TEST(MakeCdf, SortedWithCorrectProbabilities) {
@@ -163,75 +227,6 @@ TEST(Csv, CdfThrowsWhenFileCannotBeOpened) {
   EXPECT_THROW(WriteCdfCsv("/nonexistent_tdtcp_dir/cdf.csv", "events",
                            MakeCdf({1.0})),
                std::runtime_error);
-}
-
-// ---------------------------------------------------------------------------
-// FlowLogger (the artifact's Wireshark-dissector analogue)
-// ---------------------------------------------------------------------------
-
-TEST(FlowLogger, DecodesHandshakeDataAndOptions) {
-  Simulator sim;
-  test::PairHarness net(sim);
-  TcpConfig c;
-  c.mss = 1000;
-  c.cc_factory = MakeCcFactory("reno");
-  c.tdtcp_enabled = true;
-  c.num_tdns = 2;
-  TcpConnection server(sim, &net.b, 1, 0, c);
-  TcpConnection client(sim, &net.a, 1, 1, c);
-  FlowLogger log(sim);
-  log.Attach(client);
-  server.Listen();
-  client.Connect();
-  client.AddAppData(5000);
-  sim.RunUntil(SimTime::Millis(5));
-
-  const std::string dump = log.Dump();
-  EXPECT_NE(dump.find("SYN <TD_CAPABLE tdns=2>"), std::string::npos);
-  EXPECT_NE(dump.find("SYN/ACK"), std::string::npos);
-  EXPECT_NE(dump.find("DATA seq=1 len=1000 <TD_DATA_ACK D tdn=0>"),
-            std::string::npos);
-  EXPECT_NE(dump.find("<TD_DATA_ACK A tdn="), std::string::npos);
-  EXPECT_NE(dump.find("ACK "), std::string::npos);
-}
-
-TEST(FlowLogger, FormatsNotificationAndSack) {
-  Packet icmp;
-  icmp.type = PacketType::kTdnNotify;
-  icmp.notify_tdn = 1;
-  icmp.circuit_imminent = true;
-  icmp.notify_peer = 3;
-  const std::string line = FormatPacketLine(
-      SimTime::Micros(7), TcpConnection::TapDirection::kRx, icmp);
-  EXPECT_NE(line.find("ICMP tdn-change active_tdn=1"), std::string::npos);
-  EXPECT_NE(line.find("[circuit imminent]"), std::string::npos);
-  EXPECT_NE(line.find("peer_rack=3"), std::string::npos);
-
-  Packet ack;
-  ack.type = PacketType::kAck;
-  ack.ack = 500;
-  ack.num_sack = 1;
-  ack.sack[0] = {1000, 2000};
-  ack.ece = true;
-  ack.circuit_echo = true;
-  const std::string aline = FormatPacketLine(
-      SimTime::Micros(8), TcpConnection::TapDirection::kTx, ack);
-  EXPECT_NE(aline.find("ACK 500 sack[1000,2000)"), std::string::npos);
-  EXPECT_NE(aline.find("ECE"), std::string::npos);
-  EXPECT_NE(aline.find("[circuit-echo]"), std::string::npos);
-}
-
-TEST(FlowLogger, RingBufferBounds) {
-  Simulator sim;
-  FlowLogger log(sim, /*max_lines=*/10);
-  Packet p;
-  p.type = PacketType::kAck;
-  for (int i = 0; i < 50; ++i) {
-    p.ack = static_cast<std::uint64_t>(i);
-    log.Record(TcpConnection::TapDirection::kRx, p);
-  }
-  EXPECT_EQ(log.lines().size(), 10u);
-  EXPECT_NE(log.lines().back().find("ACK 49"), std::string::npos);
 }
 
 }  // namespace
