@@ -20,7 +20,7 @@ void CheckMode(const NetworkMode& mode) {
 FabricPort::FabricPort(Simulator& sim, Config config, PacketSink* remote,
                        Random* rng)
     : sim_(sim), config_(std::move(config)), remote_(remote), rng_(rng),
-      voq_(config_.voq), mode_(config_.initial_mode) {
+      voq_(sim, config_.voq), mode_(config_.initial_mode) {
   if (remote_ == nullptr) {
     throw std::invalid_argument("FabricPort: null remote");
   }
@@ -41,22 +41,18 @@ void FabricPort::SetMode(const NetworkMode& mode) {
   if (!voq_.Empty()) {
     drain_scratch_.clear();
     voq_.DrainRawInto(drain_scratch_);  // one batched structural pop
-    keep_scratch_.clear();
-    for (Packet& p : drain_scratch_) {
-      if (p.pinned_path != kUnpinned && p.pinned_path != active_path()) {
-        auto& stash = stash_[p.pinned_path];
-        if (stash.size() >= config_.pinned_stash_capacity) {
-          ++pinned_dropped_;
-        } else {
-          stash.push_back(std::move(p));
-        }
+    for (Packet* p : drain_scratch_) {
+      if (p->pinned_path == kUnpinned || p->pinned_path == active_path()) {
+        voq_.Restore(p);
+      } else if (stash_[p->pinned_path].size() >=
+                 config_.pinned_stash_capacity) {
+        ++pinned_dropped_;
+        sim_.ReleasePacket(p);
       } else {
-        keep_scratch_.push_back(std::move(p));
+        stash_[p->pinned_path].push_back(p);
       }
     }
     drain_scratch_.clear();
-    for (auto& p : keep_scratch_) voq_.Restore(std::move(p));
-    keep_scratch_.clear();
   }
   TopUpFromStash();
   MaybeTransmit();
@@ -75,7 +71,7 @@ void FabricPort::Enqueue(Packet&& p) {
       ++pinned_dropped_;
       return;
     }
-    stash.push_back(std::move(p));
+    stash.push_back(sim_.StashPacket(std::move(p)));
     return;
   }
   voq_.Enqueue(std::move(p));  // may drop
@@ -92,7 +88,7 @@ void FabricPort::TopUpFromStash() {
   // for drop-tail, the dynamic threshold for a shared pool), so a stashed
   // pinned packet is never offered to a queue that would drop it.
   while (!stash.empty() && voq_.CanEnqueue()) {
-    voq_.Enqueue(std::move(stash.front()));
+    voq_.Enqueue(stash.front());
     stash.pop_front();
   }
 }
@@ -115,14 +111,15 @@ void FabricPort::MaybeTransmit() {
     if (voq_.Empty()) return;
     // An AQM dequeue may consume the whole backlog as drops and come back
     // empty-handed; there is nothing to serialize then.
-    std::optional<Packet> head = voq_.Dequeue(now);
-    if (!head) return;
+    Packet* head = voq_.Dequeue(now);
+    if (head == nullptr) return;
     const SimTime tx = TransmissionTime(head->size_bytes, mode_.rate_bps);
     busy_until_ = now + tx;
     // The fault filter and the jitter draw run at serialization start; a
     // dropped packet still holds the wire for its tx time.
     if (has_fault_filter_ && fault_filter_(*head)) {
       ++fault_dropped_;  // lost on the wire
+      sim_.ReleasePacket(head);
       continue;
     }
     // reTCP switch support: stamp which network carried this packet.
@@ -133,15 +130,14 @@ void FabricPort::MaybeTransmit() {
     if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
       delay += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
     }
-    // Park the in-flight packet in the simulator's freelist so the event
-    // captures one pointer, not a Packet copy. One stream per port:
+    // The pooled handle the VOQ admitted rides the arrival event as one
+    // pointer; the event releases it after delivery. One stream per port:
     // successive packets arrive in send order unless a mode switch shortens
     // propagation or jitter reorders them, and then the stream opens a new
     // heap entry.
-    Packet* p = sim_.StashPacket(std::move(*head));
-    sim_.ScheduleInStream(in_flight_, delay, [this, p] {
-      remote_->HandlePacket(std::move(*p));
-      sim_.ReleasePacket(p);
+    sim_.ScheduleInStream(in_flight_, delay, [this, head] {
+      remote_->HandlePacket(std::move(*head));
+      sim_.ReleasePacket(head);
     });
   }
 }

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "sim/simulator.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
+#include "sim/vector_fifo.hpp"
 
 namespace tdtcp {
 
@@ -103,11 +103,12 @@ class FabricPort {
   SimTime busy_until_;        // end of the serialization in progress
   bool kick_pending_ = false;  // a start event waits at busy_until_
   EventQueue::Stream in_flight_;  // arrivals, in serialization order
-  std::deque<Packet> stash_[2];
+  // Pooled handles of pinned packets waiting for their network, one FIFO
+  // per path; the port owns them until they join the VOQ or are dropped.
+  VectorFifo<Packet*> stash_[2];
   // Scratch for SetMode's VOQ repack; a member so mode flips (4x per RDCN
-  // week per port) reuse its capacity instead of allocating a fresh deque.
-  std::vector<Packet> keep_scratch_;
-  std::vector<Packet> drain_scratch_;
+  // week per port) reuse its capacity instead of allocating a fresh vector.
+  std::vector<Packet*> drain_scratch_;
   FaultFilter fault_filter_;
   bool has_fault_filter_ = false;
   std::uint64_t pinned_dropped_ = 0;

@@ -35,7 +35,7 @@ void Host::HandlePacket(Packet&& p) {
       // one seen for this peer scope. This makes duplicated, reordered, and
       // stale control-plane deliveries idempotent (§3.2) without the flows
       // ever seeing them.
-      std::uint64_t& last = last_notify_seq_[p.notify_peer];
+      std::uint64_t& last = LastNotifySeq(p.notify_peer);
       if (p.notify_seq <= last) {
         ++stale_notifications_dropped_;
         if (has_trace_) {
@@ -55,8 +55,8 @@ void Host::HandlePacket(Packet&& p) {
     DistributeTdn(p.notify_tdn, p.circuit_imminent, p.notify_peer);
     return;
   }
-  auto it = endpoints_.find(p.flow);
-  if (it == endpoints_.end()) {
+  PacketSink* endpoint = endpoints_.Find(p.flow);
+  if (endpoint == nullptr) {
     ++dropped_no_endpoint_;
     // RFC 9293: a segment aimed at a closed endpoint gets RST — unless it is
     // itself an RST (never answer RST with RST, or two dead ends ping-pong
@@ -80,7 +80,15 @@ void Host::HandlePacket(Packet&& p) {
     }
     return;
   }
-  it->second->HandlePacket(std::move(p));
+  endpoint->HandlePacket(std::move(p));
+}
+
+std::uint64_t& Host::LastNotifySeq(RackId peer) {
+  if (peer == kAllRacks) return last_notify_seq_all_;
+  if (peer >= last_notify_seq_.size()) {
+    last_notify_seq_.resize(static_cast<std::size_t>(peer) + 1, 0);
+  }
+  return last_notify_seq_[peer];
 }
 
 void Host::DistributeTdn(TdnId tdn, bool imminent, RackId peer) {

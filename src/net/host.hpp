@@ -4,9 +4,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "net/flow_table.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -51,17 +51,16 @@ class Host : public PacketSink {
   void AttachUplink(Link* up) { uplink_ = up; }
 
   // Sockets register to receive packets addressed to this host's flow.
+  // Re-registering a flow replaces its endpoint. Throws
+  // std::invalid_argument on a null endpoint.
   void RegisterEndpoint(FlowId flow, PacketSink* endpoint) {
-    endpoints_[flow] = endpoint;
+    endpoints_.Insert(flow, endpoint);
   }
   // `endpoint` guards against the churn race where a closed connection's
   // deferred teardown would evict a new connection that reused its FlowId:
   // only the sink that owns the entry may remove it (nullptr = any owner).
   void UnregisterEndpoint(FlowId flow, PacketSink* endpoint = nullptr) {
-    auto it = endpoints_.find(flow);
-    if (it == endpoints_.end()) return;
-    if (endpoint != nullptr && it->second != endpoint) return;
-    endpoints_.erase(it);
+    endpoints_.Erase(flow, endpoint);
   }
   std::size_t num_endpoints() const { return endpoints_.size(); }
   std::size_t num_tdn_listeners() const { return tdn_listeners_.size(); }
@@ -145,13 +144,14 @@ class Host : public PacketSink {
   };
 
   void DistributeTdn(TdnId tdn, bool imminent, RackId peer);
+  std::uint64_t& LastNotifySeq(RackId peer);
 
   Simulator& sim_;
   NodeId id_;
   TimerWheel wheel_;
   RecoveryAgent* recovery_agent_ = nullptr;
   Link* uplink_ = nullptr;
-  std::unordered_map<FlowId, PacketSink*> endpoints_;
+  FlowTable endpoints_;
   std::vector<ListenerEntry> tdn_listeners_;
   std::vector<ReconfigEntry> reconfig_listeners_;
   NotifyDistribution notify_;
@@ -159,8 +159,10 @@ class Host : public PacketSink {
   std::uint64_t rsts_sent_ = 0;
   bool nic_enabled_ = true;
   std::uint64_t dropped_nic_down_ = 0;
-  // Highest applied notify_seq per peer scope (kAllRacks is its own scope).
-  std::unordered_map<RackId, std::uint64_t> last_notify_seq_;
+  // Highest applied notify_seq per peer scope: indexed by peer rack, grown
+  // on first use; the fabric-wide scope (kAllRacks) has its own slot.
+  std::vector<std::uint64_t> last_notify_seq_;
+  std::uint64_t last_notify_seq_all_ = 0;
   std::uint64_t stale_notifications_dropped_ = 0;
   TraceRing* trace_ = nullptr;
   bool has_trace_ = false;

@@ -7,7 +7,7 @@ namespace tdtcp {
 
 Link::Link(Simulator& sim, Config config, PacketSink* sink, Random* rng)
     : sim_(sim), config_(std::move(config)), sink_(sink), rng_(rng),
-      queue_(config_.queue) {
+      queue_(sim, config_.queue) {
   if (sink_ == nullptr) throw std::invalid_argument("Link: null sink");
   if (config_.rate_bps == 0) {
     throw std::invalid_argument("Link: rate_bps must be positive");
@@ -40,29 +40,29 @@ void Link::MaybeTransmit() {
     }
     // An AQM dequeue may consume the whole backlog as drops and come back
     // empty-handed; there is nothing to transmit then.
-    std::optional<Packet> head = queue_.Dequeue(now);
-    if (!head) return;
+    Packet* head = queue_.Dequeue(now);
+    if (head == nullptr) return;
     const SimTime tx = TransmissionTime(head->size_bytes, config_.rate_bps);
     busy_until_ = now + tx;
     // The fault filter and the jitter draw run at serialization start; a
     // dropped packet still holds the wire for its tx time.
     if (has_fault_filter_ && fault_filter_(*head)) {
       ++fault_dropped_;  // lost on the wire
+      sim_.ReleasePacket(head);
       continue;
     }
     SimTime delay = tx + config_.propagation;
     if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
       delay += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
     }
-    // Park the packet in the simulator's freelist so the event captures one
-    // pointer, not a Packet copy. Arrivals leave in serialization order
-    // with a fixed delay, so they ride one stream (one heap entry for the
-    // whole pipeline); jitter breaks the order now and then, and such a
-    // packet just opens its own entry.
-    Packet* p = sim_.StashPacket(std::move(*head));
-    sim_.ScheduleInStream(in_flight_, delay, [this, p] {
-      sink_->HandlePacket(std::move(*p));
-      sim_.ReleasePacket(p);
+    // The pooled handle the queue admitted rides the arrival event as one
+    // pointer; the event releases it after delivery. Arrivals leave in
+    // serialization order with a fixed delay, so they ride one stream (one
+    // heap entry for the whole pipeline); jitter breaks the order now and
+    // then, and such a packet just opens its own entry.
+    sim_.ScheduleInStream(in_flight_, delay, [this, head] {
+      sink_->HandlePacket(std::move(*head));
+      sim_.ReleasePacket(head);
     });
   }
 }

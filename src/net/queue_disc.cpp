@@ -44,17 +44,17 @@ double QueueDisc::Stats::SojournPercentileUs(double p) const {
 }
 
 void QueueDisc::Grow() {
-  std::vector<Packet> bigger(std::max<std::size_t>(8, ring_.size() * 2));
+  std::vector<Packet*> bigger(std::max<std::size_t>(8, ring_.size() * 2));
   for (std::size_t i = 0; i < count_; ++i) {
-    bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
   }
   ring_ = std::move(bigger);
   head_ = 0;
 }
 
-void QueueDisc::Push(Packet&& p) {
+void QueueDisc::Push(Packet* p) {
   if (count_ == ring_.size()) Grow();
-  ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(p);
+  ring_[(head_ + count_) & (ring_.size() - 1)] = p;
   ++count_;
   ++stats_.enqueued;
   stats_.max_occupancy =
@@ -77,7 +77,7 @@ bool QueueDisc::CanEnqueue() const {
   return true;
 }
 
-bool QueueDisc::Enqueue(Packet&& p) {
+bool QueueDisc::Admit() {
   if (count_ >= config_.capacity_packets) {
     ++stats_.dropped;
     return false;
@@ -88,16 +88,35 @@ bool QueueDisc::Enqueue(Packet&& p) {
     ++stats_.shared_rejected;
     return false;
   }
+  return true;
+}
+
+void QueueDisc::MarkOnAdmit(Packet& p) {
   if (count_ >= config_.ecn_threshold_packets && p.ecn == Ecn::kEct0) {
     p.ecn = Ecn::kCe;
     ++stats_.ce_marked;
   }
-  Push(std::move(p));
+}
+
+bool QueueDisc::Enqueue(Packet&& p) {
+  if (!Admit()) return false;
+  MarkOnAdmit(p);
+  Push(sim_.StashPacket(std::move(p)));
   return true;
 }
 
-void QueueDisc::Restore(Packet&& p) {
-  Push(std::move(p));
+bool QueueDisc::Enqueue(Packet* p) {
+  if (!Admit()) {
+    sim_.ReleasePacket(p);
+    return false;
+  }
+  MarkOnAdmit(*p);
+  Push(p);
+  return true;
+}
+
+void QueueDisc::Restore(Packet* p) {
+  Push(p);
   if (count_ > config_.capacity_packets) {
     shrink_watermark_ =
         std::max(shrink_watermark_, static_cast<std::uint32_t>(count_));
@@ -183,13 +202,13 @@ bool QueueDisc::CodelDeliver(Packet& p, SimTime sojourn, SimTime now) {
   return true;
 }
 
-std::optional<Packet> QueueDisc::Dequeue(SimTime now) {
+Packet* QueueDisc::Dequeue(SimTime now) {
   for (;;) {
     if (count_ == 0) {
       codel_dropping_ = false;
-      return std::nullopt;
+      return nullptr;
     }
-    std::optional<Packet> p(std::move(ring_[head_]));
+    Packet* p = ring_[head_];
     head_ = (head_ + 1) & (ring_.size() - 1);
     --count_;
     if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr &&
@@ -219,7 +238,10 @@ std::optional<Packet> QueueDisc::Dequeue(SimTime now) {
         }
         break;
       case QdiscKind::kCodel:
-        if (!CodelDeliver(*p, sojourn, now)) continue;  // a CoDel drop
+        if (!CodelDeliver(*p, sojourn, now)) {  // a CoDel drop
+          sim_.ReleasePacket(p);
+          continue;
+        }
         break;
     }
     // Only delivered packets enter the sojourn telemetry: a CoDel-consumed
@@ -230,12 +252,12 @@ std::optional<Packet> QueueDisc::Dequeue(SimTime now) {
   }
 }
 
-void QueueDisc::DrainRawInto(std::vector<Packet>& out) {
+void QueueDisc::DrainRawInto(std::vector<Packet*>& out) {
   if (count_ == 0) return;
   const std::uint32_t popped = static_cast<std::uint32_t>(count_);
   out.reserve(out.size() + count_);
   while (count_ != 0) {
-    out.push_back(std::move(ring_[head_]));
+    out.push_back(ring_[head_]);
     head_ = (head_ + 1) & (ring_.size() - 1);
     --count_;
   }

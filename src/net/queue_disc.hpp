@@ -36,16 +36,26 @@
 // for FabricPort's mode-flip repack: they move packets without touching the
 // sojourn stats or the AQM state, so a repack is invisible to the
 // discipline (the packets' admission promises already happened).
+//
+// Packet ownership: the ring holds handles from the Simulator's packet pool
+// (Simulator::StashPacket), one pointer per slot, never Packet values. A
+// packet is copied into the pool once, when it is admitted; a rejected
+// packet is never copied. From then on the queue owns the handle until
+// Dequeue() or DrainRawInto() hands it to the caller, who must pass it on
+// or ReleasePacket() it. Every drop the queue decides on (tail, DT, CoDel)
+// releases the handle inside the queue. Handles still queued when the queue
+// is destroyed are not released: the pool's storage dies with the
+// Simulator, which outlives every queue built on it.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace tdtcp {
@@ -142,36 +152,43 @@ class QueueDisc {
     double SojournPercentileUs(double p) const;
   };
 
-  explicit QueueDisc(Config config) : config_(config) {}
-  QueueDisc() : QueueDisc(Config{}) {}
+  // `sim` provides the packet pool the queue's handles come from.
+  QueueDisc(Simulator& sim, Config config) : sim_(sim), config_(config) {}
+
+  QueueDisc(const QueueDisc&) = delete;
+  QueueDisc& operator=(const QueueDisc&) = delete;
 
   // Admission. Returns false (and counts a drop) when the discipline
   // rejects the packet: occupancy at raw capacity, or — under kSharedPool —
   // at the dynamic threshold. Applies occupancy-threshold CE marking to
-  // ECN-capable packets admitted above the threshold.
+  // ECN-capable packets admitted above the threshold. The by-value form
+  // stashes `p` in the pool only once it is admitted; the handle form takes
+  // ownership of `p` and releases it on a drop.
   bool Enqueue(Packet&& p);
+  bool Enqueue(Packet* p);
 
   // Would Enqueue admit a packet right now? (No mutation, no stats.)
   bool CanEnqueue() const;
 
   // Service. `now` drives the sojourn accounting and the time-based
   // disciplines; under kCodel the call may consume queued packets (counting
-  // codel_drops) before returning one, or return nullopt if the drops
-  // emptied the queue.
-  std::optional<Packet> Dequeue(SimTime now);
+  // codel_drops and releasing their handles) before returning one, or
+  // return nullptr if the drops emptied the queue. The returned handle
+  // belongs to the caller.
+  Packet* Dequeue(SimTime now);
 
-  // Structural bulk drain: moves every queued packet into `out` (appending)
+  // Structural bulk drain: moves every queued handle into `out` (appending)
   // with the pool and watermark accounting applied but no sojourn stats and
-  // no AQM. For owners repacking a queue (FabricPort's mode flip) — not a
-  // service path.
-  void DrainRawInto(std::vector<Packet>& out);
+  // no AQM. The handles then belong to the caller. For owners repacking a
+  // queue (FabricPort's mode flip) — not a service path.
+  void DrainRawInto(std::vector<Packet*>& out);
 
-  // Structural push, the inverse of DrainRawInto: re-admits a packet whose
+  // Structural push, the inverse of DrainRawInto: re-admits a handle whose
   // admission promise was already given, bypassing the admission test (a
   // repack must never manufacture drops). Occupancy may transiently exceed
   // capacity here only if it already did before the repack; the
   // drain-then-shrink watermark is extended to keep WithinBound() honest.
-  void Restore(Packet&& p);
+  void Restore(Packet* p);
 
   bool Empty() const { return count_ == 0; }
   std::uint32_t occupancy() const { return static_cast<std::uint32_t>(count_); }
@@ -208,7 +225,11 @@ class QueueDisc {
   // Grows the circular buffer (power-of-two sizes). Called only when
   // occupancy reaches a new high-water mark; steady state never allocates.
   void Grow();
-  void Push(Packet&& p);
+  // The admission test; counts the drop when it fails.
+  bool Admit();
+  // Occupancy-threshold CE marking of an admitted packet.
+  void MarkOnAdmit(Packet& p);
+  void Push(Packet* p);
   void RecordSojourn(SimTime sojourn);
   // CoDel per-dequeue decision. Returns false when `p` was consumed as a
   // CoDel drop; may CE-mark `p` in codel_ecn mode.
@@ -216,8 +237,13 @@ class QueueDisc {
   bool CodelOkToDrop(SimTime sojourn, SimTime now);
   SimTime CodelControlLaw(SimTime t) const;
 
+  Simulator& sim_;
   Config config_;
-  std::vector<Packet> ring_;  // circular packet storage
+  // Circular storage of pooled handles; a slot is one pointer, so growing
+  // or cycling the ring never copies a Packet.
+  std::vector<Packet*> ring_;
+  static_assert(sizeof(decltype(ring_)::value_type) == sizeof(void*),
+                "a QueueDisc ring slot must stay one pointer");
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   Stats stats_;

@@ -33,8 +33,17 @@ FabricPort* ToRSwitch::AddRemoteRack(RackId rack, FabricPort::Config config,
   auto port = std::make_unique<FabricPort>(sim_, std::move(config), remote_tor, rng_);
   FabricPort* raw = port.get();
   if (shares) raw->voq().AttachSharedPool(&shared_pool_);
+  if (rack >= ports_.size()) ports_.resize(static_cast<std::size_t>(rack) + 1);
   ports_[rack] = std::move(port);
   return raw;
+}
+
+FabricPort& ToRSwitch::PortOrThrow(RackId rack) const {
+  if (rack >= ports_.size() || ports_[rack] == nullptr) {
+    throw std::out_of_range("ToRSwitch: no fabric port toward rack " +
+                            std::to_string(rack));
+  }
+  return *ports_[rack];
 }
 
 ToRSwitch::Route ToRSwitch::Resolve(NodeId dst) {
@@ -49,12 +58,11 @@ ToRSwitch::Route ToRSwitch::Resolve(NodeId dst) {
     }
     return Route{hosts_[idx].downlink, nullptr};
   }
-  auto it = ports_.find(dst_rack);
-  if (it == ports_.end()) {
+  if (dst_rack >= ports_.size() || ports_[dst_rack] == nullptr) {
     throw std::logic_error("ToRSwitch: no fabric port for destination rack " +
                            std::to_string(dst_rack));
   }
-  return Route{nullptr, it->second.get()};
+  return Route{nullptr, ports_[dst_rack].get()};
 }
 
 void ToRSwitch::HandlePacket(Packet&& p) {

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/fabric_port.hpp"
@@ -84,8 +83,9 @@ class ToRSwitch : public PacketSink {
     has_notify_fault_ = static_cast<bool>(notify_fault_);
   }
 
-  FabricPort* port(RackId rack) { return ports_.at(rack).get(); }
-  const FabricPort* port(RackId rack) const { return ports_.at(rack).get(); }
+  // Throws std::out_of_range when no port toward `rack` was added.
+  FabricPort* port(RackId rack) { return &PortOrThrow(rack); }
+  const FabricPort* port(RackId rack) const { return &PortOrThrow(rack); }
 
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t notifications_sent() const { return notifications_sent_; }
@@ -117,6 +117,7 @@ class ToRSwitch : public PacketSink {
     FabricPort* port = nullptr;
   };
   Route Resolve(NodeId dst);
+  FabricPort& PortOrThrow(RackId rack) const;
 
   Simulator& sim_;
   RackId rack_;
@@ -124,7 +125,8 @@ class ToRSwitch : public PacketSink {
   NotifyGenConfig notify_;
   Random* rng_;
   std::vector<HostPort> hosts_;
-  std::unordered_map<RackId, std::unique_ptr<FabricPort>> ports_;
+  // Indexed by destination rack; null where no port was added.
+  std::vector<std::unique_ptr<FabricPort>> ports_;
   SharedBufferPool shared_pool_;
   NotifyFaultHook notify_fault_;
   bool has_notify_fault_ = false;

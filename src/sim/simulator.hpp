@@ -3,8 +3,9 @@
 // All model components hold a Simulator& and schedule callbacks through it;
 // nothing in the simulator blocks or uses wall-clock time. The event core is
 // allocation-free in steady state (see event_queue.hpp); the Simulator adds
-// a recycled per-simulation Packet freelist so the packet path never copies
-// a Packet into a lambda capture or touches the heap per hop.
+// a recycled per-simulation Packet freelist: queues hold packets as handles
+// into it, so the packet path copies a Packet once per hop (at admission)
+// and never touches the heap per hop.
 #pragma once
 
 #include <cstdint>
@@ -123,9 +124,11 @@ class Simulator {
 
   // --- packet freelist --------------------------------------------------------
   // Parks a packet in recycled per-simulation storage and returns a stable
-  // pointer, so in-flight packets ride event captures as one pointer instead
-  // of a by-value Packet copy. Every StashPacket must be paired with exactly
-  // one ReleasePacket after the packet has been moved out (or dropped).
+  // pointer (a handle): queue stages hold and hand on packets as handles, and
+  // in-flight packets ride event captures as one pointer instead of a
+  // by-value Packet copy. Every StashPacket is paired with at most one
+  // ReleasePacket, after the packet has been moved out (or dropped); handles
+  // still held when the Simulator dies are freed with it.
   Packet* StashPacket(Packet&& p);
   void ReleasePacket(Packet* p);
   std::size_t stashed_packets() const;  // currently outstanding (for tests)

@@ -53,10 +53,12 @@ void TcpInvariantChecker::Check(TcpConnection& conn, Event ev) {
   for (std::size_t i = 0; i < n; ++i) {
     const TdnState& st = tdns.state(static_cast<TdnId>(i));
     const Recount& c = actual[i];
-    const std::string tdn = "TDN " + std::to_string(i) + ": ";
+    // The message prefix is built only on the violation path: Check runs
+    // after every ACK and must not allocate when the invariants hold.
+    const auto tdn = [i] { return "TDN " + std::to_string(i) + ": "; };
     if (st.packets_out != c.packets_out) {
       Violate(conn, ev,
-              tdn + "packets_out=" + std::to_string(st.packets_out) +
+              tdn() + "packets_out=" + std::to_string(st.packets_out) +
                   " but scoreboard holds " + std::to_string(c.packets_out));
     }
     // Without SACK, sacked_out is Linux's Reno emulation (a dup-ack count,
@@ -64,17 +66,17 @@ void TcpInvariantChecker::Check(TcpConnection& conn, Event ev) {
     // left_out bound below applies to it.
     if (conn.config().sack_enabled && st.sacked_out != c.sacked_out) {
       Violate(conn, ev,
-              tdn + "sacked_out=" + std::to_string(st.sacked_out) +
+              tdn() + "sacked_out=" + std::to_string(st.sacked_out) +
                   " but scoreboard holds " + std::to_string(c.sacked_out));
     }
     if (st.lost_out != c.lost_out) {
       Violate(conn, ev,
-              tdn + "lost_out=" + std::to_string(st.lost_out) +
+              tdn() + "lost_out=" + std::to_string(st.lost_out) +
                   " but scoreboard holds " + std::to_string(c.lost_out));
     }
     if (st.retrans_out != c.retrans_out) {
       Violate(conn, ev,
-              tdn + "retrans_out=" + std::to_string(st.retrans_out) +
+              tdn() + "retrans_out=" + std::to_string(st.retrans_out) +
                   " but scoreboard holds " + std::to_string(c.retrans_out));
     }
     // Linux tcp_verify_left_out: left_out (sacked + lost) never exceeds
@@ -83,18 +85,18 @@ void TcpInvariantChecker::Check(TcpConnection& conn, Event ev) {
     // holds by construction of packets_in_flight(); verify the inputs.
     if (st.sacked_out + st.lost_out > st.packets_out) {
       Violate(conn, ev,
-              tdn + "left_out " + std::to_string(st.sacked_out + st.lost_out) +
+              tdn() + "left_out " + std::to_string(st.sacked_out + st.lost_out) +
                   " > packets_out " + std::to_string(st.packets_out));
     }
     if (st.retrans_out > st.packets_out) {
       Violate(conn, ev,
-              tdn + "retrans_out " + std::to_string(st.retrans_out) +
+              tdn() + "retrans_out " + std::to_string(st.retrans_out) +
                   " > packets_out " + std::to_string(st.packets_out));
     }
-    if (st.cwnd < 1) Violate(conn, ev, tdn + "cwnd below floor of 1");
+    if (st.cwnd < 1) Violate(conn, ev, tdn() + "cwnd below floor of 1");
     if (st.ssthresh < 2) {
       Violate(conn, ev,
-              tdn + "ssthresh " + std::to_string(st.ssthresh) +
+              tdn() + "ssthresh " + std::to_string(st.ssthresh) +
                   " below floor of 2");
     }
   }

@@ -26,11 +26,12 @@ ReceiveBuffer::Result ReceiveBuffer::OnData(std::uint64_t seq, std::uint32_t len
 
   if (seq == rcv_nxt_) {
     // In-order: deliver it plus any now-contiguous buffered segments.
-    result.delivered.push_back(Delivered{seq, len, has_dss, dss_seq});
+    delivered_scratch_.clear();
+    delivered_scratch_.push_back(Delivered{seq, len, has_dss, dss_seq});
     rcv_nxt_ = seq + len;
     auto it = ooo_.begin();
     while (it != ooo_.end() && it->first == rcv_nxt_) {
-      result.delivered.push_back(
+      delivered_scratch_.push_back(
           Delivered{it->first, it->second.len, it->second.has_dss, it->second.dss_seq});
       rcv_nxt_ += it->second.len;
       ooo_bytes_ -= it->second.len;
@@ -39,6 +40,7 @@ ReceiveBuffer::Result ReceiveBuffer::OnData(std::uint64_t seq, std::uint32_t len
     // Drop ranges that are now fully delivered.
     std::erase_if(ranges_, [this](const Range& r) { return r.end <= rcv_nxt_; });
     for (auto& r : ranges_) r.start = std::max(r.start, rcv_nxt_);
+    result.delivered = delivered_scratch_;
     return result;
   }
 
@@ -63,18 +65,18 @@ void ReceiveBuffer::TouchRange(std::uint64_t start, std::uint64_t end, SimTime n
   ranges_.push_back(merged);
 }
 
-std::vector<SackBlock> ReceiveBuffer::BuildSackBlocks(const Result& last) const {
-  std::vector<SackBlock> blocks;
-  if (last.duplicate) blocks.push_back(last.dsack);
+std::span<const SackBlock> ReceiveBuffer::BuildSackBlocks(const Result& last) {
+  std::size_t n = 0;
+  if (last.duplicate) sack_scratch_[n++] = last.dsack;
 
-  std::vector<Range> sorted = ranges_;
-  std::sort(sorted.begin(), sorted.end(),
+  sorted_scratch_.assign(ranges_.begin(), ranges_.end());
+  std::sort(sorted_scratch_.begin(), sorted_scratch_.end(),
             [](const Range& a, const Range& b) { return a.last_touch > b.last_touch; });
-  for (const auto& r : sorted) {
-    if (blocks.size() >= kMaxSackBlocks) break;
-    blocks.push_back(SackBlock{r.start, r.end});
+  for (const auto& r : sorted_scratch_) {
+    if (n >= kMaxSackBlocks) break;
+    sack_scratch_[n++] = SackBlock{r.start, r.end};
   }
-  return blocks;
+  return {sack_scratch_.data(), n};
 }
 
 }  // namespace tdtcp

@@ -8,8 +8,10 @@
 // meta-level can reassemble.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -27,8 +29,9 @@ class ReceiveBuffer {
   };
 
   struct Result {
-    // In-order segments released to the application by this arrival.
-    std::vector<Delivered> delivered;
+    // In-order segments released to the application by this arrival. Views
+    // the buffer's scratch storage: valid until the next OnData call.
+    std::span<const Delivered> delivered;
     bool duplicate = false;   // arrival was (fully) already-received data
     SackBlock dsack;          // valid when duplicate
     bool out_of_order = false;
@@ -43,8 +46,9 @@ class ReceiveBuffer {
   std::uint64_t ooo_bytes() const { return ooo_bytes_; }
 
   // Builds up to kMaxSackBlocks SACK blocks: the optional DSACK first, then
-  // out-of-order ranges ordered by how recently they grew.
-  std::vector<SackBlock> BuildSackBlocks(const Result& last) const;
+  // out-of-order ranges ordered by how recently they grew. The returned view
+  // is valid until the next BuildSackBlocks call.
+  std::span<const SackBlock> BuildSackBlocks(const Result& last);
 
  private:
   struct OooSegment {
@@ -64,6 +68,11 @@ class ReceiveBuffer {
   std::uint64_t ooo_bytes_ = 0;
   std::map<std::uint64_t, OooSegment> ooo_;
   std::vector<Range> ranges_;  // coalesced OOO ranges with recency
+  // Scratch reused per call, so the per-segment receive path never
+  // allocates once warm.
+  std::vector<Delivered> delivered_scratch_;
+  std::vector<Range> sorted_scratch_;
+  std::array<SackBlock, kMaxSackBlocks> sack_scratch_{};
 };
 
 }  // namespace tdtcp

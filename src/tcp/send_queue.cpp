@@ -1,40 +1,8 @@
 #include "tcp/send_queue.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace tdtcp {
-
-void SendQueue::Append(TxSegment seg) {
-  assert(segs_.empty() || seg.seq >= segs_.back().end_seq());
-  segs_.push_back(seg);
-}
-
-void SendQueue::AckThrough(std::uint64_t ack,
-                           const std::function<void(const TxSegment&)>& fn) {
-  while (!segs_.empty() && segs_.front().end_seq() <= ack) {
-    fn(segs_.front());
-    segs_.pop_front();
-  }
-}
-
-std::uint32_t SendQueue::ApplySack(std::span<const SackBlock> blocks,
-                                   const std::function<void(TxSegment&)>& fn) {
-  std::uint32_t newly = 0;
-  for (auto& seg : segs_) {
-    if (seg.sacked) continue;
-    for (const auto& b : blocks) {
-      if (seg.seq >= b.start && seg.end_seq() <= b.end) {
-        seg.sacked = true;
-        highest_sacked_ = std::max(highest_sacked_, seg.end_seq());
-        fn(seg);
-        ++newly;
-        break;
-      }
-    }
-  }
-  return newly;
-}
 
 TxSegment* SendQueue::Find(std::uint64_t seq) {
   for (auto& seg : segs_) {

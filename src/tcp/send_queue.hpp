@@ -6,68 +6,109 @@
 // heuristic (§3.4) can tell delayed cross-TDN traffic from true loss.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <span>
 
 #include "net/packet.hpp"
 #include "sim/time.hpp"
+#include "sim/vector_fifo.hpp"
 
 namespace tdtcp {
 
+// Field order and the flag bit-fields keep the struct at 48 bytes: the
+// scoreboard walks (SACK marking, loss detection, the invariant recount)
+// touch every segment on every ACK, so its size is their cache footprint.
 struct TxSegment {
   std::uint64_t seq = 0;
   std::uint32_t len = 0;           // payload bytes (SYN: 1 virtual byte)
-  TdnId tdn = 0;                   // TDN of the most recent transmission
+  std::uint32_t transmissions = 1;
   SimTime first_sent;
   SimTime last_sent;
-  std::uint32_t transmissions = 1;
-  bool syn = false;
-  bool fin = false;  // sequence-occupying FIN (1 virtual byte, like the SYN)
-  bool sacked = false;
-  bool lost = false;
-  bool retrans = false;        // a retransmission is currently in flight
-  bool ever_retrans = false;   // Karn: never RTT-sample this segment
-  // The host RecoveryAgent forced this segment's (re)transmission; cleared
-  // when the forcing is resolved (cumulative ACK = rescued, DSACK =
-  // spurious) so each forcing is counted exactly once.
-  bool forced_rtx = false;
+  // MPTCP data-sequence mapping of the first payload byte (valid if has_dss).
+  std::uint64_t dss_seq = 0;
+  TdnId tdn = 0;                   // TDN of the most recent transmission
   // TDN whose recovery episode retransmitted this segment (DSACK undo
   // credits that TDN's undo_retrans).
   TdnId undo_tdn = 0;
-  // MPTCP data-sequence mapping of the first payload byte (valid if has_dss).
-  bool has_dss = false;
-  std::uint64_t dss_seq = 0;
+  bool syn : 1 = false;
+  bool fin : 1 = false;  // sequence-occupying FIN (1 virtual byte, like the SYN)
+  bool sacked : 1 = false;
+  bool lost : 1 = false;
+  bool retrans : 1 = false;       // a retransmission is currently in flight
+  bool ever_retrans : 1 = false;  // Karn: never RTT-sample this segment
+  // The host RecoveryAgent forced this segment's (re)transmission; cleared
+  // when the forcing is resolved (cumulative ACK = rescued, DSACK =
+  // spurious) so each forcing is counted exactly once.
+  bool forced_rtx : 1 = false;
+  bool has_dss : 1 = false;
 
   std::uint64_t end_seq() const { return seq + len; }
 };
+static_assert(sizeof(TxSegment) <= 48,
+              "TxSegment grew past 48 bytes: every scoreboard walk pays for it");
 
+// The segments live in one contiguous FIFO (VectorFifo): Append may move
+// the whole scoreboard, so it invalidates every TxSegment& and every span
+// from segments(); AckThrough and Clear invalidate only the segments they
+// remove, and ApplySack invalidates nothing.
 class SendQueue {
  public:
   // Appends a newly transmitted segment (in sequence order).
-  void Append(TxSegment seg);
+  void Append(const TxSegment& seg) {
+    assert(segs_.empty() || seg.seq >= segs_.back().end_seq());
+    segs_.push_back(seg);
+  }
 
   bool Empty() const { return segs_.empty(); }
   std::size_t size() const { return segs_.size(); }
   const TxSegment& front() const { return segs_.front(); }
   TxSegment& front() { return segs_.front(); }
 
-  // Removes segments fully covered by cumulative `ack` and invokes `fn` on
-  // each before removal (per-TDN accounting, RTT sampling).
-  void AckThrough(std::uint64_t ack, const std::function<void(const TxSegment&)>& fn);
+  // Removes segments fully covered by cumulative `ack` and invokes
+  // `fn(const TxSegment&)` on each before removal (per-TDN accounting, RTT
+  // sampling).
+  template <typename Fn>
+  void AckThrough(std::uint64_t ack, Fn&& fn) {
+    while (!segs_.empty() && segs_.front().end_seq() <= ack) {
+      fn(static_cast<const TxSegment&>(segs_.front()));
+      segs_.pop_front();
+    }
+  }
 
-  // Marks segments fully covered by the SACK blocks; invokes `fn` for each
-  // segment that transitions to sacked. Returns the count newly sacked.
-  std::uint32_t ApplySack(std::span<const SackBlock> blocks,
-                          const std::function<void(TxSegment&)>& fn);
+  // Marks segments fully covered by the SACK blocks; invokes
+  // `fn(TxSegment&)` for each segment that transitions to sacked. Returns
+  // the count newly sacked.
+  template <typename Fn>
+  std::uint32_t ApplySack(std::span<const SackBlock> blocks, Fn&& fn) {
+    std::uint32_t newly = 0;
+    for (TxSegment& seg : segs_) {
+      if (seg.sacked) continue;
+      for (const SackBlock& b : blocks) {
+        if (seg.seq >= b.start && seg.end_seq() <= b.end) {
+          seg.sacked = true;
+          highest_sacked_ = std::max(highest_sacked_, seg.end_seq());
+          fn(seg);
+          ++newly;
+          break;
+        }
+      }
+    }
+    return newly;
+  }
 
   // Highest sequence that has ever been SACKed (0 if none).
   std::uint64_t highest_sacked() const { return highest_sacked_; }
 
-  // Iterate over all segments (loss marking, retransmit scans).
-  std::deque<TxSegment>& segments() { return segs_; }
-  const std::deque<TxSegment>& segments() const { return segs_; }
+  // Every segment, oldest first (loss marking, retransmit scans).
+  std::span<TxSegment> segments() { return {segs_.begin(), segs_.end()}; }
+  std::span<const TxSegment> segments() const {
+    return {segs_.begin(), segs_.end()};
+  }
+
+  // Drops every segment (the caller retires their per-TDN accounting).
+  void Clear() { segs_.clear(); }
 
   // The first segment covering `seq`, or nullptr.
   TxSegment* Find(std::uint64_t seq);
@@ -78,7 +119,7 @@ class SendQueue {
   std::uint32_t CountRetrans() const;
 
  private:
-  std::deque<TxSegment> segs_;
+  VectorFifo<TxSegment> segs_;
   std::uint64_t highest_sacked_ = 0;
 };
 

@@ -238,7 +238,7 @@ void TcpConnection::ResetToListen() {
     if (seg.lost) st.lost_out--;
     if (seg.retrans) st.retrans_out--;
   }
-  send_queue_.segments().clear();
+  send_queue_.Clear();
   snd_una_ = 0;
   snd_nxt_ = 0;
   tdtcp_active_ = false;
@@ -410,7 +410,7 @@ void TcpConnection::ToClosed(CloseReason reason) {
     if (seg.lost) st.lost_out--;
     if (seg.retrans) st.retrans_out--;
   }
-  send_queue_.segments().clear();
+  send_queue_.Clear();
   pending_.clear();
   pending_bytes_ = 0;
   unlimited_data_ = false;
@@ -733,10 +733,10 @@ void TcpConnection::SendAck(const ReceiveBuffer::Result& result,
       std::min<std::uint64_t>(wnd, 0xffffffffu));
   a.has_rwnd = true;
   if (config_.sack_enabled) {
-    auto blocks = rcv_buffer_.BuildSackBlocks(result);
-    a.num_sack = static_cast<std::uint8_t>(
-        std::min<std::size_t>(blocks.size(), kMaxSackBlocks));
-    for (std::uint8_t i = 0; i < a.num_sack; ++i) a.sack[i] = blocks[i];
+    const std::span<const SackBlock> blocks =
+        rcv_buffer_.BuildSackBlocks(result);
+    a.num_sack = static_cast<std::uint8_t>(blocks.size());
+    std::copy(blocks.begin(), blocks.end(), a.sack.begin());
   }
   // DCTCP-style precise per-packet ECN echo.
   a.ece = (data.ecn == Ecn::kCe);
@@ -1042,7 +1042,7 @@ void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) 
   const std::uint64_t high_sacked = send_queue_.highest_sacked();
   if (high_sacked <= snd_una_) return;
 
-  auto& segs = send_queue_.segments();
+  const auto segs = send_queue_.segments();
   std::uint32_t holes = 0;
   std::uint32_t marked = 0;
 
@@ -1779,7 +1779,7 @@ void TcpConnection::OnTlpFire() {
     return;
   }
   // Probe with the highest unSACKed segment.
-  auto& segs = send_queue_.segments();
+  const auto segs = send_queue_.segments();
   for (auto it = segs.rbegin(); it != segs.rend(); ++it) {
     TxSegment& seg = *it;
     if (seg.sacked || seg.lost) continue;

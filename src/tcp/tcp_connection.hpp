@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -27,6 +26,7 @@
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer_wheel.hpp"
+#include "sim/vector_fifo.hpp"
 #include "tcp/invariant_checker.hpp"
 #include "tcp/recovery_agent.hpp"
 #include "tcp/receive_buffer.hpp"
@@ -477,7 +477,7 @@ class TcpConnection : public PacketSink {
 
   // --- app data ------------------------------------------------------------------
   bool unlimited_data_ = false;
-  std::deque<PendingChunk> pending_;   // unsent application bytes
+  VectorFifo<PendingChunk> pending_;   // unsent application bytes
   std::uint64_t pending_bytes_ = 0;
 
   // --- peer flow control -----------------------------------------------------

@@ -373,7 +373,8 @@ Packet DataPacket() {
 }
 
 TEST(VoqShrink, DrainThenShrinkRetainsAdmittedPackets) {
-  QueueDisc q(QueueDisc::Config{.capacity_packets = 50});
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.capacity_packets = 50});
   for (int i = 0; i < 40; ++i) ASSERT_TRUE(q.Enqueue(DataPacket()));
 
   // reTCPdyn teardown: 50 -> 16 while holding 40. Admitted packets are
@@ -388,16 +389,17 @@ TEST(VoqShrink, DrainThenShrinkRetainsAdmittedPackets) {
   EXPECT_EQ(q.stats().dropped, 1u);
 
   // Draining decays the watermark monotonically back to the capacity.
-  for (int i = 0; i < 24; ++i) ASSERT_TRUE(q.Dequeue(SimTime::Zero()).has_value());
+  for (int i = 0; i < 24; ++i) ASSERT_NE(q.Dequeue(SimTime::Zero()), nullptr);
   EXPECT_EQ(q.occupancy(), 16u);
   EXPECT_TRUE(q.WithinBound());
-  ASSERT_TRUE(q.Dequeue(SimTime::Zero()).has_value());
+  ASSERT_NE(q.Dequeue(SimTime::Zero()), nullptr);
   EXPECT_TRUE(q.Enqueue(DataPacket()));  // back under capacity: admits again
   EXPECT_TRUE(q.WithinBound());
 }
 
 TEST(VoqShrink, ShrinkBelowEmptyQueueIsImmediate) {
-  QueueDisc q(QueueDisc::Config{.capacity_packets = 50});
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.capacity_packets = 50});
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.Enqueue(DataPacket()));
   q.set_capacity(16);  // occupancy 10 <= 16: plain resize
   EXPECT_EQ(q.stats().shrink_deferred, 0u);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "net/fabric_port.hpp"
+#include "net/flow_table.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/queue_disc.hpp"
@@ -46,7 +48,8 @@ Packet MakeData(std::uint32_t size = 9000, NodeId dst = 1) {
 // ---------------------------------------------------------------------------
 
 TEST(Queue, DropsWhenFull) {
-  QueueDisc q(QueueDisc::Config{.capacity_packets = 2});
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.capacity_packets = 2});
   EXPECT_TRUE(q.Enqueue(MakeData()));
   EXPECT_TRUE(q.Enqueue(MakeData()));
   EXPECT_FALSE(q.Enqueue(MakeData()));
@@ -55,7 +58,8 @@ TEST(Queue, DropsWhenFull) {
 }
 
 TEST(Queue, FifoOrder) {
-  QueueDisc q(QueueDisc::Config{.capacity_packets = 10});
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.capacity_packets = 10});
   Packet a = MakeData();
   Packet b = MakeData();
   const auto ida = a.id, idb = b.id;
@@ -63,11 +67,12 @@ TEST(Queue, FifoOrder) {
   q.Enqueue(std::move(b));
   EXPECT_EQ(q.Dequeue(SimTime::Zero())->id, ida);
   EXPECT_EQ(q.Dequeue(SimTime::Zero())->id, idb);
-  EXPECT_FALSE(q.Dequeue(SimTime::Zero()).has_value());
+  EXPECT_EQ(q.Dequeue(SimTime::Zero()), nullptr);
 }
 
 TEST(Queue, EcnMarksAboveThreshold) {
-  QueueDisc q(QueueDisc::Config{.capacity_packets = 10, .ecn_threshold_packets = 2});
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.capacity_packets = 10, .ecn_threshold_packets = 2});
   for (int i = 0; i < 4; ++i) {
     Packet p = MakeData();
     p.ecn = Ecn::kEct0;
@@ -82,14 +87,16 @@ TEST(Queue, EcnMarksAboveThreshold) {
 }
 
 TEST(Queue, EcnIgnoresNotEct) {
-  QueueDisc q(QueueDisc::Config{.capacity_packets = 10, .ecn_threshold_packets = 0});
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.capacity_packets = 10, .ecn_threshold_packets = 0});
   q.Enqueue(MakeData());  // NotEct by default
   EXPECT_EQ(q.Dequeue(SimTime::Zero())->ecn, Ecn::kNotEct);
   EXPECT_EQ(q.stats().ce_marked, 0u);
 }
 
 TEST(Queue, RuntimeResizeKeepsPackets) {
-  QueueDisc q(QueueDisc::Config{.capacity_packets = 4});
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.capacity_packets = 4});
   for (int i = 0; i < 4; ++i) q.Enqueue(MakeData());
   q.set_capacity(2);  // shrink below occupancy
   EXPECT_EQ(q.occupancy(), 4u);
@@ -99,7 +106,8 @@ TEST(Queue, RuntimeResizeKeepsPackets) {
 }
 
 TEST(Queue, TracksMaxOccupancy) {
-  QueueDisc q(QueueDisc::Config{.capacity_packets = 8});
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.capacity_packets = 8});
   for (int i = 0; i < 5; ++i) q.Enqueue(MakeData());
   q.Dequeue(SimTime::Zero());
   q.Dequeue(SimTime::Zero());
@@ -520,6 +528,109 @@ TEST(Host, UnknownFlowCounted) {
   EXPECT_EQ(host.dropped_no_endpoint(), 1u);
 }
 
+TEST(Host, CollidingFlowIdsSurviveBackwardShiftDeletion) {
+  // Five flows that share one home slot in the demux table's initial 16
+  // slots form a single probe run; deleting from its head and its middle
+  // must shift the survivors back without losing any of them.
+  Simulator sim;
+  Host host(sim, 7);
+  constexpr unsigned kInitialShift = 64 - 4;  // 16 slots
+  std::vector<FlowId> ids;
+  for (FlowId f = 1; ids.size() < 5; ++f) {
+    if (FlowTable::Home(f, kInitialShift) == FlowTable::Home(1, kInitialShift)) {
+      ids.push_back(f);
+    }
+  }
+  std::vector<CaptureSink> eps(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    host.RegisterEndpoint(ids[i], &eps[i]);
+  }
+  auto deliver = [&host](FlowId flow) {
+    Packet p = MakeData();
+    p.flow = flow;
+    host.HandlePacket(std::move(p));
+  };
+  auto received = [&eps] {
+    std::vector<std::size_t> n;
+    for (const CaptureSink& ep : eps) n.push_back(ep.packets.size());
+    return n;
+  };
+  for (FlowId f : ids) deliver(f);
+  EXPECT_EQ(received(), (std::vector<std::size_t>{1, 1, 1, 1, 1}));
+
+  host.UnregisterEndpoint(ids[0]);  // head of the run
+  host.UnregisterEndpoint(ids[2]);  // middle of the run
+  EXPECT_EQ(host.num_endpoints(), 3u);
+  for (FlowId f : ids) deliver(f);
+  EXPECT_EQ(received(), (std::vector<std::size_t>{1, 2, 1, 2, 2}));
+  EXPECT_EQ(host.dropped_no_endpoint(), 2u);
+
+  // Re-registering a deleted id lands it back in the run.
+  host.RegisterEndpoint(ids[0], &eps[0]);
+  deliver(ids[0]);
+  EXPECT_EQ(eps[0].packets.size(), 2u);
+}
+
+TEST(Host, UnregisterIsOwnerGuardedAcrossFlowIdReuse) {
+  Simulator sim;
+  Host host(sim, 7);
+  CaptureSink old_conn, new_conn;
+  host.RegisterEndpoint(5, &old_conn);
+  // Churn reuses FlowId 5 before the old connection's deferred teardown.
+  host.RegisterEndpoint(5, &new_conn);
+  EXPECT_EQ(host.num_endpoints(), 1u);
+  host.UnregisterEndpoint(5, &old_conn);  // not the owner: no effect
+  Packet p = MakeData();
+  p.flow = 5;
+  host.HandlePacket(std::move(p));
+  EXPECT_TRUE(old_conn.packets.empty());
+  EXPECT_EQ(new_conn.packets.size(), 1u);
+  host.UnregisterEndpoint(5, &new_conn);
+  EXPECT_EQ(host.num_endpoints(), 0u);
+  host.UnregisterEndpoint(5);  // already gone: no-op
+  host.UnregisterEndpoint(6, &new_conn);
+  EXPECT_EQ(host.num_endpoints(), 0u);
+  EXPECT_THROW(host.RegisterEndpoint(8, nullptr), std::invalid_argument);
+}
+
+TEST(Host, DemuxMatchesMapModelUnderChurn) {
+  // Seeded register/unregister churn over a few thousand ids, growing the
+  // table several times and deleting from every position of many probe
+  // runs; after each step every touched id must resolve as a std::map says.
+  FlowTable table;
+  std::map<FlowId, PacketSink*> model;
+  std::vector<CaptureSink> sinks(4);
+  Random rng(77);
+  for (int op = 0; op < 60000; ++op) {
+    const FlowId flow = static_cast<FlowId>(rng.UniformInt(0, 4095));
+    PacketSink* sink = &sinks[static_cast<std::size_t>(rng.UniformInt(0, 3))];
+    const std::int64_t kind = rng.UniformInt(0, 2);
+    if (kind == 0) {
+      table.Insert(flow, sink);
+      model[flow] = sink;
+    } else {
+      // Half the erases name an owner, which may not match.
+      const PacketSink* owner = rng.UniformInt(0, 1) ? sink : nullptr;
+      const bool erased = table.Erase(flow, owner);
+      auto it = model.find(flow);
+      const bool want = it != model.end() &&
+                        (owner == nullptr || it->second == owner);
+      ASSERT_EQ(erased, want) << "op " << op;
+      if (want) model.erase(it);
+    }
+    ASSERT_EQ(table.size(), model.size()) << "op " << op;
+    for (FlowId probe : {flow, flow + 1, flow ^ 0x55u}) {
+      auto it = model.find(probe);
+      ASSERT_EQ(table.Find(probe), it == model.end() ? nullptr : it->second)
+          << "op " << op << " flow " << probe;
+    }
+  }
+  for (FlowId f = 0; f < 4096; ++f) {
+    auto it = model.find(f);
+    ASSERT_EQ(table.Find(f), it == model.end() ? nullptr : it->second);
+  }
+}
+
 TEST(Host, PullModelNotifiesAllAtOnce) {
   Simulator sim;
   Host host(sim, 0);
@@ -697,6 +808,115 @@ TEST(ToRSwitch, MissingFabricPortThrows) {
   Random rng(1);
   ToRSwitch tor(sim, 0, 4, NotifyGenConfig{}, &rng);
   EXPECT_THROW(tor.HandlePacket(MakeData(9000, 9)), std::logic_error);
+}
+
+TEST(ToRSwitch, PortLookupByRack) {
+  Simulator sim;
+  Random rng(1);
+  ToRSwitch tor(sim, 0, 4, NotifyGenConfig{}, &rng);
+  CaptureSink remote;
+  FabricPort* p3 = tor.AddRemoteRack(3, PortConfig(), &remote);
+  EXPECT_EQ(tor.port(3), p3);
+  EXPECT_THROW(tor.port(2), std::out_of_range);  // a gap below the port
+  EXPECT_THROW(tor.port(9), std::out_of_range);  // past the last port
+  tor.HandlePacket(MakeData(9000, 3 * 4 + 1));
+  sim.Run();
+  EXPECT_EQ(remote.packets.size(), 1u);
+  EXPECT_THROW(tor.HandlePacket(MakeData(9000, 2 * 4)), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Packet pool balance: every handle a queue stage takes from the
+// Simulator's pool goes back exactly once, whatever path the packet took
+// (delivered, tail drop, CoDel drop, fault drop, pinned-stash drop, repack).
+// ---------------------------------------------------------------------------
+
+QueueDisc::Config TightCodel(std::uint32_t capacity) {
+  return QueueDisc::Config{.kind = QdiscKind::kCodel,
+                           .capacity_packets = capacity,
+                           .codel_target = SimTime::Micros(1),
+                           .codel_interval = SimTime::Micros(5)};
+}
+
+TEST(PacketPool, LinkReleasesEveryHandleOnEveryPath) {
+  Simulator sim;
+  CaptureSink sink;
+  Link::Config lc;
+  lc.rate_bps = 1'000'000'000;  // 72 us per jumbo: a standing queue forms
+  lc.queue = TightCodel(40);
+  Link link(sim, lc, &sink);
+  std::uint64_t seen = 0;
+  link.SetFaultFilter([&seen](const Packet&) { return ++seen % 4 == 0; });
+  for (int i = 0; i < 60; ++i) link.Enqueue(MakeData(9000));
+  EXPECT_GT(sim.stashed_packets(), 0u);
+  sim.Run();
+  const QueueDisc::Stats& st = link.queue().stats();
+  EXPECT_GT(st.codel_drops, 0u);
+  EXPECT_GT(st.dropped, st.codel_drops);  // tail drops too
+  EXPECT_GT(link.fault_dropped(), 0u);
+  EXPECT_EQ(sink.packets.size() + link.fault_dropped() + st.dropped, 60u);
+  EXPECT_EQ(sim.stashed_packets(), 0u);
+}
+
+TEST(PacketPool, FabricPortReleasesEveryHandleAcrossRepacks) {
+  Simulator sim;
+  CaptureSink sink;
+  FabricPort::Config fc = PortConfig();
+  fc.voq = TightCodel(32);
+  fc.pinned_stash_capacity = 3;
+  FabricPort port(sim, fc, &sink);
+  std::uint64_t seen = 0;
+  port.SetFaultFilter([&seen](const Packet&) { return ++seen % 5 == 0; });
+  port.SetBlackout(true);
+  // Packet mode: unpinned and path-0 packets enter the VOQ, path-1 packets
+  // wait in the stash (3 fit, the rest are dropped at once).
+  for (int i = 0; i < 30; ++i) {
+    Packet p = MakeData(9000);
+    p.pinned_path = i % 3 == 0 ? kUnpinned : static_cast<std::int8_t>(i % 3 - 1);
+    port.Enqueue(std::move(p));
+  }
+  EXPECT_EQ(port.pinned_waiting(), 3u);
+  // Circuit up: the VOQ's path-0 packets are repacked into the (small)
+  // path-0 stash, overflowing it; the path-1 stash joins the VOQ.
+  port.SetMode(CircuitMode());
+  EXPECT_GT(port.pinned_dropped(), 7u);
+  port.SetBlackout(false);
+  sim.RunUntil(SimTime::Micros(200));
+  // Back to packet mode: the path-0 stash drains as well.
+  port.SetMode(PortConfig().initial_mode);
+  sim.Run();
+  const QueueDisc::Stats& st = port.voq().stats();
+  EXPECT_GT(port.fault_dropped(), 0u);
+  EXPECT_EQ(port.pinned_waiting(), 0u);
+  EXPECT_EQ(sink.packets.size() + port.fault_dropped() + st.dropped +
+                port.pinned_dropped(),
+            30u);
+  EXPECT_EQ(sim.stashed_packets(), 0u);
+}
+
+TEST(PacketPool, TopologyDestroyedWithPacketsQueuedAndInFlight) {
+  // Tearing a topology down mid-run leaves handles queued in links, VOQs
+  // and stashes and captured by pending arrival events; that must be
+  // memory-clean (checked under ASan), and the Simulator that outlives the
+  // topology still owns the storage.
+  Simulator sim;
+  Random rng(3);
+  {
+    TopologyConfig tc;
+    tc.hosts_per_rack = 2;
+    Topology topo(sim, rng, tc);
+    for (int i = 0; i < 40; ++i) {
+      Packet p = MakeData(9000, topo.host_id(1, i % 2));
+      p.flow = 9;
+      p.pinned_path = i % 4 == 0 ? 1 : kUnpinned;
+      topo.host(0, i % 2)->Send(std::move(p));
+    }
+    sim.RunUntil(SimTime::Micros(20));
+    EXPECT_GT(sim.stashed_packets(), 0u);
+  }
+  // The pool still hands out and takes back handles after the teardown.
+  Packet* p = sim.StashPacket(MakeData());
+  sim.ReleasePacket(p);
 }
 
 // ---------------------------------------------------------------------------

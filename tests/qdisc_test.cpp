@@ -10,6 +10,7 @@
 // VOQ sojourn below drop-tail's under the same incast-style overload.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "alloc_harness.hpp"
@@ -34,6 +35,16 @@ Packet MakePkt(std::uint64_t id, Ecn ecn = Ecn::kEct0,
   return p;
 }
 
+// Serves one packet: copies it out of its pooled handle and returns the
+// handle to the pool, as a link's arrival event would.
+std::optional<Packet> Take(Simulator& sim, QueueDisc& q, SimTime now) {
+  Packet* h = q.Dequeue(now);
+  if (h == nullptr) return std::nullopt;
+  Packet p = *h;
+  sim.ReleasePacket(h);
+  return p;
+}
+
 // ---------------------------------------------------------------------------
 // Name mapping
 // ---------------------------------------------------------------------------
@@ -52,7 +63,8 @@ TEST(QdiscNames, RoundTripAndReject) {
 
 TEST(QdiscConformance, CapacityBoundNeverExceeded) {
   for (QdiscKind k : kAllKinds) {
-    QueueDisc q(QueueDisc::Config{.kind = k, .capacity_packets = 4});
+    Simulator sim;
+    QueueDisc q(sim, QueueDisc::Config{.kind = k, .capacity_packets = 4});
     for (std::uint64_t i = 0; i < 10; ++i) {
       q.Enqueue(MakePkt(i));
       EXPECT_LE(q.occupancy(), 4u) << QdiscKindName(k);
@@ -66,7 +78,8 @@ TEST(QdiscConformance, CapacityBoundNeverExceeded) {
 
 TEST(QdiscConformance, DrainThenShrinkDefersExcess) {
   for (QdiscKind k : kAllKinds) {
-    QueueDisc q(QueueDisc::Config{.kind = k, .capacity_packets = 12});
+    Simulator sim;
+    QueueDisc q(sim, QueueDisc::Config{.kind = k, .capacity_packets = 12});
     for (std::uint64_t i = 0; i < 12; ++i) {
       ASSERT_TRUE(q.Enqueue(MakePkt(i))) << QdiscKindName(k);
     }
@@ -79,7 +92,7 @@ TEST(QdiscConformance, DrainThenShrinkDefersExcess) {
     EXPECT_TRUE(q.WithinBound()) << QdiscKindName(k);
     EXPECT_FALSE(q.Enqueue(MakePkt(99))) << QdiscKindName(k);
     while (q.occupancy() >= 4) {
-      ASSERT_TRUE(q.Dequeue(SimTime::Zero()).has_value()) << QdiscKindName(k);
+      ASSERT_TRUE(Take(sim, q, SimTime::Zero()).has_value()) << QdiscKindName(k);
       EXPECT_TRUE(q.WithinBound()) << QdiscKindName(k);
     }
     // Back under the new capacity: normal admission resumes and the bound
@@ -89,14 +102,45 @@ TEST(QdiscConformance, DrainThenShrinkDefersExcess) {
   }
 }
 
+TEST(QdiscConformance, PoolHandlesBalanceOnEveryPath) {
+  // A rejected by-value packet is never copied into the pool, a rejected
+  // handle goes back to it, and every admitted handle leaves through
+  // Dequeue (delivered or dropped by the AQM) or DrainRawInto.
+  for (QdiscKind k : kAllKinds) {
+    Simulator sim;
+    QueueDisc q(sim, QueueDisc::Config{.kind = k,
+                                       .capacity_packets = 6,
+                                       .codel_target = SimTime::Micros(1),
+                                       .codel_interval = SimTime::Micros(2)});
+    for (std::uint64_t i = 0; i < 5; ++i) ASSERT_TRUE(q.Enqueue(MakePkt(i)));
+    EXPECT_EQ(sim.stashed_packets(), 5u) << QdiscKindName(k);
+    EXPECT_TRUE(q.Enqueue(sim.StashPacket(MakePkt(5)))) << QdiscKindName(k);
+    EXPECT_FALSE(q.Enqueue(MakePkt(6))) << QdiscKindName(k);
+    EXPECT_FALSE(q.Enqueue(sim.StashPacket(MakePkt(7)))) << QdiscKindName(k);
+    EXPECT_EQ(sim.stashed_packets(), 6u) << QdiscKindName(k);
+    std::vector<Packet*> drained;
+    q.DrainRawInto(drained);
+    ASSERT_EQ(drained.size(), 6u) << QdiscKindName(k);
+    for (Packet* p : drained) q.Restore(p);
+    // Late service: CoDel consumes some as drops, the rest are delivered.
+    SimTime now = SimTime::Millis(1);
+    while (!q.Empty()) {
+      Take(sim, q, now);
+      now = now + SimTime::Micros(10);
+    }
+    EXPECT_EQ(sim.stashed_packets(), 0u) << QdiscKindName(k);
+  }
+}
+
 TEST(QdiscConformance, SurvivorsLeaveInFifoOrder) {
   // Zero sojourn (dequeue at the enqueue timestamp) keeps every time-based
   // discipline quiescent, so all four must behave as pure FIFO.
   for (QdiscKind k : kAllKinds) {
-    QueueDisc q(QueueDisc::Config{.kind = k, .capacity_packets = 8});
+    Simulator sim;
+    QueueDisc q(sim, QueueDisc::Config{.kind = k, .capacity_packets = 8});
     for (std::uint64_t i = 0; i < 8; ++i) q.Enqueue(MakePkt(i));
     for (std::uint64_t i = 0; i < 8; ++i) {
-      std::optional<Packet> p = q.Dequeue(SimTime::Zero());
+      std::optional<Packet> p = Take(sim, q, SimTime::Zero());
       ASSERT_TRUE(p.has_value()) << QdiscKindName(k);
       EXPECT_EQ(p->id, i) << QdiscKindName(k);
     }
@@ -109,7 +153,8 @@ TEST(QdiscConformance, NotEctPacketsAreNeverMarked) {
   // not negotiate ECN must come out unmarked (CoDel drops it instead; the
   // others deliver it untouched).
   for (QdiscKind k : kAllKinds) {
-    QueueDisc q(QueueDisc::Config{.kind = k,
+    Simulator sim;
+    QueueDisc q(sim, QueueDisc::Config{.kind = k,
                                   .capacity_packets = 32,
                                   .ecn_threshold_packets = 0,
                                   .codel_target = SimTime::Micros(1),
@@ -119,7 +164,7 @@ TEST(QdiscConformance, NotEctPacketsAreNeverMarked) {
     for (std::uint64_t i = 0; i < 16; ++i) q.Enqueue(MakePkt(i, Ecn::kNotEct));
     SimTime now = SimTime::Millis(1);  // huge sojourn: everything is "late"
     while (!q.Empty()) {
-      std::optional<Packet> p = q.Dequeue(now);
+      std::optional<Packet> p = Take(sim, q, now);
       now = now + SimTime::Micros(50);
       if (p) {
         EXPECT_NE(p->ecn, Ecn::kCe) << QdiscKindName(k);
@@ -132,7 +177,8 @@ TEST(QdiscConformance, NotEctPacketsAreNeverMarked) {
 TEST(QdiscConformance, OccupancyEcnMarkingComposesWithEveryKind) {
   // DCTCP's occupancy-threshold marker runs under every discipline.
   for (QdiscKind k : kAllKinds) {
-    QueueDisc q(QueueDisc::Config{
+    Simulator sim;
+    QueueDisc q(sim, QueueDisc::Config{
         .kind = k, .capacity_packets = 10, .ecn_threshold_packets = 2});
     for (std::uint64_t i = 0; i < 5; ++i) q.Enqueue(MakePkt(i));
     // Packets 0,1 admitted below K; 2,3,4 at/above K are CE-marked.
@@ -143,28 +189,29 @@ TEST(QdiscConformance, OccupancyEcnMarkingComposesWithEveryKind) {
 TEST(QdiscConformance, SteadyStateNeverAllocates) {
   for (QdiscKind k : kAllKinds) {
     SharedBufferPool pool{64, 0};
-    QueueDisc q(QueueDisc::Config{.kind = k,
+    Simulator sim;
+    QueueDisc q(sim, QueueDisc::Config{.kind = k,
                                   .capacity_packets = 32,
                                   .codel_target = SimTime::Micros(10),
                                   .codel_interval = SimTime::Micros(100)});
     if (k == QdiscKind::kSharedPool) q.AttachSharedPool(&pool);
     // Warm-up: reach the high-water mark once so the ring is fully grown.
     for (std::uint64_t i = 0; i < 32; ++i) q.Enqueue(MakePkt(i));
-    while (!q.Empty()) q.Dequeue(SimTime::Micros(200));
+    while (!q.Empty()) Take(sim, q, SimTime::Micros(200));
     // Steady state: overload churn (enqueues, drops, CoDel state, marks,
     // resizes within the watermark) must not touch the allocator.
     const auto delta = test::CountAllocations([&] {
       SimTime now = SimTime::Zero();
       for (std::uint64_t i = 0; i < 2000; ++i) {
         q.Enqueue(MakePkt(i, i % 2 ? Ecn::kEct0 : Ecn::kNotEct, now));
-        if (i % 3 == 0) q.Dequeue(now + SimTime::Micros(120));
+        if (i % 3 == 0) Take(sim, q, now + SimTime::Micros(120));
         if (i % 512 == 0) {
           q.set_capacity(16);
           q.set_capacity(32);
         }
         now = now + SimTime::Micros(1);
       }
-      while (!q.Empty()) q.Dequeue(SimTime::Millis(10));
+      while (!q.Empty()) Take(sim, q, SimTime::Millis(10));
     });
     EXPECT_EQ(delta.news, 0u) << QdiscKindName(k);
   }
@@ -183,14 +230,15 @@ struct OverloadResult {
 };
 
 OverloadResult RunOverload(QueueDisc::Config cfg, int service_ticks = 4000) {
-  QueueDisc q(cfg);
+  Simulator sim;
+  QueueDisc q(sim, cfg);
   OverloadResult r;
   std::uint64_t id = 0;
   SimTime now = SimTime::Zero();
   for (int t = 0; t < service_ticks; ++t) {
     q.Enqueue(MakePkt(id++, Ecn::kEct0, now));
     q.Enqueue(MakePkt(id++, Ecn::kEct0, now));
-    if (q.Dequeue(now).has_value()) ++r.delivered;
+    if (Take(sim, q, now).has_value()) ++r.delivered;
     now = now + SimTime::Micros(1);
   }
   r.final_occupancy = q.occupancy();
@@ -225,7 +273,8 @@ TEST(Codel, DropsDissolveAStandingQueue) {
   // the drop rate (sqrt(count)/interval) to exceed the arrival excess, and
   // the test should get there in well under a millisecond.
   auto run = [](QdiscKind k) {
-    QueueDisc q(QueueDisc::Config{.kind = k,
+    Simulator sim;
+    QueueDisc q(sim, QueueDisc::Config{.kind = k,
                                   .capacity_packets = 256,
                                   .codel_target = SimTime::Micros(5),
                                   .codel_interval = SimTime::Micros(20)});
@@ -235,7 +284,7 @@ TEST(Codel, DropsDissolveAStandingQueue) {
     for (int t = 0; t < 8000; ++t) {
       q.Enqueue(MakePkt(id++, Ecn::kEct0, now));
       q.Enqueue(MakePkt(id++, Ecn::kEct0, now));
-      q.Dequeue(now);
+      Take(sim, q, now);
       now = now + SimTime::Micros(1);
       if (t == 3999) warmup = q.stats();
     }
@@ -281,7 +330,8 @@ TEST(Codel, EcnModeMarksInsteadOfDropping) {
 }
 
 TEST(Codel, ExitsDroppingStateWhenSojournRecovers) {
-  QueueDisc q(QueueDisc::Config{.kind = QdiscKind::kCodel,
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.kind = QdiscKind::kCodel,
                                 .capacity_packets = 64});
   // Phase 1: standing queue long enough to enter the dropping state.
   SimTime now = SimTime::Zero();
@@ -289,16 +339,16 @@ TEST(Codel, ExitsDroppingStateWhenSojournRecovers) {
   for (int t = 0; t < 2000; ++t) {
     q.Enqueue(MakePkt(id++, Ecn::kEct0, now));
     q.Enqueue(MakePkt(id++, Ecn::kEct0, now));
-    q.Dequeue(now);
+    Take(sim, q, now);
     now = now + SimTime::Micros(1);
   }
   ASSERT_GT(q.stats().codel_drops, 0u);
-  while (!q.Empty()) q.Dequeue(now);
+  while (!q.Empty()) Take(sim, q, now);
   const std::uint64_t drops_after_phase1 = q.stats().codel_drops;
   // Phase 2: light load, sojourn always zero — no further drops ever.
   for (int t = 0; t < 1000; ++t) {
     q.Enqueue(MakePkt(id++, Ecn::kEct0, now));
-    EXPECT_TRUE(q.Dequeue(now).has_value());
+    EXPECT_TRUE(Take(sim, q, now).has_value());
     now = now + SimTime::Micros(1);
   }
   EXPECT_EQ(q.stats().codel_drops, drops_after_phase1);
@@ -309,17 +359,18 @@ TEST(Codel, ExitsDroppingStateWhenSojournRecovers) {
 // ---------------------------------------------------------------------------
 
 TEST(DelayMark, MarksOnlyAboveThreshold) {
-  QueueDisc q(QueueDisc::Config{.kind = QdiscKind::kDelayMark,
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.kind = QdiscKind::kDelayMark,
                                 .capacity_packets = 8,
                                 .delay_mark_threshold = SimTime::Micros(50)});
   q.Enqueue(MakePkt(0, Ecn::kEct0, SimTime::Zero()));
   q.Enqueue(MakePkt(1, Ecn::kEct0, SimTime::Zero()));
   // Sojourn 10us < 50us: delivered clean.
-  std::optional<Packet> fast = q.Dequeue(SimTime::Micros(10));
+  std::optional<Packet> fast = Take(sim, q, SimTime::Micros(10));
   ASSERT_TRUE(fast.has_value());
   EXPECT_EQ(fast->ecn, Ecn::kEct0);
   // Sojourn 80us >= 50us: CE-marked, counted in both breakdowns.
-  std::optional<Packet> slow = q.Dequeue(SimTime::Micros(80));
+  std::optional<Packet> slow = Take(sim, q, SimTime::Micros(80));
   ASSERT_TRUE(slow.has_value());
   EXPECT_EQ(slow->ecn, Ecn::kCe);
   EXPECT_EQ(q.stats().delay_marked, 1u);
@@ -334,10 +385,11 @@ TEST(DelayMark, MarksOnlyAboveThreshold) {
 
 TEST(SharedPool, QueuesCompeteForOnePool) {
   SharedBufferPool pool{8, 0};
-  QueueDisc a(QueueDisc::Config{.kind = QdiscKind::kSharedPool,
+  Simulator sim;
+  QueueDisc a(sim, QueueDisc::Config{.kind = QdiscKind::kSharedPool,
                                 .capacity_packets = 8,
                                 .shared_alpha = 1.0});
-  QueueDisc b(a.config());
+  QueueDisc b(sim, a.config());
   a.AttachSharedPool(&pool);
   b.AttachSharedPool(&pool);
   // A hogs the pool: DT admits while occupancy < alpha * free. With
@@ -355,7 +407,7 @@ TEST(SharedPool, QueuesCompeteForOnePool) {
   EXPECT_GT(b.stats().dropped, 0u);
   // Draining A releases pool space and reopens B's admission.
   const std::uint32_t before = pool.used;
-  for (int i = 0; i < 3; ++i) a.Dequeue(SimTime::Zero());
+  for (int i = 0; i < 3; ++i) Take(sim, a, SimTime::Zero());
   EXPECT_EQ(pool.used, before - 3);
   EXPECT_TRUE(b.CanEnqueue());
   EXPECT_TRUE(b.Enqueue(MakePkt(id++)));
@@ -363,7 +415,8 @@ TEST(SharedPool, QueuesCompeteForOnePool) {
 
 TEST(SharedPool, AlphaScalesTheThreshold) {
   SharedBufferPool pool{16, 0};
-  QueueDisc strict(QueueDisc::Config{.kind = QdiscKind::kSharedPool,
+  Simulator sim;
+  QueueDisc strict(sim, QueueDisc::Config{.kind = QdiscKind::kSharedPool,
                                      .capacity_packets = 16,
                                      .shared_alpha = 0.25});
   strict.AttachSharedPool(&pool);
@@ -376,7 +429,8 @@ TEST(SharedPool, AlphaScalesTheThreshold) {
 }
 
 TEST(SharedPool, NoPoolDegradesToDropTail) {
-  QueueDisc q(QueueDisc::Config{.kind = QdiscKind::kSharedPool,
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.kind = QdiscKind::kSharedPool,
                                 .capacity_packets = 4});
   for (std::uint64_t i = 0; i < 6; ++i) q.Enqueue(MakePkt(i));
   EXPECT_EQ(q.occupancy(), 4u);
@@ -386,25 +440,26 @@ TEST(SharedPool, NoPoolDegradesToDropTail) {
 
 TEST(SharedPool, DrainRawAndRestoreKeepPoolAccounting) {
   SharedBufferPool pool{8, 0};
-  QueueDisc q(QueueDisc::Config{.kind = QdiscKind::kSharedPool,
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.kind = QdiscKind::kSharedPool,
                                 .capacity_packets = 8});
   q.AttachSharedPool(&pool);
   for (std::uint64_t i = 0; i < 3; ++i) q.Enqueue(MakePkt(i));
   EXPECT_EQ(pool.used, 3u);
   // FabricPort's mode-flip repack: drain everything, restore it in order.
-  std::vector<Packet> drained;
+  std::vector<Packet*> drained;
   q.DrainRawInto(drained);
   ASSERT_EQ(drained.size(), 3u);
   EXPECT_TRUE(q.Empty());
   EXPECT_EQ(pool.used, 0u);
-  for (Packet& p : drained) q.Restore(std::move(p));
+  for (Packet* p : drained) q.Restore(p);
   EXPECT_EQ(q.occupancy(), 3u);
   EXPECT_EQ(pool.used, 3u);
   // Structural ops left the sojourn stats untouched.
   EXPECT_EQ(q.stats().sojourn_count, 0u);
   // Service order survives the repack.
   for (std::uint64_t i = 0; i < 3; ++i) {
-    std::optional<Packet> p = q.Dequeue(SimTime::Zero());
+    std::optional<Packet> p = Take(sim, q, SimTime::Zero());
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(p->id, i);
   }
@@ -415,14 +470,15 @@ TEST(SharedPool, DrainRawAndRestoreKeepPoolAccounting) {
 // ---------------------------------------------------------------------------
 
 TEST(SojournStats, HistogramPercentilesBracketTheSamples) {
-  QueueDisc q(QueueDisc::Config{.capacity_packets = 128});
+  Simulator sim;
+  QueueDisc q(sim, QueueDisc::Config{.capacity_packets = 128});
   // 90 sojourns of ~3us, 10 of ~300us.
   for (std::uint64_t i = 0; i < 90; ++i) q.Enqueue(MakePkt(i));
-  for (std::uint64_t i = 0; i < 90; ++i) q.Dequeue(SimTime::Micros(3));
+  for (std::uint64_t i = 0; i < 90; ++i) Take(sim, q, SimTime::Micros(3));
   for (std::uint64_t i = 0; i < 10; ++i) {
     q.Enqueue(MakePkt(100 + i, Ecn::kEct0, SimTime::Zero()));
   }
-  for (std::uint64_t i = 0; i < 10; ++i) q.Dequeue(SimTime::Micros(300));
+  for (std::uint64_t i = 0; i < 10; ++i) Take(sim, q, SimTime::Micros(300));
   EXPECT_EQ(q.stats().sojourn_count, 100u);
   // p50 lands in the [2,4)us bucket (upper edge 4); p99 in [256,512).
   EXPECT_EQ(q.stats().SojournPercentileUs(50), 4.0);
@@ -517,7 +573,8 @@ TEST(IncastRegression, CodelKeepsP99SojournBelowDropTail) {
   // serviced at 1 packet/us — the N-to-1 pattern bench_incast times at
   // full scale. Same arrivals, same service, only the discipline differs.
   auto run = [](QdiscKind k) {
-    QueueDisc q(QueueDisc::Config{.kind = k,
+    Simulator sim;
+    QueueDisc q(sim, QueueDisc::Config{.kind = k,
                                   .capacity_packets = 256,
                                   .codel_target = SimTime::Micros(5),
                                   .codel_interval = SimTime::Micros(20)});
@@ -527,7 +584,7 @@ TEST(IncastRegression, CodelKeepsP99SojournBelowDropTail) {
     for (int burst = 0; burst < 80; ++burst) {
       for (int i = 0; i < 80; ++i) q.Enqueue(MakePkt(id++, Ecn::kEct0, now));
       for (int t = 0; t < 40; ++t) {  // 40us of service between bursts
-        q.Dequeue(now);
+        Take(sim, q, now);
         now = now + SimTime::Micros(1);
       }
       // The first half covers CoDel's ramp against the initial pile-up;
