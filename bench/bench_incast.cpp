@@ -188,8 +188,10 @@ int main(int argc, char** argv) {
   // One private Simulator per discipline on the pool; results are
   // bit-identical at any job count.
   std::vector<IncastStats> stats(setups.size());
+  std::vector<double> wall_ns(setups.size());
   ParallelFor(args.jobs, setups.size(), [&](std::size_t i) {
-    stats[i] = MeasureIncast(setups[i].voq, waves);
+    wall_ns[i] =
+        WallNs([&] { stats[i] = MeasureIncast(setups[i].voq, waves); });
   });
 
   std::printf("%-11s %9s %8s %8s %9s %8s %8s %8s %10s %8s\n", "qdisc",
@@ -199,7 +201,8 @@ int main(int argc, char** argv) {
   report.context = "bench_incast";
   for (std::size_t i = 0; i < setups.size(); ++i) {
     const IncastStats& s = stats[i];
-    const BenchRun run = ToRun(setups[i], s, waves);
+    BenchRun run = ToRun(setups[i], s, waves);
+    run.real_time_ns = wall_ns[i];
     std::printf(
         "%-11s %6zu/%-3d %8.0f %8.0f %9.0f %8.0f %8.0f %8.0f %10.0f %8.0f\n",
         setups[i].name, s.fct_us.size(), waves * kSenders,

@@ -135,8 +135,10 @@ int main(int argc, char** argv) {
               "oracle verdicts per flow:\n\n", args.duration_ms);
 
   std::vector<ExperimentResult> results(cells.size());
+  std::vector<double> wall_ns(cells.size());
   ParallelFor(args.jobs, cells.size(), [&](std::size_t i) {
-    results[i] = RunExperiment(CellConfig(cells[i], args));
+    wall_ns[i] =
+        WallNs([&] { results[i] = RunExperiment(CellConfig(cells[i], args)); });
   });
 
   std::printf("%-26s %7s %5s | %5s %5s %5s %5s | %9s %10s %-12s\n", "cell",
@@ -160,7 +162,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.stability_insufficient),
                 r.stability_worst_amplitude, r.stability_worst_period_us,
                 phase);
-    report.runs.push_back(ToRun(cell, r));
+    BenchRun run = ToRun(cell, r);
+    run.real_time_ns = wall_ns[i];
+    report.runs.push_back(run);
   }
   std::printf("\nphase diagram: %llu oscillating, %llu converged of %zu "
               "cells\n",

@@ -16,6 +16,7 @@
 // tdtcp-sweep/1) and path.csv next to the figure CSVs.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,6 +51,18 @@ struct BenchArgs {
     return s;
   }
 };
+
+// Steady-clock nanoseconds one call takes: a sim-scale bench times each
+// cell inside its ParallelFor body and records it as the cell's
+// BenchRun::real_time_ns.
+template <typename Fn>
+double WallNs(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 inline BenchArgs ParseBenchArgs(int argc, char** argv, int default_ms) {
   BenchArgs args;

@@ -102,9 +102,9 @@ struct SweepCase {
   std::string label;
   ExperimentConfig config;
   // Axis labels (after `config` so the common {label, config} aggregate
-  // init keeps working): empty for the base schedule/qdisc.
-  std::string schedule_label;
-  std::string qdisc_label;
+  // init keeps working, warning-free): empty for the base schedule/qdisc.
+  std::string schedule_label{};
+  std::string qdisc_label{};
 };
 
 // One grid cell = one (variant, schedule, duration) point, holding the

@@ -1,6 +1,5 @@
 #include "fault/fault_injector.hpp"
 
-#include <cassert>
 #include <cinttypes>
 #include <stdexcept>
 #include <string>
@@ -31,7 +30,7 @@ FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan,
     : sim_(sim), plan_(std::move(plan)), rng_(run_seed ^ plan_.seed_salt) {}
 
 void FaultInjector::Arm(Topology& topo) {
-  assert(!armed_ && "FaultInjector::Arm called twice");
+  if (armed_) throw std::logic_error("FaultInjector::Arm called twice");
   armed_ = true;
   const std::uint32_t racks = topo.config().num_racks;
 

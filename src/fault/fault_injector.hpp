@@ -74,7 +74,8 @@ class FaultInjector final : public FaultTraceSource {
 
   // Installs all hooks on `topo` and schedules the plan's link windows and
   // periodic audits. Call once, before the simulation starts (the topology
-  // must outlive the injector's hooks, i.e. the injector).
+  // must outlive the injector's hooks, i.e. the injector). Throws
+  // std::logic_error on a second call.
   void Arm(Topology& topo);
 
   const FaultPlan& plan() const { return plan_; }

@@ -31,9 +31,7 @@ MptcpConnection::MptcpConnection(Simulator& sim, Host* host, FlowId flow,
     subflows_.push_back(std::move(sub));
   }
   host_->RegisterEndpoint(flow_, this);
-  host_->AddTdnListener(this, [this](TdnId tdn, bool imminent) {
-    OnTdnChange(tdn, imminent);
-  });
+  host_->AddTdnListener(this);
 }
 
 MptcpConnection::~MptcpConnection() {
@@ -139,10 +137,6 @@ void MptcpConnection::OnSubflowClosed(std::uint32_t idx, CloseReason reason) {
 }
 
 void MptcpConnection::HandlePacket(Packet&& p) {
-  if (p.type == PacketType::kTdnNotify) {
-    OnTdnChange(p.notify_tdn, p.circuit_imminent);
-    return;
-  }
   const std::uint32_t idx = p.subflow;
   if (idx >= subflows_.size()) return;
   subflows_[idx]->HandlePacket(std::move(p));

@@ -28,7 +28,9 @@
 
 namespace tdtcp {
 
-class MptcpConnection : public PacketSink, private SubflowOwner {
+class MptcpConnection : public PacketSink,
+                        private Host::TdnListener,
+                        private SubflowOwner {
  public:
   struct Config {
     TcpConfig subflow;                 // base subflow configuration
@@ -106,7 +108,8 @@ class MptcpConnection : public PacketSink, private SubflowOwner {
   std::uint64_t reorder_marked_lost() const;
 
  private:
-  void OnTdnChange(TdnId tdn, bool imminent);
+  // Host::TdnListener: tdm_schd steers to the subflow of the active TDN.
+  void OnTdnChange(TdnId tdn, bool imminent) override;
   void OnSubflowClosed(std::uint32_t idx, CloseReason reason);
   // Remap DSS ranges stranded on a dead subflow onto a surviving one.
   void ReinjectOrphans(std::uint32_t dead_idx);

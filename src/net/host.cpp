@@ -1,12 +1,16 @@
 #include "net/host.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace tdtcp {
 
 void Host::Send(Packet&& p) {
-  assert(uplink_ != nullptr && "host has no uplink");
+  if (uplink_ == nullptr) {
+    throw std::logic_error("Host " + std::to_string(id_) +
+                           ": Send with no uplink attached");
+  }
   if (!nic_enabled_) {
     ++dropped_nic_down_;
     return;
@@ -98,8 +102,8 @@ void Host::DistributeTdn(TdnId tdn, bool imminent, RackId peer) {
   };
   if (notify_.pull_model) {
     // Flows read a shared variable: all see the new TDN at once.
-    for (auto& l : tdn_listeners_) {
-      if (matches(l)) l.fn(tdn, imminent);
+    for (const ListenerEntry& l : tdn_listeners_) {
+      if (matches(l)) l.listener->OnTdnChange(tdn, imminent);
     }
     return;
   }
@@ -108,11 +112,14 @@ void Host::DistributeTdn(TdnId tdn, bool imminent, RackId peer) {
   // get less time to send", §5.4).
   for (std::size_t i = 0; i < tdn_listeners_.size(); ++i) {
     if (!matches(tdn_listeners_[i])) continue;
-    const void* owner = tdn_listeners_[i].owner;
+    TdnListener* listener = tdn_listeners_[i].listener;
     sim_.ScheduleNoCancel(notify_.push_stagger * static_cast<std::int64_t>(i),
-                          [this, owner, tdn, imminent] {
-                            for (auto& l : tdn_listeners_) {
-                              if (l.owner == owner) l.fn(tdn, imminent);
+                          [this, listener, tdn, imminent] {
+                            // Removed before its slot: never called.
+                            for (const ListenerEntry& l : tdn_listeners_) {
+                              if (l.listener != listener) continue;
+                              listener->OnTdnChange(tdn, imminent);
+                              return;
                             }
                           });
   }

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/flow_table.hpp"
@@ -31,9 +30,22 @@ struct NotifyDistribution {
 
 class Host : public PacketSink {
  public:
-  // Called when the host learns the active TDN changed. `imminent` is the
-  // reTCPdyn advance notice (circuit coming up shortly).
-  using TdnListener = std::function<void(TdnId tdn, bool imminent)>;
+  // A flow that hears this host's TDN changes. Connections, MPTCP metas and
+  // the trace recorder implement it and register once (AddTdnListener).
+  class TdnListener {
+   public:
+    // The active TDN changed. `imminent` is the reTCPdyn advance notice
+    // (circuit coming up shortly).
+    virtual void OnTdnChange(TdnId tdn, bool imminent) = 0;
+    // Management-plane TDN-count reconfiguration (ScheduleChange::live_tdns):
+    // unlike the data-plane TDN notifications this is not a lossy ICMP — the
+    // controller's management network tells every host synchronously how
+    // many TDNs the new schedule has, and connections retire the rest.
+    virtual void OnTdnReconfig(std::uint32_t /*live_tdns*/) {}
+
+   protected:
+    ~TdnListener() = default;
+  };
 
   Host(Simulator& sim, NodeId id) : sim_(sim), id_(id), wheel_(sim) {}
 
@@ -66,41 +78,30 @@ class Host : public PacketSink {
   std::size_t num_tdn_listeners() const { return tdn_listeners_.size(); }
 
   // Flow-ordered: the i-th registered listener is the i-th established flow
-  // the push model iterates over. `owner` keys removal. `peer_rack` filters
-  // per-destination notifications (multi-rack fabrics); kAllRacks listeners
-  // hear everything, and fabric-wide notifications reach every listener.
-  void AddTdnListener(const void* owner, TdnListener listener,
-                      RackId peer_rack = kAllRacks) {
-    tdn_listeners_.push_back({owner, peer_rack, std::move(listener)});
+  // the push model iterates over. `peer_rack` filters per-destination
+  // notifications (multi-rack fabrics); kAllRacks listeners hear everything,
+  // and fabric-wide notifications reach every listener. Reconfigs reach
+  // every listener, in registration order.
+  //
+  // Iteration rule: delivery walks the list in place, so no listener may
+  // add or remove a listener from inside OnTdnChange or OnTdnReconfig.
+  // A push-model slot is a deferred event, not a delivery in progress: a
+  // listener removed before its slot fires is skipped.
+  void AddTdnListener(TdnListener* listener, RackId peer_rack = kAllRacks) {
+    tdn_listeners_.push_back({listener, peer_rack});
   }
-  void RemoveTdnListener(const void* owner) {
+  void RemoveTdnListener(const TdnListener* listener) {
     std::erase_if(tdn_listeners_,
-                  [owner](const auto& e) { return e.owner == owner; });
-  }
-
-  // Management-plane TDN-count reconfiguration (ScheduleChange::live_tdns):
-  // unlike the data-plane TDN notifications above this is not a lossy ICMP —
-  // the controller's management network tells every host synchronously how
-  // many TDNs the new schedule has, and connections retire the rest
-  // (TcpConnection::OnTdnReconfig).
-  using TdnReconfigListener = std::function<void(std::uint32_t live_tdns)>;
-  void AddTdnReconfigListener(const void* owner, TdnReconfigListener listener) {
-    reconfig_listeners_.push_back({owner, std::move(listener)});
-  }
-  void RemoveTdnReconfigListener(const void* owner) {
-    std::erase_if(reconfig_listeners_,
-                  [owner](const auto& e) { return e.owner == owner; });
+                  [listener](const auto& e) { return e.listener == listener; });
   }
   void DistributeTdnReconfig(std::uint32_t live_tdns) {
-    // Listeners may register/unregister during delivery (a reconfig can kick
-    // a connection into sending, closing, etc.) — iterate a snapshot.
-    const auto snapshot = reconfig_listeners_;
-    for (const auto& e : snapshot) e.fn(live_tdns);
+    for (const auto& e : tdn_listeners_) e.listener->OnTdnReconfig(live_tdns);
   }
 
   void set_notify_distribution(NotifyDistribution d) { notify_ = d; }
 
-  // Transmit a packet from a local socket out the NIC.
+  // Transmit a packet from a local socket out the NIC. Throws
+  // std::logic_error when no uplink is attached.
   void Send(Packet&& p);
 
   // Packet arriving from the ToR (or control network).
@@ -133,14 +134,8 @@ class Host : public PacketSink {
 
  private:
   struct ListenerEntry {
-    const void* owner;
+    TdnListener* listener;
     RackId peer_rack;
-    TdnListener fn;
-  };
-
-  struct ReconfigEntry {
-    const void* owner;
-    TdnReconfigListener fn;
   };
 
   void DistributeTdn(TdnId tdn, bool imminent, RackId peer);
@@ -153,7 +148,6 @@ class Host : public PacketSink {
   Link* uplink_ = nullptr;
   FlowTable endpoints_;
   std::vector<ListenerEntry> tdn_listeners_;
-  std::vector<ReconfigEntry> reconfig_listeners_;
   NotifyDistribution notify_;
   std::uint64_t dropped_no_endpoint_ = 0;
   std::uint64_t rsts_sent_ = 0;

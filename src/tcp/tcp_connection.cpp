@@ -60,12 +60,7 @@ TcpConnection::TcpConnection(Simulator& sim, Host* host, FlowId flow,
   // driven by the meta's notifications.
   if (owner_ == nullptr) {
     host_->RegisterEndpoint(flow_, this);
-    host_->AddTdnListener(
-        this,
-        [this](TdnId tdn, bool imminent) { OnTdnChange(tdn, imminent); },
-        config_.peer_rack);
-    host_->AddTdnReconfigListener(
-        this, [this](std::uint32_t live) { OnTdnReconfig(live); });
+    host_->AddTdnListener(this, config_.peer_rack);
     host_registered_ = true;
   }
 }
@@ -76,7 +71,6 @@ TcpConnection::~TcpConnection() {
   if (host_registered_) {
     host_->UnregisterEndpoint(flow_, this);
     host_->RemoveTdnListener(this);
-    host_->RemoveTdnReconfigListener(this);
   }
 }
 
@@ -430,7 +424,6 @@ void TcpConnection::ToClosed(CloseReason reason) {
   if (host_registered_) {
     host_->UnregisterEndpoint(flow_, this);
     host_->RemoveTdnListener(this);
-    host_->RemoveTdnReconfigListener(this);
     host_registered_ = false;
   }
   RunChecker(TcpInvariantChecker::Event::kClose);
@@ -612,10 +605,6 @@ void TcpConnection::NotePeerTdn(TdnId tdn) {
 
 void TcpConnection::HandlePacket(Packet&& p) {
   if (has_tap_) tap_(TapDirection::kRx, p);
-  if (p.type == PacketType::kTdnNotify) {
-    OnTdnChange(p.notify_tdn, p.circuit_imminent);
-    return;
-  }
   if (p.rst) {
     OnRst();
     return;

@@ -166,7 +166,7 @@ struct TcpStats {
   std::uint64_t recovery_spurious = 0;  // forced rtx disproved by DSACK
 };
 
-class TcpConnection : public PacketSink {
+class TcpConnection : public PacketSink, public Host::TdnListener {
  public:
   // RFC 9293 state machine. Values are stable trace IDs (kTcpStateChange
   // arguments appear in checked-in fixtures): append, never reorder.
@@ -227,11 +227,11 @@ class TcpConnection : public PacketSink {
   bool AddMappedData(std::uint32_t len, std::uint64_t dss_seq);
 
   // --- TDN control -------------------------------------------------------------
-  // Host notification entry point (wired via Host::AddTdnListener).
-  void OnTdnChange(TdnId tdn, bool imminent);
-  // Management-plane TDN-count change (Host::AddTdnReconfigListener): retire
-  // per-TDN state sets with id >= live_tdns (TdnManager::RetireAbove).
-  void OnTdnReconfig(std::uint32_t live_tdns);
+  // Host::TdnListener: the host's notification entry point.
+  void OnTdnChange(TdnId tdn, bool imminent) override;
+  // Management-plane TDN-count change: retire per-TDN state sets with
+  // id >= live_tdns (TdnManager::RetireAbove).
+  void OnTdnReconfig(std::uint32_t live_tdns) override;
   // §4.2: collapse an established TDTCP connection to regular TCP.
   void DowngradeToRegularTcp();
 

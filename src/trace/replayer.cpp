@@ -36,22 +36,21 @@ TraceRecorder::TraceRecorder(Simulator& sim, TcpConnection& conn, Host& host)
   // Registered after the connection's own listener, so under the pull model
   // both hear a notification synchronously at the same sim time and the
   // recorded order matches the connection's processing order.
-  host_.AddTdnListener(
-      this,
-      [this](TdnId tdn, bool imminent) {
-        RecordedEvent ev;
-        ev.t_ps = sim_.now().picos();
-        ev.kind = RecordedEvent::Kind::kNotify;
-        ev.tdn = tdn;
-        ev.imminent = imminent;
-        events_.push_back(ev);
-      },
-      conn_.config().peer_rack);
+  host_.AddTdnListener(this, conn_.config().peer_rack);
 }
 
 TraceRecorder::~TraceRecorder() {
   host_.RemoveTdnListener(this);
   conn_.SetPacketTap(nullptr);
+}
+
+void TraceRecorder::OnTdnChange(TdnId tdn, bool imminent) {
+  RecordedEvent ev;
+  ev.t_ps = sim_.now().picos();
+  ev.kind = RecordedEvent::Kind::kNotify;
+  ev.tdn = tdn;
+  ev.imminent = imminent;
+  events_.push_back(ev);
 }
 
 void TraceRecorder::NoteConnect() {

@@ -37,7 +37,7 @@ namespace tdtcp {
 // the connection (Connect, SetUnlimitedData, AddAppData) are not
 // interceptable, so the harness mirrors them through Note*() at the moment
 // it makes them.
-class TraceRecorder {
+class TraceRecorder : private Host::TdnListener {
  public:
   // Throws std::invalid_argument when `conn` is an MPTCP subflow.
   TraceRecorder(Simulator& sim, TcpConnection& conn, Host& host);
@@ -57,6 +57,9 @@ class TraceRecorder {
   RecordedConnection Finish(const TraceRing& ring) const;
 
  private:
+  // Host::TdnListener: records the notification as an ingress event.
+  void OnTdnChange(TdnId tdn, bool imminent) override;
+
   Simulator& sim_;
   TcpConnection& conn_;
   Host& host_;

@@ -41,12 +41,18 @@ AllocDelta CountAllocations(F&& f) {
 }  // namespace tdtcp::test
 
 // All forms funnel through malloc/free so the aligned overloads used by the
-// event core's heap buffer are counted too.
+// event core's heap buffer are counted too. None may be inlined: GCC's
+// -Wmismatched-new-delete treats an out-of-line call to the replaced
+// operator new as the library's, so seeing one half of the pair inlined
+// (malloc or free) next to the other as an opaque call reads as a mismatch
+// although every path pairs malloc/aligned_alloc with free.
+[[gnu::noinline]]
 void* operator new(std::size_t n) {
   tdtcp::test::g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
+[[gnu::noinline]]
 void* operator new(std::size_t n, std::align_val_t al) {
   tdtcp::test::g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
@@ -56,18 +62,22 @@ void* operator new(std::size_t n, std::align_val_t al) {
   }
   throw std::bad_alloc();
 }
+[[gnu::noinline]]
 void operator delete(void* p) noexcept {
   tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
+[[gnu::noinline]]
 void operator delete(void* p, std::size_t) noexcept {
   tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
+[[gnu::noinline]]
 void operator delete(void* p, std::align_val_t) noexcept {
   tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
+[[gnu::noinline]]
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
   std::free(p);

@@ -16,6 +16,7 @@ namespace tdtcp {
 namespace {
 
 using test::LoopbackHarness;
+using test::TdnCallback;
 
 TcpConfig BaseConfig() {
   TcpConfig c;
@@ -151,10 +152,12 @@ TEST(PerDestNotify, ListenerFiltersByPeerRack) {
   Simulator sim;
   Host host(sim, 0);
   int to_rack1 = 0, to_rack2 = 0, unfiltered = 0;
-  int o1, o2, o3;
-  host.AddTdnListener(&o1, [&](TdnId, bool) { ++to_rack1; }, 1);
-  host.AddTdnListener(&o2, [&](TdnId, bool) { ++to_rack2; }, 2);
-  host.AddTdnListener(&o3, [&](TdnId, bool) { ++unfiltered; });
+  TdnCallback l1([&](TdnId, bool) { ++to_rack1; });
+  TdnCallback l2([&](TdnId, bool) { ++to_rack2; });
+  TdnCallback l3([&](TdnId, bool) { ++unfiltered; });
+  host.AddTdnListener(&l1, 1);
+  host.AddTdnListener(&l2, 2);
+  host.AddTdnListener(&l3);
 
   Packet for_rack1;
   for_rack1.type = PacketType::kTdnNotify;

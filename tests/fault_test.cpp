@@ -23,6 +23,7 @@ namespace tdtcp {
 namespace {
 
 using test::LoopbackHarness;
+using test::TdnCallback;
 
 ExperimentConfig ShortConfig(Variant v, int ms = 10) {
   ExperimentConfig cfg = PaperConfig(v);
@@ -139,6 +140,27 @@ TEST(FaultInjector, LinkDownWindowTogglesLinkAndRecordsTrace) {
   EXPECT_NE(inj.TraceHash(), 0u);
 }
 
+TEST(FaultInjector, SecondArmThrowsAndLeavesTheFirstArmingAlone) {
+  Simulator sim;
+  Random rng(1);
+  TopologyConfig tc;
+  tc.hosts_per_rack = 2;
+  Topology topo(sim, rng, tc);
+
+  FaultPlan plan;
+  plan.audit_interval = SimTime::Zero();
+  plan.link_downs.push_back(LinkDownWindow{/*rack=*/0, /*uplink=*/true,
+                                           SimTime::Micros(100),
+                                           SimTime::Micros(50)});
+  FaultInjector inj(sim, plan, /*run_seed=*/1);
+  inj.Arm(topo);
+  EXPECT_THROW(inj.Arm(topo), std::logic_error);
+
+  sim.RunUntil(SimTime::Micros(200));
+  EXPECT_EQ(inj.stats().link_transitions, 2u);  // one window, not two
+  EXPECT_EQ(inj.trace().size(), 2u);
+}
+
 TEST(FaultInjector, GilbertElliottBurstsAreDeterministic) {
   FaultPlan plan;
   plan.fabric.gilbert_elliott = true;
@@ -169,10 +191,9 @@ struct NotifyProbe {
   Simulator sim;
   Host host{sim, 0};
   std::vector<TdnId> applied;
+  TdnCallback listener{[this](TdnId tdn, bool) { applied.push_back(tdn); }};
 
-  NotifyProbe() {
-    host.AddTdnListener(this, [this](TdnId tdn, bool) { applied.push_back(tdn); });
-  }
+  NotifyProbe() { host.AddTdnListener(&listener); }
 };
 
 TEST(NotifySequence, DuplicateStaleAndReorderedAreDropped) {

@@ -25,6 +25,7 @@ namespace tdtcp {
 namespace {
 
 using test::CaptureSink;
+using test::TdnCallback;
 
 // Packet ids now come from the owning Simulator (Simulator::NextPacketId);
 // these standalone queue/link tests just need distinct ids.
@@ -635,9 +636,10 @@ TEST(Host, PullModelNotifiesAllAtOnce) {
   Simulator sim;
   Host host(sim, 0);
   int calls = 0;
-  int o1, o2;
-  host.AddTdnListener(&o1, [&](TdnId t, bool) { calls += t == 1 ? 1 : 0; });
-  host.AddTdnListener(&o2, [&](TdnId t, bool) { calls += t == 1 ? 1 : 0; });
+  TdnCallback l1([&](TdnId t, bool) { calls += t == 1 ? 1 : 0; });
+  TdnCallback l2([&](TdnId t, bool) { calls += t == 1 ? 1 : 0; });
+  host.AddTdnListener(&l1);
+  host.AddTdnListener(&l2);
   Packet icmp;
   icmp.type = PacketType::kTdnNotify;
   icmp.notify_tdn = 1;
@@ -650,9 +652,10 @@ TEST(Host, PushModelStaggersListeners) {
   Host host(sim, 0);
   host.set_notify_distribution(NotifyDistribution{false, SimTime::Micros(2)});
   std::vector<SimTime> when(2);
-  int o1, o2;
-  host.AddTdnListener(&o1, [&](TdnId, bool) { when[0] = sim.now(); });
-  host.AddTdnListener(&o2, [&](TdnId, bool) { when[1] = sim.now(); });
+  TdnCallback l1([&](TdnId, bool) { when[0] = sim.now(); });
+  TdnCallback l2([&](TdnId, bool) { when[1] = sim.now(); });
+  host.AddTdnListener(&l1);
+  host.AddTdnListener(&l2);
   Packet icmp;
   icmp.type = PacketType::kTdnNotify;
   icmp.notify_tdn = 1;
@@ -666,14 +669,84 @@ TEST(Host, RemoveTdnListener) {
   Simulator sim;
   Host host(sim, 0);
   int calls = 0;
-  int owner;
-  host.AddTdnListener(&owner, [&](TdnId, bool) { ++calls; });
-  host.RemoveTdnListener(&owner);
+  TdnCallback listener([&](TdnId, bool) { ++calls; });
+  host.AddTdnListener(&listener);
+  host.RemoveTdnListener(&listener);
   Packet icmp;
   icmp.type = PacketType::kTdnNotify;
   icmp.notify_tdn = 1;
   host.HandlePacket(std::move(icmp));
   EXPECT_EQ(calls, 0);
+}
+
+TEST(Host, PushModelSkipsListenerRemovedBeforeItsSlot) {
+  Simulator sim;
+  Host host(sim, 0);
+  host.set_notify_distribution(NotifyDistribution{false, SimTime::Micros(2)});
+  std::vector<SimTime> when(3, SimTime::Max());
+  TdnCallback first([&](TdnId, bool) { when[0] = sim.now(); });
+  auto doomed = std::make_unique<TdnCallback>(
+      [&](TdnId, bool) { when[1] = sim.now(); });
+  TdnCallback last([&](TdnId, bool) { when[2] = sim.now(); });
+  host.AddTdnListener(&first);
+  host.AddTdnListener(doomed.get());
+  host.AddTdnListener(&last);
+  Packet icmp;
+  icmp.type = PacketType::kTdnNotify;
+  icmp.notify_tdn = 1;
+  host.HandlePacket(std::move(icmp));
+  // Slots are already scheduled; the middle flow closes and is freed
+  // before its slot fires (ASan would flag a call into it).
+  host.RemoveTdnListener(doomed.get());
+  doomed.reset();
+  sim.Run();
+  EXPECT_EQ(when[0], SimTime::Zero());
+  EXPECT_EQ(when[1], SimTime::Max());
+  EXPECT_EQ(when[2], SimTime::Micros(4));  // keeps its flow-order slot
+  EXPECT_EQ(host.num_tdn_listeners(), 2u);
+}
+
+// Logs which listener heard each reconfig.
+struct ReconfigLog : Host::TdnListener {
+  ReconfigLog(std::vector<int>& log, int id) : log(log), id(id) {}
+  void OnTdnChange(TdnId, bool) override {}
+  void OnTdnReconfig(std::uint32_t live_tdns) override {
+    log.push_back(id * 100 + static_cast<int>(live_tdns));
+  }
+  std::vector<int>& log;
+  int id;
+};
+
+TEST(Host, ReconfigReachesEveryListenerOnceInRegistrationOrder) {
+  Simulator sim;
+  Host host(sim, 0);
+  std::vector<int> log;
+  ReconfigLog a(log, 1), b(log, 2), c(log, 3);
+  int changes = 0;
+  TdnCallback change_only([&](TdnId, bool) { ++changes; });
+  host.AddTdnListener(&a, 1);  // rack filters apply to notifications only
+  host.AddTdnListener(&change_only);
+  host.AddTdnListener(&b);
+  host.AddTdnListener(&c, 2);
+  host.DistributeTdnReconfig(1);
+  EXPECT_EQ(log, (std::vector<int>{101, 201, 301}));
+  EXPECT_EQ(changes, 0);  // the interface's no-op default
+
+  // The change-only listener still hears its notifications as before.
+  Packet icmp;
+  icmp.type = PacketType::kTdnNotify;
+  icmp.notify_tdn = 0;
+  host.HandlePacket(std::move(icmp));
+  EXPECT_EQ(changes, 1);
+  host.RemoveTdnListener(&b);
+  host.DistributeTdnReconfig(2);
+  EXPECT_EQ(log, (std::vector<int>{101, 201, 301, 102, 302}));
+}
+
+TEST(Host, SendWithoutUplinkThrows) {
+  Simulator sim;
+  Host host(sim, 3);
+  EXPECT_THROW(host.Send(MakeData(9000, 1)), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -732,9 +805,10 @@ TEST(ToRSwitch, NotifyViaControlNetworkTiming) {
   ToRSwitch tor(sim, 0, 2, nc, &rng);
   Host h0(sim, 0), h1(sim, 1);
   std::vector<SimTime> when(2, SimTime::Max());
-  int o0, o1;
-  h0.AddTdnListener(&o0, [&](TdnId, bool) { when[0] = sim.now(); });
-  h1.AddTdnListener(&o1, [&](TdnId, bool) { when[1] = sim.now(); });
+  TdnCallback l0([&](TdnId, bool) { when[0] = sim.now(); });
+  TdnCallback l1([&](TdnId, bool) { when[1] = sim.now(); });
+  h0.AddTdnListener(&l0);
+  h1.AddTdnListener(&l1);
   tor.AttachHost(0, nullptr, &h0);
   tor.AttachHost(1, nullptr, &h1);
   tor.NotifyHosts(1);
@@ -780,8 +854,8 @@ TEST(ToRSwitch, DataPlaneDeliveryRidesDownlink) {
   lc.rate_bps = 1'000'000;  // slow downlink: ICMP queues behind it
   Link down(sim, lc, &h);
   bool notified = false;
-  int owner;
-  h.AddTdnListener(&owner, [&](TdnId, bool) { notified = true; });
+  TdnCallback listener([&](TdnId, bool) { notified = true; });
+  h.AddTdnListener(&listener);
   tor.AttachHost(0, &down, &h);
   // Pre-fill the downlink with a data packet; the ICMP must wait.
   down.Enqueue(MakeData(9000, 0));

@@ -7,9 +7,12 @@
 #include "rdcn/schedule.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace tdtcp {
 namespace {
+
+using test::TdnCallback;
 
 Schedule DefaultSchedule() { return Schedule(ScheduleConfig{}); }
 
@@ -167,10 +170,10 @@ TEST(Controller, DrivesModesThroughWeek) {
 TEST(Controller, NotifiesOnlyOnTdnChanges) {
   ControllerFixture f;
   std::vector<std::pair<SimTime, TdnId>> notifications;
-  int owner;
-  f.topo.host(0, 0)->AddTdnListener(&owner, [&](TdnId t, bool imm) {
+  TdnCallback listener([&](TdnId t, bool imm) {
     if (!imm) notifications.push_back({f.sim.now(), t});
   });
+  f.topo.host(0, 0)->AddTdnListener(&listener);
   f.controller->Start();
   f.sim.RunUntil(SimTime::Micros(2800));  // two weeks
   // Exactly 2 changes per week: ->1 at circuit start, ->0 at circuit end.
@@ -210,10 +213,10 @@ TEST(Controller, DynamicVoqResizesAhead) {
 TEST(Controller, DynamicVoqSendsImminentNotice) {
   ControllerFixture f(/*dynamic_voq=*/true);
   std::vector<SimTime> imminents;
-  int owner;
-  f.topo.host(0, 0)->AddTdnListener(&owner, [&](TdnId, bool imm) {
+  TdnCallback listener([&](TdnId, bool imm) {
     if (imm) imminents.push_back(f.sim.now());
   });
+  f.topo.host(0, 0)->AddTdnListener(&listener);
   f.controller->Start();
   f.sim.RunUntil(SimTime::Micros(2800));
   ASSERT_EQ(imminents.size(), 2u);

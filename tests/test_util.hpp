@@ -8,10 +8,15 @@
 //
 // `PairHarness` wires two hosts back-to-back through real links for
 // end-to-end transfers without the full RDCN topology.
+//
+// `TdnCallback` is a Host::TdnListener over a callable, for tests that
+// watch a host's TDN changes.
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/host.hpp"
@@ -35,6 +40,17 @@ class CaptureSink : public PacketSink {
   bool Empty() const { return packets.empty(); }
 
   std::deque<Packet> packets;
+};
+
+// Forwards OnTdnChange to `fn`; OnTdnReconfig keeps the interface's no-op.
+class TdnCallback : public Host::TdnListener {
+ public:
+  explicit TdnCallback(std::function<void(TdnId, bool)> fn)
+      : fn_(std::move(fn)) {}
+  void OnTdnChange(TdnId tdn, bool imminent) override { fn_(tdn, imminent); }
+
+ private:
+  std::function<void(TdnId, bool)> fn_;
 };
 
 // A sender host whose transmissions land in `out` (after a tiny, exact link

@@ -151,7 +151,7 @@ TEST(WheelRearm, FromInsideCallbackKeepsRunning) {
     Simulator* sim;
     TimerWheel* wheel;
     int fires = 0;
-    TimerWheel::Timer timer;
+    TimerWheel::Timer timer{};
     static void Fire(void* self) {
       auto* p = static_cast<Periodic*>(self);
       if (++p->fires < 5) {
@@ -298,7 +298,9 @@ TEST(WheelOrder, ScatteredDeadlinesMatchEventHeapSequence) {
   // Fire times are non-decreasing and tick-aligned.
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ(log[i].second.picos() % kTickPs, 0);
-    if (i > 0) EXPECT_GE(log[i].second, log[i - 1].second);
+    if (i > 0) {
+      EXPECT_GE(log[i].second, log[i - 1].second);
+    }
   }
 }
 
