@@ -248,7 +248,6 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
     : sim_(sim),
       topo_(topo),
       config_(std::move(config)),
-      rng_(seed ^ config_.seed_salt),
       slots_(config_.max_concurrent),
       next_flow_(config_.first_flow_id) {
   if (config_.variant == Variant::kMptcp) {
@@ -278,8 +277,14 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
         "churn: need 0 < min_transfer_bytes <= max_transfer_bytes");
   }
   const std::uint32_t racks = topo_.config().num_racks;
+  // The generator's own stream: the fixed pair's one source draws from it,
+  // a permutation run draws its rack shift from it.
+  Random rng(seed ^ config_.seed_salt);
   if (config_.rack_policy == RackPolicy::kFixedPair) {
     ValidateRackPair(topo_, config_.src_rack, config_.dst_rack, "churn");
+    // One arrival process for the pair; each cycle's host comes from its
+    // slot (see OnArrival).
+    sources_.push_back(Source{config_.src_rack, 0, std::move(rng)});
   } else {
     if (racks < 2) {
       throw std::invalid_argument(
@@ -314,7 +319,7 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
     }
     if (config_.rack_policy == RackPolicy::kPermutation) {
       permutation_shift_ = static_cast<RackId>(
-          rng_.UniformInt(1, static_cast<std::int64_t>(racks) - 1));
+          rng.UniformInt(1, static_cast<std::int64_t>(racks) - 1));
     }
   }
   // Lowest index pops first.
@@ -325,64 +330,41 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
 }
 
 void ChurnGenerator::Start() {
-  if (config_.rack_policy == RackPolicy::kFixedPair) {
-    ScheduleArrival();
-    return;
-  }
-  for (std::uint32_t s = 0; s < sources_.size(); ++s) {
-    ScheduleSourceArrival(s);
-  }
+  for (std::uint32_t s = 0; s < sources_.size(); ++s) ScheduleArrival(s);
 }
 
-void ChurnGenerator::ScheduleArrival() {
-  if (stats_.opened >= config_.target_connections) return;
-  const double mean_ps =
-      static_cast<double>(config_.mean_interarrival.picos());
-  const auto gap_ps =
-      std::max<std::int64_t>(1, std::llround(rng_.Exponential(mean_ps)));
-  sim_.Schedule(SimTime::Picos(gap_ps), [this] { OnArrival(); });
-}
-
-void ChurnGenerator::OnArrival() {
-  if (stats_.opened >= config_.target_connections) return;
-  if (free_.empty()) {
-    ++stats_.deferred;
-    ScheduleArrival();
-    return;
-  }
-  const std::uint64_t bytes = DrawBytes(rng_);
-  const Variant variant = DrawVariant(rng_);
-  const std::uint32_t host_idx =
-      free_.back() % topo_.config().hosts_per_rack;
-  OpenSlot(config_.src_rack, host_idx, config_.dst_rack, host_idx, bytes,
-           variant);
-  ScheduleArrival();
-}
-
-void ChurnGenerator::ScheduleSourceArrival(std::uint32_t s) {
+void ChurnGenerator::ScheduleArrival(std::uint32_t s) {
   if (stats_.opened >= config_.target_connections) return;
   const double mean_ps =
       static_cast<double>(config_.mean_interarrival.picos());
   const auto gap_ps = std::max<std::int64_t>(
       1, std::llround(sources_[s].rng.Exponential(mean_ps)));
-  sim_.Schedule(SimTime::Picos(gap_ps), [this, s] { OnSourceArrival(s); });
+  sim_.Schedule(SimTime::Picos(gap_ps), [this, s] { OnArrival(s); });
 }
 
-void ChurnGenerator::OnSourceArrival(std::uint32_t s) {
+void ChurnGenerator::OnArrival(std::uint32_t s) {
   if (stats_.opened >= config_.target_connections) return;
   Source& src = sources_[s];
   if (free_.empty()) {
     ++stats_.deferred;
-    ScheduleSourceArrival(s);
+    ScheduleArrival(s);
     return;
   }
   const RackId dst_rack = PickDstRack(src.rack, src.rng);
-  const std::uint32_t dst_host = static_cast<std::uint32_t>(src.rng.UniformInt(
-      0, static_cast<std::int64_t>(topo_.config().hosts_per_rack) - 1));
+  std::uint32_t src_host = src.host;
+  std::uint32_t dst_host;
+  if (config_.rack_policy == RackPolicy::kFixedPair) {
+    // Host i of the source rack talks to host i of the destination rack,
+    // i taken from the slot the cycle will occupy; nothing is drawn.
+    src_host = dst_host = free_.back() % topo_.config().hosts_per_rack;
+  } else {
+    dst_host = static_cast<std::uint32_t>(src.rng.UniformInt(
+        0, static_cast<std::int64_t>(topo_.config().hosts_per_rack) - 1));
+  }
   const std::uint64_t bytes = DrawBytes(src.rng);
   const Variant variant = DrawVariant(src.rng);
-  OpenSlot(src.rack, src.host, dst_rack, dst_host, bytes, variant);
-  ScheduleSourceArrival(s);
+  OpenSlot(src.rack, src_host, dst_rack, dst_host, bytes, variant);
+  ScheduleArrival(s);
 }
 
 RackId ChurnGenerator::PickDstRack(RackId src_rack, Random& rng) {

@@ -280,17 +280,16 @@ class ChurnGenerator {
     bool in_use = false;
   };
 
-  // A per-host Poisson arrival process (multi-source policies only).
+  // A Poisson arrival process: one per host under the multi-source
+  // policies, one for the whole rack pair under kFixedPair.
   struct Source {
     RackId rack = 0;
     std::uint32_t host = 0;
     Random rng;
   };
 
-  void ScheduleArrival();
-  void OnArrival();
-  void ScheduleSourceArrival(std::uint32_t s);
-  void OnSourceArrival(std::uint32_t s);
+  void ScheduleArrival(std::uint32_t s);
+  void OnArrival(std::uint32_t s);
   RackId PickDstRack(RackId src_rack, Random& rng);
   std::uint64_t DrawBytes(Random& rng);
   Variant DrawVariant(Random& rng);
@@ -305,7 +304,6 @@ class ChurnGenerator {
   Topology& topo_;
   ChurnConfig config_;
   TraceRing* trace_ring_ = nullptr;
-  Random rng_;
   std::vector<Source> sources_;
   double mix_weight_ = 0.0;  // sum of tenant_mix weights
   RackId permutation_shift_ = 1;

@@ -7,9 +7,10 @@
 // reconfiguration nights. Leftover packets from a packet day drain at
 // circuit speed once the circuit comes up (A.3's "quickly drained").
 //
-// Like a Link, the port acts on a packet once, when it starts serializing:
-// the arrival is scheduled then, and one start event waits while packets
-// queue behind the wire.
+// The VOQ, the serializer, the blackout, the fault filter, the jitter and
+// the arrival stream are a Link the port owns: the simulator's one transmit
+// loop. A mode change retargets that Link's rate, propagation and circuit
+// mark; the port keeps only the mode itself and the pinned stash.
 //
 // MPTCP experiments pin subflows to one network (§2.2). Pinned packets whose
 // network is not currently active wait in a side stash and join the VOQ when
@@ -18,10 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/queue_disc.hpp"
 #include "sim/simulator.hpp"
@@ -58,61 +59,44 @@ class FabricPort {
   // keeps the rate and propagation of the mode it started under; a
   // blackout lets it finish and holds the rest.
   void SetMode(const NetworkMode& mode);
-  void SetBlackout(bool blackout);
+  void SetBlackout(bool blackout) { link_.set_enabled(!blackout); }
 
   const NetworkMode& mode() const { return mode_; }
-  bool blackout() const { return blackout_; }
+  bool blackout() const { return !link_.enabled(); }
 
   void Enqueue(Packet&& p);
 
-  QueueDisc& voq() { return voq_; }
-  const QueueDisc& voq() const { return voq_; }
+  QueueDisc& voq() { return link_.queue(); }
+  const QueueDisc& voq() const { return link_.queue(); }
 
   // Total packets stashed because their pinned network is inactive.
   std::uint32_t pinned_waiting() const;
   std::uint64_t pinned_dropped() const { return pinned_dropped_; }
 
-  // Fault-injection hook (src/fault): consulted once per packet when it
-  // starts serializing. Returning true drops it; it still occupies the
-  // transmitter for its tx time.
-  using FaultFilter = std::function<bool(const Packet&)>;
-  void SetFaultFilter(FaultFilter filter) {
-    fault_filter_ = std::move(filter);
-    has_fault_filter_ = static_cast<bool>(fault_filter_);
+  // Fault-injection hook (src/fault): see Link::SetFaultFilter.
+  void SetFaultFilter(Link::FaultFilter filter) {
+    link_.SetFaultFilter(std::move(filter));
   }
-  std::uint64_t fault_dropped() const { return fault_dropped_; }
+  std::uint64_t fault_dropped() const { return link_.fault_dropped(); }
 
-  const std::string& name() const { return config_.name; }
+  const std::string& name() const { return link_.name(); }
 
  private:
   // Active path index: 0 = packet network, 1 = circuit.
   int active_path() const { return mode_.circuit ? 1 : 0; }
 
-  void TopUpFromStash();
-  // Starts serializing the head when the wire is free (the packet's arrival
-  // is scheduled right then), else arms the one start event at busy_until_.
-  void MaybeTransmit();
-
   Simulator& sim_;
-  Config config_;
-  PacketSink* remote_;
-  Random* rng_;
-  QueueDisc voq_;
+  Link link_;  // the VOQ and the wire
   NetworkMode mode_;
-  bool blackout_ = false;
-  SimTime busy_until_;        // end of the serialization in progress
-  bool kick_pending_ = false;  // a start event waits at busy_until_
-  EventQueue::Stream in_flight_;  // arrivals, in serialization order
+  std::uint32_t pinned_stash_capacity_;
   // Pooled handles of pinned packets waiting for their network, one FIFO
   // per path; the port owns them until they join the VOQ or are dropped.
+  // The link tops the VOQ up from the active path's one.
   VectorFifo<Packet*> stash_[2];
   // Scratch for SetMode's VOQ repack; a member so mode flips (4x per RDCN
   // week per port) reuse its capacity instead of allocating a fresh vector.
   std::vector<Packet*> drain_scratch_;
-  FaultFilter fault_filter_;
-  bool has_fault_filter_ = false;
   std::uint64_t pinned_dropped_ = 0;
-  std::uint64_t fault_dropped_ = 0;
 };
 
 }  // namespace tdtcp

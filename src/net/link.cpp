@@ -21,16 +21,38 @@ void Link::Enqueue(Packet&& p) {
 }
 
 void Link::set_enabled(bool enabled) {
-  if (enabled_ == enabled) return;
   enabled_ = enabled;
   if (enabled_) MaybeTransmit();
 }
 
+void Link::Retarget(std::uint64_t rate_bps, SimTime propagation, bool circuit,
+                    VectorFifo<Packet*>* stash) {
+  config_.rate_bps = rate_bps;
+  config_.propagation = propagation;
+  circuit_ = circuit;
+  stash_ = stash;
+  TopUpFromStash();
+  MaybeTransmit();
+}
+
+void Link::TopUpFromStash() {
+  if (stash_ == nullptr) return;
+  // CanEnqueue is the discipline's own admission predicate (plain occupancy
+  // for drop-tail, the dynamic threshold for a shared pool), so a stashed
+  // packet is never offered to a queue that would drop it.
+  while (!stash_->empty() && queue_.CanEnqueue()) {
+    queue_.Enqueue(stash_->front());
+    stash_->pop_front();
+  }
+}
+
 void Link::MaybeTransmit() {
-  while (!kick_pending_ && enabled_ && !queue_.Empty()) {
+  while (!kick_pending_ && enabled_) {
     const SimTime now = sim_.now();
     if (now < busy_until_) {
-      // The wire is still serializing: one start event waits for it.
+      // The wire is still serializing: while a packet waits for it (in the
+      // queue or the stash), one start event waits too.
+      if (queue_.Empty() && (stash_ == nullptr || stash_->empty())) return;
       kick_pending_ = true;
       sim_.ScheduleAtNoCancel(busy_until_, [this] {
         kick_pending_ = false;
@@ -38,6 +60,8 @@ void Link::MaybeTransmit() {
       });
       return;
     }
+    TopUpFromStash();
+    if (queue_.Empty()) return;
     // An AQM dequeue may consume the whole backlog as drops and come back
     // empty-handed; there is nothing to transmit then.
     Packet* head = queue_.Dequeue(now);
@@ -51,6 +75,10 @@ void Link::MaybeTransmit() {
       sim_.ReleasePacket(head);
       continue;
     }
+    // reTCP switch support: a circuit stamps which network carried this
+    // packet. Propagation is fixed here too: a retarget during serialization
+    // does not re-route the packet.
+    if (circuit_) head->circuit_mark = true;
     SimTime delay = tx + config_.propagation;
     if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
       delay += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
@@ -58,8 +86,9 @@ void Link::MaybeTransmit() {
     // The pooled handle the queue admitted rides the arrival event as one
     // pointer; the event releases it after delivery. Arrivals leave in
     // serialization order with a fixed delay, so they ride one stream (one
-    // heap entry for the whole pipeline); jitter breaks the order now and
-    // then, and such a packet just opens its own entry.
+    // heap entry for the whole pipeline); jitter or a retarget to a shorter
+    // propagation breaks the order now and then, and such a packet just
+    // opens its own entry.
     sim_.ScheduleInStream(in_flight_, delay, [this, head] {
       sink_->HandlePacket(std::move(*head));
       sim_.ReleasePacket(head);

@@ -1,15 +1,17 @@
 // A unidirectional link: bounded queue + serializing transmitter +
-// propagation delay.
+// propagation delay. It is the one transmit loop in the simulator: host
+// NIC links use it as built, and every FabricPort owns one as its VOQ and
+// wire and retargets it as the RDCN schedule changes the network.
 //
 // Packets serialize back-to-back at `rate_bps`, then arrive at the sink
 // after `propagation`. Serialization start is the only point where the link
 // acts on a packet: it dequeues the head and schedules the arrival at
 // start + tx + propagation, so a packet that finds the transmitter idle
-// costs one event. While the queue holds packets, exactly one start event
-// waits for the wire to free up. A link can be disabled (RDCN night): the
-// in-progress transmission completes, queued packets wait. Optional random
-// jitter models intra-TDN reordering (off by default; Fig. 10's baseline
-// reordering experiments enable it).
+// costs one event. While the queue (or the stash it tops up from) holds
+// packets, exactly one start event waits for the wire to free up. A link
+// can be disabled (RDCN night): the in-progress transmission completes,
+// queued packets wait. Optional random jitter models intra-TDN reordering
+// (off by default; Fig. 10's baseline reordering experiments enable it).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
+#include "sim/vector_fifo.hpp"
 
 namespace tdtcp {
 
@@ -63,8 +66,14 @@ class Link {
   void set_enabled(bool enabled);
   bool enabled() const { return enabled_; }
 
-  void set_rate_bps(std::uint64_t rate) { config_.rate_bps = rate; }
-  std::uint64_t rate_bps() const { return config_.rate_bps; }
+  // Points the wire at another network (FabricPort's mode flip): later
+  // serializations run at `rate_bps` (> 0) over `propagation`, get the
+  // circuit mark when `circuit`, and top the queue up from `stash` (pooled
+  // handles, front first, while the queue would admit them; null = none)
+  // before every dequeue. A packet already serializing keeps what it started
+  // under. The stash tops up here too, even while the link is disabled.
+  void Retarget(std::uint64_t rate_bps, SimTime propagation, bool circuit,
+                VectorFifo<Packet*>* stash);
 
   QueueDisc& queue() { return queue_; }
   const QueueDisc& queue() const { return queue_; }
@@ -74,6 +83,8 @@ class Link {
   // Starts serializing the head when the wire is free (the packet's arrival
   // is scheduled right then), else arms the one start event at busy_until_.
   void MaybeTransmit();
+  // Moves stashed handles into the queue while it would admit them.
+  void TopUpFromStash();
 
   Simulator& sim_;
   Config config_;
@@ -85,6 +96,8 @@ class Link {
   SimTime busy_until_;        // end of the serialization in progress
   bool kick_pending_ = false;  // a start event waits at busy_until_
   bool enabled_ = true;
+  bool circuit_ = false;  // stamp circuit_mark at serialization start
+  VectorFifo<Packet*>* stash_ = nullptr;  // not owned
   EventQueue::Stream in_flight_;  // arrivals, in serialization order
   std::uint64_t fault_dropped_ = 0;
 };

@@ -179,13 +179,8 @@ void TcpConnection::OnSynAck(const Packet& p) {
   // The SYN/ACK acknowledges our SYN. The SYN may have been marked lost by
   // an RTO while its path (e.g. a pinned subflow's circuit) was unavailable,
   // so account every flag it carries.
-  send_queue_.AckThrough(1, [this](const TxSegment& seg) {
-    TdnState& st = tdns_.state(seg.tdn);
-    st.packets_out--;
-    if (seg.sacked) st.sacked_out--;
-    if (seg.lost) st.lost_out--;
-    if (seg.retrans) st.retrans_out--;
-  });
+  send_queue_.AckThrough(
+      1, [this](const TxSegment& seg) { RetireFromPipe(seg); });
   snd_una_ = 1;
   // A delayed handshake (SYN waited for its path) should not poison the
   // congestion state the connection starts with.
@@ -225,13 +220,7 @@ void TcpConnection::ResetToListen() {
   // SYN-RECEIVED — the caller accounts which). Everything the attempt put
   // on the scoreboard — the SYN-ACK's virtual byte — is retired with full
   // per-TDN accounting so the invariant recount stays exact.
-  for (const auto& seg : send_queue_.segments()) {
-    TdnState& st = tdns_.state(seg.tdn);
-    st.packets_out--;
-    if (seg.sacked) st.sacked_out--;
-    if (seg.lost) st.lost_out--;
-    if (seg.retrans) st.retrans_out--;
-  }
+  for (const auto& seg : send_queue_.segments()) RetireFromPipe(seg);
   send_queue_.Clear();
   snd_una_ = 0;
   snd_nxt_ = 0;
@@ -397,13 +386,7 @@ void TcpConnection::ToClosed(CloseReason reason) {
   // Retire per-TDN pipe accounting for everything still on the scoreboard —
   // the post-close recount (Event::kClose) then proves every counter hit
   // exactly zero.
-  for (const auto& seg : send_queue_.segments()) {
-    TdnState& st = tdns_.state(seg.tdn);
-    st.packets_out--;
-    if (seg.sacked) st.sacked_out--;
-    if (seg.lost) st.lost_out--;
-    if (seg.retrans) st.retrans_out--;
-  }
+  for (const auto& seg : send_queue_.segments()) RetireFromPipe(seg);
   send_queue_.Clear();
   pending_.clear();
   pending_bytes_ = 0;
@@ -960,17 +943,22 @@ void TcpConnection::ProcessDsack(const SackBlock& block) {
   }
 }
 
+TdnState& TcpConnection::RetireFromPipe(const TxSegment& seg) {
+  TdnState& st = tdns_.state(seg.tdn);
+  st.packets_out--;
+  if (seg.sacked) st.sacked_out--;
+  if (seg.lost) st.lost_out--;
+  if (seg.retrans) st.retrans_out--;
+  return st;
+}
+
 bool TcpConnection::ProcessCumulativeAck(const Packet& p) {
   bool acked_fresh_data = false;
   send_queue_.AckThrough(p.ack, [this, &p,
                                  &acked_fresh_data](const TxSegment& seg) {
     // §4.3 "specific TDN": scan the retransmission queue and update the
     // tracking variables of the TDN each segment belongs to.
-    TdnState& st = tdns_.state(seg.tdn);
-    st.packets_out--;
-    if (seg.sacked) st.sacked_out--;
-    if (seg.lost) st.lost_out--;
-    if (seg.retrans) st.retrans_out--;
+    TdnState& st = RetireFromPipe(seg);
     if (!seg.syn && !seg.fin) {
       st.bytes_acked += seg.len;
       acked_pkts_scratch_[seg.tdn]++;

@@ -401,6 +401,10 @@ class TcpConnection : public PacketSink, public Host::TdnListener {
   // never retransmitted — the only ACKs Karn's algorithm lets reset the RTO
   // backoff.
   bool ProcessCumulativeAck(const Packet& p);
+  // Takes `seg` out of its TDN's pipe counters (packets_out and each of
+  // sacked/lost/retrans_out it is flagged in); returns that TDN's state.
+  // Every path that drops a segment from the scoreboard goes through here.
+  TdnState& RetireFromPipe(const TxSegment& seg);
   void DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked);
   void MarkSegmentLost(TxSegment& seg);
   void AdvanceStateMachines(const Packet& p);

@@ -284,6 +284,22 @@ TEST(Link, EnqueuesWhileBusyKeepOneStartEvent) {
   EXPECT_EQ(sink.packets.size(), 110u);
 }
 
+// Only a circuit-mode port stamps the circuit mark (FabricPort.
+// CircuitMarkStamped): a host link passes it through untouched.
+TEST(Link, DeliversACircuitMarkUntouched) {
+  Simulator sim;
+  CaptureSink sink;
+  Link link(sim, StageLink(), &sink);
+  Packet marked = MakeData();
+  marked.circuit_mark = true;
+  link.Enqueue(std::move(marked));
+  link.Enqueue(MakeData());
+  sim.Run();
+  ASSERT_EQ(sink.packets.size(), 2u);
+  EXPECT_TRUE(sink.packets[0].circuit_mark);
+  EXPECT_FALSE(sink.packets[1].circuit_mark);
+}
+
 TEST(Link, RejectsZeroRateAndNullSink) {
   Simulator sim;
   CaptureSink sink;
@@ -500,6 +516,89 @@ TEST(FabricPort, RejectsNullRemoteAndZeroRateModes) {
   dead.rate_bps = 0;
   EXPECT_THROW(port.SetMode(dead), std::invalid_argument);
   EXPECT_EQ(port.mode().rate_bps, PortConfig().initial_mode.rate_bps);
+}
+
+// A shared pool another queue has filled keeps the VOQ empty while circuit-
+// pinned packets wait in the stash. The wire is busy, so the one start event
+// must still be armed for them: once the pool frees, they leave through it.
+TEST(FabricPort, FullSharedPoolLeavesStashBehindBusyWireUntilTheStartEvent) {
+  Simulator sim;
+  CaptureSink sink;
+  SharedBufferPool pool{8, 0};
+  FabricPort::Config fc = PortConfig();
+  fc.voq.kind = QdiscKind::kSharedPool;
+  FabricPort port(sim, fc, &sink);  // packet mode (path 0)
+  port.voq().AttachSharedPool(&pool);
+  for (int i = 0; i < 3; ++i) {
+    Packet p = MakeData(9000);
+    p.pinned_path = 1;  // circuit
+    port.Enqueue(std::move(p));
+  }
+  port.Enqueue(MakeData(9000));  // serializes at once: wire busy to 7.2 us
+  ASSERT_TRUE(port.voq().Empty());
+  // A hog with a large DT factor takes the whole pool.
+  QueueDisc hog(sim, QueueDisc::Config{.kind = QdiscKind::kSharedPool,
+                                       .capacity_packets = 8,
+                                       .shared_alpha = 100.0});
+  hog.AttachSharedPool(&pool);
+  while (hog.CanEnqueue()) ASSERT_TRUE(hog.Enqueue(MakeData(1500)));
+  ASSERT_EQ(pool.free_packets(), 0u);
+
+  port.SetMode(CircuitMode());  // the stash cannot top up: pool is full
+  EXPECT_TRUE(port.voq().Empty());
+  EXPECT_EQ(port.pinned_waiting(), 3u);
+
+  // The pool frees before the wire does.
+  sim.Schedule(SimTime::Micros(5), [&] {
+    while (Packet* p = hog.Dequeue(sim.now())) sim.ReleasePacket(p);
+  });
+  // The start event at 7.2 us tops the VOQ up; three circuit packets (0.72 us
+  // each) then arrive 18 us later, well before the first packet's 48 us.
+  sim.RunUntil(SimTime::Micros(30));
+  EXPECT_EQ(port.pinned_waiting(), 0u);
+  ASSERT_EQ(sink.packets.size(), 3u);
+  for (const Packet& p : sink.packets) EXPECT_TRUE(p.circuit_mark);
+  sim.Run();
+  EXPECT_EQ(sink.packets.size(), 4u);
+  EXPECT_EQ(pool.used, 0u);
+}
+
+TEST(FabricPort, ModeSwitchDuringBlackoutTopsTheVoqUpAtOnce) {
+  Simulator sim;
+  CaptureSink sink;
+  FabricPort port(sim, PortConfig(), &sink);  // packet mode (path 0)
+  for (int i = 0; i < 4; ++i) {
+    Packet p = MakeData();
+    p.pinned_path = 1;  // circuit
+    port.Enqueue(std::move(p));
+  }
+  port.SetBlackout(true);
+  port.SetMode(CircuitMode());
+  // The stash joined the VOQ at the switch, not when service resumes.
+  EXPECT_EQ(port.pinned_waiting(), 0u);
+  EXPECT_EQ(port.voq().occupancy(), 4u);
+  sim.RunUntil(SimTime::Millis(1));
+  EXPECT_TRUE(sink.packets.empty());
+  port.SetBlackout(false);
+  sim.Run();
+  ASSERT_EQ(sink.packets.size(), 4u);
+  for (const Packet& p : sink.packets) EXPECT_TRUE(p.circuit_mark);
+}
+
+TEST(FabricPort, LiftingAnAbsentBlackoutAddsNoEvent) {
+  constexpr std::uint64_t kBurst = 5;
+  Simulator sim;
+  CaptureSink sink;
+  FabricPort port(sim, PortConfig(), &sink);
+  port.SetBlackout(false);  // idle, open port
+  EXPECT_EQ(sim.heap_storage_for_test(), 0u);
+  for (std::uint64_t i = 0; i < kBurst; ++i) {
+    port.Enqueue(MakeData(9000));
+    port.SetBlackout(false);  // busy, open port
+  }
+  sim.Run();
+  EXPECT_EQ(sink.packets.size(), kBurst);
+  EXPECT_EQ(sim.events_executed(), 2 * kBurst - 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,153 @@
+#!/usr/bin/env bash
+# Same-behaviour check between two builds of this repository.
+#
+# Usage: tools/same_behaviour.sh PARENT_BUILD CHANGE_BUILD
+#
+# Each argument is a CMake build directory (the one holding bench/ and
+# tests/). Both trees run the same deterministic workloads, each in its own
+# scratch directory (the benches write their figure CSVs into the current
+# directory), and the outputs are compared:
+#
+#   scaleout    bench_scaleout --lifecycles=10000 --racks=8 --jobs=2
+#               --check-bit-identity: per-cell (churn_hash, trace_hash)
+#   headline    bench_headline_table --jobs=4 --seeds=3: the CSV, with cmp
+#   fig10       bench_fig10_reordering: every CSV, with cmp
+#   fig11       bench_fig11_notification: the CSV, with cmp
+#   incast      bench_incast: the tdtcp-bench/1 counters of every run
+#   shortflows  bench_shortflows: the tdtcp-bench/1 counters of every run
+#   fault_sweep bench_fault_sweep: stdout
+#   pinned      Mptcp.WireDigestIsPinned and Soak.DeliveryMultisetIsPinned
+#               pass on both trees (their digests are constants)
+#
+# The JSON files are compared by their counters, never byte for byte: a
+# sweep JSON carries wall_seconds. so_sweep.csv is not compared either: its
+# sim_cohort_hits, sim_dead_dropped and sim_compactions columns count how
+# the event queue stored events, which an event-core change may move
+# without moving any event.
+#
+# Prints "equal" or "DIFFER" per check and exits 1 on any DIFFER (2 on a
+# usage error). Scratch output stays in the printed directory; set
+# SAME_BEHAVIOUR_DIR to choose it.
+set -u
+
+if [ $# -ne 2 ] || [ ! -d "$1" ] || [ ! -d "$2" ]; then
+  echo "usage: $0 PARENT_BUILD CHANGE_BUILD" >&2
+  exit 2
+fi
+parent_build=$(cd "$1" && pwd)
+change_build=$(cd "$2" && pwd)
+work=${SAME_BEHAVIOUR_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/same_behaviour.XXXXXX")}
+mkdir -p "$work"
+echo "scratch: $work"
+
+status=0
+report() {  # report NAME OK?
+  if [ "$2" = 0 ]; then
+    printf 'equal   %s\n' "$1"
+  else
+    printf 'DIFFER  %s\n' "$1"
+    status=1
+  fi
+}
+
+# run_bench LABEL BINARY ARGS...: runs BINARY from both builds, each in
+# $work/<side>/LABEL, with the token @OUT in ARGS replaced by <that dir>/out.
+# Keeps stdout, stderr and the exit code there.
+run_bench() {
+  local label=$1 bin=$2
+  shift 2
+  local side build dir args a
+  for side in parent change; do
+    if [ "$side" = parent ]; then build=$parent_build; else build=$change_build; fi
+    dir=$work/$side/$label
+    mkdir -p "$dir"
+    args=()
+    for a in "$@"; do args+=("${a//@OUT/$dir/out}"); done
+    (cd "$dir" && "$build/bench/$bin" "${args[@]}" >stdout 2>stderr)
+    echo $? >"$dir/exit"
+  done
+}
+
+# Every CSV in the parent's LABEL dir must exist and match in the change's.
+cmp_csvs() {
+  local label=$1 f ok=0 n=0
+  for f in "$work/parent/$label"/*.csv; do
+    [ -e "$f" ] || { ok=1; break; }
+    n=$((n + 1))
+    cmp -s "$f" "$work/change/$label/${f##*/}" || ok=1
+  done
+  [ "$n" -gt 0 ] || ok=1
+  cmp -s "$work/parent/$label/exit" "$work/change/$label/exit" || ok=1
+  return $ok
+}
+
+# Compares the "counters" of every run (by name) of two JSON files; with
+# --hashes only churn_hash and trace_hash.
+cmp_counters() {
+  python3 - "$@" <<'EOF'
+import json, sys
+args = sys.argv[1:]
+hashes_only = args[0] == "--hashes"
+if hashes_only:
+    args = args[1:]
+def load(path):
+    runs = json.load(open(path))["runs"]
+    out = []
+    for r in runs:
+        c = r.get("counters", {})
+        if hashes_only:
+            c = {k: c.get(k) for k in ("churn_hash", "trace_hash")}
+        out.append((r.get("name"), c))
+    return out
+try:
+    sys.exit(0 if load(args[0]) == load(args[1]) else 1)
+except (OSError, ValueError, KeyError) as e:
+    print(f"  {e}", file=sys.stderr)
+    sys.exit(1)
+EOF
+}
+
+run_bench scaleout bench_scaleout --lifecycles=10000 --racks=8 --jobs=2 \
+  --check-bit-identity --out=@OUT
+ok=0
+cmp_counters --hashes "$work/parent/scaleout/out.json" \
+  "$work/change/scaleout/out.json" || ok=1
+[ "$(cat "$work/change/scaleout/exit")" = 0 ] || ok=1
+report "scaleout hashes" $ok
+
+run_bench headline bench_headline_table --jobs=4 --seeds=3 --out=@OUT
+ok=0; cmp_csvs headline || ok=1; report "headline csv" $ok
+
+run_bench fig10 bench_fig10_reordering --out=@OUT
+ok=0; cmp_csvs fig10 || ok=1; report "fig10 csvs" $ok
+
+run_bench fig11 bench_fig11_notification --out=@OUT
+ok=0; cmp_csvs fig11 || ok=1; report "fig11 csvs" $ok
+
+for label in incast shortflows; do
+  run_bench $label bench_$label --out=@OUT
+  ok=0
+  cmp_counters "$work/parent/$label/out.json" "$work/change/$label/out.json" ||
+    ok=1
+  report "$label counters" $ok
+done
+
+run_bench fault_sweep bench_fault_sweep
+ok=0
+cmp -s "$work/parent/fault_sweep/stdout" "$work/change/fault_sweep/stdout" ||
+  ok=1
+cmp -s "$work/parent/fault_sweep/exit" "$work/change/fault_sweep/exit" || ok=1
+report "fault_sweep stdout" $ok
+
+for t in "mptcp_test Mptcp.WireDigestIsPinned" \
+         "net_test Soak.DeliveryMultisetIsPinned"; do
+  set -- $t
+  ok=0
+  for build in "$parent_build" "$change_build"; do
+    "$build/tests/$1" --gtest_filter="$2" >"$work/$1.log" 2>&1 || ok=1
+    grep -q "\[  PASSED  \] 1 test" "$work/$1.log" || ok=1
+  done
+  report "$2" $ok
+done
+
+exit $status
