@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
               "rto", "undo", "spur");
 
   const std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
+  MaybeWriteSweep(args, CaseSweep(cases, results, args.jobs));
   const double full_bps = results.front().goodput_bps;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const ExperimentResult& r = results[i];

@@ -99,11 +99,24 @@ int main(int argc, char** argv) {
     }
   });
 
+  BenchReport report;
+  report.context = "bench_fairness";
   for (std::size_t i = 0; i < variants.size(); ++i) {
     std::printf("%-10s | %8.3f %9.2f %10.2f | %8.3f %9.2f\n",
                 VariantName(variants[i]), rdcn[i].jain, rdcn[i].max_min_ratio,
                 rdcn[i].aggregate_gbps, ctrl[i].jain, ctrl[i].max_min_ratio);
+    for (const auto& [network, f] :
+         {std::pair{"rdcn", rdcn[i]}, std::pair{"static", ctrl[i]}}) {
+      BenchRun run;
+      run.name = std::string(VariantName(variants[i])) + "/" + network;
+      run.iterations = 1;
+      run.counters["jain"] = f.jain;
+      run.counters["max_min_ratio"] = f.max_min_ratio;
+      run.counters["aggregate_gbps"] = f.aggregate_gbps;
+      report.runs.push_back(run);
+    }
   }
+  MaybeWriteBenchReport(args, report);
   std::printf("\nexpectation (§3.5): per-TDN CCAs inherit their single-path "
               "siblings' fairness;\nshort-term anomalies possible in the "
               "RDCN column.\n");

@@ -74,22 +74,10 @@ int main(int argc, char** argv) {
                args.seeds == 1 ? "" : "s", ResolveJobs(args.jobs));
   std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
 
-  // Assemble a SweepResult (one cell per point, seeds aggregated) so --out
-  // gets the standard schema-versioned JSON/CSV.
-  SweepResult sweep;
-  sweep.jobs = ResolveJobs(args.jobs);
-  for (std::size_t i = 0; i < cases.size(); i += seeds.size()) {
-    SweepCell cell;
-    cell.label = cases[i].label;
-    cell.variant = cases[i].config.workload.variant;
-    cell.duration = cases[i].config.duration;
-    for (std::size_t k = 0; k < seeds.size(); ++k) {
-      cell.runs.push_back(
-          SweepRun{cases[i + k].config.seed, std::move(results[i + k])});
-    }
-    cell.metrics = AggregateRuns(cell.runs);
-    sweep.cells.push_back(std::move(cell));
-  }
+  // One cell per point, seeds aggregated, so --out gets the standard
+  // schema-versioned JSON/CSV.
+  const SweepResult sweep =
+      CaseSweep(cases, std::move(results), args.jobs, seeds.size());
   MaybeWriteSweep(args, sweep);
 
   const auto cell_at = [&](Variant v, double loss,

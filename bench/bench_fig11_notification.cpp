@@ -76,7 +76,8 @@ int main(int argc, char** argv) {
       {"optimized", NotifyConfig(ms, true)},
       {"unoptimized", NotifyConfig(ms, false)},
   };
-  std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
+  const std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
+  MaybeWriteSweep(args, CaseSweep(cases, results, args.jobs));
   const ExperimentResult& optimized = results[0];
   const ExperimentResult& unoptimized = results[1];
 

@@ -222,14 +222,6 @@ int main(int argc, char** argv) {
               "and the\nshared pool moves the admission decision to the "
               "ToR's free buffer.\n");
 
-  if (!args.out.empty()) {
-    try {
-      WriteBenchJson(args.out + ".json", report);
-      std::fprintf(stderr, "  wrote %s.json (schema %s)\n", args.out.c_str(),
-                   kBenchSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  --out failed: %s\n", e.what());
-    }
-  }
+  MaybeWriteBenchReport(args, report);
   return 0;
 }

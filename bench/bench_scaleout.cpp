@@ -120,6 +120,7 @@ ExperimentConfig CellConfig(const Cell& cell, const ScaleoutArgs& sargs,
   cfg.churn.size_cap_bytes = 2'000'000;
   cfg.churn.hotspot_rack = 0;
   cfg.churn.hotspot_fraction = 0.5;
+  ApplyPerturbation(cfg, args);
   return cfg;
 }
 
@@ -167,13 +168,16 @@ int main(int argc, char** argv) {
               "sizes, per-size-bucket FCT tails:\n\n",
               sargs.racks, sargs.lifecycles);
 
+  std::vector<SweepCase> cases;
+  for (const Cell& cell : cells) {
+    cases.push_back({cell.name, CellConfig(cell, sargs, args)});
+  }
   // One private Simulator per cell on the pool; results are bit-identical
   // at any job count.
   std::vector<ExperimentResult> results(cells.size());
   std::vector<double> wall_ns(cells.size());
   ParallelFor(args.jobs, cells.size(), [&](std::size_t i) {
-    wall_ns[i] = WallNs(
-        [&] { results[i] = RunExperiment(CellConfig(cells[i], sargs, args)); });
+    wall_ns[i] = WallNs([&] { results[i] = RunExperiment(cases[i].config); });
   });
 
   bool ok = true;
@@ -212,10 +216,7 @@ int main(int argc, char** argv) {
   if (sargs.check_bit_identity) {
     std::fprintf(stderr, "  bit-identity check: rerunning %zu cells at "
                  "jobs=1...\n", cells.size());
-    std::vector<ExperimentResult> serial(cells.size());
-    ParallelFor(1, cells.size(), [&](std::size_t i) {
-      serial[i] = RunExperiment(CellConfig(cells[i], sargs, args));
-    });
+    const std::vector<ExperimentResult> serial = RunCases(cases, /*jobs=*/1);
     for (std::size_t i = 0; i < cells.size(); ++i) {
       if (serial[i].churn_hash != results[i].churn_hash ||
           serial[i].trace_hash != results[i].trace_hash) {
@@ -233,35 +234,10 @@ int main(int argc, char** argv) {
     if (ok) std::fprintf(stderr, "  bit-identity: OK\n");
   }
 
-  if (!args.out.empty()) {
-    try {
-      WriteBenchJson(args.out + ".json", report);
-      std::fprintf(stderr, "  wrote %s.json (schema %s)\n", args.out.c_str(),
-                   kBenchSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  --out failed: %s\n", e.what());
-    }
-    // Also emit the per-cell results through the sweep schema: the
-    // churn_fct_<bucket>_* metric family rides the tdtcp-sweep/1 JSON/CSV.
-    SweepResult sweep;
-    sweep.jobs = ResolveJobs(args.jobs);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      SweepCell cell;
-      cell.label = cells[i].name;
-      cell.variant = results[i].variant;
-      cell.duration = results[i].duration;
-      cell.runs.push_back(SweepRun{/*seed=*/1, results[i]});
-      cell.metrics = AggregateRuns(cell.runs);
-      sweep.cells.push_back(std::move(cell));
-    }
-    try {
-      WriteSweepJson(args.out + "_sweep.json", sweep);
-      WriteSweepCsv(args.out + "_sweep.csv", sweep);
-      std::fprintf(stderr, "  wrote %s_sweep.json, %s_sweep.csv (schema %s)\n",
-                   args.out.c_str(), args.out.c_str(), kSweepSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  sweep out failed: %s\n", e.what());
-    }
-  }
+  MaybeWriteBenchReport(args, report);
+  // Also emit the per-cell results through the sweep schema: the
+  // churn_fct_<bucket>_* metric family rides the tdtcp-sweep/1 JSON/CSV.
+  MaybeWriteSweep(args, CaseSweep(cases, std::move(results), args.jobs),
+                  "_sweep");
   return ok ? 0 : 1;
 }

@@ -155,14 +155,6 @@ int main(int argc, char** argv) {
               "the backed-off RTO), at the cost of a few\nspurious forcings "
               "the DSACK undo machinery repairs.\n");
 
-  if (!args.out.empty()) {
-    try {
-      WriteBenchJson(args.out + ".json", report);
-      std::fprintf(stderr, "  wrote %s.json (schema %s)\n", args.out.c_str(),
-                   kBenchSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  --out failed: %s\n", e.what());
-    }
-  }
+  MaybeWriteBenchReport(args, report);
   return 0;
 }

@@ -134,11 +134,14 @@ int main(int argc, char** argv) {
               "stressors), two-rack\nfabric, %d ms per cell, convergence "
               "oracle verdicts per flow:\n\n", args.duration_ms);
 
+  std::vector<SweepCase> cases;
+  for (const Cell& cell : cells) {
+    cases.push_back({cell.name, CellConfig(cell, args)});
+  }
   std::vector<ExperimentResult> results(cells.size());
   std::vector<double> wall_ns(cells.size());
   ParallelFor(args.jobs, cells.size(), [&](std::size_t i) {
-    wall_ns[i] =
-        WallNs([&] { results[i] = RunExperiment(CellConfig(cells[i], args)); });
+    wall_ns[i] = WallNs([&] { results[i] = RunExperiment(cases[i].config); });
   });
 
   std::printf("%-26s %7s %5s | %5s %5s %5s %5s | %9s %10s %-12s\n", "cell",
@@ -181,34 +184,9 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!args.out.empty()) {
-    try {
-      WriteBenchJson(args.out + ".json", report);
-      std::fprintf(stderr, "  wrote %s.json (schema %s)\n", args.out.c_str(),
-                   kBenchSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  --out failed: %s\n", e.what());
-    }
-    SweepResult sweep;
-    sweep.jobs = ResolveJobs(args.jobs);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      SweepCell cell;
-      cell.label = cells[i].name;
-      cell.variant = results[i].variant;
-      cell.duration = results[i].duration;
-      cell.runs.push_back(SweepRun{/*seed=*/1, results[i]});
-      cell.metrics = AggregateRuns(cell.runs);
-      sweep.cells.push_back(std::move(cell));
-    }
-    try {
-      WriteSweepJson(args.out + "_sweep.json", sweep);
-      WriteSweepCsv(args.out + "_sweep.csv", sweep);
-      std::fprintf(stderr, "  wrote %s_sweep.json, %s_sweep.csv (schema %s)\n",
-                   args.out.c_str(), args.out.c_str(), kSweepSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  sweep out failed: %s\n", e.what());
-    }
-  }
+  MaybeWriteBenchReport(args, report);
+  MaybeWriteSweep(args, CaseSweep(cases, std::move(results), args.jobs),
+                  "_sweep");
 
   return ok ? 0 : 1;
 }

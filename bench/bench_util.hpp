@@ -13,7 +13,9 @@
 // queue discipline (droptail | codel | delaymark | sharedpool; empty keeps
 // the config's default). Longer durations average more optical weeks per
 // seed (the paper averages thousands). --out=path writes path.json (schema
-// tdtcp-sweep/1) and path.csv next to the figure CSVs.
+// tdtcp-sweep/1) and path.csv next to the figure CSVs; a bench that reports
+// named counters instead (incast, shortflows, stability, scaleout, fairness)
+// writes a tdtcp-bench/1 path.json.
 #pragma once
 
 #include <chrono>
@@ -141,8 +143,9 @@ inline void ApplyRecovery(ExperimentConfig& cfg, const BenchArgs& args) {
   }
 }
 
-// Applies --schedule-jitter / --day-skew (when given): every bench binary
-// runs under a perturbed rotor schedule without per-bench plumbing.
+// Applies --schedule-jitter / --day-skew (when given): a bench whose
+// configs pass through here (RunVariants does) runs under a perturbed
+// fabric schedule.
 inline void ApplyPerturbation(ExperimentConfig& cfg, const BenchArgs& args) {
   if (args.schedule_jitter_us == 0.0 && args.day_skew == 0.0) return;
   PerturbationConfig p = cfg.perturb;  // keep any bench-specific changes
@@ -165,19 +168,61 @@ struct VariantRun {
   }
 };
 
-// Writes the full sweep (per-seed metrics + aggregates) when --out given.
-inline void MaybeWriteSweep(const BenchArgs& args, const SweepResult& sweep) {
+// Writes the full sweep (per-seed metrics + aggregates) to
+// <out><suffix>.json/.csv when --out is given.
+inline void MaybeWriteSweep(const BenchArgs& args, const SweepResult& sweep,
+                            const std::string& suffix = "") {
   if (args.out.empty()) return;
+  const std::string stem = args.out + suffix;
   try {
-    WriteSweepJson(args.out + ".json", sweep);
-    WriteSweepCsv(args.out + ".csv", sweep);
+    WriteSweepJson(stem + ".json", sweep);
+    WriteSweepCsv(stem + ".csv", sweep);
   } catch (const std::exception& e) {
     // The results are already printed; a bad --out path shouldn't abort.
     std::fprintf(stderr, "  --out failed: %s\n", e.what());
     return;
   }
-  std::fprintf(stderr, "  wrote %s.json, %s.csv (schema %s)\n",
-               args.out.c_str(), args.out.c_str(), kSweepSchemaVersion);
+  std::fprintf(stderr, "  wrote %s.json, %s.csv (schema %s)\n", stem.c_str(),
+               stem.c_str(), kSweepSchemaVersion);
+}
+
+// Groups RunCases output (results in case order) into a SweepResult: each
+// run of `seeds_per_cell` consecutive cases is one cell, labelled by its
+// first case and aggregated across those cases' seeds.
+inline SweepResult CaseSweep(const std::vector<SweepCase>& cases,
+                             std::vector<ExperimentResult> results, int jobs,
+                             std::size_t seeds_per_cell = 1) {
+  SweepResult sweep;
+  sweep.jobs = ResolveJobs(jobs);
+  for (std::size_t i = 0; i < cases.size(); i += seeds_per_cell) {
+    SweepCell cell;
+    cell.label = cases[i].label;
+    cell.variant = cases[i].config.workload.variant;
+    cell.schedule_label = cases[i].schedule_label;
+    cell.qdisc_label = cases[i].qdisc_label;
+    cell.duration = cases[i].config.duration;
+    for (std::size_t k = 0; k < seeds_per_cell; ++k) {
+      cell.runs.push_back(
+          SweepRun{cases[i + k].config.seed, std::move(results[i + k])});
+    }
+    cell.metrics = AggregateRuns(cell.runs);
+    sweep.cells.push_back(std::move(cell));
+  }
+  return sweep;
+}
+
+// Writes a tdtcp-bench/1 report to <out>.json when --out is given.
+inline void MaybeWriteBenchReport(const BenchArgs& args,
+                                  const BenchReport& report) {
+  if (args.out.empty()) return;
+  try {
+    WriteBenchJson(args.out + ".json", report);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "  --out failed: %s\n", e.what());
+    return;
+  }
+  std::fprintf(stderr, "  wrote %s.json (schema %s)\n", args.out.c_str(),
+               kBenchSchemaVersion);
 }
 
 // Runs each variant under `base` on the sweep engine's thread pool,

@@ -72,8 +72,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 
   // Fabric scheduler: the paper's pair controller, or the RotorNet-style
   // rotation over every fabric port.
-  std::unique_ptr<RdcnController> controller;
-  std::unique_ptr<RotorController> rotor;
+  std::unique_ptr<FabricScheduler> scheduler;
   if (config.fabric == FabricKind::kRotor) {
     RotorController::Config rrc;
     rrc.day_length = config.schedule.day_length;
@@ -82,7 +81,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     rrc.circuit_mode = config.topology.circuit_mode;
     rrc.perturb = config.perturb;
     rrc.seed = config.seed;
-    rotor = std::make_unique<RotorController>(sim, rrc, &topo);
+    scheduler = std::make_unique<RotorController>(sim, rrc, &topo);
   } else {
     RdcnController::Config rc;
     rc.schedule = config.schedule;
@@ -91,26 +90,21 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     rc.dynamic_voq = config.dynamic_voq;
     rc.perturb = config.perturb;
     rc.seed = config.seed;
-    controller = std::make_unique<RdcnController>(
+    scheduler = std::make_unique<RdcnController>(
         sim, rc, std::vector<FabricPort*>{topo.port(a, b), topo.port(b, a)},
         std::vector<ToRSwitch*>{topo.tor(a), topo.tor(b)});
   }
-  // TDN-count changes travel the management plane: the controller's reconfig
+  // TDN-count changes travel the management plane: the scheduler's reconfig
   // hook fans out to every host synchronously (not via the lossy ICMP path),
   // and each listening connection retires its surplus per-TDN state sets.
   if (!config.perturb.Empty()) {
-    auto reconfig = [&topo, &config](std::uint32_t live_tdns) {
+    scheduler->SetReconfigHook([&topo, &config](std::uint32_t live_tdns) {
       for (RackId rack = 0; rack < config.topology.num_racks; ++rack) {
         for (std::uint32_t i = 0; i < config.topology.hosts_per_rack; ++i) {
           topo.host(rack, i)->DistributeTdnReconfig(live_tdns);
         }
       }
-    };
-    if (rotor) {
-      rotor->SetReconfigHook(reconfig);
-    } else {
-      controller->SetReconfigHook(reconfig);
-    }
+    });
   }
 
   // The recovery axis edits the effective transport config (kOff strips
@@ -162,16 +156,18 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     }
   }
 
-  // Tracepoint ring: one per run, shared by the controller, every host, and
-  // every plain-TCP endpoint. Wired before controller.Start() so the t=0
+  // Tracepoint ring: one per run, shared by the scheduler, every host, and
+  // every plain-TCP endpoint. Wired before scheduler->Start() so the t=0
   // day boundary and its notifications are already on the record.
   std::unique_ptr<TraceRing> trace_ring;
   std::unique_ptr<TraceRecorder> recorder;
   if (config.trace.enabled) {
     trace_ring = std::make_unique<TraceRing>(config.trace.ring_capacity);
-    // The rotor scheduler has no tracepoints of its own; hosts and endpoints
+    // Only the pair scheduler traces; under the rotor, hosts and endpoints
     // still put every notification/lifecycle event on the record.
-    if (controller) controller->SetTraceRing(trace_ring.get());
+    if (config.fabric == FabricKind::kPair) {
+      scheduler->SetTraceRing(trace_ring.get());
+    }
     for (RackId rack = 0; rack < config.topology.num_racks; ++rack) {
       for (std::uint32_t i = 0; i < config.topology.hosts_per_rack; ++i) {
         topo.host(rack, i)->SetTraceRing(trace_ring.get());
@@ -200,11 +196,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     }
   }
 
-  if (rotor) {
-    rotor->Start();
-  } else {
-    controller->Start();
-  }
+  scheduler->Start();
   workload.Start();
   if (churn) churn->Start();
   if (recorder) {
@@ -276,7 +268,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 
   ExperimentResult r;
   r.variant = config.workload.variant;
-  r.week = rotor ? rotor->week_length() : schedule.week_length();
+  // The pair reports its nominal week, the rotor its current one.
+  r.week = config.fabric == FabricKind::kRotor ? scheduler->week_length()
+                                               : schedule.week_length();
   r.duration = config.duration;
   r.warmup = config.warmup;
   r.total_bytes = bytes_at_end;
@@ -344,13 +338,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   }
 
   // Schedule-perturbation accounting.
-  if (rotor) {
-    r.schedule_changes = rotor->schedule_changes_applied();
-    r.restart_holds = rotor->restart_holds();
-  } else if (controller) {
-    r.schedule_changes = controller->schedule_changes_applied();
-    r.restart_holds = controller->restart_holds();
-  }
+  r.schedule_changes = scheduler->schedule_changes_applied();
+  r.restart_holds = scheduler->restart_holds();
 
   // Connection-churn accounting.
   if (churn) {

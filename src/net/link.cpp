@@ -61,7 +61,17 @@ void Link::MaybeTransmit() {
       return;
     }
     TopUpFromStash();
-    if (queue_.Empty()) return;
+    if (queue_.Empty()) {
+      // Only a full shared pool holds a stash back: wait for a release.
+      if (stash_ != nullptr && !stash_->empty() && !waiting_for_pool_) {
+        waiting_for_pool_ = true;
+        queue_.WaitForPoolSpace([this] {
+          waiting_for_pool_ = false;
+          MaybeTransmit();
+        });
+      }
+      return;
+    }
     // An AQM dequeue may consume the whole backlog as drops and come back
     // empty-handed; there is nothing to transmit then.
     Packet* head = queue_.Dequeue(now);

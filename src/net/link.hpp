@@ -98,6 +98,7 @@ class Link {
   bool enabled_ = true;
   bool circuit_ = false;  // stamp circuit_mark at serialization start
   VectorFifo<Packet*>* stash_ = nullptr;  // not owned
+  bool waiting_for_pool_ = false;  // registered with the queue's pool
   EventQueue::Stream in_flight_;  // arrivals, in serialization order
   std::uint64_t fault_dropped_ = 0;
 };

@@ -62,6 +62,16 @@ void QueueDisc::Push(Packet* p) {
   if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr) ++pool_->used;
 }
 
+void QueueDisc::ReleasePoolSpace(std::uint32_t packets) {
+  pool_->used -= std::min(pool_->used, packets);
+  if (pool_->waiters.empty()) return;
+  sim_.ScheduleNoCancel(SimTime::Zero(),
+                        [waiters = std::move(pool_->waiters)] {
+                          for (const auto& wake : waiters) wake();
+                        });
+  pool_->waiters.clear();
+}
+
 bool QueueDisc::CanEnqueue() const {
   if (count_ >= config_.capacity_packets) return false;
   if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr) {
@@ -211,9 +221,8 @@ Packet* QueueDisc::Dequeue(SimTime now) {
     Packet* p = ring_[head_];
     head_ = (head_ + 1) & (ring_.size() - 1);
     --count_;
-    if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr &&
-        pool_->used > 0) {
-      --pool_->used;
+    if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr) {
+      ReleasePoolSpace(1);
     }
     if (shrink_watermark_ != 0) {
       // The post-shrink overshoot only ever drains: tighten the watermark
@@ -262,7 +271,7 @@ void QueueDisc::DrainRawInto(std::vector<Packet*>& out) {
     --count_;
   }
   if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr) {
-    pool_->used -= std::min(pool_->used, popped);
+    ReleasePoolSpace(popped);
   }
   // Occupancy is zero, so any post-shrink overshoot has fully drained.
   shrink_watermark_ = 0;

@@ -50,6 +50,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -74,10 +75,12 @@ QdiscKind QdiscKindFromName(const std::string& name);
 
 // The buffer pool a ToR's VOQs share under kSharedPool. Owned by the
 // ToRSwitch; queues hold a non-owning pointer and keep `used` current as
-// they admit and release packets.
+// they admit and release packets. The next release wakes every waiter in
+// one scheduled event, never from inside the releasing queue's Dequeue.
 struct SharedBufferPool {
   std::uint32_t total_packets = 0;
   std::uint32_t used = 0;
+  std::vector<std::function<void()>> waiters{};
 
   std::uint32_t free_packets() const {
     return used < total_packets ? total_packets - used : 0;
@@ -217,6 +220,11 @@ class QueueDisc {
   // harmless — under other kinds). Attach before any packet is admitted.
   void AttachSharedPool(SharedBufferPool* pool) { pool_ = pool; }
   const SharedBufferPool* shared_pool() const { return pool_; }
+  // Runs `wake` (from a scheduled event) after the next release of pool
+  // space by any queue on the pool. No-op without a pool.
+  void WaitForPoolSpace(std::function<void()> wake) {
+    if (pool_ != nullptr) pool_->waiters.push_back(std::move(wake));
+  }
 
   const Config& config() const { return config_; }
   const Stats& stats() const { return stats_; }
@@ -230,6 +238,7 @@ class QueueDisc {
   // Occupancy-threshold CE marking of an admitted packet.
   void MarkOnAdmit(Packet& p);
   void Push(Packet* p);
+  void ReleasePoolSpace(std::uint32_t packets);
   void RecordSojourn(SimTime sojourn);
   // CoDel per-dequeue decision. Returns false when `p` was consumed as a
   // CoDel drop; may CE-mark `p` in codel_ecn mode.

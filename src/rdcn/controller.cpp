@@ -8,8 +8,11 @@ namespace tdtcp {
 RdcnController::RdcnController(Simulator& sim, Config config,
                                std::vector<FabricPort*> ports,
                                std::vector<ToRSwitch*> tors)
-    : sim_(sim), config_(config), schedule_(config.schedule),
-      ports_(std::move(ports)), tors_(std::move(tors)) {
+    : FabricScheduler(sim, config, config.schedule.day_length,
+                      config.schedule.night_length, config.schedule.num_days),
+      schedule_(config.schedule), circuit_day_(config.schedule.circuit_day),
+      dynamic_voq_(config.dynamic_voq), ports_(std::move(ports)),
+      tors_(std::move(tors)) {
   if (ports_.empty()) {
     // Was an NDEBUG-silent assert: a portless controller would dereference
     // ports_.front() at the first dynamic-VOQ resize or imminent notice.
@@ -17,133 +20,52 @@ RdcnController::RdcnController(Simulator& sim, Config config,
         "RdcnController: needs at least one fabric port to drive");
   }
   normal_voq_packets_ = ports_.front()->voq().capacity();
-  if (!config_.perturb.Empty()) {
-    perturb_ =
-        std::make_unique<SchedulePerturbation>(config_.perturb, config_.seed);
-  }
 }
 
-void RdcnController::Start() {
-  start_time_ = sim_.now();
-  RunDay(0);
-}
-
-bool RdcnController::DeferForRestart(std::uint32_t day_index, bool night) {
-  if (!perturb_) return false;
-  const SimTime hold = perturb_->RestartHold(sim_.now() - start_time_);
-  if (hold.IsZero()) return false;
-  // Controller restart: the fabric freezes in whatever state the previous
-  // segment left it (ports keep their mode/blackout), nothing is notified,
-  // and the boundary re-fires once the controller comes back.
-  ++restart_holds_;
-  if (has_trace_) {
-    trace_->Emit(sim_.now().picos(), TracePoint::kSchedRestartHold, /*flow=*/0,
-                 static_cast<std::uint64_t>(hold.picos()), day_index, night);
-  }
-  if (night) {
-    sim_.ScheduleNoCancel(hold, [this, day_index] { RunNight(day_index); });
-  } else {
-    sim_.ScheduleNoCancel(hold, [this, day_index] { RunDay(day_index); });
-  }
-  return true;
-}
-
-void RdcnController::ApplyChange(const ScheduleChange& change) {
-  if (!change.day_length.IsZero()) {
-    config_.schedule.day_length = change.day_length;
-  }
-  if (!change.night_length.IsZero()) {
-    config_.schedule.night_length = change.night_length;
-  }
+void RdcnController::ApplyFabricChange(const ScheduleChange& change) {
   if (change.circuit_day >= 0) {
-    config_.schedule.circuit_day =
-        static_cast<std::uint32_t>(change.circuit_day) %
-        config_.schedule.num_days;
-  }
-  if (change.circuit_tdn >= 0) {
-    config_.circuit_mode.tdn = static_cast<TdnId>(change.circuit_tdn);
-  }
-  if (has_trace_) {
-    trace_->Emit(sim_.now().picos(), TracePoint::kSchedChange, /*flow=*/0,
-                 static_cast<std::uint64_t>(config_.schedule.day_length.picos()),
-                 static_cast<std::uint64_t>(config_.schedule.night_length.picos()),
-                 change.live_tdns >= 0
-                     ? static_cast<std::uint64_t>(change.live_tdns)
-                     : 0);
-  }
-  if (change.live_tdns >= 0 && reconfig_) {
-    reconfig_(static_cast<std::uint32_t>(change.live_tdns));
+    circuit_day_ = static_cast<std::uint32_t>(change.circuit_day) %
+                   schedule_.config().num_days;
   }
 }
 
-void RdcnController::RunDay(std::uint32_t day_index) {
-  if (DeferForRestart(day_index, /*night=*/false)) return;
-  if (perturb_) {
-    // Schedule changes roll out at day boundaries, in config order.
-    while (const ScheduleChange* ch =
-               perturb_->PendingChange(sim_.now() - start_time_)) {
-      ApplyChange(*ch);
-      perturb_->MarkApplied();
-    }
-  }
-  const bool circuit = (day_index == config_.schedule.circuit_day);
-  const NetworkMode& mode = circuit ? config_.circuit_mode : config_.packet_mode;
+void RdcnController::BeginDay(std::uint32_t day, SimTime length) {
+  const bool circuit = (day == circuit_day_);
+  const NetworkMode& mode = circuit ? circuit_mode_ : packet_mode_;
 
   ++reconfigurations_;
-  if (has_trace_) {
-    trace_->Emit(sim_.now().picos(), TracePoint::kRdcnDayStart, /*flow=*/0,
-                 mode.tdn, day_index, circuit);
-  }
+  Trace(TracePoint::kRdcnDayStart, mode.tdn, day, circuit);
   for (FabricPort* p : ports_) {
     p->SetMode(mode);
     p->SetBlackout(false);
   }
   // ToRs proactively notify hosts when the path actually changes. Identical
   // consecutive packet days produce no notification (the TDN is unchanged),
-  // and circuit teardown is announced at night start by RunNight.
+  // and circuit teardown is announced at night start by BeginNight.
   if (mode.tdn != last_notified_tdn_) NotifyAll(mode.tdn);
 
-  const SimTime day_length =
-      perturb_ ? perturb_->PerturbDay(day_index, config_.schedule.day_length)
-               : config_.schedule.day_length;
-
   // reTCPdyn: ahead of the next circuit day, enlarge VOQs and warn senders.
-  if (config_.dynamic_voq) {
-    const std::uint32_t days = config_.schedule.num_days;
-    const std::uint32_t next = (day_index + 1) % days;
-    if (next == config_.schedule.circuit_day) {
-      const SimTime until_next_day = day_length + config_.schedule.night_length;
-      if (until_next_day > config_.resize_advance) {
-        sim_.ScheduleNoCancel(until_next_day - config_.resize_advance, [this] {
-          ResizeVoqs(config_.enlarged_voq_packets);
-          NotifyAll(ports_.front()->mode().tdn, /*imminent=*/true);
-        });
-      }
+  if (dynamic_voq_ &&
+      (day + 1) % schedule_.config().num_days == circuit_day_) {
+    const SimTime until_next_day = length + night_length();
+    if (until_next_day > kResizeAdvance) {
+      sim_.ScheduleNoCancel(until_next_day - kResizeAdvance, [this] {
+        ResizeVoqs(kEnlargedVoqPackets);
+        NotifyAll(ports_.front()->mode().tdn, /*imminent=*/true);
+      });
     }
   }
-
-  sim_.ScheduleNoCancel(day_length,
-                        [this, day_index] { RunNight(day_index); });
 }
 
-void RdcnController::RunNight(std::uint32_t day_index) {
-  if (DeferForRestart(day_index, /*night=*/true)) return;
-  const bool was_circuit = (day_index == config_.schedule.circuit_day);
-  if (has_trace_) {
-    trace_->Emit(sim_.now().picos(), TracePoint::kRdcnNightStart, /*flow=*/0,
-                 day_index, was_circuit);
-  }
+void RdcnController::BeginNight(std::uint32_t day) {
+  const bool was_circuit = (day == circuit_day_);
+  Trace(TracePoint::kRdcnNightStart, day, was_circuit);
   for (FabricPort* p : ports_) p->SetBlackout(true);
   if (was_circuit) {
     // Circuit teardown: the hosts' next packets must be modeled on TDN 0.
-    NotifyAll(config_.packet_mode.tdn);
-    if (config_.dynamic_voq) ResizeVoqs(normal_voq_packets_);
+    NotifyAll(packet_mode_.tdn);
+    if (dynamic_voq_) ResizeVoqs(normal_voq_packets_);
   }
-  const std::uint32_t next = (day_index + 1) % config_.schedule.num_days;
-  const SimTime night_length =
-      perturb_ ? perturb_->PerturbNight(config_.schedule.night_length)
-               : config_.schedule.night_length;
-  sim_.ScheduleNoCancel(night_length, [this, next] { RunDay(next); });
 }
 
 void RdcnController::NotifyAll(TdnId tdn, bool imminent) {

@@ -1,45 +1,35 @@
-// Drives the fabric through the RDCN schedule: reconfigures fabric ports at
-// day/night boundaries, blacks the fabric out during reconfiguration, emits
+// The paper's two-rack fabric on the shared week clock (FabricScheduler):
+// at each boundary it switches the rack pair's fabric ports between packet
+// and circuit mode, blacks them out during reconfiguration, emits the
 // ToR-generated TDN-change notifications (§3.2), and implements reTCPdyn's
-// switch cooperation (VOQ enlargement + advance ramp notice, §5.2). When a
-// SchedulePerturbation is configured it additionally runs the adversarial
-// schedule: skewed/jittered segment lengths, mid-flow schedule changes
-// applied at day boundaries, and restart windows that freeze the fabric.
+// switch cooperation (VOQ enlargement + advance ramp notice, §5.2). On top
+// of the clock's shared ScheduleChange fields it applies circuit_day.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/fabric_port.hpp"
 #include "net/tor_switch.hpp"
-#include "rdcn/perturbation.hpp"
+#include "rdcn/fabric_scheduler.hpp"
 #include "rdcn/schedule.hpp"
 #include "sim/simulator.hpp"
 #include "trace/tracepoints.hpp"
 
 namespace tdtcp {
 
-class RdcnController {
+class RdcnController : public FabricScheduler {
  public:
-  struct Config {
+  struct Config : CommonConfig {
     ScheduleConfig schedule;
-    NetworkMode packet_mode;
-    NetworkMode circuit_mode;
-
-    // reTCPdyn switch support: enlarge the VOQ `resize_advance` before each
+    // reTCPdyn switch support: enlarge the VOQ kResizeAdvance before each
     // circuit day and send a circuit-imminent notification so senders
     // pre-fill the queue; restore at circuit teardown.
     bool dynamic_voq = false;
-    SimTime resize_advance = SimTime::Micros(150);
-    std::uint32_t enlarged_voq_packets = 50;
-
-    // Adversarial-schedule perturbations (empty = the nominal schedule) and
-    // the experiment seed their dedicated Random stream derives from.
-    PerturbationConfig perturb;
-    std::uint64_t seed = 1;
   };
+
+  static constexpr SimTime kResizeAdvance = SimTime::Micros(150);
+  static constexpr std::uint32_t kEnlargedVoqPackets = 50;
 
   // `ports` are the fabric ports of the observed rack pair (both
   // directions); `tors` the switches whose hosts should be notified.
@@ -48,73 +38,34 @@ class RdcnController {
   RdcnController(Simulator& sim, Config config, std::vector<FabricPort*> ports,
                  std::vector<ToRSwitch*> tors);
 
-  // Begins executing the schedule at the current simulation time (which
-  // becomes the start of week 0, day 0).
-  void Start();
-
-  const Schedule& schedule() const { return schedule_; }
-  SimTime start_time() const { return start_time_; }
-
-  // Schedule queries relative to the controller's start time. Under an
-  // active perturbation these describe the *nominal* schedule; the perturbed
+  // Schedule queries relative to the start time. Under an active
+  // perturbation these describe the *nominal* schedule; the perturbed
   // boundary times live only in the event stream (and the tracepoints).
-  TdnId ActiveTdn(SimTime t) const { return schedule_.TdnAt(Rel(t)); }
-  bool BlackoutAt(SimTime t) const { return schedule_.BlackoutAt(Rel(t)); }
+  TdnId ActiveTdn(SimTime t) const { return schedule_.TdnAt(Elapsed(t)); }
+  bool BlackoutAt(SimTime t) const { return schedule_.BlackoutAt(Elapsed(t)); }
 
   std::uint32_t reconfigurations() const { return reconfigurations_; }
 
-  // Perturbation accounting (zeros when no perturbation is configured).
-  std::uint64_t schedule_changes_applied() const {
-    return perturb_ ? perturb_->stats().changes_applied : 0;
-  }
-  std::uint64_t restart_holds() const { return restart_holds_; }
-
-  // Management-plane hook for TDN-count changes: called synchronously at the
-  // day boundary that applies a ScheduleChange with live_tdns set, with the
-  // new live count. RunExperiment wires this to every host's
-  // DistributeTdnReconfig (retirement rides the management plane, not the
-  // lossy per-day ICMP channel — see DESIGN.md §13).
-  using ReconfigFn = std::function<void(std::uint32_t live_tdns)>;
-  void SetReconfigHook(ReconfigFn fn) { reconfig_ = std::move(fn); }
-
-  // Tracepoint sink: day/night boundaries emit kRdcnDayStart (a0=tdn,
-  // a1=day index, a2=circuit day) and kRdcnNightStart (a0=day index,
-  // a1=was circuit day), flow 0. Perturbations add kSchedChange and
-  // kSchedRestartHold.
-  void SetTraceRing(TraceRing* ring) {
-    trace_ = ring;
-    has_trace_ = ring != nullptr;
-  }
-
  private:
-  SimTime Rel(SimTime t) const { return t - start_time_; }
-
-  void RunDay(std::uint32_t day_index);
-  void RunNight(std::uint32_t day_index);
-  void ApplyChange(const ScheduleChange& change);
-  // True when the boundary was deferred into a restart window (the caller
-  // returns immediately; the boundary re-fires at the window's end).
-  bool DeferForRestart(std::uint32_t day_index, bool night);
+  // Day/night boundaries also emit kRdcnDayStart (a0=tdn, a1=day index,
+  // a2=circuit day) and kRdcnNightStart (a0=day index, a1=was circuit day).
+  void BeginDay(std::uint32_t day, SimTime length) override;
+  void BeginNight(std::uint32_t day) override;
+  void ApplyFabricChange(const ScheduleChange& change) override;
   void NotifyAll(TdnId tdn, bool imminent = false);
   void ResizeVoqs(std::uint32_t packets);
 
-  Simulator& sim_;
-  Config config_;
-  Schedule schedule_;
+  Schedule schedule_;  // nominal; circuit_day_ follows ScheduleChanges
+  std::uint32_t circuit_day_;
+  bool dynamic_voq_;
+  std::uint32_t reconfigurations_ = 0;
   std::vector<FabricPort*> ports_;
   std::vector<ToRSwitch*> tors_;
-  std::unique_ptr<SchedulePerturbation> perturb_;
-  ReconfigFn reconfig_;
-  SimTime start_time_;
   std::uint32_t normal_voq_packets_ = 16;
-  std::uint32_t reconfigurations_ = 0;
-  std::uint64_t restart_holds_ = 0;
   TdnId last_notified_tdn_ = 0;
   // Notification generation number: stamped into every ICMP so hosts can
   // discard duplicated/reordered/stale deliveries (Packet::notify_seq).
   std::uint64_t notify_seq_ = 0;
-  TraceRing* trace_ = nullptr;
-  bool has_trace_ = false;
 };
 
 }  // namespace tdtcp

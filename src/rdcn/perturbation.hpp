@@ -9,10 +9,12 @@
 // same (config, seed) always produces the same perturbed schedule no matter
 // what the workload's own randomness does.
 //
-// Both RdcnController and RotorController consult the engine at every
-// day/night boundary; ExperimentConfig::WithSchedulePerturbation wires it
-// end to end, and the convergence oracle (trace/convergence.hpp) classifies
-// what the transport did underneath.
+// The week clock both fabrics share (FabricScheduler, the base of
+// RdcnController and RotorController) owns the engine and consults it at
+// every day/night boundary; the fabric itself only applies the change
+// fields marked as its own below. ExperimentConfig::WithSchedulePerturbation
+// wires it end to end, and the convergence oracle (trace/convergence.hpp)
+// classifies what the transport did underneath.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,7 @@ namespace tdtcp {
 // boundary at-or-after `at` (a real controller rolls a new schedule out at a
 // reconfiguration point, never mid-day), in config order; fields at their
 // sentinel values keep the current setting. All perturbation times (`at`,
-// RestartWindow::at) are relative to the controller's Start() time.
+// RestartWindow::at) are relative to the scheduler's Start() time.
 struct ScheduleChange {
   SimTime at = SimTime::Zero();
   SimTime day_length = SimTime::Zero();    // zero = keep

@@ -6,22 +6,25 @@
 
 namespace tdtcp {
 
-RotorController::RotorController(Simulator& sim, Config config, Topology* topo)
-    : sim_(sim), config_(config), topo_(topo) {
-  // Throw, don't assert: the default build defines NDEBUG, and an odd rack
-  // count would silently build garbage matchings (the circle method pairs
-  // slot i with slot n-1-i, which only covers everyone for even n).
-  const std::uint32_t racks = topo_->config().num_racks;
+// The rotation's day count, N-1 for N racks. Throws, doesn't assert: the
+// default build defines NDEBUG, and an odd rack count would silently build
+// garbage matchings (the circle method pairs slot i with slot n-1-i, which
+// only covers everyone for even n).
+static std::uint32_t RoundRobinDays(const Topology& topo) {
+  const std::uint32_t racks = topo.config().num_racks;
   if (racks < 2 || racks % 2 != 0) {
     throw std::invalid_argument(
         "RotorController: round-robin matchings need an even rack count >= 2 "
         "(got " + std::to_string(racks) + ")");
   }
+  return racks - 1;
+}
+
+RotorController::RotorController(Simulator& sim, Config config, Topology* topo)
+    : FabricScheduler(sim, config, config.day_length, config.night_length,
+                      RoundRobinDays(*topo)),
+      topo_(topo) {
   BuildMatchings();
-  if (!config_.perturb.Empty()) {
-    perturb_ =
-        std::make_unique<SchedulePerturbation>(config_.perturb, config_.seed);
-  }
 }
 
 void RotorController::BuildMatchings() {
@@ -56,7 +59,7 @@ void RotorController::ReshuffleMatchings() {
   const std::uint32_t n = topo_->config().num_racks;
   std::vector<RackId> perm(n);
   for (std::uint32_t i = 0; i < n; ++i) perm[i] = i;
-  Random& rng = perturb_->rng();
+  Random& rng = perturbation_rng();
   for (std::uint32_t i = n - 1; i > 0; --i) {
     const auto j = static_cast<std::uint32_t>(rng.UniformInt(0, i));
     std::swap(perm[i], perm[j]);
@@ -69,50 +72,13 @@ void RotorController::ReshuffleMatchings() {
     }
   }
   matchings_ = std::move(shuffled);
-  ++reshuffles_;
 }
 
-void RotorController::ApplyChange(const ScheduleChange& change) {
-  if (!change.day_length.IsZero()) config_.day_length = change.day_length;
-  if (!change.night_length.IsZero()) {
-    config_.night_length = change.night_length;
-  }
-  if (change.circuit_tdn >= 0) {
-    config_.circuit_mode.tdn = static_cast<TdnId>(change.circuit_tdn);
-  }
+void RotorController::ApplyFabricChange(const ScheduleChange& change) {
   if (change.reshuffle_matchings) ReshuffleMatchings();
-  if (change.live_tdns >= 0 && reconfig_) {
-    reconfig_(static_cast<std::uint32_t>(change.live_tdns));
-  }
 }
 
-bool RotorController::DeferForRestart(std::uint32_t day, bool night) {
-  if (!perturb_) return false;
-  const SimTime hold = perturb_->RestartHold(sim_.now() - start_time_);
-  if (hold.IsZero()) return false;
-  ++restart_holds_;
-  if (night) {
-    sim_.ScheduleNoCancel(hold, [this, day] { RunNight(day); });
-  } else {
-    sim_.ScheduleNoCancel(hold, [this, day] { RunDay(day); });
-  }
-  return true;
-}
-
-void RotorController::Start() {
-  start_time_ = sim_.now();
-  RunDay(0);
-}
-
-void RotorController::RunDay(std::uint32_t day) {
-  if (DeferForRestart(day, /*night=*/false)) return;
-  if (perturb_) {
-    while (const ScheduleChange* ch =
-               perturb_->PendingChange(sim_.now() - start_time_)) {
-      ApplyChange(*ch);
-      perturb_->MarkApplied();
-    }
-  }
+void RotorController::BeginDay(std::uint32_t day, SimTime /*length*/) {
   const std::uint32_t n = topo_->config().num_racks;
   const auto& matching = matchings_[day];
   for (RackId a = 0; a < n; ++a) {
@@ -121,8 +87,7 @@ void RotorController::RunDay(std::uint32_t day) {
       if (a == b) continue;
       FabricPort* port = topo_->port(a, b);
       const bool circuit = (b == partner);
-      const NetworkMode& mode =
-          circuit ? config_.circuit_mode : config_.packet_mode;
+      const NetworkMode& mode = circuit ? circuit_mode_ : packet_mode_;
       const bool changed = port->mode().tdn != mode.tdn;
       port->SetMode(mode);
       port->SetBlackout(false);
@@ -132,14 +97,9 @@ void RotorController::RunDay(std::uint32_t day) {
       }
     }
   }
-  const SimTime day_length =
-      perturb_ ? perturb_->PerturbDay(day, config_.day_length)
-               : config_.day_length;
-  sim_.ScheduleNoCancel(day_length, [this, day] { RunNight(day); });
 }
 
-void RotorController::RunNight(std::uint32_t day) {
-  if (DeferForRestart(day, /*night=*/true)) return;
+void RotorController::BeginNight(std::uint32_t day) {
   const std::uint32_t n = topo_->config().num_racks;
   const auto& matching = matchings_[day];
   for (RackId a = 0; a < n; ++a) {
@@ -148,14 +108,9 @@ void RotorController::RunNight(std::uint32_t day) {
       topo_->port(a, b)->SetBlackout(true);
     }
     // Circuit teardown notice for the pair that was connected.
-    topo_->tor(a)->NotifyHosts(config_.packet_mode.tdn, /*imminent=*/false,
+    topo_->tor(a)->NotifyHosts(packet_mode_.tdn, /*imminent=*/false,
                                /*peer=*/matching[a], ++notify_seq_);
   }
-  const std::uint32_t next = (day + 1) % matchings_.size();
-  const SimTime night_length =
-      perturb_ ? perturb_->PerturbNight(config_.night_length)
-               : config_.night_length;
-  sim_.ScheduleNoCancel(night_length, [this, next] { RunDay(next); });
 }
 
 }  // namespace tdtcp

@@ -1,52 +1,36 @@
-// Multi-rack demand-oblivious rotation (RotorNet-style, §6): each day the
-// OCS realizes one perfect matching over the racks; cycling through all
-// N-1 matchings provides full-mesh connectivity once per week.
+// Multi-rack demand-oblivious rotation (RotorNet-style, §6) on the shared
+// week clock (FabricScheduler): each day the OCS realizes one perfect
+// matching over the racks; cycling through all N-1 matchings provides
+// full-mesh connectivity once per week.
 //
 // This extends the paper's two-rack evaluation fabric: ToRs issue
 // per-destination TDN notifications (the ICMP additionally scopes the
 // change to one remote rack), so a host's flows to different racks keep
-// independent, correctly-sequenced TDN views. A configured
-// SchedulePerturbation additionally skews/jitters the rotation, reshuffles
-// the matchings mid-flow, and freezes the rotor across restart windows.
+// independent, correctly-sequenced TDN views. On top of the clock's shared
+// ScheduleChange fields it applies reshuffle_matchings.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/topology.hpp"
-#include "rdcn/perturbation.hpp"
-#include "rdcn/schedule.hpp"
+#include "rdcn/fabric_scheduler.hpp"
 #include "sim/simulator.hpp"
 
 namespace tdtcp {
 
-class RotorController {
+class RotorController : public FabricScheduler {
  public:
-  struct Config {
+  struct Config : CommonConfig {
     SimTime day_length = SimTime::Micros(180);
     SimTime night_length = SimTime::Micros(20);
-    NetworkMode packet_mode;
-    NetworkMode circuit_mode;
-
-    // Adversarial-schedule perturbations (empty = nominal rotation) and the
-    // experiment seed their dedicated Random stream derives from.
-    PerturbationConfig perturb;
-    std::uint64_t seed = 1;
   };
 
   // Drives every fabric port of `topo` (requires an even rack count >= 2).
   RotorController(Simulator& sim, Config config, Topology* topo);
 
-  void Start();
-
   std::uint32_t num_matchings() const {
     return static_cast<std::uint32_t>(matchings_.size());
-  }
-  SimTime week_length() const {
-    return (config_.day_length + config_.night_length) *
-           static_cast<std::int64_t>(matchings_.size());
   }
 
   // The rack matched with `rack` on matching `day` (round-robin tournament).
@@ -54,38 +38,16 @@ class RotorController {
     return matchings_[day][rack];
   }
 
-  // Perturbation accounting (zeros when no perturbation is configured).
-  std::uint64_t schedule_changes_applied() const {
-    return perturb_ ? perturb_->stats().changes_applied : 0;
-  }
-  std::uint64_t restart_holds() const { return restart_holds_; }
-  std::uint64_t reshuffles() const { return reshuffles_; }
-
-  // Management-plane hook for TDN-count changes (ScheduleChange::live_tdns);
-  // see RdcnController::SetReconfigHook.
-  using ReconfigFn = std::function<void(std::uint32_t live_tdns)>;
-  void SetReconfigHook(ReconfigFn fn) { reconfig_ = std::move(fn); }
-
  private:
   void BuildMatchings();
   void ReshuffleMatchings();
-  void ApplyChange(const ScheduleChange& change);
-  bool DeferForRestart(std::uint32_t day, bool night);
-  void RunDay(std::uint32_t day);
-  void RunNight(std::uint32_t day);
+  void BeginDay(std::uint32_t day, SimTime length) override;
+  void BeginNight(std::uint32_t day) override;
+  void ApplyFabricChange(const ScheduleChange& change) override;
 
-  Simulator& sim_;
-  Config config_;
   Topology* topo_;
   // matchings_[day][rack] = partner rack.
   std::vector<std::vector<RackId>> matchings_;
-  std::unique_ptr<SchedulePerturbation> perturb_;
-  ReconfigFn reconfig_;
-  // Perturbation times (ScheduleChange::at, RestartWindow::at) are relative
-  // to this, like the pair controller's schedule queries.
-  SimTime start_time_;
-  std::uint64_t restart_holds_ = 0;
-  std::uint64_t reshuffles_ = 0;
   // Per-peer-scope sequencing happens at the hosts; one shared generation
   // counter is enough for monotonicity within each scope.
   std::uint64_t notify_seq_ = 0;

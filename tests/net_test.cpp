@@ -563,6 +563,47 @@ TEST(FabricPort, FullSharedPoolLeavesStashBehindBusyWireUntilTheStartEvent) {
   EXPECT_EQ(pool.used, 0u);
 }
 
+// The same full pool with an idle wire: no start event is armed, so the
+// stash waits on the pool itself, and the next release of space by another
+// queue wakes the port (through a scheduled event) to top up and send.
+TEST(FabricPort, FullSharedPoolWakesIdleWireWhenSpaceFrees) {
+  Simulator sim;
+  CaptureSink sink;
+  SharedBufferPool pool{8, 0};
+  FabricPort::Config fc = PortConfig();
+  fc.voq.kind = QdiscKind::kSharedPool;
+  FabricPort port(sim, fc, &sink);  // packet mode (path 0)
+  port.voq().AttachSharedPool(&pool);
+  for (int i = 0; i < 3; ++i) {
+    Packet p = MakeData(9000);
+    p.pinned_path = 1;  // circuit
+    port.Enqueue(std::move(p));
+  }
+  QueueDisc hog(sim, QueueDisc::Config{.kind = QdiscKind::kSharedPool,
+                                       .capacity_packets = 8,
+                                       .shared_alpha = 100.0});
+  hog.AttachSharedPool(&pool);
+  while (hog.CanEnqueue()) ASSERT_TRUE(hog.Enqueue(MakeData(1500)));
+  ASSERT_EQ(pool.free_packets(), 0u);
+
+  port.SetMode(CircuitMode());  // idle wire, but the pool is full
+  EXPECT_TRUE(port.voq().Empty());
+  EXPECT_EQ(port.pinned_waiting(), 3u);
+
+  sim.Schedule(SimTime::Micros(5), [&] {
+    // Releasing space must not re-enter the port from inside Dequeue.
+    while (Packet* p = hog.Dequeue(sim.now())) {
+      sim.ReleasePacket(p);
+      EXPECT_EQ(port.pinned_waiting(), 3u);
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(port.pinned_waiting(), 0u);
+  ASSERT_EQ(sink.packets.size(), 3u);
+  for (const Packet& p : sink.packets) EXPECT_TRUE(p.circuit_mark);
+  EXPECT_EQ(pool.used, 0u);
+}
+
 TEST(FabricPort, ModeSwitchDuringBlackoutTopsTheVoqUpAtOnce) {
   Simulator sim;
   CaptureSink sink;

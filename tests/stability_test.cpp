@@ -502,6 +502,74 @@ TEST(PerturbedRun, EveryChurnConnectionReachesDefiniteCloseReason) {
   EXPECT_EQ(reason_sum, r.churn.closed);
 }
 
+TEST(PerturbedRun, SchedulerDigestsArePinned) {
+  // Pins what both fabric schedulers do at their day/night boundaries under
+  // every perturbation knob: the events they schedule and when, the draws
+  // they take from the perturbation stream, and the tracepoints they emit.
+  // The pair run adds reTCPdyn's VOQ resize and circuit-imminent notice (its
+  // TDTCP churn tenants put the TDN-count changes on the trace); the rotor
+  // run adds a matching reshuffle and peer-scoped notifications.
+  ExperimentConfig pair =
+      ShortConfig(Variant::kRetcpDyn)
+          .WithTrace(1u << 14)
+          .WithChurn(40, SimTime::Micros(150))
+          .WithTenantMix({{Variant::kTdtcp, 1.0}, {Variant::kRetcpDyn, 1.0}})
+          .WithSchedulePerturbation(FullPerturbation());
+  ASSERT_TRUE(pair.dynamic_voq);
+
+  PerturbationConfig p;
+  p.day_skew = 0.2;
+  p.jitter = SimTime::Micros(5);
+  ScheduleChange reshuffle;
+  reshuffle.at = SimTime::Millis(2);
+  reshuffle.reshuffle_matchings = true;
+  p.changes.push_back(reshuffle);
+  ScheduleChange shrink;
+  shrink.at = SimTime::Millis(3);
+  shrink.live_tdns = 1;
+  shrink.night_length = SimTime::Micros(30);
+  p.changes.push_back(shrink);
+  RestartWindow restart;
+  restart.at = SimTime::Millis(4);
+  restart.duration = SimTime::Micros(300);
+  p.restarts.push_back(restart);
+  ExperimentConfig rotor = PaperConfig(Variant::kTdtcp)
+                               .WithRotorFabric(4)
+                               .WithDurationMs(6)
+                               .WithFlows(2)
+                               .WithSampling(false, false)
+                               .WithSampleInterval(SimTime::Millis(1))
+                               .WithRackPolicy(RackPolicy::kUniform)
+                               .WithChurn(150, SimTime::Micros(30))
+                               .WithTrace(1u << 14)
+                               .WithSchedulePerturbation(p);
+
+  struct Pin {
+    std::uint64_t trace_hash, churn_hash, sim_events, schedule_changes,
+        restart_holds, tdn_reconfigs;
+  };
+  // Computed with the two controllers' own copies of the week clock, before
+  // they shared one.
+  const Pin pins[] = {
+      {16931321407018506682ull, 12240419489989286690ull, 105238, 3, 1, 0},
+      {3733389989854953441ull, 4496496656601076698ull, 205646, 2, 1, 4},
+  };
+  const ExperimentConfig* configs[] = {&pair, &rotor};
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i == 0 ? "pair" : "rotor");
+    const ExperimentResult r = RunExperiment(*configs[i]);
+    EXPECT_GT(r.schedule_changes, 0u);
+    EXPECT_GT(r.restart_holds, 0u);
+    EXPECT_NE(r.churn_hash, 0u);
+    EXPECT_EQ(r.trace_hash, pins[i].trace_hash);
+    EXPECT_EQ(r.churn_hash, pins[i].churn_hash);
+    EXPECT_EQ(r.sim_events, pins[i].sim_events);
+    EXPECT_EQ(r.schedule_changes, pins[i].schedule_changes);
+    EXPECT_EQ(r.restart_holds, pins[i].restart_holds);
+    EXPECT_EQ(r.tdn_reconfigs, pins[i].tdn_reconfigs);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Mixed tenant populations
 // ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@
 #
 #   scaleout    bench_scaleout --lifecycles=10000 --racks=8 --jobs=2
 #               --check-bit-identity: per-cell (churn_hash, trace_hash)
+#   scaleout perturbed
+#               bench_scaleout --lifecycles=10000 --schedule-jitter=5
+#               --day-skew=0.2: the same hashes under a perturbed rotor
+#   stability perturbed
+#               bench_stability --schedule-jitter=3 --day-skew=0.2: the
+#               tdtcp-bench/1 counters of every cell (the perturbed pair)
 #   headline    bench_headline_table --jobs=4 --seeds=3: the CSV, with cmp
 #   fig10       bench_fig10_reordering: every CSV, with cmp
 #   fig11       bench_fig11_notification: the CSV, with cmp
@@ -114,6 +120,20 @@ cmp_counters --hashes "$work/parent/scaleout/out.json" \
   "$work/change/scaleout/out.json" || ok=1
 [ "$(cat "$work/change/scaleout/exit")" = 0 ] || ok=1
 report "scaleout hashes" $ok
+
+run_bench scaleout_perturbed bench_scaleout --lifecycles=10000 --jobs=2 \
+  --schedule-jitter=5 --day-skew=0.2 --out=@OUT
+ok=0
+cmp_counters --hashes "$work/parent/scaleout_perturbed/out.json" \
+  "$work/change/scaleout_perturbed/out.json" || ok=1
+report "scaleout perturbed hashes" $ok
+
+run_bench stability_perturbed bench_stability --jobs=2 --schedule-jitter=3 \
+  --day-skew=0.2 --out=@OUT
+ok=0
+cmp_counters "$work/parent/stability_perturbed/out.json" \
+  "$work/change/stability_perturbed/out.json" || ok=1
+report "stability perturbed counters" $ok
 
 run_bench headline bench_headline_table --jobs=4 --seeds=3 --out=@OUT
 ok=0; cmp_csvs headline || ok=1; report "headline csv" $ok
