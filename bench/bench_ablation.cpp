@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
     c.config.workload.base.per_tdn_rtt = row.per_tdn_rtt;
     c.config.workload.base.synthesized_rto = row.synth_rto;
     c.config.workload.base.pacing_enabled = row.pacing;
+    ApplyPerturbation(c.config, args);
     cases.push_back(std::move(c));
   }
 
@@ -52,8 +53,9 @@ int main(int argc, char** argv) {
   std::printf("%-16s %10s %8s %8s %8s %8s\n", "config", "goodput", "rtx",
               "rto", "undo", "spur");
 
-  const std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
-  MaybeWriteSweep(args, CaseSweep(cases, results, args.jobs));
+  std::vector<ExperimentResult> results;
+  const double wall_ns = WallNs([&] { results = RunCases(cases, args.jobs); });
+  MaybeWriteSweep(args, CaseSweep(cases, results, args.jobs, wall_ns / 1e9));
   const double full_bps = results.front().goodput_bps;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const ExperimentResult& r = results[i];

@@ -23,11 +23,13 @@ struct FairnessResult {
   double aggregate_gbps = 0;
 };
 
-FairnessResult MeasureFairness(Variant v, int ms, int flows, bool rdcn) {
+FairnessResult MeasureFairness(Variant v, int ms, int flows, bool rdcn,
+                               const BenchArgs& args) {
   ExperimentConfig cfg = PaperConfig(v);
   cfg.workload.num_flows = static_cast<std::uint32_t>(flows);
   // Static packet network control: the circuit never visits this pair.
   if (!rdcn) cfg.schedule.circuit_day = ScheduleConfig::kNoCircuitDay;
+  ApplyPerturbation(cfg, args);
   Simulator sim;
   Random rng(cfg.seed);
   Topology topo(sim, rng, cfg.topology);
@@ -36,6 +38,8 @@ FairnessResult MeasureFairness(Variant v, int ms, int flows, bool rdcn) {
   rc.packet_mode = cfg.topology.packet_mode;
   rc.circuit_mode = cfg.topology.circuit_mode;
   rc.dynamic_voq = cfg.dynamic_voq;
+  rc.perturb = cfg.perturb;
+  rc.seed = cfg.seed;
   RdcnController controller(sim, rc, {topo.port(0, 1), topo.port(1, 0)},
                             {topo.tor(0), topo.tor(1)});
   Workload workload(sim, topo, cfg.workload);
@@ -93,9 +97,9 @@ int main(int argc, char** argv) {
   ParallelFor(args.jobs, variants.size() * 2, [&](std::size_t i) {
     const Variant v = variants[i / 2];
     if (i % 2 == 0) {
-      rdcn[i / 2] = MeasureFairness(v, ms, flows, true);
+      rdcn[i / 2] = MeasureFairness(v, ms, flows, true, args);
     } else {
-      ctrl[i / 2] = MeasureFairness(v, ms, flows, false);
+      ctrl[i / 2] = MeasureFairness(v, ms, flows, false, args);
     }
   });
 

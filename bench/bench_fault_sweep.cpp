@@ -72,12 +72,14 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "  sweep: %zu points x %d seed%s, jobs=%d...\n",
                cases.size() / seeds.size(), args.seeds,
                args.seeds == 1 ? "" : "s", ResolveJobs(args.jobs));
-  std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
+  for (SweepCase& c : cases) ApplyPerturbation(c.config, args);
+  std::vector<ExperimentResult> results;
+  const double wall_ns = WallNs([&] { results = RunCases(cases, args.jobs); });
 
   // One cell per point, seeds aggregated, so --out gets the standard
   // schema-versioned JSON/CSV.
-  const SweepResult sweep =
-      CaseSweep(cases, std::move(results), args.jobs, seeds.size());
+  const SweepResult sweep = CaseSweep(cases, std::move(results), args.jobs,
+                                      wall_ns / 1e9, seeds.size());
   MaybeWriteSweep(args, sweep);
 
   const auto cell_at = [&](Variant v, double loss,

@@ -57,9 +57,13 @@ struct IncastStats {
   QueueDisc::Stats voq;  // the incast-side VOQ (rack 0 -> rack 1)
 };
 
-IncastStats MeasureIncast(const QueueDisc::Config& voq, int waves) {
+// Under --schedule-jitter / --day-skew the controller runs the perturbed
+// schedule, while the waves still fire at the nominal night->day edges.
+IncastStats MeasureIncast(const QueueDisc::Config& voq, int waves,
+                          const BenchArgs& args) {
   ExperimentConfig cfg = PaperConfig(Variant::kTdtcp);
   cfg.topology.voq = voq;
+  ApplyPerturbation(cfg, args);
   Simulator sim;
   Random rng(cfg.seed);
   Topology topo(sim, rng, cfg.topology);
@@ -67,6 +71,8 @@ IncastStats MeasureIncast(const QueueDisc::Config& voq, int waves) {
   rc.schedule = cfg.schedule;
   rc.packet_mode = cfg.topology.packet_mode;
   rc.circuit_mode = cfg.topology.circuit_mode;
+  rc.perturb = cfg.perturb;
+  rc.seed = cfg.seed;
   RdcnController controller(sim, rc, {topo.port(0, 1), topo.port(1, 0)},
                             {topo.tor(0), topo.tor(1)});
   controller.Start();
@@ -191,7 +197,7 @@ int main(int argc, char** argv) {
   std::vector<double> wall_ns(setups.size());
   ParallelFor(args.jobs, setups.size(), [&](std::size_t i) {
     wall_ns[i] =
-        WallNs([&] { stats[i] = MeasureIncast(setups[i].voq, waves); });
+        WallNs([&] { stats[i] = MeasureIncast(setups[i].voq, waves, args); });
   });
 
   std::printf("%-11s %9s %8s %8s %9s %8s %8s %8s %10s %8s\n", "qdisc",

@@ -69,8 +69,10 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "  %zu points, jobs=%d...\n", cases.size(),
                ResolveJobs(args.jobs));
-  const std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
-  MaybeWriteSweep(args, CaseSweep(cases, results, args.jobs));
+  for (SweepCase& c : cases) ApplyPerturbation(c.config, args);
+  std::vector<ExperimentResult> results;
+  const double wall_ns = WallNs([&] { results = RunCases(cases, args.jobs); });
+  MaybeWriteSweep(args, CaseSweep(cases, results, args.jobs, wall_ns / 1e9));
 
   std::printf("\n--- (1) day length sweep, 6:1 ratio (nights = day/9) ---\n");
   std::printf("%10s %10s | %9s %9s %9s\n", "day_us", "day/RTT", "tdtcp",

@@ -176,8 +176,11 @@ int main(int argc, char** argv) {
   // at any job count.
   std::vector<ExperimentResult> results(cells.size());
   std::vector<double> wall_ns(cells.size());
-  ParallelFor(args.jobs, cells.size(), [&](std::size_t i) {
-    wall_ns[i] = WallNs([&] { results[i] = RunExperiment(cases[i].config); });
+  const double sweep_ns = WallNs([&] {
+    ParallelFor(args.jobs, cells.size(), [&](std::size_t i) {
+      wall_ns[i] =
+          WallNs([&] { results[i] = RunExperiment(cases[i].config); });
+    });
   });
 
   bool ok = true;
@@ -237,7 +240,8 @@ int main(int argc, char** argv) {
   MaybeWriteBenchReport(args, report);
   // Also emit the per-cell results through the sweep schema: the
   // churn_fct_<bucket>_* metric family rides the tdtcp-sweep/1 JSON/CSV.
-  MaybeWriteSweep(args, CaseSweep(cases, std::move(results), args.jobs),
-                  "_sweep");
+  MaybeWriteSweep(
+      args, CaseSweep(cases, std::move(results), args.jobs, sweep_ns / 1e9),
+      "_sweep");
   return ok ? 0 : 1;
 }

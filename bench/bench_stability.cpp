@@ -140,8 +140,11 @@ int main(int argc, char** argv) {
   }
   std::vector<ExperimentResult> results(cells.size());
   std::vector<double> wall_ns(cells.size());
-  ParallelFor(args.jobs, cells.size(), [&](std::size_t i) {
-    wall_ns[i] = WallNs([&] { results[i] = RunExperiment(cases[i].config); });
+  const double sweep_ns = WallNs([&] {
+    ParallelFor(args.jobs, cells.size(), [&](std::size_t i) {
+      wall_ns[i] =
+          WallNs([&] { results[i] = RunExperiment(cases[i].config); });
+    });
   });
 
   std::printf("%-26s %7s %5s | %5s %5s %5s %5s | %9s %10s %-12s\n", "cell",
@@ -185,8 +188,9 @@ int main(int argc, char** argv) {
   }
 
   MaybeWriteBenchReport(args, report);
-  MaybeWriteSweep(args, CaseSweep(cases, std::move(results), args.jobs),
-                  "_sweep");
+  MaybeWriteSweep(
+      args, CaseSweep(cases, std::move(results), args.jobs, sweep_ns / 1e9),
+      "_sweep");
 
   return ok ? 0 : 1;
 }

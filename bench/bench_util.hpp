@@ -144,8 +144,9 @@ inline void ApplyRecovery(ExperimentConfig& cfg, const BenchArgs& args) {
 }
 
 // Applies --schedule-jitter / --day-skew (when given): a bench whose
-// configs pass through here (RunVariants does) runs under a perturbed
-// fabric schedule.
+// configs pass through here (RunVariants does, and so does every bench
+// that builds its own cases or controller) runs under a perturbed fabric
+// schedule.
 inline void ApplyPerturbation(ExperimentConfig& cfg, const BenchArgs& args) {
   if (args.schedule_jitter_us == 0.0 && args.day_skew == 0.0) return;
   PerturbationConfig p = cfg.perturb;  // keep any bench-specific changes
@@ -174,6 +175,12 @@ inline void MaybeWriteSweep(const BenchArgs& args, const SweepResult& sweep,
                             const std::string& suffix = "") {
   if (args.out.empty()) return;
   const std::string stem = args.out + suffix;
+  // Every sweep took time to run: a zero means the bench never measured it.
+  if (!(sweep.wall_seconds > 0)) {
+    std::fprintf(stderr, "  --out: %s sweep carries no wall time\n",
+                 stem.c_str());
+    std::exit(1);
+  }
   try {
     WriteSweepJson(stem + ".json", sweep);
     WriteSweepCsv(stem + ".csv", sweep);
@@ -186,28 +193,17 @@ inline void MaybeWriteSweep(const BenchArgs& args, const SweepResult& sweep,
                stem.c_str(), kSweepSchemaVersion);
 }
 
-// Groups RunCases output (results in case order) into a SweepResult: each
-// run of `seeds_per_cell` consecutive cases is one cell, labelled by its
-// first case and aggregated across those cases' seeds.
+// Turns RunCases output (results in case order) into a SweepResult: each run
+// of `seeds_per_cell` consecutive cases is one cell (GroupCells).
+// `wall_seconds` is the measured wall time of the run that made `results`.
 inline SweepResult CaseSweep(const std::vector<SweepCase>& cases,
                              std::vector<ExperimentResult> results, int jobs,
+                             double wall_seconds,
                              std::size_t seeds_per_cell = 1) {
   SweepResult sweep;
+  sweep.cells = GroupCells(cases, std::move(results), seeds_per_cell);
   sweep.jobs = ResolveJobs(jobs);
-  for (std::size_t i = 0; i < cases.size(); i += seeds_per_cell) {
-    SweepCell cell;
-    cell.label = cases[i].label;
-    cell.variant = cases[i].config.workload.variant;
-    cell.schedule_label = cases[i].schedule_label;
-    cell.qdisc_label = cases[i].qdisc_label;
-    cell.duration = cases[i].config.duration;
-    for (std::size_t k = 0; k < seeds_per_cell; ++k) {
-      cell.runs.push_back(
-          SweepRun{cases[i + k].config.seed, std::move(results[i + k])});
-    }
-    cell.metrics = AggregateRuns(cell.runs);
-    sweep.cells.push_back(std::move(cell));
-  }
+  sweep.wall_seconds = wall_seconds;
   return sweep;
 }
 

@@ -292,16 +292,10 @@ std::vector<ExperimentResult> RunCases(const std::vector<SweepCase>& cases,
   return results;
 }
 
-SweepResult RunSweep(const SweepSpec& spec) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<SweepCase> cases = ExpandGrid(spec);
-  const std::size_t seeds_per_cell =
-      spec.seeds.empty() ? 1 : spec.seeds.size();
-
-  SweepResult out;
-  out.jobs = ResolveJobs(spec.jobs);
-  std::vector<ExperimentResult> results = RunCases(cases, spec.jobs);
-
+std::vector<SweepCell> GroupCells(const std::vector<SweepCase>& cases,
+                                  std::vector<ExperimentResult> results,
+                                  std::size_t seeds_per_cell) {
+  std::vector<SweepCell> cells;
   for (std::size_t i = 0; i < cases.size(); i += seeds_per_cell) {
     SweepCell cell;
     cell.label = cases[i].label;
@@ -315,9 +309,20 @@ SweepResult RunSweep(const SweepSpec& spec) {
           SweepRun{cases[i + k].config.seed, std::move(results[i + k])});
     }
     cell.metrics = AggregateRuns(cell.runs);
-    out.cells.push_back(std::move(cell));
+    cells.push_back(std::move(cell));
   }
+  return cells;
+}
 
+SweepResult RunSweep(const SweepSpec& spec) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<SweepCase> cases = ExpandGrid(spec);
+  const std::size_t seeds_per_cell =
+      spec.seeds.empty() ? 1 : spec.seeds.size();
+
+  SweepResult out;
+  out.jobs = ResolveJobs(spec.jobs);
+  out.cells = GroupCells(cases, RunCases(cases, spec.jobs), seeds_per_cell);
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

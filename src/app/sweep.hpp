@@ -144,6 +144,13 @@ SweepResult RunSweep(const SweepSpec& spec);
 std::vector<ExperimentResult> RunCases(const std::vector<SweepCase>& cases,
                                        int jobs);
 
+// Groups RunCases output (results in case order) into cells: each run of
+// `seeds_per_cell` consecutive cases is one cell, labelled by its first case
+// and aggregated across those cases' seeds.
+std::vector<SweepCell> GroupCells(const std::vector<SweepCase>& cases,
+                                  std::vector<ExperimentResult> results,
+                                  std::size_t seeds_per_cell);
+
 // Re-aggregates a cell's runs (exposed for tests and custom pipelines).
 std::vector<std::pair<std::string, MetricStats>> AggregateRuns(
     const std::vector<SweepRun>& runs);

@@ -43,12 +43,13 @@ void FaultInjector::Arm(Topology& topo) {
     for (RackId b = 0; b < racks; ++b) {
       if (a == b) continue;
       FabricPort* port = topo.port(a, b);
-      audited_voqs_.push_back(&port->voq());
+      audited_ports_.push_back(port);
       const std::uint32_t idx = subject++;
       ge_states_.emplace_back();
       if (!plan_.fabric.Empty()) {
-        port->SetFaultFilter([this, idx](const Packet& p) {
-          return RollLink(plan_.fabric, ge_states_[idx], p, idx);
+        port->SetFaultFilter([this, idx, port](const Packet& p) {
+          return RollLink(plan_.fabric, ge_states_[idx], p, idx,
+                          port->tx_start());
         });
       }
     }
@@ -58,8 +59,9 @@ void FaultInjector::Arm(Topology& topo) {
       const std::uint32_t idx = subject++;
       ge_states_.emplace_back();
       if (!plan_.host_links.Empty()) {
-        link->SetFaultFilter([this, idx](const Packet& p) {
-          return RollLink(plan_.host_links, ge_states_[idx], p, idx);
+        link->SetFaultFilter([this, idx, link](const Packet& p) {
+          return RollLink(plan_.host_links, ge_states_[idx], p, idx,
+                          link->tx_start());
         });
       }
     }
@@ -115,7 +117,8 @@ void FaultInjector::Arm(Topology& topo) {
 }
 
 bool FaultInjector::RollLink(const LinkFaultSpec& spec, GeState& ge,
-                             const Packet& p, std::uint32_t subject) {
+                             const Packet& p, std::uint32_t subject,
+                             SimTime at) {
   if (spec.gilbert_elliott) {
     // Advance the chain once per packet, then roll the state's loss prob.
     if (ge.bad) {
@@ -126,18 +129,18 @@ bool FaultInjector::RollLink(const LinkFaultSpec& spec, GeState& ge,
     const double loss = ge.bad ? spec.ge_loss_bad : spec.ge_loss_good;
     if (rng_.Bernoulli(loss)) {
       ++stats_.burst_dropped;
-      Record(FaultKind::kBurstLoss, p.id, subject);
+      Record(FaultKind::kBurstLoss, p.id, subject, at);
       return true;
     }
   }
   if (rng_.Bernoulli(spec.loss_rate)) {
     ++stats_.data_dropped;
-    Record(FaultKind::kDataLoss, p.id, subject);
+    Record(FaultKind::kDataLoss, p.id, subject, at);
     return true;
   }
   if (rng_.Bernoulli(spec.corrupt_rate)) {
     ++stats_.data_corrupted;
-    Record(FaultKind::kDataCorrupt, p.id, subject);
+    Record(FaultKind::kDataCorrupt, p.id, subject, at);
     return true;
   }
   return false;
@@ -188,8 +191,8 @@ void FaultInjector::OnNotify(const Packet& icmp, SimTime base_delay,
 }
 
 void FaultInjector::Record(FaultKind kind, std::uint64_t packet_id,
-                           std::uint32_t subject) {
-  trace_.push_back(FaultEvent{sim_.now(), kind, packet_id, subject});
+                           std::uint32_t subject, SimTime at) {
+  trace_.push_back(FaultEvent{at, kind, packet_id, subject});
 }
 
 std::uint64_t FaultInjector::TraceHash() const {
@@ -225,7 +228,8 @@ void FaultInjector::ScheduleAudit() {
 }
 
 void FaultInjector::Audit() const {
-  for (const QueueDisc* voq : audited_voqs_) {
+  for (const FabricPort* port : audited_ports_) {
+    const QueueDisc* voq = &port->voq();  // as of now: owed starts run first
     if (!voq->WithinBound()) {
       throw std::logic_error(
           "VOQ occupancy invariant violated: occupancy " +

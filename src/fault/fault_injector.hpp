@@ -94,13 +94,18 @@ class FaultInjector final : public FaultTraceSource {
     bool bad = false;
   };
 
-  // Returns true when the packet should be dropped; records the fault.
+  // Returns true when the packet should be dropped; records the fault at
+  // `at`, when the packet started serializing.
   bool RollLink(const LinkFaultSpec& spec, GeState& ge, const Packet& p,
-                std::uint32_t subject);
+                std::uint32_t subject, SimTime at);
   void OnNotify(const Packet& icmp, SimTime base_delay,
                 std::vector<SimTime>& delays_out, std::uint32_t rack);
   bool InStall(SimTime t) const;
-  void Record(FaultKind kind, std::uint64_t packet_id, std::uint32_t subject);
+  void Record(FaultKind kind, std::uint64_t packet_id, std::uint32_t subject,
+              SimTime at);
+  void Record(FaultKind kind, std::uint64_t packet_id, std::uint32_t subject) {
+    Record(kind, packet_id, subject, sim_.now());
+  }
   void ScheduleAudit();
   void Audit() const;
 
@@ -108,7 +113,7 @@ class FaultInjector final : public FaultTraceSource {
   FaultPlan plan_;
   Random rng_;
   std::vector<GeState> ge_states_;
-  std::vector<const QueueDisc*> audited_voqs_;
+  std::vector<const FabricPort*> audited_ports_;
   std::vector<FaultEvent> trace_;
   FaultStats stats_;
   bool armed_ = false;

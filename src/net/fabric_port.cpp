@@ -34,7 +34,7 @@ void FabricPort::SetMode(const NetworkMode& mode) {
   // is not a service or admission event, so it must not distort sojourn
   // stats, advance the AQM, or manufacture drops for packets the queue
   // already admitted.
-  QueueDisc& voq = link_.queue();
+  QueueDisc& voq = link_.queue_before_retarget();
   if (!voq.Empty()) {
     drain_scratch_.clear();
     voq.DrainRawInto(drain_scratch_);  // one batched structural pop
@@ -58,6 +58,7 @@ void FabricPort::SetMode(const NetworkMode& mode) {
 
 void FabricPort::Enqueue(Packet&& p) {
   if (p.pinned_path != kUnpinned && p.pinned_path != active_path()) {
+    link_.CatchUp();  // owed starts see the stashes as they were
     auto& stash = stash_[p.pinned_path];
     if (stash.size() >= pinned_stash_capacity_) {
       ++pinned_dropped_;
@@ -71,6 +72,7 @@ void FabricPort::Enqueue(Packet&& p) {
 }
 
 std::uint32_t FabricPort::pinned_waiting() const {
+  link_.CatchUp();  // an owed start may yet top the VOQ up from a stash
   return static_cast<std::uint32_t>(stash_[0].size() + stash_[1].size());
 }
 

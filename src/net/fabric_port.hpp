@@ -10,7 +10,11 @@
 // The VOQ, the serializer, the blackout, the fault filter, the jitter and
 // the arrival stream are a Link the port owns: the simulator's one transmit
 // loop. A mode change retargets that Link's rate, propagation and circuit
-// mark; the port keeps only the mode itself and the pinned stash.
+// mark; the port keeps only the mode itself and the pinned stash. The Link
+// runs the starts it owes lazily (link.hpp), so every way into the port
+// (Enqueue, SetMode, SetBlackout, voq(), pinned_waiting(), fault_dropped())
+// first brings the Link up to now: a packet queued behind the busy wire
+// costs no event of its own, only its arrival.
 //
 // MPTCP experiments pin subflows to one network (§2.2). Pinned packets whose
 // network is not currently active wait in a side stash and join the VOQ when
@@ -78,6 +82,7 @@ class FabricPort {
     link_.SetFaultFilter(std::move(filter));
   }
   std::uint64_t fault_dropped() const { return link_.fault_dropped(); }
+  SimTime tx_start() const { return link_.tx_start(); }
 
   const std::string& name() const { return link_.name(); }
 

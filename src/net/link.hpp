@@ -5,13 +5,28 @@
 //
 // Packets serialize back-to-back at `rate_bps`, then arrive at the sink
 // after `propagation`. Serialization start is the only point where the link
-// acts on a packet: it dequeues the head and schedules the arrival at
-// start + tx + propagation, so a packet that finds the transmitter idle
-// costs one event. While the queue (or the stash it tops up from) holds
-// packets, exactly one start event waits for the wire to free up. A link
-// can be disabled (RDCN night): the in-progress transmission completes,
-// queued packets wait. Optional random jitter models intra-TDN reordering
-// (off by default; Fig. 10's baseline reordering experiments enable it).
+// acts on a packet: at start time t it dequeues the head and schedules the
+// arrival at t + tx + propagation, so every packet costs one event, its
+// arrival. A packet that queues behind a busy wire takes no event of its
+// own: the link records that a start is owed at busy_until_ and runs it,
+// still at its own time, when the link is next touched (Enqueue,
+// set_enabled, Retarget, CatchUp, a queue() read) or when the packet in
+// flight arrives at busy_until_ + propagation, whichever comes first. A
+// start event at busy_until_ is armed only where that arrival is missing or
+// could come too late: the wire dropped the packet (fault filter), the link
+// draws jitter, the queue shares a SharedBufferPool (other queues' admission
+// reads its occupancy), or a Retarget may have shortened the propagation.
+//
+// Tie rule: a night (set_enabled(false)) or a Retarget at exactly
+// busy_until_ acts first, so the owed start is held or leaves on the new
+// wire; anything else at that instant finds the start already run. An armed
+// start event fires in event order, behind a controller boundary scheduled
+// long before it.
+//
+// A link can be disabled (RDCN night): the in-progress transmission
+// completes, queued packets wait. Optional random jitter models intra-TDN
+// reordering (off by default; Fig. 10's baseline reordering experiments
+// enable it).
 #pragma once
 
 #include <cstdint>
@@ -47,10 +62,10 @@ class Link {
   void Enqueue(Packet&& p);
 
   // Fault-injection hook (src/fault): consulted once per packet when it
-  // starts serializing. Returning true drops the packet on the wire (loss
-  // or corruption; a corrupted packet fails the receiver checksum, which is
-  // indistinguishable from loss here); it still holds the transmitter for
-  // its tx time.
+  // starts serializing, which may lie before now (see tx_start()). Returning
+  // true drops the packet on the wire (loss or corruption; a corrupted
+  // packet fails the receiver checksum, which is indistinguishable from loss
+  // here); it still holds the transmitter for its tx time.
   using FaultFilter = std::function<bool(const Packet&)>;
   void SetFaultFilter(FaultFilter filter) {
     fault_filter_ = std::move(filter);
@@ -58,7 +73,13 @@ class Link {
     // branch when no filter is installed instead of a std::function probe.
     has_fault_filter_ = static_cast<bool>(fault_filter_);
   }
-  std::uint64_t fault_dropped() const { return fault_dropped_; }
+  std::uint64_t fault_dropped() const {
+    CatchUp();
+    return fault_dropped_;
+  }
+  // When the most recent serialization started: inside the fault filter,
+  // the time the filtered packet starts serializing.
+  SimTime tx_start() const { return tx_start_; }
 
   // Night/blackout control: a disabled link does not start new
   // transmissions; the one in flight (if any) still completes and
@@ -75,14 +96,51 @@ class Link {
   void Retarget(std::uint64_t rate_bps, SimTime propagation, bool circuit,
                 VectorFifo<Packet*>* stash);
 
-  QueueDisc& queue() { return queue_; }
-  const QueueDisc& queue() const { return queue_; }
+  // Runs every start owed until now, each at its own time, so that no
+  // reader sees a packet the wire has already taken. Enqueue and every
+  // reader (queue(), fault_dropped()) call it, and so does the owner of a
+  // stash before it touches one. It is const because it only brings the
+  // link up to now: a start run late differs from one run on time only in
+  // its arrival's place among same-time events and in when its fault draw
+  // is taken.
+  void CatchUp() const {
+    const_cast<Link*>(this)->RunOwedStarts(/*inclusive=*/true);
+  }
+
+  // The queue as of now.
+  QueueDisc& queue() {
+    CatchUp();
+    return queue_;
+  }
+  const QueueDisc& queue() const {
+    CatchUp();
+    return queue_;
+  }
+  // The queue as a mode flip at now finds it, for an owner that repacks it
+  // before calling Retarget (FabricPort::SetMode): a start owed at exactly
+  // now has not run yet, since the flip wins that tie.
+  QueueDisc& queue_before_retarget() {
+    RunOwedStarts(/*inclusive=*/false);
+    return queue_;
+  }
   const std::string& name() const { return config_.name; }
 
  private:
-  // Starts serializing the head when the wire is free (the packet's arrival
-  // is scheduled right then), else arms the one start event at busy_until_.
+  // Runs owed starts while the wire frees before now, or at now too when
+  // `inclusive` (every caller but a night and a mode flip).
+  void RunOwedStarts(bool inclusive);
+  // After an entry point acted: starts serializing at once when the wire is
+  // free, else owes a start at busy_until_ if a packet waits.
   void MaybeTransmit();
+  // Serializes the next waiting packet at `t` (the wire is free by then);
+  // the arrival is scheduled right away, even when `t` lies before now.
+  void Start(SimTime t);
+  // Records the start owed at busy_until_, arming the start event unless
+  // the packet in flight will arrive in time to run it.
+  void OweStart();
+  bool Waiting() const {
+    return !queue_.Empty() || (stash_ != nullptr && !stash_->empty());
+  }
   // Moves stashed handles into the queue while it would admit them.
   void TopUpFromStash();
 
@@ -93,8 +151,13 @@ class Link {
   QueueDisc queue_;
   FaultFilter fault_filter_;
   bool has_fault_filter_ = false;
-  SimTime busy_until_;        // end of the serialization in progress
-  bool kick_pending_ = false;  // a start event waits at busy_until_
+  SimTime busy_until_;  // end of the serialization in progress
+  SimTime tx_start_;    // start of the serialization in progress
+  bool start_owed_ = false;   // a packet waits for the wire at busy_until_
+  // The in-flight packet's arrival lands at busy_until_ + propagation, in
+  // time to run the owed start.
+  bool covered_ = false;
+  bool start_armed_ = false;  // a start event is pending
   bool enabled_ = true;
   bool circuit_ = false;  // stamp circuit_mark at serialization start
   VectorFifo<Packet*>* stash_ = nullptr;  // not owned

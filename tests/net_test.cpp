@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -197,9 +199,10 @@ TEST(Link, ReorderJitterCanReorder) {
   EXPECT_TRUE(reordered);
 }
 
-// Stage contract: a stage acts on a packet once, when it starts serializing.
-// A packet that finds the transmitter idle costs one event (its arrival); a
-// packet queued behind the wire costs one more (the start event).
+// Stage contract: a stage acts on a packet once, when it starts serializing,
+// and every packet costs one event, its arrival. A packet queued behind the
+// wire takes no start event: the packet in flight runs its start when it
+// arrives, or the next touch of the stage does (DESIGN.md §4).
 
 Link::Config StageLink() {
   Link::Config lc;
@@ -218,7 +221,7 @@ TEST(Link, LonePacketCostsOneEvent) {
   EXPECT_EQ(sim.events_executed(), 1u);
 }
 
-TEST(Link, SameTimeBurstCostsTwoNMinusOneEvents) {
+TEST(Link, SameTimeBurstCostsNEvents) {
   constexpr std::uint64_t kBurst = 7;
   Simulator sim;
   CaptureSink sink;
@@ -226,7 +229,7 @@ TEST(Link, SameTimeBurstCostsTwoNMinusOneEvents) {
   for (std::uint64_t i = 0; i < kBurst; ++i) link.Enqueue(MakeData(9000));
   sim.Run();
   EXPECT_EQ(sink.packets.size(), kBurst);
-  EXPECT_EQ(sim.events_executed(), 2 * kBurst - 1);
+  EXPECT_EQ(sim.events_executed(), kBurst);
   EXPECT_EQ(sim.now(), SimTime::Nanos(kBurst * 7200) + SimTime::Micros(1));
 }
 
@@ -443,7 +446,7 @@ TEST(FabricPort, LonePacketAndBurstEventCounts) {
     for (std::uint64_t i = 0; i < kBurst; ++i) port.Enqueue(MakeData(9000));
     sim.Run();
     EXPECT_EQ(sink.packets.size(), kBurst);
-    EXPECT_EQ(sim.events_executed(), 2 * kBurst - 1);
+    EXPECT_EQ(sim.events_executed(), kBurst);
   }
 }
 
@@ -639,7 +642,411 @@ TEST(FabricPort, LiftingAnAbsentBlackoutAddsNoEvent) {
   }
   sim.Run();
   EXPECT_EQ(sink.packets.size(), kBurst);
-  EXPECT_EQ(sim.events_executed(), 2 * kBurst - 1);
+  EXPECT_EQ(sim.events_executed(), kBurst);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy starts: an oracle for the stage contract
+// ---------------------------------------------------------------------------
+
+// One input to a stage, applied at `at` in schedule order.
+struct StageInput {
+  enum Kind { kEnqueue, kDisable, kEnable, kRetarget } kind;
+  SimTime at;
+  std::uint64_t id = 0;  // kEnqueue
+  std::uint32_t size = 0;
+  std::int8_t pin = kUnpinned;
+  int mode = 0;  // kRetarget: index into the mode table
+};
+
+// (arrival ps, packet id, circuit mark)
+using StageDelivery = std::tuple<std::int64_t, std::uint64_t, bool>;
+// (packet id, serialization start ps) of every wire drop, in start order
+using StageFault = std::pair<std::uint64_t, std::int64_t>;
+
+// The stage as Lindley's recursion, with no events and no owed state: the
+// k-th packet to leave the queue starts at max(when it could start, previous
+// start + previous tx) and arrives tx + propagation (+ jitter) later. Inputs
+// are applied in (time, schedule) order. Before each one, the starts the
+// wire reaches strictly before its time run, and so does one due exactly
+// then unless the input is a night or a mode flip (the tie rule); after it,
+// a free wire starts at once. A disabled stage holds its starts until it is
+// enabled again. Pinned packets and the repack follow FabricPort; a plain
+// Link sees no pins.
+class StageOracle {
+ public:
+  StageOracle(std::uint32_t capacity, std::uint32_t stash_capacity,
+              NetworkMode mode, SimTime jitter, std::uint64_t jitter_seed,
+              std::function<bool(std::uint64_t)> drops)
+      : capacity_(capacity), stash_capacity_(stash_capacity), mode_(mode),
+        jitter_(jitter), rng_(jitter_seed), drops_(std::move(drops)) {}
+
+  void Apply(const StageInput& in, const std::vector<NetworkMode>& modes) {
+    while (enabled_ && Waiting() && free_at_ < in.at) Start(free_at_);
+    if (enabled_ && Waiting() && free_at_ == in.at) {
+      ++ties;
+      // A night or a mode flip acts first; anything else finds the
+      // packet gone.
+      if (in.kind == StageInput::kEnqueue || in.kind == StageInput::kEnable) {
+        Start(free_at_);
+      }
+    }
+    switch (in.kind) {
+      case StageInput::kEnqueue: {
+        const Pkt p{in.id, in.size, in.pin};
+        if (p.pin != kUnpinned && p.pin != Active()) {
+          if (stash_[p.pin].size() >= stash_capacity_) {
+            ++pinned_drops;
+          } else {
+            stash_[p.pin].push_back(p);
+          }
+        } else if (voq_.size() >= capacity_) {
+          ++voq_drops;
+        } else {
+          voq_.push_back(p);
+        }
+        break;
+      }
+      case StageInput::kDisable: enabled_ = false; break;
+      case StageInput::kEnable: enabled_ = true; break;
+      case StageInput::kRetarget: {
+        mode_ = modes[static_cast<std::size_t>(in.mode)];
+        std::deque<Pkt> kept;
+        for (const Pkt& p : voq_) {
+          if (p.pin == kUnpinned || p.pin == Active()) {
+            kept.push_back(p);
+          } else if (stash_[p.pin].size() >= stash_capacity_) {
+            ++pinned_drops;
+          } else {
+            stash_[p.pin].push_back(p);
+          }
+        }
+        voq_ = std::move(kept);
+        TopUp();
+        break;
+      }
+    }
+    while (enabled_ && Waiting() && free_at_ <= in.at) Start(in.at);
+  }
+
+  void Finish() {
+    while (enabled_ && Waiting()) Start(free_at_);
+  }
+
+  std::vector<StageDelivery> deliveries;
+  std::vector<StageFault> faults;
+  std::uint64_t voq_drops = 0;
+  std::uint64_t pinned_drops = 0;
+  std::uint64_t ties = 0;  // inputs landing exactly on a start
+
+ private:
+  struct Pkt {
+    std::uint64_t id;
+    std::uint32_t size;
+    std::int8_t pin;
+  };
+  int Active() const { return mode_.circuit ? 1 : 0; }
+  bool Waiting() const { return !voq_.empty() || !stash_[Active()].empty(); }
+  void TopUp() {
+    auto& stash = stash_[Active()];
+    while (!stash.empty() && voq_.size() < capacity_) {
+      voq_.push_back(stash.front());
+      stash.pop_front();
+    }
+  }
+  void Start(SimTime t) {
+    TopUp();
+    const Pkt p = voq_.front();
+    voq_.pop_front();
+    const SimTime tx = TransmissionTime(p.size, mode_.rate_bps);
+    free_at_ = t + tx;
+    if (drops_(p.id)) {
+      faults.emplace_back(p.id, t.picos());
+      return;
+    }
+    SimTime delay = tx + mode_.propagation;
+    if (!jitter_.IsZero()) delay += rng_.UniformTime(SimTime::Zero(), jitter_);
+    deliveries.emplace_back((t + delay).picos(), p.id, mode_.circuit);
+  }
+
+  std::uint32_t capacity_;
+  std::uint32_t stash_capacity_;
+  NetworkMode mode_;
+  SimTime jitter_;
+  Random rng_;
+  std::function<bool(std::uint64_t)> drops_;
+  std::deque<Pkt> voq_;
+  std::deque<Pkt> stash_[2];
+  bool enabled_ = true;
+  SimTime free_at_ = SimTime::Zero();
+};
+
+// Random traffic on a 100 ns grid (64 B to 9000 B in 125 B steps: a whole
+// number of 100 ns at 10 Gbps, so starts, inputs and frees often tie),
+// same-instant bursts, pins, blackouts, and retargets that land anywhere,
+// mid-serialization included.
+std::vector<StageInput> RandomStageInputs(std::uint64_t seed, bool pins,
+                                          int num_modes) {
+  Random rng(seed);
+  constexpr std::int64_t kSteps = 15'000;  // 1.5 ms
+  const auto grid = [](std::int64_t step) { return SimTime::Nanos(100 * step); };
+  std::vector<StageInput> in;
+  std::uint64_t id = 1;
+  for (int n = 0; n < 1500;) {
+    const SimTime at = grid(rng.UniformInt(0, kSteps));
+    const int burst =
+        rng.Bernoulli(0.25) ? static_cast<int>(rng.UniformInt(2, 4)) : 1;
+    for (int b = 0; b < burst; ++b, ++n) {
+      StageInput e{StageInput::kEnqueue, at};
+      e.id = id++;
+      e.size = static_cast<std::uint32_t>(125 * rng.UniformInt(1, 72));
+      if (pins && rng.Bernoulli(0.15)) {
+        e.pin = static_cast<std::int8_t>(rng.UniformInt(0, 1));
+      }
+      in.push_back(e);
+    }
+  }
+  for (std::int64_t step = 0; step < kSteps;) {
+    step += rng.UniformInt(300, 1500);
+    in.push_back({StageInput::kDisable, grid(step)});
+    step += rng.UniformInt(1, 300);
+    in.push_back({StageInput::kEnable, grid(step)});
+  }
+  for (int k = 0; k < 40; ++k) {
+    StageInput e{StageInput::kRetarget, grid(rng.UniformInt(0, kSteps))};
+    e.mode = static_cast<int>(rng.UniformInt(0, num_modes - 1));
+    in.push_back(e);
+  }
+  std::stable_sort(in.begin(), in.end(),
+                   [](const StageInput& a, const StageInput& b) {
+                     return a.at < b.at;
+                   });
+  return in;
+}
+
+struct OracleCase {
+  const char* name;
+  bool faults;
+  bool jitter;
+  SimTime circuit_propagation;
+};
+
+const OracleCase kOracleCases[] = {
+    {"plain", false, false, SimTime::Micros(1)},
+    {"wire drops", true, false, SimTime::Micros(1)},
+    {"jitter", false, true, SimTime::Micros(1)},
+    {"drops and jitter", true, true, SimTime::Micros(1)},
+    {"zero propagation", true, false, SimTime::Zero()},
+};
+
+// Every tenth-or-so packet is lost on the wire; a pure function of the id,
+// so the stage and the oracle agree however late a start runs.
+bool OracleDrops(std::uint64_t id) { return id % 11 == 3; }
+
+// Drives a stage and the oracle with the same inputs and compares every
+// delivery (time, id, circuit mark), every wire drop (id, start time) and
+// the drop counts. `Stage` adapts a Link or a FabricPort.
+template <typename Stage>
+void CheckAgainstOracle(std::uint64_t seed, const OracleCase& c, bool pins) {
+  SCOPED_TRACE(testing::Message() << c.name << ", seed " << seed);
+  const std::vector<NetworkMode> modes = {
+      {0, 10'000'000'000, SimTime::Micros(3), false},
+      {1, 100'000'000'000, c.circuit_propagation, true},
+      {0, 40'000'000'000, SimTime::Micros(2), false},
+  };
+  const SimTime jitter = c.jitter ? SimTime::Micros(4) : SimTime::Zero();
+  constexpr std::uint32_t kCapacity = 24;
+  constexpr std::uint32_t kStash = 8;
+  const std::vector<StageInput> inputs =
+      RandomStageInputs(seed, pins, pins ? 2 : 3);
+
+  Simulator sim;
+  Random stage_rng(seed + 1000);
+  CaptureSink sink;
+  Stage stage(sim, modes[0], jitter, kCapacity, kStash, &sink, &stage_rng);
+  std::vector<StageFault> faults;
+  if (c.faults) {
+    stage.SetFaultFilter([&](const Packet& p) {
+      if (!OracleDrops(p.id)) return false;
+      faults.emplace_back(p.id, stage.tx_start().picos());
+      return true;
+    });
+  }
+  StageOracle oracle(kCapacity, kStash, modes[0], jitter, seed + 1000,
+                     c.faults ? OracleDrops
+                              : [](std::uint64_t) { return false; });
+  for (const StageInput& in : inputs) {
+    sim.ScheduleAtNoCancel(in.at, [&stage, &modes, e = &in] {
+      switch (e->kind) {
+        case StageInput::kEnqueue: {
+          Packet p = MakeData(e->size);
+          p.id = e->id;
+          p.pinned_path = e->pin;
+          stage.Enqueue(std::move(p));
+          break;
+        }
+        case StageInput::kDisable: stage.SetEnabled(false); break;
+        case StageInput::kEnable: stage.SetEnabled(true); break;
+        case StageInput::kRetarget:
+          stage.Retarget(modes[static_cast<std::size_t>(e->mode)]);
+          break;
+      }
+    });
+    oracle.Apply(in, modes);
+  }
+  oracle.Finish();
+  sim.Run();
+
+  std::vector<StageDelivery> got;
+  for (const Packet& p : sink.packets) {
+    got.emplace_back(p.enqueue_time.picos(), p.id, p.circuit_mark);
+  }
+  std::sort(got.begin(), got.end());
+  std::vector<StageDelivery> want = oracle.deliveries;
+  std::sort(want.begin(), want.end());
+  ASSERT_GT(want.size(), 600u);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(faults, oracle.faults);
+  EXPECT_EQ(stage.fault_dropped(), oracle.faults.size());
+  EXPECT_EQ(stage.queue().stats().dropped, oracle.voq_drops);
+  EXPECT_EQ(stage.pinned_dropped(), oracle.pinned_drops);
+  EXPECT_GT(oracle.voq_drops, 0u);
+  EXPECT_GT(oracle.ties, 0u);
+  if (pins) {
+    EXPECT_GT(oracle.pinned_drops, 0u);
+  }
+}
+
+// Stamps each delivery's arrival time into enqueue_time (unused after the
+// stage) so CheckAgainstOracle can read it off the captured packet.
+struct ArrivalStamp : PacketSink {
+  ArrivalStamp(Simulator& sim, PacketSink* next) : sim(sim), next(next) {}
+  void HandlePacket(Packet&& p) override {
+    p.enqueue_time = sim.now();
+    next->HandlePacket(std::move(p));
+  }
+  Simulator& sim;
+  PacketSink* next;
+};
+
+struct LinkStage {
+  LinkStage(Simulator& sim, const NetworkMode& mode, SimTime jitter,
+            std::uint32_t capacity, std::uint32_t, PacketSink* sink,
+            Random* rng)
+      : stamp(sim, sink),
+        link(sim,
+             Link::Config{.rate_bps = mode.rate_bps,
+                          .propagation = mode.propagation,
+                          .queue = {.capacity_packets = capacity},
+                          .reorder_jitter = jitter,
+                          .name = "oracle link"},
+             &stamp, rng) {}
+  void Enqueue(Packet&& p) { link.Enqueue(std::move(p)); }
+  void SetEnabled(bool on) { link.set_enabled(on); }
+  void Retarget(const NetworkMode& m) {
+    link.Retarget(m.rate_bps, m.propagation, m.circuit, nullptr);
+  }
+  void SetFaultFilter(Link::FaultFilter f) { link.SetFaultFilter(std::move(f)); }
+  SimTime tx_start() const { return link.tx_start(); }
+  std::uint64_t fault_dropped() const { return link.fault_dropped(); }
+  const QueueDisc& queue() const { return link.queue(); }
+  std::uint64_t pinned_dropped() const { return 0; }
+  ArrivalStamp stamp;
+  Link link;
+};
+
+struct PortStage {
+  PortStage(Simulator& sim, const NetworkMode& mode, SimTime jitter,
+            std::uint32_t capacity, std::uint32_t stash, PacketSink* sink,
+            Random* rng)
+      : stamp(sim, sink),
+        port(sim,
+             FabricPort::Config{.voq = {.capacity_packets = capacity},
+                                .initial_mode = mode,
+                                .reorder_jitter = jitter,
+                                .pinned_stash_capacity = stash,
+                                .name = "oracle port"},
+             &stamp, rng) {}
+  void Enqueue(Packet&& p) { port.Enqueue(std::move(p)); }
+  void SetEnabled(bool on) { port.SetBlackout(!on); }
+  void Retarget(const NetworkMode& m) { port.SetMode(m); }
+  void SetFaultFilter(Link::FaultFilter f) { port.SetFaultFilter(std::move(f)); }
+  SimTime tx_start() const { return port.tx_start(); }
+  std::uint64_t fault_dropped() const { return port.fault_dropped(); }
+  const QueueDisc& queue() const { return port.voq(); }
+  std::uint64_t pinned_dropped() const { return port.pinned_dropped(); }
+  ArrivalStamp stamp;
+  FabricPort port;
+};
+
+TEST(LazyStarts, LinkMatchesLindleyOracle) {
+  for (const OracleCase& c : kOracleCases) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      CheckAgainstOracle<LinkStage>(seed, c, /*pins=*/false);
+    }
+  }
+}
+
+TEST(LazyStarts, FabricPortMatchesLindleyOracle) {
+  for (const OracleCase& c : kOracleCases) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      CheckAgainstOracle<PortStage>(seed, c, /*pins=*/true);
+    }
+  }
+}
+
+// The tie rule: a night or a mode flip at exactly busy_until_ acts before
+// the start owed then; anything else at that instant finds the start run.
+// 9000 B at 10 Gbps frees the wire at 7.2 us.
+TEST(LazyStarts, TouchAtBusyUntilActsBeforeTheOwedStart) {
+  const SimTime free = SimTime::Nanos(7200);
+  {  // A night at busy_until_ holds the next start until it lifts.
+    Simulator sim;
+    CaptureSink sink;
+    Link link(sim, StageLink(), &sink);
+    sim.ScheduleAtNoCancel(free, [&] { link.set_enabled(false); });
+    sim.ScheduleAtNoCancel(SimTime::Micros(20), [&] { link.set_enabled(true); });
+    link.Enqueue(MakeData(9000));
+    link.Enqueue(MakeData(9000));
+    sim.Run();
+    ASSERT_EQ(sink.packets.size(), 2u);
+    EXPECT_EQ(sim.now(), SimTime::Micros(20) + free + SimTime::Micros(1));
+  }
+  {  // A mode flip at busy_until_ sends the next packet on the new network.
+    Simulator sim;
+    CaptureSink sink;
+    FabricPort port(sim, PortConfig(), &sink);  // 10G, 48 us
+    sim.ScheduleAtNoCancel(free, [&] { port.SetMode(CircuitMode()); });
+    port.Enqueue(MakeData(9000));
+    port.Enqueue(MakeData(9000));
+    // The second packet: 0.72 us of tx at 100 Gbps, then 18 us.
+    const SimTime circuit_arrival =
+        free + SimTime::Nanos(720) + SimTime::Micros(18);
+    sim.RunUntil(circuit_arrival - SimTime::Picos(1));
+    EXPECT_TRUE(sink.packets.empty());
+    sim.RunUntil(circuit_arrival);
+    ASSERT_EQ(sink.packets.size(), 1u);
+    EXPECT_TRUE(sink.packets[0].circuit_mark);
+    sim.Run();  // the first packet keeps its 48 us
+    ASSERT_EQ(sink.packets.size(), 2u);
+    EXPECT_FALSE(sink.packets[1].circuit_mark);
+    EXPECT_EQ(sink.packets[0].id, sink.packets[1].id + 1);
+    EXPECT_EQ(sim.now(), free + SimTime::Micros(48));
+  }
+  {  // Anything else at busy_until_ finds the head gone: an enqueue fits
+     // into the place it left.
+    Simulator sim;
+    CaptureSink sink;
+    Link::Config lc = StageLink();
+    lc.queue.capacity_packets = 1;
+    Link link(sim, lc, &sink);
+    sim.ScheduleAtNoCancel(free, [&] { link.Enqueue(MakeData(9000)); });
+    link.Enqueue(MakeData(9000));  // serializes at once
+    link.Enqueue(MakeData(9000));  // fills the queue
+    sim.Run();
+    EXPECT_EQ(sink.packets.size(), 3u);
+    EXPECT_EQ(link.queue().stats().dropped, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

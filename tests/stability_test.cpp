@@ -549,10 +549,11 @@ TEST(PerturbedRun, SchedulerDigestsArePinned) {
         restart_holds, tdn_reconfigs;
   };
   // Computed with the two controllers' own copies of the week clock, before
-  // they shared one.
+  // they shared one. sim_events re-pinned (105238 and 205646 before) when
+  // a link stopped taking a start event per queued packet (DESIGN.md §4).
   const Pin pins[] = {
-      {16931321407018506682ull, 12240419489989286690ull, 105238, 3, 1, 0},
-      {3733389989854953441ull, 4496496656601076698ull, 205646, 2, 1, 4},
+      {16931321407018506682ull, 12240419489989286690ull, 87303, 3, 1, 0},
+      {3733389989854953441ull, 4496496656601076698ull, 179949, 2, 1, 4},
   };
   const ExperimentConfig* configs[] = {&pair, &rotor};
   for (int i = 0; i < 2; ++i) {
