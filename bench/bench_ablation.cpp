@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     c.config.workload.base.per_tdn_rtt = row.per_tdn_rtt;
     c.config.workload.base.synthesized_rto = row.synth_rto;
     c.config.workload.base.pacing_enabled = row.pacing;
-    ApplyPerturbation(c.config, args);
+    ApplyBenchFlags(c.config, args);
     cases.push_back(std::move(c));
   }
 

@@ -8,10 +8,6 @@
 // the control.
 #include "bench_util.hpp"
 
-#include "rdcn/controller.hpp"
-#include "sim/random.hpp"
-#include "sim/simulator.hpp"
-
 using namespace tdtcp;
 using namespace tdtcp::bench;
 
@@ -25,37 +21,26 @@ struct FairnessResult {
 
 FairnessResult MeasureFairness(Variant v, int ms, int flows, bool rdcn,
                                const BenchArgs& args) {
-  ExperimentConfig cfg = PaperConfig(v);
-  cfg.workload.num_flows = static_cast<std::uint32_t>(flows);
+  ExperimentConfig cfg = PaperConfig(v)
+                             .WithFlows(static_cast<std::uint32_t>(flows))
+                             .WithDurationMs(ms)
+                             .WithSampling(false, false);
   // Static packet network control: the circuit never visits this pair.
   if (!rdcn) cfg.schedule.circuit_day = ScheduleConfig::kNoCircuitDay;
-  ApplyPerturbation(cfg, args);
-  Simulator sim;
-  Random rng(cfg.seed);
-  Topology topo(sim, rng, cfg.topology);
-  RdcnController::Config rc;
-  rc.schedule = cfg.schedule;
-  rc.packet_mode = cfg.topology.packet_mode;
-  rc.circuit_mode = cfg.topology.circuit_mode;
-  rc.dynamic_voq = cfg.dynamic_voq;
-  rc.perturb = cfg.perturb;
-  rc.seed = cfg.seed;
-  RdcnController controller(sim, rc, {topo.port(0, 1), topo.port(1, 0)},
-                            {topo.tor(0), topo.tor(1)});
-  Workload workload(sim, topo, cfg.workload);
-  controller.Start();
-  workload.Start();
+  ApplyBenchFlags(cfg, args);
+  Experiment exp(cfg);
+  Workload& workload = exp.workload();
 
   // Measure per-flow bytes over the post-warmup window.
-  const SimTime warmup = SimTime::Millis(ms / 8);
+  const SimTime warmup = cfg.warmup;
   std::vector<std::uint64_t> at_warmup(flows, 0);
-  sim.Schedule(warmup, [&] {
+  exp.sim().ScheduleAt(warmup, [&] {
     for (int i = 0; i < flows; ++i) {
       at_warmup[static_cast<std::size_t>(i)] =
           workload.flows()[static_cast<std::size_t>(i)].bytes_acked();
     }
   });
-  sim.RunUntil(SimTime::Millis(ms));
+  exp.RunUntil(cfg.duration);
 
   FairnessResult out;
   double sum = 0, sum_sq = 0, max_v = 0, min_v = 1e30;
@@ -70,8 +55,7 @@ FairnessResult MeasureFairness(Variant v, int ms, int flows, bool rdcn,
   }
   out.jain = (sum * sum) / (flows * sum_sq);
   out.max_min_ratio = min_v > 0 ? max_v / min_v : 1e9;
-  out.aggregate_gbps =
-      sum * 8.0 / (SimTime::Millis(ms) - warmup).seconds() / 1e9;
+  out.aggregate_gbps = sum * 8.0 / (cfg.duration - warmup).seconds() / 1e9;
   return out;
 }
 

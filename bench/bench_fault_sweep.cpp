@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "  sweep: %zu points x %d seed%s, jobs=%d...\n",
                cases.size() / seeds.size(), args.seeds,
                args.seeds == 1 ? "" : "s", ResolveJobs(args.jobs));
-  for (SweepCase& c : cases) ApplyPerturbation(c.config, args);
+  for (SweepCase& c : cases) ApplyBenchFlags(c.config, args);
   std::vector<ExperimentResult> results;
   const double wall_ns = WallNs([&] { results = RunCases(cases, args.jobs); });
 

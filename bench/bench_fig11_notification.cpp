@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       {"optimized", NotifyConfig(ms, true)},
       {"unoptimized", NotifyConfig(ms, false)},
   };
-  for (SweepCase& c : cases) ApplyPerturbation(c.config, args);
+  for (SweepCase& c : cases) ApplyBenchFlags(c.config, args);
   std::vector<ExperimentResult> results;
   const double wall_ns = WallNs([&] { results = RunCases(cases, args.jobs); });
   MaybeWriteSweep(args, CaseSweep(cases, results, args.jobs, wall_ns / 1e9));

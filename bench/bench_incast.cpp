@@ -19,9 +19,6 @@
 // with tools/bench_compare.py --metric=NAME.
 #include "bench_util.hpp"
 
-#include "rdcn/controller.hpp"
-#include "sim/random.hpp"
-#include "sim/simulator.hpp"
 #include "tcp/tcp_connection.hpp"
 
 using namespace tdtcp;
@@ -59,33 +56,31 @@ struct IncastStats {
 
 // Under --schedule-jitter / --day-skew the controller runs the perturbed
 // schedule, while the waves still fire at the nominal night->day edges.
+// The run is an Experiment with no long-lived flows and no sampling; the
+// waves are its only traffic.
 IncastStats MeasureIncast(const QueueDisc::Config& voq, int waves,
                           const BenchArgs& args) {
-  ExperimentConfig cfg = PaperConfig(Variant::kTdtcp);
-  cfg.topology.voq = voq;
-  ApplyPerturbation(cfg, args);
-  Simulator sim;
-  Random rng(cfg.seed);
-  Topology topo(sim, rng, cfg.topology);
-  RdcnController::Config rc;
-  rc.schedule = cfg.schedule;
-  rc.packet_mode = cfg.topology.packet_mode;
-  rc.circuit_mode = cfg.topology.circuit_mode;
-  rc.perturb = cfg.perturb;
-  rc.seed = cfg.seed;
-  RdcnController controller(sim, rc, {topo.port(0, 1), topo.port(1, 0)},
-                            {topo.tor(0), topo.tor(1)});
-  controller.Start();
+  ExperimentConfig cfg =
+      PaperConfig(Variant::kTdtcp).WithFlows(0).WithSampling(false, false);
+  ApplyBenchFlags(cfg, args);
+  cfg.topology.voq = voq;  // the axis value; --qdisc only filters the axis
+  const Schedule schedule(cfg.schedule);
+  const SimTime week = schedule.week_length();
+  cfg.duration = week * (waves + 2) + SimTime::Millis(2);
+  Experiment exp(cfg);
+  Simulator& sim = exp.sim();
+  Topology& topo = exp.topology();
 
   // ECN-capable transport under every discipline so the marking variants
   // have something to mark (capability, not DCTCP's response, is what the
-  // drop/mark profile needs).
-  TcpConfig base = MakeVariantConfig(Variant::kTdtcp, cfg.workload.base);
+  // drop/mark profile needs). The base is the run's effective one, so
+  // --recovery=off strips RACK and TLP here too (and under agent the
+  // connections register with each host's agent).
+  TcpConfig base =
+      MakeVariantConfig(Variant::kTdtcp, exp.workload().config().base);
   base.ecn_enabled = true;
   base.time_wait_duration = SimTime::Micros(10);
 
-  const Schedule schedule(cfg.schedule);
-  const SimTime week = schedule.week_length();
   // The circuit day's start within the week. The data barrier fires in the
   // middle of the blackout right before it, so the fan-in piles into the
   // VOQ while the fabric is dark and releases at the night->day edge; the
@@ -145,7 +140,7 @@ IncastStats MeasureIncast(const QueueDisc::Config& voq, int waves,
     }
   }
 
-  sim.RunUntil(week * (waves + 2) + SimTime::Millis(2));
+  exp.RunUntil(cfg.duration);
   stats.voq = topo.port(0, 1)->voq().stats();
   return stats;
 }

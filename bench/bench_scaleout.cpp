@@ -120,7 +120,7 @@ ExperimentConfig CellConfig(const Cell& cell, const ScaleoutArgs& sargs,
   cfg.churn.size_cap_bytes = 2'000'000;
   cfg.churn.hotspot_rack = 0;
   cfg.churn.hotspot_fraction = 0.5;
-  ApplyPerturbation(cfg, args);
+  ApplyBenchFlags(cfg, args);
   return cfg;
 }
 

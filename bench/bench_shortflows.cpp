@@ -73,7 +73,7 @@ ExperimentConfig CellConfig(const Cell& cell, const BenchArgs& args) {
   plan.fabric.ge_p_bad_to_good = 0.2;
   plan.control.notify_loss_rate = 0.05;
   cfg.fault = plan;
-  ApplyPerturbation(cfg, args);
+  ApplyBenchFlags(cfg, args);
   return cfg;
 }
 

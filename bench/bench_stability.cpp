@@ -91,9 +91,7 @@ ExperimentConfig CellConfig(const Cell& cell, const BenchArgs& args) {
     cfg.workload.base.rtt.min_rto = SimTime::Micros(cell.day_us * 8);
     cfg.workload.base.rtt.initial_rto = SimTime::Micros(cell.day_us * 8);
   }
-  ApplyQdisc(cfg, args);
-  ApplyRecovery(cfg, args);
-  ApplyPerturbation(cfg, args);
+  ApplyBenchFlags(cfg, args);
   return cfg;
 }
 

@@ -5,17 +5,20 @@
 //
 // Every bench accepts the shared flags
 //     ./bench_xxx [duration_ms] [--duration-ms=D] [--jobs=N] [--seeds=K]
-//                 [--qdisc=NAME] [--out=path] [--schedule-jitter=US]
-//                 [--day-skew=S]
+//                 [--qdisc=NAME] [--recovery=MODE] [--out=path]
+//                 [--schedule-jitter=US] [--day-skew=S]
 // --jobs=0 (the default) uses one worker per hardware thread; results are
 // bit-identical at any job count. --seeds=K averages K deterministic seeds
 // per configuration and reports mean +/- 95% CI. --qdisc selects the VOQ
 // queue discipline (droptail | codel | delaymark | sharedpool; empty keeps
-// the config's default). Longer durations average more optical weeks per
-// seed (the paper averages thousands). --out=path writes path.json (schema
-// tdtcp-sweep/1) and path.csv next to the figure CSVs; a bench that reports
-// named counters instead (incast, shortflows, stability, scaleout, fairness)
-// writes a tdtcp-bench/1 path.json.
+// the config's default) and --recovery the tail-recovery mode (off | rack |
+// agent). Every config a bench builds passes through ApplyBenchFlags, so
+// each bench applies every shared flag; one that cannot honour a flag
+// rejects it (exit 2) instead of ignoring it. Longer durations average more
+// optical weeks per seed (the paper averages thousands). --out=path writes
+// path.json (schema tdtcp-sweep/1) and path.csv next to the figure CSVs; a
+// bench that reports named counters instead (incast, shortflows, stability,
+// scaleout, fairness) writes a tdtcp-bench/1 path.json.
 #pragma once
 
 #include <chrono>
@@ -129,25 +132,15 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv, int default_ms) {
   return args;
 }
 
-// Applies --qdisc (when given) onto a config: one line in every bench's
-// setup path makes the discipline a command-line axis.
-inline void ApplyQdisc(ExperimentConfig& cfg, const BenchArgs& args) {
+// Applies the shared config flags (each only when given): --qdisc swaps the
+// VOQ discipline, --recovery the tail-recovery mode, and --schedule-jitter /
+// --day-skew run the fabric under a perturbed schedule. RunVariants and
+// every bench that builds its own configs pass each one through here.
+inline void ApplyBenchFlags(ExperimentConfig& cfg, const BenchArgs& args) {
   if (!args.qdisc.empty()) cfg.WithQdisc(QdiscKindFromName(args.qdisc));
-}
-
-// Applies --recovery (when given): the tail-recovery axis (off | rack |
-// agent) becomes a command-line knob on every sim-scale bench.
-inline void ApplyRecovery(ExperimentConfig& cfg, const BenchArgs& args) {
   if (!args.recovery.empty()) {
     cfg.WithRecovery(RecoveryModeFromName(args.recovery));
   }
-}
-
-// Applies --schedule-jitter / --day-skew (when given): a bench whose
-// configs pass through here (RunVariants does, and so does every bench
-// that builds its own cases or controller) runs under a perturbed fabric
-// schedule.
-inline void ApplyPerturbation(ExperimentConfig& cfg, const BenchArgs& args) {
   if (args.schedule_jitter_us == 0.0 && args.day_skew == 0.0) return;
   PerturbationConfig p = cfg.perturb;  // keep any bench-specific changes
   p.day_skew = args.day_skew;
@@ -229,9 +222,7 @@ inline std::vector<VariantRun> RunVariants(const std::vector<Variant>& variants,
                                            const BenchArgs& args) {
   SweepSpec spec;
   spec.base = base;
-  ApplyQdisc(spec.base, args);
-  ApplyRecovery(spec.base, args);
-  ApplyPerturbation(spec.base, args);
+  ApplyBenchFlags(spec.base, args);
   spec.variants = variants;
   spec.seeds = args.SeedList();
   spec.jobs = args.jobs;

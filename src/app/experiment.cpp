@@ -7,8 +7,6 @@
 
 #include "fault/fault_injector.hpp"
 #include "rdcn/rotor_controller.hpp"
-#include "sim/random.hpp"
-#include "sim/simulator.hpp"
 #include "trace/replayer.hpp"
 
 namespace tdtcp {
@@ -50,59 +48,52 @@ ExperimentConfig PaperConfig(Variant v) {
   return cfg.WithVariant(v);
 }
 
-ExperimentResult RunExperiment(const ExperimentConfig& config) {
-  const int plot_weeks = config.plot_weeks;
+Experiment::Experiment(const ExperimentConfig& config)
+    : config_(config), rng_(config.seed), topo_(sim_, rng_, config.topology) {
+  sim_.set_batched_dispatch(config_.batched_dispatch);
   // Rack-pair sanity up front, before any port/host lookup can index past
   // the rack array (the Workload/ChurnGenerator constructors re-validate,
   // but the pair controller dereferences ports first).
-  const RackId a = config.workload.src_rack;
-  const RackId b = config.workload.dst_rack;
-  if (a >= config.topology.num_racks || b >= config.topology.num_racks ||
+  const RackId a = config_.workload.src_rack;
+  const RackId b = config_.workload.dst_rack;
+  if (a >= config_.topology.num_racks || b >= config_.topology.num_racks ||
       a == b) {
     throw std::invalid_argument(
-        "RunExperiment: invalid workload rack pair (src=" + std::to_string(a) +
+        "Experiment: invalid workload rack pair (src=" + std::to_string(a) +
         ", dst=" + std::to_string(b) + ", num_racks=" +
-        std::to_string(config.topology.num_racks) + ")");
+        std::to_string(config_.topology.num_racks) + ")");
   }
-  Simulator sim;
-  sim.set_batched_dispatch(config.batched_dispatch);
-  Random rng(config.seed);
-
-  Topology topo(sim, rng, config.topology);
 
   // Fabric scheduler: the paper's pair controller, or the RotorNet-style
   // rotation over every fabric port.
-  std::unique_ptr<FabricScheduler> scheduler;
-  if (config.fabric == FabricKind::kRotor) {
+  if (config_.fabric == FabricKind::kRotor) {
     RotorController::Config rrc;
-    rrc.day_length = config.schedule.day_length;
-    rrc.night_length = config.schedule.night_length;
-    rrc.packet_mode = config.topology.packet_mode;
-    rrc.circuit_mode = config.topology.circuit_mode;
-    rrc.perturb = config.perturb;
-    rrc.seed = config.seed;
-    scheduler = std::make_unique<RotorController>(sim, rrc, &topo);
+    rrc.day_length = config_.schedule.day_length;
+    rrc.night_length = config_.schedule.night_length;
+    rrc.packet_mode = config_.topology.packet_mode;
+    rrc.circuit_mode = config_.topology.circuit_mode;
+    rrc.perturb = config_.perturb;
+    rrc.seed = config_.seed;
+    scheduler_ = std::make_unique<RotorController>(sim_, rrc, &topo_);
   } else {
     RdcnController::Config rc;
-    rc.schedule = config.schedule;
-    rc.packet_mode = config.topology.packet_mode;
-    rc.circuit_mode = config.topology.circuit_mode;
-    rc.dynamic_voq = config.dynamic_voq;
-    rc.perturb = config.perturb;
-    rc.seed = config.seed;
-    scheduler = std::make_unique<RdcnController>(
-        sim, rc, std::vector<FabricPort*>{topo.port(a, b), topo.port(b, a)},
-        std::vector<ToRSwitch*>{topo.tor(a), topo.tor(b)});
+    rc.schedule = config_.schedule;
+    rc.packet_mode = config_.topology.packet_mode;
+    rc.circuit_mode = config_.topology.circuit_mode;
+    rc.dynamic_voq = config_.dynamic_voq;
+    rc.perturb = config_.perturb;
+    rc.seed = config_.seed;
+    scheduler_ = std::make_unique<RdcnController>(
+        sim_, rc, std::vector<FabricPort*>{topo_.port(a, b), topo_.port(b, a)},
+        std::vector<ToRSwitch*>{topo_.tor(a), topo_.tor(b)});
   }
   // TDN-count changes travel the management plane: the scheduler's reconfig
   // hook fans out to every host synchronously (not via the lossy ICMP path),
   // and each listening connection retires its surplus per-TDN state sets.
-  if (!config.perturb.Empty()) {
-    scheduler->SetReconfigHook([&topo, &config](std::uint32_t live_tdns) {
-      for (RackId rack = 0; rack < config.topology.num_racks; ++rack) {
-        for (std::uint32_t i = 0; i < config.topology.hosts_per_rack; ++i) {
-          topo.host(rack, i)->DistributeTdnReconfig(live_tdns);
-        }
+  if (!config_.perturb.Empty()) {
+    scheduler_->SetReconfigHook([this](std::uint32_t live_tdns) {
+      for (NodeId id = 0; id < topo_.num_hosts(); ++id) {
+        topo_.host_by_id(id)->DistributeTdnReconfig(live_tdns);
       }
     });
   }
@@ -112,141 +103,142 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   // per host. Agents are created before any connection so constructors find
   // them via Host::recovery_agent(), and declared before the workload/churn
   // so connections deregister from a live agent during teardown.
-  WorkloadConfig effective_workload = config.workload;
-  if (config.recovery == RecoveryMode::kOff) {
+  WorkloadConfig effective_workload = config_.workload;
+  if (config_.recovery == RecoveryMode::kOff) {
     effective_workload.base.rack_enabled = false;
     effective_workload.base.tlp_enabled = false;
   }
-  std::vector<std::unique_ptr<RecoveryAgent>> agents;
-  if (config.recovery == RecoveryMode::kAgent) {
-    for (RackId rack = 0; rack < config.topology.num_racks; ++rack) {
-      for (std::uint32_t i = 0; i < config.topology.hosts_per_rack; ++i) {
-        agents.push_back(std::make_unique<RecoveryAgent>(
-            sim, *topo.host(rack, i), config.recovery_config));
-      }
+  if (config_.recovery == RecoveryMode::kAgent) {
+    for (NodeId id = 0; id < topo_.num_hosts(); ++id) {
+      agents_.push_back(std::make_unique<RecoveryAgent>(
+          sim_, *topo_.host_by_id(id), config_.recovery_config));
     }
   }
 
-  Workload workload(sim, topo, effective_workload);
+  workload_ = std::make_unique<Workload>(sim_, topo_, effective_workload);
+  Workload& workload = *workload_;
 
-  std::unique_ptr<ChurnGenerator> churn;
-  if (config.churn.enabled) {
-    ChurnConfig cc = config.churn;
+  if (config_.churn.enabled) {
+    ChurnConfig cc = config_.churn;
     if (cc.inherit_base) {
       cc.base = effective_workload.base;
       // Churn cycles are plain TcpConnection pairs; an MPTCP experiment's
       // churn traffic runs the subflow transport instead.
-      cc.variant = config.workload.variant == Variant::kMptcp
+      cc.variant = config_.workload.variant == Variant::kMptcp
                        ? Variant::kCubic
-                       : config.workload.variant;
+                       : config_.workload.variant;
     }
-    churn = std::make_unique<ChurnGenerator>(sim, topo, cc, config.seed);
+    churn_ = std::make_unique<ChurnGenerator>(sim_, topo_, cc, config_.seed);
   }
 
   // Arm the fault injector (if any) after the flows exist but before the
   // controller's synchronous t=0 notification, so the very first NotifyHosts
   // already passes through the control-plane fault hook.
-  std::unique_ptr<FaultInjector> injector;
-  if (!config.fault.Empty()) {
-    injector = std::make_unique<FaultInjector>(sim, config.fault, config.seed);
-    injector->Arm(topo);
+  if (!config_.fault.Empty()) {
+    injector_ =
+        std::make_unique<FaultInjector>(sim_, config_.fault, config_.seed);
+    injector_->Arm(topo_);
     for (auto& f : workload.flows()) {
-      if (f.tcp_sender) f.tcp_sender->SetFaultTraceSource(injector.get());
-      if (f.tcp_receiver) f.tcp_receiver->SetFaultTraceSource(injector.get());
+      if (f.tcp_sender) f.tcp_sender->SetFaultTraceSource(injector_.get());
+      if (f.tcp_receiver) f.tcp_receiver->SetFaultTraceSource(injector_.get());
     }
   }
 
   // Tracepoint ring: one per run, shared by the scheduler, every host, and
-  // every plain-TCP endpoint. Wired before scheduler->Start() so the t=0
+  // every plain-TCP endpoint. Wired before scheduler_->Start() so the t=0
   // day boundary and its notifications are already on the record.
-  std::unique_ptr<TraceRing> trace_ring;
-  std::unique_ptr<TraceRecorder> recorder;
-  if (config.trace.enabled) {
-    trace_ring = std::make_unique<TraceRing>(config.trace.ring_capacity);
+  if (config_.trace.enabled) {
+    trace_ring_ = std::make_unique<TraceRing>(config_.trace.ring_capacity);
     // Only the pair scheduler traces; under the rotor, hosts and endpoints
     // still put every notification/lifecycle event on the record.
-    if (config.fabric == FabricKind::kPair) {
-      scheduler->SetTraceRing(trace_ring.get());
+    if (config_.fabric == FabricKind::kPair) {
+      scheduler_->SetTraceRing(trace_ring_.get());
     }
-    for (RackId rack = 0; rack < config.topology.num_racks; ++rack) {
-      for (std::uint32_t i = 0; i < config.topology.hosts_per_rack; ++i) {
-        topo.host(rack, i)->SetTraceRing(trace_ring.get());
-      }
+    for (NodeId id = 0; id < topo_.num_hosts(); ++id) {
+      topo_.host_by_id(id)->SetTraceRing(trace_ring_.get());
     }
-    if (churn) churn->SetTraceRing(trace_ring.get());
+    if (churn_) churn_->SetTraceRing(trace_ring_.get());
     for (auto& f : workload.flows()) {
-      if (f.tcp_sender) f.tcp_sender->SetTraceRing(trace_ring.get());
+      if (f.tcp_sender) f.tcp_sender->SetTraceRing(trace_ring_.get());
       // Both endpoints of a flow share its FlowId, but replay recreates only
       // the sender; the recorded flow's receiver stays off the ring so the
       // flow-filtered stream holds exactly what replay can reproduce.
       if (f.tcp_receiver &&
-          f.tcp_receiver->flow() != config.trace.record_flow) {
-        f.tcp_receiver->SetTraceRing(trace_ring.get());
+          f.tcp_receiver->flow() != config_.trace.record_flow) {
+        f.tcp_receiver->SetTraceRing(trace_ring_.get());
       }
     }
-    if (config.trace.record_flow != 0) {
-      const FlowId first = config.workload.first_flow_id;
-      const std::uint32_t idx = config.trace.record_flow - first;
-      if (config.trace.record_flow >= first && idx < workload.flows().size() &&
+    if (config_.trace.record_flow != 0) {
+      const FlowId first = config_.workload.first_flow_id;
+      const std::uint32_t idx = config_.trace.record_flow - first;
+      if (config_.trace.record_flow >= first && idx < workload.flows().size() &&
           workload.flows()[idx].tcp_sender) {
-        recorder = std::make_unique<TraceRecorder>(
-            sim, *workload.flows()[idx].tcp_sender,
-            *topo.host(config.workload.src_rack, idx));
+        recorder_ = std::make_unique<TraceRecorder>(
+            sim_, *workload.flows()[idx].tcp_sender, *topo_.host(a, idx));
       }
     }
   }
 
-  scheduler->Start();
+  scheduler_->Start();
   workload.Start();
-  if (churn) churn->Start();
-  if (recorder) {
+  if (churn_) churn_->Start();
+  if (recorder_) {
     // Workload::Start just called Connect()/SetUnlimitedData(true) on every
     // sender; mirror them into the recording after the t=0 notification the
     // controller already delivered, preserving invocation order.
-    recorder->NoteConnect();
-    recorder->NoteUnlimited();
+    recorder_->NoteConnect();
+    recorder_->NoteUnlimited();
   }
 
-  SeriesSampler seq(sim, config.sample_interval,
-                    [&workload] { return static_cast<double>(workload.total_bytes_acked()); });
-  seq.Start();
-
-  std::unique_ptr<SeriesSampler> voq;
-  if (config.sample_voq) {
-    FabricPort* fwd = topo.port(a, b);
-    voq = std::make_unique<SeriesSampler>(
-        sim, config.sample_interval,
+  const auto sample = [this](std::function<double()> probe) {
+    auto s = std::make_unique<SeriesSampler>(sim_, config_.sample_interval,
+                                             std::move(probe));
+    s->Start();
+    return s;
+  };
+  seq_ = sample([&workload] {
+    return static_cast<double>(workload.total_bytes_acked());
+  });
+  if (config_.sample_voq) {
+    FabricPort* fwd = topo_.port(a, b);
+    voq_ = sample(
         [fwd] { return static_cast<double>(fwd->voq().occupancy()); });
-    voq->Start();
+  }
+  if (config_.sample_reorder) {
+    reorder_ev_ = sample([&workload] {
+      return static_cast<double>(workload.total_reorder_events());
+    });
+    reorder_mk_ = sample([&workload] {
+      return static_cast<double>(workload.total_reorder_marked_lost());
+    });
+    dup_segs_ = sample([&workload] {
+      return static_cast<double>(workload.total_duplicate_segments());
+    });
   }
 
-  std::unique_ptr<SeriesSampler> reorder_ev;
-  std::unique_ptr<SeriesSampler> reorder_mk;
-  std::unique_ptr<SeriesSampler> dup_segs;
-  if (config.sample_reorder) {
-    reorder_ev = std::make_unique<SeriesSampler>(
-        sim, config.sample_interval,
-        [&workload] { return static_cast<double>(workload.total_reorder_events()); });
-    reorder_ev->Start();
-    reorder_mk = std::make_unique<SeriesSampler>(
-        sim, config.sample_interval,
-        [&workload] { return static_cast<double>(workload.total_reorder_marked_lost()); });
-    reorder_mk->Start();
-    dup_segs = std::make_unique<SeriesSampler>(
-        sim, config.sample_interval,
-        [&workload] { return static_cast<double>(workload.total_duplicate_segments()); });
-    dup_segs->Start();
-  }
+  sim_.ScheduleNoCancel(config_.warmup, [this] {
+    bytes_at_warmup_ = workload_->total_bytes_acked();
+  });
+}
 
-  // Goodput measurement window: [warmup, duration].
-  std::uint64_t bytes_at_warmup = 0;
-  sim.ScheduleNoCancel(config.warmup, [&] { bytes_at_warmup = workload.total_bytes_acked(); });
+Experiment::~Experiment() = default;
 
-  sim.RunUntil(config.duration);
+void Experiment::RunUntil(SimTime t) {
+  if (finished_) throw std::logic_error("Experiment: the run has finished");
+  if (bytes_at_end_) return;
+  sim_.RunUntil(std::min(t, config_.duration));
   // Freeze the goodput window before any churn drain extends the run.
-  const std::uint64_t bytes_at_end = workload.total_bytes_acked();
+  if (t >= config_.duration) bytes_at_end_ = workload_->total_bytes_acked();
+}
 
-  if (churn) {
+ExperimentResult Experiment::Finish() {
+  RunUntil(config_.duration);
+  finished_ = true;
+  const int plot_weeks = config_.plot_weeks;
+  const RackId a = config_.workload.src_rack;
+  const RackId b = config_.workload.dst_rack;
+
+  if (churn_) {
     // Drain: the arrival process runs until it reaches its target — arrivals
     // deferred behind busy slots spill past `duration` — and every open cycle
     // then resolves within slot_timeout of its opening (the app-level abort
@@ -254,57 +246,57 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     // iteration bound is a backstop against misconfiguration, generous enough
     // that hitting it means something is genuinely wedged (which the
     // churn_all_closed result flag then records).
-    const SimTime step = config.churn.slot_timeout + SimTime::Millis(1);
+    const SimTime step = config_.churn.slot_timeout + SimTime::Millis(1);
     for (int i = 0;
-         i < 100000 && !(churn->stats().opened >=
-                             config.churn.target_connections &&
-                         churn->AllClosed());
+         i < 100000 && !(churn_->stats().opened >=
+                             config_.churn.target_connections &&
+                         churn_->AllClosed());
          ++i) {
-      sim.RunUntil(sim.now() + step);
+      sim_.RunUntil(sim_.now() + step);
     }
   }
 
-  const Schedule schedule(config.schedule);
+  const Schedule schedule(config_.schedule);
 
   ExperimentResult r;
-  r.variant = config.workload.variant;
+  r.variant = config_.workload.variant;
   // The pair reports its nominal week, the rotor its current one.
-  r.week = config.fabric == FabricKind::kRotor ? scheduler->week_length()
+  r.week = config_.fabric == FabricKind::kRotor ? scheduler_->week_length()
                                                : schedule.week_length();
-  r.duration = config.duration;
-  r.warmup = config.warmup;
-  r.total_bytes = bytes_at_end;
-  const double window_s = (config.duration - config.warmup).seconds();
+  r.duration = config_.duration;
+  r.warmup = config_.warmup;
+  r.total_bytes = *bytes_at_end_;
+  const double window_s = (config_.duration - config_.warmup).seconds();
   if (window_s > 0) {
     r.goodput_bps =
-        static_cast<double>(r.total_bytes - bytes_at_warmup) * 8.0 / window_s;
+        static_cast<double>(r.total_bytes - bytes_at_warmup_) * 8.0 / window_s;
   }
 
-  r.seq_samples = seq.samples();
-  r.seq_curve = FoldWeeks(r.seq_samples, r.week, config.warmup, plot_weeks);
-  if (voq) {
-    r.voq_samples = voq->samples();
-    r.voq_curve = FoldLevels(r.voq_samples, r.week, config.warmup, plot_weeks);
+  r.seq_samples = seq_->samples();
+  r.seq_curve = FoldWeeks(r.seq_samples, r.week, config_.warmup, plot_weeks);
+  if (voq_) {
+    r.voq_samples = voq_->samples();
+    r.voq_curve = FoldLevels(r.voq_samples, r.week, config_.warmup, plot_weeks);
   }
 
-  if (reorder_ev) {
-    r.reorder_event_samples = reorder_ev->samples();
-    r.reorder_marked_samples = reorder_mk->samples();
+  if (reorder_ev_) {
+    r.reorder_event_samples = reorder_ev_->samples();
+    r.reorder_marked_samples = reorder_mk_->samples();
     r.reorder_events_per_day =
-        PerWeekDeltas(r.reorder_event_samples, r.week, config.warmup);
+        PerWeekDeltas(r.reorder_event_samples, r.week, config_.warmup);
     r.reorder_marked_per_day =
-        PerWeekDeltas(r.reorder_marked_samples, r.week, config.warmup);
+        PerWeekDeltas(r.reorder_marked_samples, r.week, config_.warmup);
     r.spurious_rtx_per_day =
-        PerWeekDeltas(dup_segs->samples(), r.week, config.warmup);
+        PerWeekDeltas(dup_segs_->samples(), r.week, config_.warmup);
   }
 
   // Analytic reference lines over the plotted window. The "optimal" flow
   // uses the full fabric rate of whichever TDN is active (nights idle); the
   // "packet only" flow holds the packet rate continuously (no blackouts).
   {
-    const std::uint64_t pkt = config.topology.packet_mode.rate_bps;
-    const std::uint64_t opt = config.topology.circuit_mode.rate_bps;
-    const SimTime step = config.sample_interval;
+    const std::uint64_t pkt = config_.topology.packet_mode.rate_bps;
+    const std::uint64_t opt = config_.topology.circuit_mode.rate_bps;
+    const SimTime step = config_.sample_interval;
     const SimTime window = r.week * plot_weeks;
     for (SimTime t = SimTime::Zero(); t <= window; t += step) {
       FoldedPoint po;
@@ -319,7 +311,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   }
 
   // Aggregate stats.
-  for (auto& f : workload.flows()) {
+  for (auto& f : workload_->flows()) {
     r.retransmissions += f.retransmissions();
     r.reorder_events += f.reorder_events();
     r.reorder_marked_lost += f.reorder_marked_lost();
@@ -338,20 +330,21 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   }
 
   // Schedule-perturbation accounting.
-  r.schedule_changes = scheduler->schedule_changes_applied();
-  r.restart_holds = scheduler->restart_holds();
+  r.schedule_changes = scheduler_->schedule_changes_applied();
+  r.restart_holds = scheduler_->restart_holds();
 
   // Connection-churn accounting.
-  if (churn) {
-    r.churn = churn->stats();
-    r.churn_hash = churn->hash();
-    r.churn_all_closed = churn->AllClosed();
-    r.churn_fct_us.reserve(churn->fcts().size());
-    for (SimTime fct : churn->fcts()) r.churn_fct_us.push_back(fct.micros_f());
-    // Per-size-bucket FCT tails over the same completions (nearest-rank: the
-    // tail of a small bucket is an observed sample, not an interpolation).
+  if (churn_) {
+    r.churn = churn_->stats();
+    r.churn_hash = churn_->hash();
+    r.churn_all_closed = churn_->AllClosed();
+    // Every completion, then per-size-bucket FCT tails over the same ones
+    // (nearest-rank: the tail of a small bucket is an observed sample, not
+    // an interpolation).
+    r.churn_fct_us.reserve(churn_->sized_fcts().size());
     std::vector<double> bucket_us[kNumFctBuckets];
-    for (const SizedFct& sf : churn->sized_fcts()) {
+    for (const SizedFct& sf : churn_->sized_fcts()) {
+      r.churn_fct_us.push_back(sf.fct.micros_f());
       bucket_us[FctBucketOf(sf.bytes)].push_back(sf.fct.micros_f());
     }
     for (std::size_t bkt = 0; bkt < kNumFctBuckets; ++bkt) {
@@ -364,27 +357,27 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   }
 
   // Host recovery agent accounting.
-  for (const auto& agent : agents) {
+  for (const auto& agent : agents_) {
     r.recovery_forced += agent->stats().forced;
     r.recovery_rescued += agent->stats().rescued;
     r.recovery_spurious += agent->stats().spurious;
   }
 
   // Fault/robustness accounting.
-  if (injector) {
-    r.faults_injected = injector->stats().total();
-    r.fault_trace_hash = injector->TraceHash();
+  if (injector_) {
+    r.faults_injected = injector_->stats().total();
+    r.fault_trace_hash = injector_->TraceHash();
     r.notifications_dropped =
-        injector->stats().notifications_dropped + injector->stats().stall_dropped;
+        injector_->stats().notifications_dropped +
+        injector_->stats().stall_dropped;
   }
-  for (RackId rack = 0; rack < config.topology.num_racks; ++rack) {
-    for (std::uint32_t i = 0; i < config.topology.hosts_per_rack; ++i) {
-      r.stale_notifications += topo.host(rack, i)->stale_notifications_dropped();
-    }
+  for (NodeId id = 0; id < topo_.num_hosts(); ++id) {
+    r.stale_notifications +=
+        topo_.host_by_id(id)->stale_notifications_dropped();
   }
   {
-    const QueueDisc::Stats& qf = topo.port(a, b)->voq().stats();
-    const QueueDisc::Stats& qr = topo.port(b, a)->voq().stats();
+    const QueueDisc::Stats& qf = topo_.port(a, b)->voq().stats();
+    const QueueDisc::Stats& qr = topo_.port(b, a)->voq().stats();
     r.voq_shrink_deferred = qf.shrink_deferred + qr.shrink_deferred;
     r.voq_drops = qf.dropped + qr.dropped;
     r.voq_ce_marked = qf.ce_marked + qr.ce_marked;
@@ -406,7 +399,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
         std::max(qf.max_sojourn, qr.max_sojourn).micros_f();
   }
   {
-    const Simulator::Stats ss = sim.GetStats();
+    const Simulator::Stats ss = sim_.GetStats();
     r.sim_events = ss.events_executed;
     r.sim_batches = ss.batches;
     r.sim_max_batch = ss.max_batch;
@@ -414,19 +407,19 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     r.sim_dead_dropped = ss.dead_dropped;
     r.sim_compactions = ss.compactions;
   }
-  if (trace_ring) {
-    r.trace_hash = trace_ring->Hash();
-    r.trace_records = trace_ring->total_emitted();
-    if (recorder) {
+  if (trace_ring_) {
+    r.trace_hash = trace_ring_->Hash();
+    r.trace_records = trace_ring_->total_emitted();
+    if (recorder_) {
       r.recorded =
-          std::make_shared<RecordedConnection>(recorder->Finish(*trace_ring));
+          std::make_shared<RecordedConnection>(recorder_->Finish(*trace_ring_));
     }
     // Convergence oracle over the post-warmup cwnd evolution of every traced
     // flow (long-lived and churned alike — both emit kTcpCwndUpdate).
-    ConvergenceConfig oracle = config.stability;
-    oracle.from_ps = config.warmup.picos();
+    ConvergenceConfig oracle = config_.stability;
+    oracle.from_ps = config_.warmup.picos();
     const ConvergenceReport report =
-        ClassifyConvergence(trace_ring->Snapshot(), oracle);
+        ClassifyConvergence(trace_ring_->Snapshot(), oracle);
     r.stability_converged = report.flows_converged;
     r.stability_oscillating = report.flows_oscillating;
     r.stability_starved = report.flows_starved;
@@ -435,6 +428,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     r.stability_worst_period_us = report.worst_period_us;
   }
   return r;
+}
+
+
+ExperimentResult RunExperiment(const ExperimentConfig& config) {
+  return Experiment(config).Finish();
 }
 
 }  // namespace tdtcp

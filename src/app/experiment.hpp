@@ -1,13 +1,16 @@
-// End-to-end experiment harness: wires a two-rack RDCN topology, the
-// schedule controller, and a workload of long-lived flows; runs the
-// simulation; and collects the series/statistics every figure in the paper
-// is built from. Defaults reproduce the Etalon testbed configuration of
-// §5.1 (10 Gbps/~100 µs packet TDN, 100 Gbps/~40 µs optical TDN, 180 µs
+// End-to-end experiment harness. An Experiment wires an RDCN topology, its
+// fabric scheduler (the paper's pair controller or the N-rack rotor), the
+// long-lived flows, churn, faults and tracing from one ExperimentConfig;
+// runs the simulation, slice by slice if the caller wants; and collects the
+// series/statistics every figure in the paper is built from. RunExperiment
+// is the one-call form. Defaults reproduce the Etalon testbed configuration
+// of §5.1 (10 Gbps/~100 µs packet TDN, 100 Gbps/~40 µs optical TDN, 180 µs
 // days, 20 µs nights, 6:1 packet:optical, 16-packet jumbo-frame VOQs).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,8 @@
 #include "net/topology.hpp"
 #include "rdcn/controller.hpp"
 #include "rdcn/perturbation.hpp"
+#include "sim/random.hpp"
+#include "sim/simulator.hpp"
 #include "trace/convergence.hpp"
 #include "trace/samplers.hpp"
 #include "trace/trace_io.hpp"
@@ -295,8 +300,8 @@ struct ExperimentResult {
   std::uint64_t duplicate_segments = 0;
 
   // Connection-churn accounting (all zero when churn was disabled). After a
-  // churn run the simulation drains for one slot_timeout past `duration` so
-  // in-flight cycles finish; churn_all_closed then asserts that every opened
+  // churn run Experiment::Finish drains past `duration` until in-flight
+  // cycles finish; churn_all_closed then asserts that every opened
   // connection reached kClosed with a definite CloseReason.
   ChurnStats churn;
   std::uint64_t churn_hash = 0;   // ChurnGenerator::hash() fingerprint
@@ -376,12 +381,59 @@ struct ExperimentResult {
   std::uint64_t tdn_reconfigs = 0;  // summed TcpStats::tdn_reconfigs
 };
 
-// Runs one deterministic experiment: the single entry point for the whole
-// harness. Everything about the run — including `plot_weeks` — lives in the
-// config, so a config value (typically produced by the builder chain) fully
-// determines the result. Thread-safe: concurrent calls share no mutable
-// state; results for a given config are bit-identical regardless of how
-// many other experiments run concurrently.
+class FaultInjector;
+class TraceRecorder;
+
+// One deterministic experiment; everything about it lives in its (copied)
+// config. The constructor builds the run and starts it at t=0, RunUntil
+// advances it, and Finish drains churn and collects the result. A caller
+// with its own traffic or a mid-run reading schedules it on sim() in
+// between. Experiments share no mutable state, so concurrent ones on
+// different threads are bit-identical to serial ones.
+class Experiment {
+ public:
+  // Throws std::invalid_argument on an invalid workload rack pair.
+  explicit Experiment(const ExperimentConfig& config);
+  ~Experiment();
+  // Not copyable or movable: scheduled events point into it.
+  Experiment(const Experiment&) = delete;
+  Experiment& operator=(const Experiment&) = delete;
+
+  // Runs to min(t, config.duration). The call that reaches `duration`
+  // freezes the goodput window, so slicing never changes the result; only
+  // Finish's churn drain runs past `duration`.
+  void RunUntil(SimTime t);
+  // Runs to `duration`, drains churn and collects the result. Once only: a
+  // second Finish, or a RunUntil after it, throws std::logic_error.
+  ExperimentResult Finish();
+
+  Simulator& sim() { return sim_; }
+  Topology& topology() { return topo_; }
+  Workload& workload() { return *workload_; }
+
+ private:
+  // In wiring order, so teardown runs in reverse: connections go before
+  // the recovery agents they deregister from.
+  const ExperimentConfig config_;
+  Simulator sim_;
+  Random rng_;
+  Topology topo_;
+  std::unique_ptr<FabricScheduler> scheduler_;
+  std::vector<std::unique_ptr<RecoveryAgent>> agents_;
+  std::unique_ptr<Workload> workload_;
+  std::unique_ptr<ChurnGenerator> churn_;
+  std::unique_ptr<FaultInjector> injector_;
+  std::unique_ptr<TraceRing> trace_ring_;
+  std::unique_ptr<TraceRecorder> recorder_;
+  std::unique_ptr<SeriesSampler> seq_, voq_;
+  std::unique_ptr<SeriesSampler> reorder_ev_, reorder_mk_, dup_segs_;
+  // The goodput window's ends; the second is set on reaching `duration`.
+  std::uint64_t bytes_at_warmup_ = 0;
+  std::optional<std::uint64_t> bytes_at_end_;
+  bool finished_ = false;
+};
+
+// Runs one experiment to completion: Experiment(config).Finish().
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
 }  // namespace tdtcp

@@ -490,16 +490,15 @@ void ChurnGenerator::OnEndClosed(std::uint32_t idx, bool sender_end,
   ++stats_.reasons[static_cast<std::size_t>(slot.sender_reason)];
   stats_.bytes_completed += slot.sender->bytes_acked();
   if (slot.sender_reason == CloseReason::kNormal) {
-    fcts_.push_back(sim_.now() - slot.opened_at);
     sized_fcts_.push_back(SizedFct{slot.bytes, sim_.now() - slot.opened_at});
   }
-  Fold(slot.flow);
-  Fold(slot.src_node);
-  Fold(slot.dst_node);
-  Fold(slot.bytes);
-  Fold(static_cast<std::uint64_t>(slot.opened_at.picos()));
-  Fold(static_cast<std::uint64_t>(sim_.now().picos()));
-  Fold((static_cast<std::uint64_t>(slot.sender_reason) << 8) |
+  hash_.Mix(slot.flow);
+  hash_.Mix(slot.src_node);
+  hash_.Mix(slot.dst_node);
+  hash_.Mix(slot.bytes);
+  hash_.Mix(static_cast<std::uint64_t>(slot.opened_at.picos()));
+  hash_.Mix(static_cast<std::uint64_t>(sim_.now().picos()));
+  hash_.Mix((static_cast<std::uint64_t>(slot.sender_reason) << 8) |
        static_cast<std::uint64_t>(slot.receiver_reason));
   --active_;
   // We are inside the second endpoint's ToClosed: its ClosedFn must not
@@ -528,13 +527,6 @@ void ChurnGenerator::Reclaim(std::uint32_t idx) {
   slot.receiver.reset();
   slot.in_use = false;
   free_.push_back(idx);
-}
-
-void ChurnGenerator::Fold(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    hash_ ^= (v >> (8 * i)) & 0xff;
-    hash_ *= 1099511628211ull;  // FNV prime
-  }
 }
 
 }  // namespace tdtcp

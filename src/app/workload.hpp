@@ -11,6 +11,7 @@
 #include "app/flow_cdf.hpp"
 #include "mptcp/mptcp_connection.hpp"
 #include "net/topology.hpp"
+#include "sim/hash.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp_connection.hpp"
@@ -252,17 +253,15 @@ class ChurnGenerator {
   // awaiting their deferred reclamation event).
   bool AllClosed() const { return active_ == 0; }
   const ChurnStats& stats() const { return stats_; }
-  // Flow completion time (open -> both ends closed) of every cycle whose
-  // sender closed kNormal, in completion order. The short-flow tail
-  // percentiles the recovery benches gate on are computed from this.
-  const std::vector<SimTime>& fcts() const { return fcts_; }
-  // Same completions with their requested transfer sizes, for per-size
-  // bucketing (same order as fcts()).
+  // Flow completion time (open -> both ends closed) and requested transfer
+  // size of every cycle whose sender closed kNormal, in completion order.
+  // The short-flow tail percentiles the recovery benches gate on, overall
+  // and per size bucket, are computed from this.
   const std::vector<SizedFct>& sized_fcts() const { return sized_fcts_; }
   // Order-sensitive FNV-1a over every completed connection's
   // (flow, open time, close time, close reasons) — the determinism
   // fingerprint the sweep engine's jobs=1 == jobs=N check compares.
-  std::uint64_t hash() const { return hash_; }
+  std::uint64_t hash() const { return hash_.value(); }
 
  private:
   struct Slot {
@@ -298,7 +297,6 @@ class ChurnGenerator {
   void OnEndClosed(std::uint32_t idx, bool sender_end, CloseReason reason);
   void OnSlotTimeout(std::uint32_t idx);
   void Reclaim(std::uint32_t idx);
-  void Fold(std::uint64_t v);
 
   Simulator& sim_;
   Topology& topo_;
@@ -313,9 +311,8 @@ class ChurnGenerator {
   std::uint32_t active_ = 0;
   FlowId next_flow_;
   ChurnStats stats_;
-  std::vector<SimTime> fcts_;
   std::vector<SizedFct> sized_fcts_;
-  std::uint64_t hash_ = 14695981039346656037ull;  // FNV offset basis
+  Fnv1a64 hash_;
 };
 
 }  // namespace tdtcp

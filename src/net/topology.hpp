@@ -74,6 +74,7 @@ class Topology {
     return hosts_[rack * config_.hosts_per_rack + index].get();
   }
   Host* host_by_id(NodeId id) { return hosts_[id].get(); }
+  NodeId num_hosts() const { return static_cast<NodeId>(hosts_.size()); }
   ToRSwitch* tor(RackId rack) { return tors_[rack].get(); }
 
   // The fabric port carrying traffic from `src` rack toward `dst` rack.

@@ -1,6 +1,7 @@
 // Order-sensitive FNV-1a 64 accumulator, for compact determinism
-// fingerprints: fault traces (FaultInjector::TraceHash) and packet-tap
-// hashes in tests digest event streams to one comparable value.
+// fingerprints: fault traces (FaultInjector::TraceHash), churn lifecycles
+// (ChurnGenerator::hash) and packet-tap hashes in tests digest event
+// streams to one comparable value.
 #pragma once
 
 #include <cstdint>

@@ -5,9 +5,6 @@
 
 #include "app/experiment.hpp"
 #include "cc/registry.hpp"
-#include "rdcn/controller.hpp"
-#include "sim/random.hpp"
-#include "sim/simulator.hpp"
 
 namespace tdtcp {
 namespace {
@@ -144,22 +141,11 @@ TEST(Integration, RelaxedReorderingAblationHurts) {
 
 TEST(Integration, AllVariantsDeliverContiguousStreams) {
   for (Variant v : {Variant::kTdtcp, Variant::kCubic, Variant::kMptcp}) {
-    ExperimentConfig cfg = ShortConfig(v, 10);
+    ExperimentConfig cfg = ShortConfig(v, 10).WithSampling(false, false);
     cfg.workload.num_flows = 2;
-    Simulator sim;
-    Random rng(cfg.seed);
-    Topology topo(sim, rng, cfg.topology);
-    RdcnController::Config rc;
-    rc.schedule = cfg.schedule;
-    rc.packet_mode = cfg.topology.packet_mode;
-    rc.circuit_mode = cfg.topology.circuit_mode;
-    RdcnController controller(sim, rc, {topo.port(0, 1), topo.port(1, 0)},
-                              {topo.tor(0), topo.tor(1)});
-    Workload workload(sim, topo, cfg.workload);
-    controller.Start();
-    workload.Start();
-    sim.RunUntil(cfg.duration);
-    for (auto& f : workload.flows()) {
+    Experiment exp(cfg);
+    exp.RunUntil(cfg.duration);
+    for (auto& f : exp.workload().flows()) {
       if (f.tcp_receiver) {
         // In-order receiver progress equals delivered bytes + the SYN byte.
         EXPECT_EQ(f.tcp_receiver->rcv_nxt(),

@@ -148,23 +148,11 @@ TEST(Mptcp, ReinjectionRepairsStrandedTailUnderContention) {
   // With a rack of flows sharing the 16-packet VOQ, optical-tail data is
   // regularly stranded/dropped; the metas must reinject, and the receivers
   // see the resulting meta-level duplicates.
-  ExperimentConfig cfg = PaperConfig(Variant::kMptcp);
-  cfg.workload.num_flows = 16;
-  Simulator sim;
-  Random rng(cfg.seed);
-  Topology topo(sim, rng, cfg.topology);
-  RdcnController::Config rc;
-  rc.schedule = cfg.schedule;
-  rc.packet_mode = cfg.topology.packet_mode;
-  rc.circuit_mode = cfg.topology.circuit_mode;
-  RdcnController controller(sim, rc, {topo.port(0, 1), topo.port(1, 0)},
-                            {topo.tor(0), topo.tor(1)});
-  Workload workload(sim, topo, cfg.workload);
-  controller.Start();
-  workload.Start();
-  sim.RunUntil(SimTime::Millis(20));
+  Experiment exp(
+      PaperConfig(Variant::kMptcp).WithFlows(16).WithSampling(false, false));
+  exp.RunUntil(SimTime::Millis(20));
   std::uint64_t reinjections = 0, dups = 0, delivered = 0;
-  for (auto& f : workload.flows()) {
+  for (auto& f : exp.workload().flows()) {
     reinjections += f.mptcp_sender->stats().reinjections;
     dups += f.mptcp_receiver->stats().meta_duplicates;
     delivered += f.mptcp_receiver->meta_bytes_delivered();

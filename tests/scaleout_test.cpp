@@ -245,9 +245,11 @@ TEST(RackValidation, RunExperimentRejectsBadWorkloadPair) {
   ExperimentConfig cfg = PaperConfig(Variant::kCubic);
   cfg.workload.src_rack = 5;  // 2-rack default topology
   EXPECT_THROW(RunExperiment(cfg), std::invalid_argument);
+  EXPECT_THROW(Experiment{cfg}, std::invalid_argument);
   ExperimentConfig same = PaperConfig(Variant::kCubic);
   same.workload.dst_rack = same.workload.src_rack;
   EXPECT_THROW(RunExperiment(same), std::invalid_argument);
+  EXPECT_THROW(Experiment{same}, std::invalid_argument);
 }
 
 TEST(RackPolicy, NameRoundTrip) {

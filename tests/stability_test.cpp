@@ -619,12 +619,14 @@ TEST(TenantMix, RejectsMptcpTenantsAndNonPositiveWeights) {
                                .WithChurn(10)
                                .WithTenantMix({{Variant::kMptcp, 1.0}});
     EXPECT_THROW(RunExperiment(cfg), std::invalid_argument);
+    EXPECT_THROW(Experiment{cfg}, std::invalid_argument);
   }
   {
     ExperimentConfig cfg = ShortConfig(Variant::kTdtcp)
                                .WithChurn(10)
                                .WithTenantMix({{Variant::kTdtcp, 0.0}});
     EXPECT_THROW(RunExperiment(cfg), std::invalid_argument);
+    EXPECT_THROW(Experiment{cfg}, std::invalid_argument);
   }
 }
 

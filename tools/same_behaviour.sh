@@ -16,20 +16,25 @@
 #   stability perturbed
 #               bench_stability --schedule-jitter=3 --day-skew=0.2: the
 #               tdtcp-bench/1 counters of every cell (the perturbed pair)
-#   headline    bench_headline_table --jobs=4 --seeds=3: the CSV, with cmp
-#   fig10       bench_fig10_reordering: every CSV, with cmp
-#   fig11       bench_fig11_notification: the CSV, with cmp
+#   headline    bench_headline_table --jobs=4 --seeds=3: the CSVs
+#   fig10       bench_fig10_reordering: every CSV
+#   fig11       bench_fig11_notification: the CSVs
 #   incast      bench_incast: the tdtcp-bench/1 counters of every run
 #   shortflows  bench_shortflows: the tdtcp-bench/1 counters of every run
+#   fairness    bench_fairness: the tdtcp-bench/1 counters of every run
 #   fault_sweep bench_fault_sweep: stdout
 #   pinned      Mptcp.WireDigestIsPinned and Soak.DeliveryMultisetIsPinned
 #               pass on both trees (their digests are constants)
 #
-# The JSON files are compared by their counters, never byte for byte: a
-# sweep JSON carries wall_seconds. so_sweep.csv is not compared either: its
-# sim_cohort_hits, sim_dead_dropped and sim_compactions columns count how
-# the event queue stored events, which an event-core change may move
-# without moving any event.
+# Figure CSVs are compared with cmp. The sweep's out.csv is compared
+# without its sim_* event-core columns, and those columns get a line of
+# their own ("LABEL sim_* columns"): a change that only moves the event
+# count leaves every figure equal and differs there alone. The JSON files
+# are compared by their counters, never byte for byte: a sweep JSON carries
+# wall_seconds. so_sweep.csv is not compared either: its sim_cohort_hits,
+# sim_dead_dropped and sim_compactions columns count how the event queue
+# stored events, which an event-core change may move without moving any
+# event.
 #
 # Prints "equal" or "DIFFER" per check and exits 1 on any DIFFER (2 on a
 # usage error). Scratch output stays in the printed directory; set
@@ -74,17 +79,51 @@ run_bench() {
   done
 }
 
-# Every CSV in the parent's LABEL dir must exist and match in the change's.
+# cmp_columns MODE A B: compares two CSVs column by column; MODE figure
+# drops the sim_* columns, MODE sim keeps only them.
+cmp_columns() {
+  python3 - "$@" <<'EOF'
+import csv, sys
+mode, a, b = sys.argv[1:]
+def load(path):
+    rows = list(csv.reader(open(path)))
+    keep = [i for i, name in enumerate(rows[0])
+            if name.startswith("sim_") == (mode == "sim")]
+    return [[r[i] for i in keep] for r in rows]
+try:
+    sys.exit(0 if load(a) == load(b) else 1)
+except (OSError, IndexError) as e:
+    print(f"  {e}", file=sys.stderr)
+    sys.exit(1)
+EOF
+}
+
+# Every CSV in the parent's LABEL dir must exist and match in the change's
+# (out.csv without its sim_* columns).
 cmp_csvs() {
   local label=$1 f ok=0 n=0
   for f in "$work/parent/$label"/*.csv; do
     [ -e "$f" ] || { ok=1; break; }
     n=$((n + 1))
-    cmp -s "$f" "$work/change/$label/${f##*/}" || ok=1
+    if [ "${f##*/}" = out.csv ]; then
+      cmp_columns figure "$f" "$work/change/$label/out.csv" || ok=1
+    else
+      cmp -s "$f" "$work/change/$label/${f##*/}" || ok=1
+    fi
   done
   [ "$n" -gt 0 ] || ok=1
   cmp -s "$work/parent/$label/exit" "$work/change/$label/exit" || ok=1
   return $ok
+}
+
+# report_csvs LABEL: reports LABEL's CSVs, then out.csv's sim_* columns.
+report_csvs() {
+  local ok=0
+  cmp_csvs "$1" || ok=1
+  report "$1 csvs" $ok
+  ok=0
+  cmp_columns sim "$work/parent/$1/out.csv" "$work/change/$1/out.csv" || ok=1
+  report "$1 sim_* columns" $ok
 }
 
 # Compares the "counters" of every run (by name) of two JSON files; with
@@ -136,15 +175,15 @@ cmp_counters "$work/parent/stability_perturbed/out.json" \
 report "stability perturbed counters" $ok
 
 run_bench headline bench_headline_table --jobs=4 --seeds=3 --out=@OUT
-ok=0; cmp_csvs headline || ok=1; report "headline csv" $ok
+report_csvs headline
 
 run_bench fig10 bench_fig10_reordering --out=@OUT
-ok=0; cmp_csvs fig10 || ok=1; report "fig10 csvs" $ok
+report_csvs fig10
 
 run_bench fig11 bench_fig11_notification --out=@OUT
-ok=0; cmp_csvs fig11 || ok=1; report "fig11 csvs" $ok
+report_csvs fig11
 
-for label in incast shortflows; do
+for label in incast shortflows fairness; do
   run_bench $label bench_$label --out=@OUT
   ok=0
   cmp_counters "$work/parent/$label/out.json" "$work/change/$label/out.json" ||
