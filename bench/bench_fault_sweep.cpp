@@ -117,8 +117,7 @@ int main(int argc, char** argv) {
   for (Variant v : kVariants) {
     std::printf("%-10s", VariantName(v));
     for (int d : kDelaysUs) {
-      std::printf(" %10.2f",
-                  mean_of(cell_at(v, d == 0 ? 0.0 : 0.0, d), "goodput_bps") / 1e9);
+      std::printf(" %10.2f", mean_of(cell_at(v, 0.0, d), "goodput_bps") / 1e9);
     }
     std::printf("\n");
   }

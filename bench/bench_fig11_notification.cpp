@@ -41,8 +41,8 @@ void GenerationLatencyMicrobench() {
   NotifyGenConfig cached;
   NotifyGenConfig fresh;
   fresh.cached_packet = false;
-  ToRSwitch tor_cached(sim, 0, 1, cached, &rng);
-  ToRSwitch tor_fresh(sim, 1, 1, fresh, &rng);
+  ToRSwitch tor_cached(sim, 0, 1, cached, rng.Fork(0));
+  ToRSwitch tor_fresh(sim, 1, 1, fresh, rng.Fork(1));
   Host host(sim, 0);
   tor_cached.AttachHost(0, nullptr, &host);
   tor_fresh.AttachHost(0, nullptr, &host);

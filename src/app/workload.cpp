@@ -155,15 +155,6 @@ void ValidateRackPair(const Topology& topo, RackId src, RackId dst,
   }
 }
 
-// SplitMix64: derives a well-mixed per-source seed from a node id so source
-// streams are independent even for adjacent ids.
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 Workload::Workload(Simulator& sim, Topology& topo, WorkloadConfig config)
@@ -277,14 +268,16 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
         "churn: need 0 < min_transfer_bytes <= max_transfer_bytes");
   }
   const std::uint32_t racks = topo_.config().num_racks;
-  // The generator's own stream: the fixed pair's one source draws from it,
-  // a permutation run draws its rack shift from it.
-  Random rng(seed ^ config_.seed_salt);
+  // The generator's own stream: a permutation run draws its rack shift
+  // from it, and every source forks its stream from it by source index.
+  Random rng = Random(seed).Fork(config_.seed_salt);
   if (config_.rack_policy == RackPolicy::kFixedPair) {
     ValidateRackPair(topo_, config_.src_rack, config_.dst_rack, "churn");
     // One arrival process for the pair; each cycle's host comes from its
     // slot (see OnArrival).
-    sources_.push_back(Source{config_.src_rack, 0, std::move(rng)});
+    sources_.push_back(
+        Source{config_.src_rack, 0,
+               rng.Fork(StreamId(StreamKind::kChurnSource, 0))});
   } else {
     if (racks < 2) {
       throw std::invalid_argument(
@@ -302,9 +295,9 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
             "churn: hotspot_fraction must be in [0, 1]");
       }
     }
-    // Every host in every rack is an independent source. Stream seeds are
-    // splitmix-derived from the node id so a source's draws do not depend on
-    // how its arrivals interleave with other sources'.
+    // Every host in every rack is an independent source, numbered by host
+    // id, so a source's draws do not depend on how its arrivals interleave
+    // with other sources'.
     sources_.reserve(static_cast<std::size_t>(racks) *
                      topo_.config().hosts_per_rack);
     for (RackId r = 0; r < racks; ++r) {
@@ -312,8 +305,8 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
         Source s;
         s.rack = r;
         s.host = h;
-        s.rng = Random(seed ^ config_.seed_salt ^
-                       SplitMix64(topo_.host_id(r, h) + 1));
+        s.rng = rng.Fork(
+            StreamId(StreamKind::kChurnSource, topo_.host_id(r, h)));
         sources_.push_back(std::move(s));
       }
     }

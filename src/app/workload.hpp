@@ -230,10 +230,10 @@ struct SizedFct {
 class ChurnGenerator {
  public:
   // `seed` is the experiment seed; the generator draws from its own stream
-  // (seed ^ seed_salt) so adding churn never perturbs other seeded draws.
-  // Under the multi-source policies each source host additionally gets its
-  // own splitmix-derived stream, so a source's draw sequence is independent
-  // of how arrivals interleave across the fabric.
+  // (keyed by seed and seed_salt) so adding churn never perturbs other
+  // seeded draws. Every arrival process (one per host under the
+  // multi-source policies) forks its own stream from it, so a source's draw
+  // sequence is independent of how arrivals interleave across the fabric.
   // Throws std::invalid_argument when the rack configuration does not fit
   // the topology (out-of-range racks, src == dst, too few racks).
   ChurnGenerator(Simulator& sim, Topology& topo, ChurnConfig config,

@@ -27,28 +27,35 @@ const char* FaultKindName(FaultKind kind) {
 
 FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan,
                              std::uint64_t run_seed)
-    : sim_(sim), plan_(std::move(plan)), rng_(run_seed ^ plan_.seed_salt) {}
+    : sim_(sim),
+      plan_(std::move(plan)),
+      streams_(Random(run_seed).Fork(plan_.seed_salt)) {}
 
 void FaultInjector::Arm(Topology& topo) {
   if (armed_) throw std::logic_error("FaultInjector::Arm called twice");
   armed_ = true;
   const std::uint32_t racks = topo.config().num_racks;
 
-  // One Gilbert-Elliott chain per faulted link. Indices are assigned in a
-  // fixed construction order so the trace's `subject` field is stable:
-  // fabric ports first (src-major), then rack uplinks, then downlinks.
+  // One Gilbert-Elliott chain and one stream per faulted link. Indices are
+  // assigned in a fixed construction order so the trace's `subject` field
+  // (and the stream's id) is stable: fabric ports first (src-major), then
+  // rack uplinks, then downlinks.
   std::uint32_t subject = 0;
+  const auto add_link = [&] {
+    links_.push_back(LinkState{
+        false, streams_.Fork(StreamId(StreamKind::kLinkFault, subject))});
+    return subject++;
+  };
 
   for (RackId a = 0; a < racks; ++a) {
     for (RackId b = 0; b < racks; ++b) {
       if (a == b) continue;
       FabricPort* port = topo.port(a, b);
       audited_ports_.push_back(port);
-      const std::uint32_t idx = subject++;
-      ge_states_.emplace_back();
+      const std::uint32_t idx = add_link();
       if (!plan_.fabric.Empty()) {
         port->SetFaultFilter([this, idx, port](const Packet& p) {
-          return RollLink(plan_.fabric, ge_states_[idx], p, idx,
+          return RollLink(plan_.fabric, links_[idx], p, idx,
                           port->tx_start());
         });
       }
@@ -56,11 +63,10 @@ void FaultInjector::Arm(Topology& topo) {
   }
   for (RackId r = 0; r < racks; ++r) {
     for (Link* link : {topo.rack_uplink(r), topo.rack_downlink(r)}) {
-      const std::uint32_t idx = subject++;
-      ge_states_.emplace_back();
+      const std::uint32_t idx = add_link();
       if (!plan_.host_links.Empty()) {
         link->SetFaultFilter([this, idx, link](const Packet& p) {
-          return RollLink(plan_.host_links, ge_states_[idx], p, idx,
+          return RollLink(plan_.host_links, links_[idx], p, idx,
                           link->tx_start());
         });
       }
@@ -69,6 +75,8 @@ void FaultInjector::Arm(Topology& topo) {
 
   if (!plan_.control.Empty()) {
     for (RackId r = 0; r < racks; ++r) {
+      notify_rngs_.push_back(
+          streams_.Fork(StreamId(StreamKind::kNotifyFault, r)));
       topo.tor(r)->SetNotifyFaultHook(
           [this, r](const Packet& icmp, SimTime base,
                     std::vector<SimTime>& out) {
@@ -116,29 +124,30 @@ void FaultInjector::Arm(Topology& topo) {
   if (!plan_.audit_interval.IsZero()) ScheduleAudit();
 }
 
-bool FaultInjector::RollLink(const LinkFaultSpec& spec, GeState& ge,
+bool FaultInjector::RollLink(const LinkFaultSpec& spec, LinkState& link,
                              const Packet& p, std::uint32_t subject,
                              SimTime at) {
+  Random& rng = link.rng;
   if (spec.gilbert_elliott) {
     // Advance the chain once per packet, then roll the state's loss prob.
-    if (ge.bad) {
-      if (rng_.Bernoulli(spec.ge_p_bad_to_good)) ge.bad = false;
-    } else if (rng_.Bernoulli(spec.ge_p_good_to_bad)) {
-      ge.bad = true;
+    if (link.bad) {
+      if (rng.Bernoulli(spec.ge_p_bad_to_good)) link.bad = false;
+    } else if (rng.Bernoulli(spec.ge_p_good_to_bad)) {
+      link.bad = true;
     }
-    const double loss = ge.bad ? spec.ge_loss_bad : spec.ge_loss_good;
-    if (rng_.Bernoulli(loss)) {
+    const double loss = link.bad ? spec.ge_loss_bad : spec.ge_loss_good;
+    if (rng.Bernoulli(loss)) {
       ++stats_.burst_dropped;
       Record(FaultKind::kBurstLoss, p.id, subject, at);
       return true;
     }
   }
-  if (rng_.Bernoulli(spec.loss_rate)) {
+  if (rng.Bernoulli(spec.loss_rate)) {
     ++stats_.data_dropped;
     Record(FaultKind::kDataLoss, p.id, subject, at);
     return true;
   }
-  if (rng_.Bernoulli(spec.corrupt_rate)) {
+  if (rng.Bernoulli(spec.corrupt_rate)) {
     ++stats_.data_corrupted;
     Record(FaultKind::kDataCorrupt, p.id, subject, at);
     return true;
@@ -157,12 +166,13 @@ void FaultInjector::OnNotify(const Packet& icmp, SimTime base_delay,
                              std::vector<SimTime>& delays_out,
                              std::uint32_t rack) {
   const ControlFaultSpec& c = plan_.control;
+  Random& rng = notify_rngs_[rack];
   if (InStall(sim_.now())) {
     ++stats_.stall_dropped;
     Record(FaultKind::kStallDrop, icmp.id, rack);
     return;  // no deliveries: the reconfiguration happens silently
   }
-  if (rng_.Bernoulli(c.notify_loss_rate)) {
+  if (rng.Bernoulli(c.notify_loss_rate)) {
     ++stats_.notifications_dropped;
     Record(FaultKind::kNotifyDrop, icmp.id, rack);
     return;
@@ -170,18 +180,18 @@ void FaultInjector::OnNotify(const Packet& icmp, SimTime base_delay,
   SimTime when = base_delay;
   if (!c.notify_delay_mean.IsZero()) {
     when = when + SimTime::Picos(static_cast<std::int64_t>(
-                      rng_.Exponential(static_cast<double>(
+                      rng.Exponential(static_cast<double>(
                           c.notify_delay_mean.picos()))));
   }
   if (!c.notify_delay_jitter.IsZero()) {
-    when = when + rng_.UniformTime(SimTime::Zero(), c.notify_delay_jitter);
+    when = when + rng.UniformTime(SimTime::Zero(), c.notify_delay_jitter);
   }
   if (when != base_delay) {
     ++stats_.notifications_delayed;
     Record(FaultKind::kNotifyDelay, icmp.id, rack);
   }
   delays_out.push_back(when);
-  if (rng_.Bernoulli(c.notify_duplicate_rate)) {
+  if (rng.Bernoulli(c.notify_duplicate_rate)) {
     ++stats_.notifications_duplicated;
     Record(FaultKind::kNotifyDuplicate, icmp.id, rack);
     // The duplicate trails the original slightly, as a retransmitted or

@@ -2,11 +2,12 @@
 //
 // The injector installs fault filters on every fabric port and rack NIC
 // link, a notification fault hook on every ToR, and schedules link-down
-// windows plus a periodic network-invariant audit. Every random decision is
-// drawn from a dedicated Random stream seeded from (run seed ^ plan salt):
-// the trace is bit-identical across runs of the same (plan, seed) and
-// independent of workload randomness, composing with the sweep engine's
-// jobs=1 == jobs=N determinism guarantee.
+// windows plus a periodic network-invariant audit. Every link filter and
+// every ToR's notification hook draws from its own Random stream, forked
+// from one keyed by (run seed, plan salt): the trace is bit-identical across
+// runs of the same (plan, seed), independent of workload randomness, and one
+// link's decisions do not depend on any other link's traffic. This composes
+// with the sweep engine's jobs=1 == jobs=N determinism guarantee.
 //
 // Every injected fault is appended to an ordered trace; TraceHash() folds
 // it into a single value tests can compare across runs, and
@@ -90,13 +91,15 @@ class FaultInjector final : public FaultTraceSource {
   void DumpRecentFaults(std::FILE* out, std::size_t last_n) const override;
 
  private:
-  struct GeState {
+  // One faulted link: its Gilbert-Elliott state and its own stream.
+  struct LinkState {
     bool bad = false;
+    Random rng;
   };
 
   // Returns true when the packet should be dropped; records the fault at
   // `at`, when the packet started serializing.
-  bool RollLink(const LinkFaultSpec& spec, GeState& ge, const Packet& p,
+  bool RollLink(const LinkFaultSpec& spec, LinkState& link, const Packet& p,
                 std::uint32_t subject, SimTime at);
   void OnNotify(const Packet& icmp, SimTime base_delay,
                 std::vector<SimTime>& delays_out, std::uint32_t rack);
@@ -111,8 +114,9 @@ class FaultInjector final : public FaultTraceSource {
 
   Simulator& sim_;
   FaultPlan plan_;
-  Random rng_;
-  std::vector<GeState> ge_states_;
+  Random streams_;  // never drawn from: every filter forks its own
+  std::vector<LinkState> links_;  // by subject
+  std::vector<Random> notify_rngs_;  // by rack
   std::vector<const FabricPort*> audited_ports_;
   std::vector<FaultEvent> trace_;
   FaultStats stats_;

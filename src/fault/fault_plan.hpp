@@ -4,7 +4,7 @@
 // Gilbert-Elliott bursts), when links go down, and how the control plane
 // misbehaves (notification drop / delay / duplication / reordering, and
 // controller stalls that skip a reconfiguration entirely). The FaultInjector
-// executes a plan against a Topology with a dedicated Random stream, so the
+// executes a plan against a Topology with dedicated Random streams, so the
 // same (plan, seed) always produces a bit-identical fault trace regardless
 // of what the workload's own randomness does.
 #pragma once
@@ -96,8 +96,8 @@ struct FaultPlan {
   std::vector<HostDownWindow> host_downs;
   ControlFaultSpec control;
 
-  // Mixed into the experiment seed to derive the injector's dedicated
-  // Random stream (fault decisions never consume workload randomness).
+  // Keys, with the experiment seed, the injector's dedicated Random streams
+  // (fault decisions never consume workload randomness).
   std::uint64_t seed_salt = 0x9e3779b97f4a7c15ull;
 
   // Period of the injector's network-invariant audit (VOQ occupancy within

@@ -6,7 +6,7 @@
 namespace tdtcp {
 
 FabricPort::FabricPort(Simulator& sim, Config config, PacketSink* remote,
-                       Random* rng)
+                       Random rng)
     : sim_(sim),
       link_(sim,
             Link::Config{.rate_bps = config.initial_mode.rate_bps,

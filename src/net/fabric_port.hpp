@@ -55,8 +55,10 @@ class FabricPort {
     std::string name;
   };
 
-  // Throws std::invalid_argument on a null remote or a zero-rate mode.
-  FabricPort(Simulator& sim, Config config, PacketSink* remote, Random* rng = nullptr);
+  // `rng` is the port's own jitter stream. Throws std::invalid_argument on
+  // a null remote or a zero-rate mode.
+  FabricPort(Simulator& sim, Config config, PacketSink* remote,
+             Random rng = Random());
 
   // Schedule control (driven by the RDCN controller). SetMode throws
   // std::invalid_argument on a zero-rate mode. A packet already serializing

@@ -5,7 +5,7 @@
 
 namespace tdtcp {
 
-Link::Link(Simulator& sim, Config config, PacketSink* sink, Random* rng)
+Link::Link(Simulator& sim, Config config, PacketSink* sink, Random rng)
     : sim_(sim), config_(std::move(config)), sink_(sink), rng_(rng),
       queue_(sim, config_.queue) {
   if (sink_ == nullptr) throw std::invalid_argument("Link: null sink");
@@ -120,8 +120,8 @@ void Link::Start(SimTime t) {
     if (circuit_) head->circuit_mark = true;
     SimTime delay = tx + config_.propagation;
     covered_ = queue_.shared_pool() == nullptr;
-    if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
-      delay += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
+    if (!config_.reorder_jitter.IsZero()) {
+      delay += rng_.UniformTime(SimTime::Zero(), config_.reorder_jitter);
       covered_ = false;
     }
     // The pooled handle the queue admitted rides the arrival event as one

@@ -55,8 +55,9 @@ class Link {
     std::string name;  // for tracing
   };
 
-  // Throws std::invalid_argument on a null sink or a zero rate.
-  Link(Simulator& sim, Config config, PacketSink* sink, Random* rng = nullptr);
+  // `rng` is the link's own jitter stream (drawn only with reorder_jitter
+  // set). Throws std::invalid_argument on a null sink or a zero rate.
+  Link(Simulator& sim, Config config, PacketSink* sink, Random rng = Random());
 
   // Admits a packet to the queue (may drop) and kicks the transmitter.
   void Enqueue(Packet&& p);
@@ -147,7 +148,7 @@ class Link {
   Simulator& sim_;
   Config config_;
   PacketSink* sink_;
-  Random* rng_;
+  Random rng_;
   QueueDisc queue_;
   FaultFilter fault_filter_;
   bool has_fault_filter_ = false;

@@ -4,7 +4,8 @@
 
 namespace tdtcp {
 
-Topology::Topology(Simulator& sim, Random& rng, const TopologyConfig& config)
+Topology::Topology(Simulator& sim, const Random& rng,
+                   const TopologyConfig& config)
     : config_(config) {
   const std::uint32_t total_hosts = config.num_racks * config.hosts_per_rack;
   hosts_.reserve(total_hosts);
@@ -17,8 +18,9 @@ Topology::Topology(Simulator& sim, Random& rng, const TopologyConfig& config)
   for (RackId r = 0; r < config.num_racks; ++r) {
     // The builder numbers hosts rack-major and attaches them in id order,
     // which is what the ToR's arithmetic routing assumes.
-    tors_.push_back(std::make_unique<ToRSwitch>(sim, r, config.hosts_per_rack,
-                                                config.notify, &rng));
+    tors_.push_back(std::make_unique<ToRSwitch>(
+        sim, r, config.hosts_per_rack, config.notify,
+        rng.Fork(StreamId(StreamKind::kToR, r))));
   }
 
   // Rack machine NICs (shared by all hosts in the rack, per Fig. 6).
@@ -30,14 +32,18 @@ Topology::Topology(Simulator& sim, Random& rng, const TopologyConfig& config)
   for (RackId r = 0; r < config.num_racks; ++r) {
     Link::Config up = host_link;
     up.name = "rack" + std::to_string(r) + "-up";
-    links_.push_back(std::make_unique<Link>(sim, up, tors_[r].get()));
+    links_.push_back(std::make_unique<Link>(
+        sim, up, tors_[r].get(),
+        rng.Fork(StreamId(StreamKind::kRackUplink, r))));
     Link* uplink = links_.back().get();
     uplinks_.push_back(uplink);
 
     demuxes_.push_back(std::make_unique<RackDemux>(this));
     Link::Config down = host_link;
     down.name = "rack" + std::to_string(r) + "-down";
-    links_.push_back(std::make_unique<Link>(sim, down, demuxes_.back().get()));
+    links_.push_back(std::make_unique<Link>(
+        sim, down, demuxes_.back().get(),
+        rng.Fork(StreamId(StreamKind::kRackDownlink, r))));
     Link* downlink = links_.back().get();
     downlinks_.push_back(downlink);
 

@@ -68,7 +68,9 @@ struct TopologyConfig {
 
 class Topology {
  public:
-  Topology(Simulator& sim, Random& rng, const TopologyConfig& config);
+  // Every ToR, fabric port and rack NIC link draws from its own stream,
+  // forked from `rng` by component id; `rng` itself never advances.
+  Topology(Simulator& sim, const Random& rng, const TopologyConfig& config);
 
   Host* host(RackId rack, std::uint32_t index) {
     return hosts_[rack * config_.hosts_per_rack + index].get();

@@ -8,7 +8,7 @@
 namespace tdtcp {
 
 ToRSwitch::ToRSwitch(Simulator& sim, RackId rack, std::uint32_t hosts_per_rack,
-                     NotifyGenConfig notify, Random* rng)
+                     NotifyGenConfig notify, Random rng)
     : sim_(sim),
       rack_(rack),
       hosts_per_rack_(hosts_per_rack),
@@ -30,7 +30,9 @@ FabricPort* ToRSwitch::AddRemoteRack(RackId rack, FabricPort::Config config,
     shared_pool_.total_packets =
         std::max(shared_pool_.total_packets, config.voq.shared_pool_packets);
   }
-  auto port = std::make_unique<FabricPort>(sim_, std::move(config), remote_tor, rng_);
+  auto port = std::make_unique<FabricPort>(
+      sim_, std::move(config), remote_tor,
+      rng_.Fork(StreamId(StreamKind::kFabricPort, rack)));
   FabricPort* raw = port.get();
   if (shares) raw->voq().AttachSharedPool(&shared_pool_);
   if (rack >= ports_.size()) ports_.resize(static_cast<std::size_t>(rack) + 1);
@@ -77,12 +79,10 @@ void ToRSwitch::HandlePacket(Packet&& p) {
 
 SimTime ToRSwitch::SampleGenDelay() {
   if (notify_.cached_packet) {
-    if (rng_ == nullptr) return notify_.gen_delay_cached_median;
-    return rng_->LognormalTime(notify_.gen_delay_cached_median,
-                               notify_.cached_sigma);
+    return rng_.LognormalTime(notify_.gen_delay_cached_median,
+                              notify_.cached_sigma);
   }
-  if (rng_ == nullptr) return notify_.gen_delay_fresh_median;
-  return rng_->LognormalTime(notify_.gen_delay_fresh_median, notify_.gen_sigma);
+  return rng_.LognormalTime(notify_.gen_delay_fresh_median, notify_.gen_sigma);
 }
 
 void ToRSwitch::NotifyHosts(TdnId tdn, bool imminent, RackId peer,

@@ -40,10 +40,12 @@ struct NotifyGenConfig {
 class ToRSwitch : public PacketSink {
  public:
   // Hosts are numbered rack-major: rack r holds ids r*hosts_per_rack up to
-  // (r+1)*hosts_per_rack - 1, so routing is pure arithmetic. Throws
-  // std::invalid_argument when `hosts_per_rack` is zero.
+  // (r+1)*hosts_per_rack - 1, so routing is pure arithmetic. `rng` is the
+  // switch's own stream (notification generation delays); every fabric port
+  // forks its jitter stream from it. Throws std::invalid_argument when
+  // `hosts_per_rack` is zero.
   ToRSwitch(Simulator& sim, RackId rack, std::uint32_t hosts_per_rack,
-            NotifyGenConfig notify, Random* rng);
+            NotifyGenConfig notify, Random rng);
 
   RackId rack() const { return rack_; }
 
@@ -123,7 +125,7 @@ class ToRSwitch : public PacketSink {
   RackId rack_;
   std::uint32_t hosts_per_rack_;
   NotifyGenConfig notify_;
-  Random* rng_;
+  Random rng_;
   std::vector<HostPort> hosts_;
   // Indexed by destination rack; null where no port was added.
   std::vector<std::unique_ptr<FabricPort>> ports_;

@@ -5,7 +5,7 @@
 // (rotation-period change, matching reshuffle, TDN-count change), and
 // controller-restart windows during which the fabric freezes in place. The
 // SchedulePerturbation engine executes a config with a dedicated Random
-// stream (seed ^ seed_salt, same discipline as the fault injector), so the
+// stream (keyed by seed and seed_salt, like the fault injector), so the
 // same (config, seed) always produces the same perturbed schedule no matter
 // what the workload's own randomness does.
 //
@@ -70,7 +70,7 @@ struct PerturbationConfig {
   std::vector<ScheduleChange> changes;
   std::vector<RestartWindow> restarts;
 
-  // Mixed into the experiment seed for the engine's dedicated Random stream.
+  // Keys, with the experiment seed, the engine's dedicated Random stream.
   // Distinct default from FaultPlan::seed_salt so an experiment running both
   // never correlates fault and schedule draws.
   std::uint64_t seed_salt = 0xc2b2ae3d27d4eb4full;

@@ -272,9 +272,11 @@ TEST(Mptcp, WireDigestIsPinned) {
   EXPECT_GT(f.sender->subflow(1)->bytes_acked(), 0u);
   EXPECT_GT(f.sender->meta_bytes_acked(), 0u);
   // Computed on the engine with per-hook std::function callbacks, before
-  // the subflow/meta interface became SubflowOwner.
+  // the subflow/meta interface became SubflowOwner. The digest re-pinned
+  // when the ToRs' notification delays moved to per-ToR counter-based
+  // streams (DESIGN.md §14).
   EXPECT_EQ(f.wire.size(), 14460u);
-  EXPECT_EQ(h.value(), 14289442736780406851ull);
+  EXPECT_EQ(h.value(), 3867132650869219455ull);
 }
 
 }  // namespace

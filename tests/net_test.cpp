@@ -186,7 +186,7 @@ TEST(Link, ReorderJitterCanReorder) {
   lc.propagation = SimTime::Micros(1);
   lc.reorder_jitter = SimTime::Micros(50);
   lc.queue.capacity_packets = 100;
-  Link jlink(sim, lc, &sink, &rng);
+  Link jlink(sim, lc, &sink, rng);
   for (int i = 0; i < 50; ++i) {
     jlink.Enqueue(MakeData(1500));
   }
@@ -861,9 +861,9 @@ void CheckAgainstOracle(std::uint64_t seed, const OracleCase& c, bool pins) {
       RandomStageInputs(seed, pins, pins ? 2 : 3);
 
   Simulator sim;
-  Random stage_rng(seed + 1000);
   CaptureSink sink;
-  Stage stage(sim, modes[0], jitter, kCapacity, kStash, &sink, &stage_rng);
+  Stage stage(sim, modes[0], jitter, kCapacity, kStash, &sink,
+              Random(seed + 1000));
   std::vector<StageFault> faults;
   if (c.faults) {
     stage.SetFaultFilter([&](const Packet& p) {
@@ -932,7 +932,7 @@ struct ArrivalStamp : PacketSink {
 struct LinkStage {
   LinkStage(Simulator& sim, const NetworkMode& mode, SimTime jitter,
             std::uint32_t capacity, std::uint32_t, PacketSink* sink,
-            Random* rng)
+            Random rng)
       : stamp(sim, sink),
         link(sim,
              Link::Config{.rate_bps = mode.rate_bps,
@@ -958,7 +958,7 @@ struct LinkStage {
 struct PortStage {
   PortStage(Simulator& sim, const NetworkMode& mode, SimTime jitter,
             std::uint32_t capacity, std::uint32_t stash, PacketSink* sink,
-            Random* rng)
+            Random rng)
       : stamp(sim, sink),
         port(sim,
              FabricPort::Config{.voq = {.capacity_packets = capacity},
@@ -1347,9 +1347,8 @@ TEST(Topology, RackResolver) {
 
 TEST(ToRSwitch, NotifyViaControlNetworkTiming) {
   Simulator sim;
-  Random rng(1);
   NotifyGenConfig nc;  // cached, control network
-  ToRSwitch tor(sim, 0, 2, nc, &rng);
+  ToRSwitch tor(sim, 0, 2, nc, Random(1));
   Host h0(sim, 0), h1(sim, 1);
   std::vector<SimTime> when(2, SimTime::Max());
   TdnCallback l0([&](TdnId, bool) { when[0] = sim.now(); });
@@ -1370,12 +1369,11 @@ TEST(ToRSwitch, NotifyViaControlNetworkTiming) {
 
 TEST(ToRSwitch, FreshGenerationSlowerThanCached) {
   Simulator sim;
-  Random rng(1);
   NotifyGenConfig cached;
   NotifyGenConfig fresh;
   fresh.cached_packet = false;
-  ToRSwitch tor_cached(sim, 0, 1, cached, &rng);
-  ToRSwitch tor_fresh(sim, 1, 1, fresh, &rng);
+  ToRSwitch tor_cached(sim, 0, 1, cached, Random(1));
+  ToRSwitch tor_fresh(sim, 1, 1, fresh, Random(1));
   Host h(sim, 0);
   tor_cached.AttachHost(0, nullptr, &h);
   tor_fresh.AttachHost(0, nullptr, &h);
@@ -1391,10 +1389,9 @@ TEST(ToRSwitch, FreshGenerationSlowerThanCached) {
 
 TEST(ToRSwitch, DataPlaneDeliveryRidesDownlink) {
   Simulator sim;
-  Random rng(1);
   NotifyGenConfig nc;
   nc.via_control_network = false;
-  ToRSwitch tor(sim, 0, 2, nc, &rng);
+  ToRSwitch tor(sim, 0, 2, nc, Random(1));
   Host h(sim, 0);
   CaptureSink sink;
   Link::Config lc;
@@ -1415,8 +1412,7 @@ TEST(ToRSwitch, DataPlaneDeliveryRidesDownlink) {
 
 TEST(ToRSwitch, UnknownLocalHostThrows) {
   Simulator sim;
-  Random rng(1);
-  ToRSwitch tor(sim, 0, 4, NotifyGenConfig{}, &rng);
+  ToRSwitch tor(sim, 0, 4, NotifyGenConfig{}, Random(1));
   Host h(sim, 0);
   CaptureSink sink;
   Link down(sim, Link::Config{}, &sink);
@@ -1426,15 +1422,13 @@ TEST(ToRSwitch, UnknownLocalHostThrows) {
 
 TEST(ToRSwitch, MissingFabricPortThrows) {
   Simulator sim;
-  Random rng(1);
-  ToRSwitch tor(sim, 0, 4, NotifyGenConfig{}, &rng);
+  ToRSwitch tor(sim, 0, 4, NotifyGenConfig{}, Random(1));
   EXPECT_THROW(tor.HandlePacket(MakeData(9000, 9)), std::logic_error);
 }
 
 TEST(ToRSwitch, PortLookupByRack) {
   Simulator sim;
-  Random rng(1);
-  ToRSwitch tor(sim, 0, 4, NotifyGenConfig{}, &rng);
+  ToRSwitch tor(sim, 0, 4, NotifyGenConfig{}, Random(1));
   CaptureSink remote;
   FabricPort* p3 = tor.AddRemoteRack(3, PortConfig(), &remote);
   EXPECT_EQ(tor.port(3), p3);
@@ -1674,8 +1668,10 @@ TEST(Soak, DeliveryMultisetIsPinned) {
   EXPECT_GT(down[1]->queue().stats().dropped, 0u);
   // Computed on the earlier two-event stage design (a serialization-complete
   // event, then the arrival); DESIGN.md §4, "One event per packet stage".
-  EXPECT_EQ(log.size(), 15457u);
-  EXPECT_EQ(h.value(), 11362410912502062180ull);
+  // Re-pinned when Random became a counter-based stream (DESIGN.md §14):
+  // the traffic drawn above changed.
+  EXPECT_EQ(log.size(), 15677u);
+  EXPECT_EQ(h.value(), 16049447546658169776ull);
 }
 
 }  // namespace

@@ -46,8 +46,8 @@ TEST_P(ReliabilitySweep, AllBytesDeliveredInOrderExactlyOnce) {
   ab.propagation = SimTime::Micros(10);
   ab.queue.capacity_packets = p.queue_capacity;
   ab.reorder_jitter = SimTime::Micros(p.jitter_us);
-  net.ab_link = std::make_unique<Link>(sim, ab, &net.b, &rng);
-  net.ba_link = std::make_unique<Link>(sim, ab, &net.a, &rng);
+  net.ab_link = std::make_unique<Link>(sim, ab, &net.b, rng.Fork(0));
+  net.ba_link = std::make_unique<Link>(sim, ab, &net.a, rng.Fork(1));
   net.a.AttachUplink(net.ab_link.get());
   net.b.AttachUplink(net.ba_link.get());
 

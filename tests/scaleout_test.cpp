@@ -70,25 +70,6 @@ TEST(FlowSizeCdf, DeterministicSampleStream) {
   EXPECT_NE(sa, sc);
 }
 
-TEST(FlowSizeCdf, SampleMeanMatchesAnalyticMean) {
-  for (const char* name : {"websearch", "datamining"}) {
-    const auto cdf = BuiltinFlowSizeCdf(name);
-    Random rng(7);
-    const int n = 200'000;
-    double sum = 0;
-    for (int i = 0; i < n; ++i) {
-      sum += static_cast<double>(cdf->Sample(rng));
-    }
-    const double sample_mean = sum / n;
-    const double analytic = cdf->MeanBytes();
-    // Generous tolerance: datamining's tail reaches 1 GB, so even 200k
-    // draws leave a few percent of sampling noise.
-    EXPECT_NEAR(sample_mean / analytic, 1.0, 0.10) << name;
-  }
-  // Websearch's documented mean is ~1.71 MB.
-  EXPECT_NEAR(BuiltinFlowSizeCdf("websearch")->MeanBytes(), 1.71e6, 0.1e6);
-}
-
 TEST(FlowSizeCdf, FromFileParsesCdfFormat) {
   const std::string path = testing::TempDir() + "/tdtcp_cdf_test.txt";
   {

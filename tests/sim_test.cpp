@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -202,49 +201,6 @@ TEST(Simulator, CancelPendingTimer) {
   sim.Schedule(SimTime::Micros(5), [&] { sim.Cancel(id); });
   sim.Run();
   EXPECT_FALSE(fired);
-}
-
-TEST(Random, DeterministicAcrossInstances) {
-  Random a(42), b(42);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(a.UniformInt(0, 1'000'000), b.UniformInt(0, 1'000'000));
-  }
-}
-
-TEST(Random, UniformIntWithinBounds) {
-  Random r(7);
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = r.UniformInt(5, 9);
-    EXPECT_GE(v, 5);
-    EXPECT_LE(v, 9);
-  }
-}
-
-TEST(Random, BernoulliExtremes) {
-  Random r(1);
-  EXPECT_FALSE(r.Bernoulli(0.0));
-  EXPECT_TRUE(r.Bernoulli(1.0));
-}
-
-TEST(Random, LognormalTimePositiveAndScales) {
-  Random r(3);
-  double sum = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const SimTime t = r.LognormalTime(SimTime::Micros(4), 0.7);
-    EXPECT_GT(t, SimTime::Zero());
-    sum += t.micros_f();
-  }
-  // Mean of lognormal(median m, sigma) = m * exp(sigma^2/2) ~ 5.1 us.
-  EXPECT_NEAR(sum / 2000.0, 5.1, 1.0);
-}
-
-TEST(Random, UniformTimeWithinRange) {
-  Random r(5);
-  for (int i = 0; i < 100; ++i) {
-    const SimTime t = r.UniformTime(SimTime::Micros(1), SimTime::Micros(2));
-    EXPECT_GE(t, SimTime::Micros(1));
-    EXPECT_LE(t, SimTime::Micros(2));
-  }
 }
 
 }  // namespace

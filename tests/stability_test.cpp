@@ -551,9 +551,11 @@ TEST(PerturbedRun, SchedulerDigestsArePinned) {
   // Computed with the two controllers' own copies of the week clock, before
   // they shared one. sim_events re-pinned (105238 and 205646 before) when
   // a link stopped taking a start event per queued packet (DESIGN.md §4).
+  // Hashes and sim_events re-pinned when every component got its own
+  // counter-based stream (DESIGN.md §14): every draw moved.
   const Pin pins[] = {
-      {16931321407018506682ull, 12240419489989286690ull, 87303, 3, 1, 0},
-      {3733389989854953441ull, 4496496656601076698ull, 179949, 2, 1, 4},
+      {15281099521164003931ull, 10528666986187250588ull, 86522, 3, 1, 0},
+      {2637327329194303411ull, 1423102438917403411ull, 149492, 2, 1, 4},
   };
   const ExperimentConfig* configs[] = {&pair, &rotor};
   for (int i = 0; i < 2; ++i) {

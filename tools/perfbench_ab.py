@@ -3,27 +3,34 @@
 
     tools/perfbench_ab.py --base HEAD~1 --pairs 10 --seconds 30 \\
         --workload rotor_churn --seed 7
+    tools/perfbench_ab.py --base-dir ../parent --rebaseline --pairs 10
 
-Checks the base revision out into a temporary `git worktree`, then runs
+Checks the base revision out into a temporary `git worktree` (or, with
+`--base-dir`, uses a checkout that is already there), then runs
 `python3 perfbench/run.py` of each tree (base first in even pairs, change
 first in odd ones, so slow drift of the host favours neither side) and
 prints, per workload and metric, the median and quartiles of both sides, the
 relative change of the medians, how many pairs the change won, and whether
 the medians differ by more than the base's interquartile range. It also
-checks that every run of both trees printed the same workload fingerprint
-(churn_hash, bytes_acked, retransmissions, sim_events, abnormal).
+checks the workload fingerprint every run prints (churn_hash, bytes_acked,
+retransmissions, sim_events, abnormal), on three lines: within the base's
+runs, within the change's runs, and between base and change.
 
 "This checkout" is the working tree as it is, uncommitted edits included:
 pass `--base HEAD` to measure uncommitted work against its parent commit.
 Each tree builds its own benchmark into its own .bench_build/ (the first run
-of each side pays for a Release build of src/). The worktree is removed on
-exit; nothing in either tree's perfbench/ is touched.
+of each side pays for a Release build of src/; a `--base-dir` tree that was
+built before only relinks what changed). The worktree is removed on exit;
+nothing in either tree's perfbench/ is touched.
 
 `--trace 1` runs the traced per-layer pass instead (sim.events,
 sim.events_per_s, ...); restrict the table with --metric.
 
-Exit status: 0 when every fingerprint matched and every run succeeded,
-1 otherwise, 2 on usage or set-up errors.
+Exit status: 0 when every run succeeded and the fingerprints agreed within
+each side and between the sides, 1 otherwise, 2 on usage or set-up errors.
+With `--rebaseline` (a change that moves the sample path on purpose) the
+base/change line is expected to differ and does not fail the run; a
+mismatch inside one side still does.
 """
 import argparse
 import json
@@ -78,6 +85,30 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def fingerprint_report(fingerprints, rebaseline):
+    """Prints fingerprint agreement within base, within change and between
+    them; returns False when a line that must agree does not."""
+    def agree(fps):
+        return len(fps) == 1 and None not in fps
+
+    def listed(fps):
+        return " | ".join(sorted(str(f) for f in fps))
+
+    ok = True
+    for side in ("base", "change"):
+        same = agree(fingerprints[side])
+        ok = ok and same
+        print(f"  fingerprints within {side}: "
+              f"{'equal' if same else 'DIFFER'}: {listed(fingerprints[side])}")
+    between = fingerprints["base"] | fingerprints["change"]
+    same = agree(between)
+    expected = " (expected: --rebaseline)" if rebaseline and not same else ""
+    ok = ok and (same or rebaseline)
+    print(f"  fingerprints base vs change: "
+          f"{'equal' if same else 'DIFFER'}{expected}")
+    return ok
+
+
 def report(workload, pairs, directions, wanted):
     names = [n for n in pairs[0][0] if not wanted or n in wanted]
     print(f"\n{workload}: {len(pairs)} pairs")
@@ -100,8 +131,15 @@ def report(workload, pairs, directions, wanted):
 
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--base", default="HEAD~1",
-                   help="revision to compare against (default HEAD~1)")
+    base = p.add_mutually_exclusive_group()
+    base.add_argument("--base", default="HEAD~1",
+                      help="revision to compare against (default HEAD~1)")
+    base.add_argument("--base-dir",
+                      help="an existing checkout to compare against, used "
+                           "as it is instead of a fresh worktree of --base")
+    p.add_argument("--rebaseline", action="store_true",
+                   help="the change moves the fingerprint on purpose: a "
+                        "base/change difference does not fail the run")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30)
     p.add_argument("--seed", type=int, default=1)
@@ -120,18 +158,25 @@ def main():
     directions = {m["name"]: m["better"]
                   for m in bench["end_to_end"] + bench.get("per_layer", [])}
     directions["failed_share"] = "lower"
-    base_rev = git(root, "rev-parse", "--verify", args.base + "^{commit}")
-
-    scratch = tempfile.mkdtemp(prefix="perfbench_ab_")
-    base_tree = os.path.join(scratch, "base")
-    git(root, "worktree", "add", "--detach", base_tree, base_rev)
+    scratch = None
+    if args.base_dir:
+        base_tree = os.path.abspath(args.base_dir)
+        if not os.path.isfile(os.path.join(base_tree, "perfbench", "run.py")):
+            fail(f"--base-dir {base_tree}: no perfbench/run.py there")
+        base_name = base_tree
+    else:
+        base_rev = git(root, "rev-parse", "--verify", args.base + "^{commit}")
+        scratch = tempfile.mkdtemp(prefix="perfbench_ab_")
+        base_tree = os.path.join(scratch, "base")
+        git(root, "worktree", "add", "--detach", base_tree, base_rev)
+        base_name = base_rev[:12]
     ok = True
     try:
-        print(f"base {base_rev[:12]} vs change {root} (working tree); "
+        print(f"base {base_name} vs change {root} (working tree); "
               f"seed {args.seed}, {args.seconds:g} s, trace {args.trace}")
         for workload in workloads:
             pairs = []
-            fingerprints = set()
+            fingerprints = {"base": set(), "change": set()}
             for i in range(args.pairs):
                 order = [("base", base_tree), ("change", root)]
                 if i % 2 == 1:
@@ -144,7 +189,7 @@ def main():
                         ok = False
                         break
                     got[side] = metrics
-                    fingerprints.add(fp)
+                    fingerprints[side].add(fp)
                 if len(got) == 2:
                     pairs.append((got["base"], got["change"]))
                     note = "".join(f" {side} run_s {got[side]['run_s']:.4f}"
@@ -155,16 +200,14 @@ def main():
             if not pairs:
                 continue
             report(workload, pairs, directions, set(args.metric or []))
-            same = len(fingerprints) == 1 and None not in fingerprints
-            ok = ok and same
-            print(f"  fingerprints: {'equal' if same else 'DIFFER'}: "
-                  + " | ".join(sorted(str(f) for f in fingerprints)))
+            ok = fingerprint_report(fingerprints, args.rebaseline) and ok
     finally:
-        subprocess.run(["git", "-C", root, "worktree", "remove", "--force",
-                        base_tree], capture_output=True)
-        shutil.rmtree(scratch, ignore_errors=True)
-        subprocess.run(["git", "-C", root, "worktree", "prune"],
-                       capture_output=True)
+        if scratch is not None:
+            subprocess.run(["git", "-C", root, "worktree", "remove",
+                            "--force", base_tree], capture_output=True)
+            shutil.rmtree(scratch, ignore_errors=True)
+            subprocess.run(["git", "-C", root, "worktree", "prune"],
+                           capture_output=True)
     return 0 if ok else 1
 
 
