@@ -44,7 +44,7 @@ std::string PointLabel(Variant v, double loss, int delay_us) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv, 60);
+  const BenchArgs args = ParseBenchArgs(argc, argv, 60, SeedUse::kEverySeed);
   const int ms = args.duration_ms;
   const std::vector<std::uint64_t> seeds = args.SeedList();
 

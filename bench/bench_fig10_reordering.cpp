@@ -38,7 +38,7 @@ void PrintCdf(const char* title, const std::vector<VariantRun>& runs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv, 150);
+  const BenchArgs args = ParseBenchArgs(argc, argv, 150, SeedUse::kEverySeed);
   const int ms = args.duration_ms;
   ExperimentConfig base = PaperConfig(Variant::kCubic)
                               .WithFlows(8)

@@ -46,7 +46,7 @@ void RunAtRate(std::uint64_t rate_bps, const BenchArgs& args, const char* csv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args = ParseBenchArgs(argc, argv, 60);
+  BenchArgs args = ParseBenchArgs(argc, argv, 60, SeedUse::kEverySeed);
   std::printf("Figure 14 (A.4): VOQ occupancy, latency-only difference "
               "(RTT 20us vs 10us)\n");
   const std::string out = args.out;

@@ -15,7 +15,7 @@ using namespace tdtcp;
 using namespace tdtcp::bench;
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv, 120);
+  const BenchArgs args = ParseBenchArgs(argc, argv, 120, SeedUse::kEverySeed);
   const ExperimentConfig base = PaperConfig(Variant::kCubic)
                                     .WithFlows(8)
                                     .WithDurationMs(args.duration_ms);

@@ -9,7 +9,9 @@
 //                 [--schedule-jitter=US] [--day-skew=S]
 // --jobs=0 (the default) uses one worker per hardware thread; results are
 // bit-identical at any job count. --seeds=K averages K deterministic seeds
-// per configuration and reports mean +/- 95% CI. --qdisc selects the VOQ
+// per configuration and reports mean +/- 95% CI; only the benches that
+// parse with SeedUse::kEverySeed run K seeds, and every other bench exits 2
+// on --seeds=K > 1. --qdisc selects the VOQ
 // queue discipline (droptail | codel | delaymark | sharedpool; empty keeps
 // the config's default) and --recovery the tail-recovery mode (off | rack |
 // agent). Every config a bench builds passes through ApplyBenchFlags, so
@@ -69,7 +71,12 @@ double WallNs(Fn&& fn) {
       .count();
 }
 
-inline BenchArgs ParseBenchArgs(int argc, char** argv, int default_ms) {
+// Whether a bench runs each configuration once per seed of --seeds (through
+// RunVariants or its own seed loop) or on one seed only.
+enum class SeedUse { kOneSeed, kEverySeed };
+
+inline BenchArgs ParseBenchArgs(int argc, char** argv, int default_ms,
+                                SeedUse seed_use = SeedUse::kOneSeed) {
   BenchArgs args;
   args.duration_ms = default_ms;
   for (int i = 1; i < argc; ++i) {
@@ -129,6 +136,13 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv, int default_ms) {
     }
   }
   if (args.duration_ms <= 0) args.duration_ms = default_ms;
+  if (seed_use == SeedUse::kOneSeed && args.seeds > 1) {
+    std::fprintf(stderr,
+                 "%s: --seeds=%d: this bench runs one seed per "
+                 "configuration\n",
+                 argv[0], args.seeds);
+    std::exit(2);
+  }
   return args;
 }
 

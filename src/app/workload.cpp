@@ -429,30 +429,19 @@ void ChurnGenerator::OpenSlot(RackId src_rack, std::uint32_t src_host,
   slot.src_node = src->id();
   slot.dst_node = dst->id();
 
-  TcpConfig tc = MakeVariantConfig(variant, config_.base);
-  TcpConfig rc = tc;
-  if (config_.scope_tdn_to_peer) {
-    tc.peer_rack = dst_rack;
-    rc.peer_rack = src_rack;
-  }
-  rc.close_on_peer_fin = true;  // server: close as soon as the request ends
-  slot.receiver = std::make_unique<TcpConnection>(sim_, dst, slot.flow,
-                                                  src->id(), rc);
-  slot.receiver->SetClosedCallback([this, idx](CloseReason reason) {
-    OnEndClosed(idx, /*sender_end=*/false, reason);
-  });
-  if (trace_ring_ != nullptr) slot.receiver->SetTraceRing(trace_ring_);
-  slot.receiver->Listen();
-
-  slot.sender = std::make_unique<TcpConnection>(sim_, src, slot.flow,
-                                                dst->id(), tc);
-  slot.sender->SetClosedCallback([this, idx](CloseReason reason) {
-    OnEndClosed(idx, /*sender_end=*/true, reason);
-  });
-  if (trace_ring_ != nullptr) slot.sender->SetTraceRing(trace_ring_);
-  slot.sender->Connect();
-  slot.sender->AddAppData(bytes);
-  slot.sender->Close();  // lingering close: the FIN rides behind the data
+  // Receiver first, then sender: the order a host's listener list and the
+  // recovery agent's list see them in.
+  OpenEnd(slot.receiver, dst, src->id(),
+          EndConfig(variant, src_rack, /*receiver=*/true), idx,
+          /*sender_end=*/false)
+      .Listen();
+  TcpConnection& sender =
+      OpenEnd(slot.sender, src, dst->id(),
+              EndConfig(variant, dst_rack, /*receiver=*/false), idx,
+              /*sender_end=*/true);
+  sender.Connect();
+  sender.AddAppData(bytes);
+  sender.Close();  // lingering close: the FIN rides behind the data
 
   // A fixed delay from a nondecreasing clock: every slot's timeout rides
   // one stream.
@@ -461,6 +450,35 @@ void ChurnGenerator::OpenSlot(RackId src_rack, std::uint32_t src_host,
   ++stats_.opened;
   ++stats_.opened_by_variant[static_cast<std::size_t>(variant)];
   ++active_;
+}
+
+const TcpConfig& ChurnGenerator::EndConfig(Variant variant, RackId peer_rack,
+                                           bool receiver) {
+  std::optional<TcpConfig>& config =
+      variant_configs_[static_cast<std::size_t>(variant)];
+  if (!config) config = MakeVariantConfig(variant, config_.base);
+  config->peer_rack =
+      config_.scope_tdn_to_peer ? peer_rack : config_.base.peer_rack;
+  // The server closes as soon as the request ends.
+  config->close_on_peer_fin = receiver || config_.base.close_on_peer_fin;
+  return *config;
+}
+
+TcpConnection& ChurnGenerator::OpenEnd(std::unique_ptr<TcpConnection>& end,
+                                       Host* host, NodeId peer,
+                                       const TcpConfig& config,
+                                       std::uint32_t idx, bool sender_end) {
+  const FlowId flow = slots_[idx].flow;
+  if (end == nullptr) {
+    end = std::make_unique<TcpConnection>(sim_, host, flow, peer, config);
+  } else {
+    end->Reopen(host, flow, peer, config);
+  }
+  end->SetClosedCallback([this, idx, sender_end](CloseReason reason) {
+    OnEndClosed(idx, sender_end, reason);
+  });
+  if (trace_ring_ != nullptr) end->SetTraceRing(trace_ring_);
+  return *end;
 }
 
 void ChurnGenerator::OnEndClosed(std::uint32_t idx, bool sender_end,
@@ -516,8 +534,10 @@ void ChurnGenerator::OnSlotTimeout(std::uint32_t idx) {
 
 void ChurnGenerator::Reclaim(std::uint32_t idx) {
   Slot& slot = slots_[idx];
-  slot.sender.reset();
-  slot.receiver.reset();
+  // What destroying the pair did, in the same order; the next OpenSlot on
+  // this slot reopens both.
+  slot.sender->Retire();
+  slot.receiver->Retire();
   slot.in_use = false;
   free_.push_back(idx);
 }

@@ -3,8 +3,10 @@
 // bulk transfers, all flows starting together).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -115,10 +117,13 @@ class Workload {
 // Open → transfer → close cycles with Poisson arrivals: the workload shape
 // that exercises the full lifecycle machinery (handshake, lingering close,
 // FIN/ACK teardown, TIME_WAIT reclamation, and — under fault injection —
-// every abort path). Each cycle is a fresh sender/receiver TcpConnection
-// pair: the sender does Connect() + AddAppData(transfer) + Close() and the
-// FIN rides out behind the data; the receiver runs with close_on_peer_fin so
-// consuming the FIN triggers its own half of the handshake.
+// every abort path). Each cycle runs a sender/receiver TcpConnection pair
+// that starts out as fresh as a newly constructed one: the sender does
+// Connect() + AddAppData(transfer) + Close() and the FIN rides out behind
+// the data; the receiver runs with close_on_peer_fin so consuming the FIN
+// triggers its own half of the handshake. A slot builds its pair on first
+// use and reopens the same two objects for every later cycle (DESIGN.md,
+// "Churn slots reopen their connections").
 
 // How churned connections pick their (src_rack, dst_rack) pair.
 enum class RackPolicy {
@@ -265,6 +270,8 @@ class ChurnGenerator {
 
  private:
   struct Slot {
+    // Built on the slot's first cycle; retired by Reclaim, reopened by the
+    // next OpenSlot.
     std::unique_ptr<TcpConnection> sender;
     std::unique_ptr<TcpConnection> receiver;
     FlowId flow = 0;
@@ -294,6 +301,15 @@ class ChurnGenerator {
   Variant DrawVariant(Random& rng);
   void OpenSlot(RackId src_rack, std::uint32_t src_host, RackId dst_rack,
                 std::uint32_t dst_host, std::uint64_t bytes, Variant variant);
+  // The engine config of one end of a `variant` cycle: the variant's config
+  // (built on first use) with this end's peer rack and close_on_peer_fin
+  // written in. Valid until the next call.
+  const TcpConfig& EndConfig(Variant variant, RackId peer_rack, bool receiver);
+  // Builds the slot's end on first use, reopens it after, and wires its
+  // closed callback and trace ring.
+  TcpConnection& OpenEnd(std::unique_ptr<TcpConnection>& end, Host* host,
+                         NodeId peer, const TcpConfig& config,
+                         std::uint32_t idx, bool sender_end);
   void OnEndClosed(std::uint32_t idx, bool sender_end, CloseReason reason);
   void OnSlotTimeout(std::uint32_t idx);
   void Reclaim(std::uint32_t idx);
@@ -301,6 +317,8 @@ class ChurnGenerator {
   Simulator& sim_;
   Topology& topo_;
   ChurnConfig config_;
+  // MakeVariantConfig(v, config_.base) per variant, built on first use.
+  std::array<std::optional<TcpConfig>, kNumVariants> variant_configs_;
   TraceRing* trace_ring_ = nullptr;
   std::vector<Source> sources_;
   double mix_weight_ = 0.0;  // sum of tenant_mix weights

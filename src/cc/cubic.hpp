@@ -16,6 +16,7 @@ namespace tdtcp {
 class CubicCc : public CongestionControl {
  public:
   const char* name() const override { return "cubic"; }
+  void Reset() override { *this = CubicCc(); }
   void Init(TdnState& s) override;
   std::uint32_t SsThresh(TdnState& s) override;
   void CongAvoid(TdnState& s, std::uint32_t acked, SimTime now) override;

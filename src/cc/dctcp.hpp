@@ -21,6 +21,7 @@ class DctcpCc : public CongestionControl {
   explicit DctcpCc(Params params) : params_(params) {}
 
   const char* name() const override { return "dctcp"; }
+  void Reset() override { *this = DctcpCc(params_); }
   void Init(TdnState& s) override;
   std::uint32_t SsThresh(TdnState& s) override;
   void CongAvoid(TdnState& s, std::uint32_t acked, SimTime now) override;

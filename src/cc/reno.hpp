@@ -11,6 +11,7 @@ namespace tdtcp {
 class RenoCc : public CongestionControl {
  public:
   const char* name() const override { return "reno"; }
+  void Reset() override { *this = RenoCc(); }
   std::uint32_t SsThresh(TdnState& s) override;
   void CongAvoid(TdnState& s, std::uint32_t acked, SimTime now) override;
 };

@@ -29,6 +29,7 @@ class RetcpCc : public CubicCc {
   const char* name() const override {
     return params_.react_to_imminent ? "retcpdyn" : "retcp";
   }
+  void Reset() override { *this = RetcpCc(params_); }
 
   void OnCircuitTransition(TdnState& s, bool circuit_up, bool imminent) override;
 

@@ -264,7 +264,6 @@ Packet* QueueDisc::Dequeue(SimTime now) {
 void QueueDisc::DrainRawInto(std::vector<Packet*>& out) {
   if (count_ == 0) return;
   const std::uint32_t popped = static_cast<std::uint32_t>(count_);
-  out.reserve(out.size() + count_);
   while (count_ != 0) {
     out.push_back(ring_[head_]);
     head_ = (head_ + 1) & (ring_.size() - 1);

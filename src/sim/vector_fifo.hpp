@@ -58,9 +58,25 @@ class VectorFifo {
     head_ = 0;
   }
 
+  // clear(), keeping the buffer only while it has room for at most
+  // `max_kept` elements: a FIFO reused across many lifetimes does not pin
+  // the footprint of its largest one.
+  void Reset(std::size_t max_kept) {
+    if (buf_.capacity() > max_kept) buf_ = std::vector<T>();
+    clear();
+  }
+
  private:
   std::vector<T> buf_;
   std::size_t head_ = 0;  // index of the front element
 };
+
+// The same for a plain vector: clears `v` and frees its buffer when it has
+// room for more than `max_kept` elements.
+template <typename T>
+void ClearKeepingAtMost(std::vector<T>& v, std::size_t max_kept) {
+  if (v.capacity() > max_kept) v = std::vector<T>();
+  v.clear();
+}
 
 }  // namespace tdtcp

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <stdexcept>
+#include <utility>
 
 #include "tcp/tcp_connection.hpp"
 
@@ -16,6 +17,17 @@ const char* TcpInvariantChecker::EventName(Event ev) {
     case Event::kClose: return "close";
   }
   return "?";
+}
+
+void TcpInvariantChecker::Reset() {
+  std::vector<Recount> recount = std::move(recount_scratch_);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> windows =
+      std::move(pre_switch_windows_);
+  *this = TcpInvariantChecker();
+  recount_scratch_ = std::move(recount);
+  recount_scratch_.clear();
+  pre_switch_windows_ = std::move(windows);
+  pre_switch_windows_.clear();
 }
 
 void TcpInvariantChecker::WillSwitchTdn(const TcpConnection& conn) {

@@ -51,6 +51,10 @@ class TcpInvariantChecker {
 
   std::uint64_t checks_run() const { return checks_run_; }
 
+  // Starts over as a fresh checker (a reopened connection's) that keeps its
+  // scratch vectors' capacity.
+  void Reset();
+
  private:
   // Per-TDN counters recomputed from the scoreboard (the ground truth).
   struct Recount {

@@ -1,6 +1,7 @@
 #include "tcp/receive_buffer.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace tdtcp {
 
@@ -11,7 +12,8 @@ ReceiveBuffer::Result ReceiveBuffer::OnData(std::uint64_t seq, std::uint32_t len
   const std::uint64_t end = seq + len;
 
   // Fully old data: duplicate; report a DSACK block (RFC 2883).
-  if (end <= rcv_nxt_ || ooo_.contains(seq)) {
+  const auto at = std::ranges::lower_bound(ooo_, seq, {}, &OooSegment::seq);
+  if (end <= rcv_nxt_ || (at != ooo_.end() && at->seq == seq)) {
     result.duplicate = true;
     result.dsack = SackBlock{seq, end};
     return result;
@@ -30,13 +32,14 @@ ReceiveBuffer::Result ReceiveBuffer::OnData(std::uint64_t seq, std::uint32_t len
     delivered_scratch_.push_back(Delivered{seq, len, has_dss, dss_seq});
     rcv_nxt_ = seq + len;
     auto it = ooo_.begin();
-    while (it != ooo_.end() && it->first == rcv_nxt_) {
+    while (it != ooo_.end() && it->seq == rcv_nxt_) {
       delivered_scratch_.push_back(
-          Delivered{it->first, it->second.len, it->second.has_dss, it->second.dss_seq});
-      rcv_nxt_ += it->second.len;
-      ooo_bytes_ -= it->second.len;
-      it = ooo_.erase(it);
+          Delivered{it->seq, it->len, it->has_dss, it->dss_seq});
+      rcv_nxt_ += it->len;
+      ooo_bytes_ -= it->len;
+      ++it;
     }
+    ooo_.erase(ooo_.begin(), it);
     // Drop ranges that are now fully delivered.
     std::erase_if(ranges_, [this](const Range& r) { return r.end <= rcv_nxt_; });
     for (auto& r : ranges_) r.start = std::max(r.start, rcv_nxt_);
@@ -46,10 +49,26 @@ ReceiveBuffer::Result ReceiveBuffer::OnData(std::uint64_t seq, std::uint32_t len
 
   // Out of order: buffer and record for SACK.
   result.out_of_order = true;
-  ooo_.emplace(seq, OooSegment{len, has_dss, dss_seq});
+  ooo_.insert(at, OooSegment{seq, len, has_dss, dss_seq});
   ooo_bytes_ += len;
   TouchRange(seq, seq + len, now);
   return result;
+}
+
+void ReceiveBuffer::Reset(std::size_t max_kept) {
+  std::vector<OooSegment> ooo = std::move(ooo_);
+  std::vector<Range> ranges = std::move(ranges_);
+  std::vector<Delivered> delivered = std::move(delivered_scratch_);
+  std::vector<Range> sorted = std::move(sorted_scratch_);
+  *this = ReceiveBuffer();
+  ooo_ = std::move(ooo);
+  ranges_ = std::move(ranges);
+  delivered_scratch_ = std::move(delivered);
+  sorted_scratch_ = std::move(sorted);
+  ClearKeepingAtMost(ooo_, max_kept);
+  ClearKeepingAtMost(ranges_, max_kept);
+  ClearKeepingAtMost(delivered_scratch_, max_kept);
+  ClearKeepingAtMost(sorted_scratch_, max_kept);
 }
 
 void ReceiveBuffer::TouchRange(std::uint64_t start, std::uint64_t end, SimTime now) {

@@ -10,12 +10,12 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "sim/time.hpp"
+#include "sim/vector_fifo.hpp"
 
 namespace tdtcp {
 
@@ -39,6 +39,10 @@ class ReceiveBuffer {
 
   explicit ReceiveBuffer(std::uint64_t rcv_nxt = 1) : rcv_nxt_(rcv_nxt) {}
 
+  // Starts over as ReceiveBuffer() (rcv_nxt 1, nothing buffered), keeping
+  // each vector's buffer when it has room for at most `max_kept` elements.
+  void Reset(std::size_t max_kept);
+
   Result OnData(std::uint64_t seq, std::uint32_t len, bool has_dss,
                 std::uint64_t dss_seq, SimTime now);
 
@@ -52,6 +56,7 @@ class ReceiveBuffer {
 
  private:
   struct OooSegment {
+    std::uint64_t seq;
     std::uint32_t len;
     bool has_dss;
     std::uint64_t dss_seq;
@@ -66,7 +71,9 @@ class ReceiveBuffer {
 
   std::uint64_t rcv_nxt_;
   std::uint64_t ooo_bytes_ = 0;
-  std::map<std::uint64_t, OooSegment> ooo_;
+  // Buffered out-of-order segments, sorted by seq with at most one per seq:
+  // a flat store that keeps its capacity instead of a node per segment.
+  std::vector<OooSegment> ooo_;
   std::vector<Range> ranges_;  // coalesced OOO ranges with recency
   // Scratch reused per call, so the per-segment receive path never
   // allocates once warm.

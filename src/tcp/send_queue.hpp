@@ -10,6 +10,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "net/packet.hpp"
 #include "sim/time.hpp"
@@ -109,6 +110,15 @@ class SendQueue {
 
   // Drops every segment (the caller retires their per-TDN accounting).
   void Clear() { segs_.clear(); }
+
+  // Starts over as a fresh, empty queue that keeps its buffer when it has
+  // room for at most `max_kept` segments.
+  void Reset(std::size_t max_kept) {
+    VectorFifo<TxSegment> segs = std::move(segs_);
+    *this = SendQueue();
+    segs_ = std::move(segs);
+    segs_.Reset(max_kept);
+  }
 
   // The first segment covering `seq`, or nullptr.
   TxSegment* Find(std::uint64_t seq);

@@ -13,34 +13,14 @@
 
 namespace tdtcp {
 
-namespace {
-
-TdnManager::IndexedCcFactory ResolveFactory(const TcpConfig& config) {
-  if (!config.per_tdn_cc.empty()) {
-    // §3.5: a different CCA per TDN; ids past the list reuse the last entry.
-    auto factories = config.per_tdn_cc;
-    return [factories](TdnId id) {
-      const std::size_t idx =
-          std::min<std::size_t>(id, factories.size() - 1);
-      return factories[idx]();
-    };
-  }
-  if (config.cc_factory) {
-    auto factory = config.cc_factory;
-    return [factory](TdnId) { return factory(); };
-  }
-  return [](TdnId) { return MakeCubic(); };
-}
-
-}  // namespace
-
 TcpConnection::TcpConnection(Simulator& sim, Host* host, FlowId flow,
                              NodeId peer, TcpConfig config,
                              SubflowOwner* owner, std::uint8_t subflow)
     : sim_(sim), host_(host), flow_(flow), peer_(peer),
       config_(std::move(config)), owner_(owner), subflow_(subflow),
       tdns_(config_.tdtcp_enabled ? config_.num_tdns : 1,
-            ResolveFactory(config_), config_.rtt, config_.initial_cwnd) {
+            [this](TdnId id) -> const CcFactory& { return CcFactoryFor(id); },
+            config_.rtt, config_.initial_cwnd) {
   if (host_ == nullptr) {
     throw std::invalid_argument("TcpConnection on flow " +
                                 std::to_string(flow_) + ": null host");
@@ -52,6 +32,12 @@ TcpConnection::TcpConnection(Simulator& sim, Host* host, FlowId flow,
   if (config_.invariant_checks) {
     checker_ = std::make_unique<TcpInvariantChecker>();
   }
+  Attach();
+}
+
+TcpConnection::~TcpConnection() { Retire(); }
+
+void TcpConnection::Attach() {
   recovery_agent_ = host_->recovery_agent();
   if (recovery_agent_ != nullptr) {
     recovery_agent_->Register(*this, recovery_node_);
@@ -65,13 +51,71 @@ TcpConnection::TcpConnection(Simulator& sim, Host* host, FlowId flow,
   }
 }
 
-TcpConnection::~TcpConnection() {
+void TcpConnection::Retire() {
   CancelTimers();
   if (recovery_agent_ != nullptr) recovery_agent_->Deregister(recovery_node_);
   if (host_registered_) {
     host_->UnregisterEndpoint(flow_, this);
     host_->RemoveTdnListener(this);
+    host_registered_ = false;
   }
+}
+
+void TcpConnection::Reopen(Host* host, FlowId flow, NodeId peer,
+                           const TcpConfig& config) {
+  if (host == nullptr) {
+    throw std::invalid_argument("TcpConnection::Reopen on flow " +
+                                std::to_string(flow) + ": null host");
+  }
+  if (owner_ != nullptr || state_ != State::kClosed || host_registered_ ||
+      recovery_node_.agent != nullptr) {
+    throw std::logic_error("TcpConnection::Reopen on flow " +
+                           std::to_string(flow_) + " in state " +
+                           StateName(state_) +
+                           " (expected a retired, non-subflow connection)");
+  }
+  host_ = host;
+  flow_ = flow;
+  peer_ = peer;
+  config_ = config;
+  static_cast<TcpLifecycleVars&>(*this) = TcpLifecycleVars{};
+  SetClosedCallback(nullptr);
+  SetDeliverCallback(nullptr);
+  SetPacketTap(nullptr);
+  SetFaultTraceSource(nullptr);
+  // Detached before the state sets are rebuilt: construction runs before
+  // any SetTraceRing, so a reopen must not trace kTdnStateSelect either.
+  SetTraceRing(nullptr);
+  tdns_.Reopen(config_.tdtcp_enabled ? config_.num_tdns : 1, config_.rtt,
+               config_.initial_cwnd);
+  send_queue_.Reset(kMaxKeptOnReset);
+  rcv_buffer_.Reset(kMaxKeptOnReset);
+  pending_.Reset(kMaxKeptOnReset);
+  ClearKeepingAtMost(sacked_above_scratch_, kMaxKeptOnReset);
+  acked_pkts_scratch_.clear();
+  sacked_pkts_scratch_.clear();
+  acked_bytes_scratch_.clear();
+  rtt_scratch_.clear();
+  forced_retired_.clear();
+  orphaned_dss_.clear();
+  if (!config_.invariant_checks) {
+    checker_.reset();
+  } else if (checker_ != nullptr) {
+    checker_->Reset();
+  } else {
+    checker_ = std::make_unique<TcpInvariantChecker>();
+  }
+  Attach();
+}
+
+const CcFactory& TcpConnection::CcFactoryFor(TdnId id) const {
+  if (!config_.per_tdn_cc.empty()) {
+    return config_.per_tdn_cc[std::min<std::size_t>(
+        id, config_.per_tdn_cc.size() - 1)];
+  }
+  if (config_.cc_factory) return config_.cc_factory;
+  static const CcFactory kCubic = MakeCubic;
+  return kCubic;
 }
 
 // ---------------------------------------------------------------------------
@@ -245,7 +289,7 @@ void TcpConnection::ResetToListen() {
   fin_received_ = false;
   fin_consumed_ = false;
   peer_fin_seq_ = 0;
-  rcv_buffer_ = ReceiveBuffer();
+  rcv_buffer_.Reset(kMaxKeptOnReset);
   SetState(State::kListen);
 }
 

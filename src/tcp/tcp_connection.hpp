@@ -166,14 +166,92 @@ struct TcpStats {
   std::uint64_t recovery_spurious = 0;  // forced rtx disproved by DSACK
 };
 
-class TcpConnection : public PacketSink, public Host::TdnListener {
+// RFC 9293 state machine (TcpConnection::State). Values are stable trace IDs
+// (kTcpStateChange arguments appear in checked-in fixtures): append, never
+// reorder.
+enum class TcpState : std::uint8_t {
+  kClosed, kListen, kSynSent, kSynReceived, kEstablished,
+  kFinWait1, kFinWait2, kClosing, kTimeWait, kCloseWait, kLastAck,
+};
+
+// Every per-lifecycle scalar of a TcpConnection, at the value a lifecycle
+// starts from. The constructor default-initializes it and Reopen
+// value-assigns a fresh one, so a field added here starts every lifecycle
+// at its initializer without a second hand-kept list. Containers, which
+// keep their capacity across reopens, and the owner's wiring (host, flow,
+// config, hooks) live in TcpConnection itself.
+struct TcpLifecycleVars {
+  TcpState state_ = TcpState::kClosed;
+
+  // Negotiated at handshake: both ends TD_CAPABLE with equal TDN counts.
+  bool tdtcp_active_ = false;
+
+  TdnChangePointer tdn_change_;
+  bool tdn_pointer_pending_ = false;  // advance pointer at next transmission
+
+  // --- sequence space (1-based; SYN occupies byte 0) ---------------------------
+  std::uint64_t snd_una_ = 0;
+  std::uint64_t snd_nxt_ = 0;
+
+  // --- app data ------------------------------------------------------------------
+  bool unlimited_data_ = false;
+  std::uint64_t pending_bytes_ = 0;    // sum of the unsent chunks' bytes
+
+  // --- peer flow control -----------------------------------------------------
+  std::uint64_t peer_rwnd_ = 1ull << 30;
+
+  // --- loss detection state -----------------------------------------------------
+  std::uint32_t dupack_count_ = 0;
+  SimTime rack_mstamp_ = SimTime::Zero();  // newest delivered tx timestamp
+  TdnId rack_mstamp_tdn_ = 0;
+  std::uint32_t prev_holes_ = 0;  // reordering-event edge detection
+  TdnId ece_target_tdn_ = 0;
+
+  // --- timers ---------------------------------------------------------------------
+  std::uint32_t rto_backoff_ = 0;
+  bool tlp_in_flight_ = false;
+  std::uint32_t persist_backoff_ = 0;
+  // True while the outstanding data is an unanswered zero-window probe.
+  // Retransmissions of the probe ride the RTO timer, so the RTO give-up
+  // path consults this to report the abort as kPersistTimeout (and to cap
+  // it at max_persist_retries) instead of kRetryLimit.
+  bool persist_probing_ = false;
+
+  // --- teardown state ------------------------------------------------------------
+  CloseReason close_reason_ = CloseReason::kNone;
+  bool fin_pending_ = false;    // Close() called; FIN not yet on the wire
+  bool fin_sent_ = false;       // our FIN occupies [fin_seq_, fin_seq_+1)
+  std::uint64_t fin_seq_ = 0;
+  bool fin_received_ = false;   // peer FIN seen (possibly out of order)
+  std::uint64_t peer_fin_seq_ = 0;
+  bool fin_consumed_ = false;   // peer FIN reached rcv_nxt: ACK covers it
+  // Still owns the host demux entry and TDN listeners (never a subflow's).
+  bool host_registered_ = false;
+  std::uint32_t rto_retries_ = 0;  // consecutive data RTOs without progress
+
+  // --- pacing ---------------------------------------------------------------------
+  EventId pace_timer_ = kInvalidEventId;
+  SimTime next_send_time_ = SimTime::Zero();
+
+  // --- reTCP circuit echo tracking ---------------------------------------------
+  bool last_circuit_echo_ = false;
+  bool circuit_echo_seen_ = false;
+
+  // --- data-path TDN inference (§3.2 robustness) ---------------------------------
+  TdnId peer_tdn_candidate_ = kNoTdn;
+  std::uint32_t peer_tdn_streak_ = 0;
+  SimTime peer_tdn_first_ = SimTime::Zero();
+  SimTime last_notify_time_ = SimTime::Zero();
+  bool notify_seen_ = false;
+
+  TcpStats stats_;
+};
+
+class TcpConnection : public PacketSink,
+                      public Host::TdnListener,
+                      private TcpLifecycleVars {
  public:
-  // RFC 9293 state machine. Values are stable trace IDs (kTcpStateChange
-  // arguments appear in checked-in fixtures): append, never reorder.
-  enum class State : std::uint8_t {
-    kClosed, kListen, kSynSent, kSynReceived, kEstablished,
-    kFinWait1, kFinWait2, kClosing, kTimeWait, kCloseWait, kLastAck,
-  };
+  using State = TcpState;
 
   // Receiver callback: an in-order byte range was delivered to the app.
   // `stream_seq` is the (1-based) TCP stream offset; when the segment
@@ -196,6 +274,22 @@ class TcpConnection : public PacketSink, public Host::TdnListener {
 
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
+
+  // --- slot reuse (ChurnGenerator) ---------------------------------------------
+  // What the destructor does, now: cancel every timer, leave the recovery
+  // agent, the host's demux table and its TDN listener list. Idempotent; the
+  // destructor of a retired connection does nothing more.
+  void Retire();
+  // Turns a retired connection into the one the constructor would build for
+  // (host, flow, peer, config): every per-lifecycle scalar, the TDN state
+  // sets, buffers and the checker start over, and every hook (closed,
+  // deliver, tap, trace ring, fault trace) is detached. Containers keep
+  // their capacity and a TDN keeps its congestion-control module when the
+  // module's class is unchanged. Connect() and Listen() still refuse a
+  // closed connection; only this entry point reopens one. Throws
+  // std::logic_error on a subflow or on a connection that is not kClosed
+  // and retired, std::invalid_argument on a null host.
+  void Reopen(Host* host, FlowId flow, NodeId peer, const TcpConfig& config);
 
   // --- connection lifecycle --------------------------------------------------
   void Listen();
@@ -319,6 +413,21 @@ class TcpConnection : public PacketSink, public Host::TdnListener {
     bool has_dss;
     std::uint64_t dss_seq;
   };
+
+  // --- open / reopen -------------------------------------------------------------
+  // The most elements a reopen keeps room for in each per-segment buffer
+  // (scoreboard, out-of-order store, their scratch): enough for a
+  // one-segment flow's SYN, data and FIN, the most common churn cycle, while
+  // a slot that once carried a long flow does not pin that flow's footprint
+  // (peak RSS grows with this bound; DESIGN.md, "Churn slots reopen their
+  // connections").
+  static constexpr std::size_t kMaxKeptOnReset = 4;
+  // Registers with the host's recovery agent and (never for a subflow) the
+  // host's demux table and TDN listener list.
+  void Attach();
+  // TDN `id`'s congestion-control factory: §3.5's per-TDN list (ids past
+  // its end reuse the last entry), else cc_factory, else CUBIC.
+  const CcFactory& CcFactoryFor(TdnId id) const;
 
   // --- handshake ---------------------------------------------------------------
   void SendSyn();
@@ -462,36 +571,17 @@ class TcpConnection : public PacketSink, public Host::TdnListener {
   TcpConfig config_;
   // MPTCP meta-connection; null for a plain connection.
   SubflowOwner* owner_;
-  State state_ = State::kClosed;
-
-  // Negotiated at handshake: both ends TD_CAPABLE with equal TDN counts.
-  bool tdtcp_active_ = false;
   // Subflow index: the path the packets are pinned to (owner_ only).
   std::uint8_t subflow_;
 
   TdnManager tdns_;
   SendQueue send_queue_;
   ReceiveBuffer rcv_buffer_;
-  TdnChangePointer tdn_change_;
-  bool tdn_pointer_pending_ = false;  // advance pointer at next transmission
-
-  // --- sequence space (1-based; SYN occupies byte 0) ---------------------------
-  std::uint64_t snd_una_ = 0;
-  std::uint64_t snd_nxt_ = 0;
 
   // --- app data ------------------------------------------------------------------
-  bool unlimited_data_ = false;
   VectorFifo<PendingChunk> pending_;   // unsent application bytes
-  std::uint64_t pending_bytes_ = 0;
 
-  // --- peer flow control -----------------------------------------------------
-  std::uint64_t peer_rwnd_ = 1ull << 30;
-
-  // --- loss detection state -----------------------------------------------------
-  std::uint32_t dupack_count_ = 0;
-  SimTime rack_mstamp_ = SimTime::Zero();  // newest delivered tx timestamp
-  TdnId rack_mstamp_tdn_ = 0;
-  std::uint32_t prev_holes_ = 0;  // reordering-event edge detection
+  // --- loss detection scratch ---------------------------------------------------
   // DetectLosses suffix counts: sacked_above_scratch_[i] = SACKed segments
   // strictly after scoreboard index i (one backward pass per ACK instead of
   // the O(n^2) per-hole rescan).
@@ -502,7 +592,6 @@ class TcpConnection : public PacketSink, public Host::TdnListener {
   std::vector<std::uint32_t> sacked_pkts_scratch_;
   std::vector<std::uint64_t> acked_bytes_scratch_;
   std::vector<SimTime> rtt_scratch_;
-  TdnId ece_target_tdn_ = 0;
 
   // --- timers ---------------------------------------------------------------------
   // RTO/TLP/persist/TimeWait live on the host's hierarchical timer wheel as
@@ -524,19 +613,11 @@ class TcpConnection : public PacketSink, public Host::TdnListener {
   }
   TimerWheel::Timer rto_entry_;
   TimerWheel::Timer tlp_entry_;
-  std::uint32_t rto_backoff_ = 0;
-  bool tlp_in_flight_ = false;
   TimerWheel::Timer persist_entry_;
-  std::uint32_t persist_backoff_ = 0;
-  // True while the outstanding data is an unanswered zero-window probe.
-  // Retransmissions of the probe ride the RTO timer, so the RTO give-up
-  // path consults this to report the abort as kPersistTimeout (and to cap
-  // it at max_persist_retries) instead of kRetryLimit.
-  bool persist_probing_ = false;
   TimerWheel::Timer time_wait_entry_;
 
   // --- host recovery agent ---------------------------------------------------
-  RecoveryAgent* recovery_agent_ = nullptr;  // host's agent at construction
+  RecoveryAgent* recovery_agent_ = nullptr;  // host's agent at (re)open
   RecoveryAgent::Node recovery_node_;
   // [seq, end_seq) of forced segments already retired by a cumulative ACK,
   // so a late DSACK can still reclassify the forcing as spurious. Bounded;
@@ -544,36 +625,9 @@ class TcpConnection : public PacketSink, public Host::TdnListener {
   static constexpr std::size_t kMaxForcedRetired = 64;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> forced_retired_;
 
-  // --- teardown state ------------------------------------------------------------
-  CloseReason close_reason_ = CloseReason::kNone;
-  bool fin_pending_ = false;    // Close() called; FIN not yet on the wire
-  bool fin_sent_ = false;       // our FIN occupies [fin_seq_, fin_seq_+1)
-  std::uint64_t fin_seq_ = 0;
-  bool fin_received_ = false;   // peer FIN seen (possibly out of order)
-  std::uint64_t peer_fin_seq_ = 0;
-  bool fin_consumed_ = false;   // peer FIN reached rcv_nxt: ACK covers it
-  // Still owns the host demux entry and TDN listeners (never a subflow's).
-  bool host_registered_ = false;
-  std::uint32_t rto_retries_ = 0;  // consecutive data RTOs without progress
-
-  // --- pacing ---------------------------------------------------------------------
-  EventId pace_timer_ = kInvalidEventId;
-  SimTime next_send_time_ = SimTime::Zero();
-
-  // --- reTCP circuit echo tracking ---------------------------------------------
-  bool last_circuit_echo_ = false;
-  bool circuit_echo_seen_ = false;
-
   // --- invariant checking / fault context ---------------------------------------
   std::unique_ptr<TcpInvariantChecker> checker_;
   const FaultTraceSource* fault_trace_ = nullptr;
-
-  // --- data-path TDN inference (§3.2 robustness) ---------------------------------
-  TdnId peer_tdn_candidate_ = kNoTdn;
-  std::uint32_t peer_tdn_streak_ = 0;
-  SimTime peer_tdn_first_ = SimTime::Zero();
-  SimTime last_notify_time_ = SimTime::Zero();
-  bool notify_seen_ = false;
 
   // --- callbacks -------------------------------------------------------------------
   DeliverFn deliver_;
@@ -585,8 +639,6 @@ class TcpConnection : public PacketSink, public Host::TdnListener {
   // MPTCP: DSS ranges stranded when an aborted subflow's scoreboard was
   // released — the meta-connection reinjects them onto a survivor.
   std::vector<DssRange> orphaned_dss_;
-
-  TcpStats stats_;
 };
 
 }  // namespace tdtcp

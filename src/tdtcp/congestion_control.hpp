@@ -32,6 +32,11 @@ class CongestionControl {
 
   virtual void Init(TdnState& s) { (void)s; }
 
+  // Returns the module to the state a fresh instance of its class starts
+  // in, so a reopened connection can keep it instead of building a new one.
+  // Every class assigns itself a fresh instance (one line).
+  virtual void Reset() = 0;
+
   // Slow-start threshold to adopt on a congestion event (loss or ECE).
   virtual std::uint32_t SsThresh(TdnState& s) = 0;
 
@@ -64,5 +69,8 @@ class CongestionControl {
 };
 
 using CcFactory = std::function<std::unique_ptr<CongestionControl>()>;
+// A plain maker function. The registry's factories are these, so a
+// CcFactory holding one tells which class it builds without building it.
+using CcMaker = std::unique_ptr<CongestionControl> (*)();
 
 }  // namespace tdtcp

@@ -7,10 +7,9 @@
 
 namespace tdtcp {
 
-TdnManager::TdnManager(std::uint32_t num_tdns, IndexedCcFactory factory,
-                       RttEstimator::Config rtt_config, std::uint32_t initial_cwnd)
-    : factory_(std::move(factory)), rtt_config_(rtt_config),
-      initial_cwnd_(initial_cwnd) {
+namespace {
+
+void CheckTdnCount(std::uint32_t num_tdns) {
   if (num_tdns < 1) {
     // Was an NDEBUG-silent assert: a zero-TDN manager has no active() state
     // and the first tag/switch would index an empty vector.
@@ -18,21 +17,75 @@ TdnManager::TdnManager(std::uint32_t num_tdns, IndexedCcFactory factory,
         "TdnManager: num_tdns must be >= 1 (got " + std::to_string(num_tdns) +
         ")");
   }
-  for (std::uint32_t i = 0; i < num_tdns; ++i) EnsureTdn(static_cast<TdnId>(i));
+}
+
+}  // namespace
+
+TdnManager::TdnManager(IndexedCcFactory factory,
+                       RttEstimator::Config rtt_config,
+                       std::uint32_t initial_cwnd)
+    : factory_(std::move(factory)), rtt_config_(rtt_config),
+      initial_cwnd_(initial_cwnd) {}
+
+TdnManager::TdnManager(std::uint32_t num_tdns, IndexedCcFactory factory,
+                       RttEstimator::Config rtt_config, std::uint32_t initial_cwnd)
+    : TdnManager(std::move(factory), rtt_config, initial_cwnd) {
+  CheckTdnCount(num_tdns);
+  states_.reserve(num_tdns);
+  makers_.reserve(num_tdns);
+  EnsureTdn(static_cast<TdnId>(num_tdns - 1));
+}
+
+void TdnManager::Reopen(std::uint32_t num_tdns,
+                        RttEstimator::Config rtt_config,
+                        std::uint32_t initial_cwnd) {
+  CheckTdnCount(num_tdns);
+  std::vector<TdnState> states = std::move(states_);
+  std::vector<CcMaker> makers = std::move(makers_);
+  std::vector<bool> retired = std::move(retired_);
+  *this = TdnManager(std::move(factory_), rtt_config, initial_cwnd);
+  states_ = std::move(states);
+  makers_ = std::move(makers);
+  retired_ = std::move(retired);
+  if (states_.size() > num_tdns) {
+    states_.resize(num_tdns);
+    makers_.resize(num_tdns);
+  }
+  for (std::size_t id = 0; id < states_.size(); ++id) {
+    InitState(static_cast<TdnId>(id));
+  }
+  retired_.assign(states_.size(), false);
+  EnsureTdn(static_cast<TdnId>(num_tdns - 1));
+}
+
+void TdnManager::InitState(TdnId id) {
+  TdnState& s = states_[id];
+  const CcFactory& factory = factory_(id);
+  const CcMaker* maker = factory.target<CcMaker>();
+  std::unique_ptr<CongestionControl> cc = std::move(s.cc);
+  s = TdnState();
+  s.id = id;
+  s.cwnd = initial_cwnd_;
+  s.rtt = RttEstimator(rtt_config_);
+  if (cc != nullptr && maker != nullptr && makers_[id] == *maker) {
+    cc->Reset();
+    s.cc = std::move(cc);
+  } else {
+    s.cc = factory();
+    makers_[id] = maker != nullptr ? *maker : nullptr;
+  }
+  s.cc->Init(s);
 }
 
 void TdnManager::EnsureTdn(TdnId id) {
   while (states_.size() <= id) {
-    TdnState s;
-    s.id = static_cast<TdnId>(states_.size());
-    s.cwnd = initial_cwnd_;
-    s.rtt = RttEstimator(rtt_config_);
-    s.cc = factory_(s.id);
-    s.cc->Init(s);
-    states_.push_back(std::move(s));
+    const auto next = static_cast<TdnId>(states_.size());
+    states_.emplace_back();
+    makers_.push_back(nullptr);
+    InitState(next);
     if (has_trace_) {
       trace_->Emit(trace_sim_->now().picos(), TracePoint::kTdnStateSelect,
-                   trace_flow_, states_.back().id);
+                   trace_flow_, next);
     }
   }
   if (retired_.size() < states_.size()) retired_.resize(states_.size(), false);
@@ -44,13 +97,7 @@ void TdnManager::ReviveIfDrained(TdnState& s) {
   // CC episode state) must carry over or the invariant checker's recount
   // diverges.
   if (s.packets_out != 0 || s.retrans_out != 0) return;
-  const TdnId id = s.id;
-  s = TdnState();
-  s.id = id;
-  s.cwnd = initial_cwnd_;
-  s.rtt = RttEstimator(rtt_config_);
-  s.cc = factory_(id);
-  s.cc->Init(s);
+  InitState(s.id);
 }
 
 bool TdnManager::SwitchTo(TdnId id) {

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "tcp/rtt_estimator.hpp"
@@ -27,8 +29,9 @@ namespace tdtcp {
 class TdnManager {
  public:
   // §3.5: each TDN could in principle run a different CCA, so the factory
-  // is indexed by TDN id.
-  using IndexedCcFactory = std::function<std::unique_ptr<CongestionControl>(TdnId)>;
+  // is chosen per TDN id. The manager calls the returned factory at once and
+  // keeps no reference to it (a connection returns one from its config).
+  using IndexedCcFactory = std::function<const CcFactory&(TdnId)>;
 
   TdnManager(std::uint32_t num_tdns, IndexedCcFactory factory,
              RttEstimator::Config rtt_config, std::uint32_t initial_cwnd);
@@ -37,8 +40,19 @@ class TdnManager {
   TdnManager(std::uint32_t num_tdns, const CcFactory& factory,
              RttEstimator::Config rtt_config, std::uint32_t initial_cwnd)
       : TdnManager(num_tdns,
-                   IndexedCcFactory([factory](TdnId) { return factory(); }),
+                   IndexedCcFactory([factory](TdnId) -> const CcFactory& {
+                     return factory;
+                   }),
                    rtt_config, initial_cwnd) {}
+
+  // Starts over as the manager the constructor builds for these arguments
+  // (same factory): num_tdns fresh state sets, TDN 0 active, nothing
+  // retired, no trace sink. The state and retirement vectors keep their
+  // capacity, and a TDN keeps its congestion-control module, reset to a
+  // fresh instance's state, when its factory is a plain maker function
+  // and the same one that built the module (the class is unchanged).
+  void Reopen(std::uint32_t num_tdns, RttEstimator::Config rtt_config,
+              std::uint32_t initial_cwnd);
 
   TdnId active_id() const { return active_; }
   TdnState& active() { return states_[active_]; }
@@ -108,9 +122,18 @@ class TdnManager {
   }
 
  private:
+  // Everything but the state sets: Reopen's fresh start.
+  TdnManager(IndexedCcFactory factory, RttEstimator::Config rtt_config,
+             std::uint32_t initial_cwnd);
   void ReviveIfDrained(TdnState& s);
+  // (Re)initializes state set `id` to a fresh TDN's values, keeping its
+  // module when the same plain maker would build it again.
+  void InitState(TdnId id);
 
   std::vector<TdnState> states_;
+  // The plain maker function that built states_[i].cc, or nullptr when its
+  // factory was some other callable (then a fresh start always rebuilds).
+  std::vector<CcMaker> makers_;
   std::vector<bool> retired_;
   std::uint64_t retire_events_ = 0;
   IndexedCcFactory factory_;

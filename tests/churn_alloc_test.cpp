@@ -1,0 +1,115 @@
+// A churn lifecycle that does not allocate. A ChurnGenerator keeps each
+// slot's two connections and reopens them, so once a slot's buffers, the
+// hosts' tables and the event core have grown, opening and closing
+// connections touches the global heap only to grow the generator's result
+// vectors. The counting allocator (alloc_harness.hpp) replaces the global
+// operator new, so this test is its own executable.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+
+#include "alloc_harness.hpp"
+#include "app/flow_cdf.hpp"
+#include "app/workload.hpp"
+#include "net/topology.hpp"
+#include "rdcn/rotor_controller.hpp"
+#include "sim/random.hpp"
+#include "sim/simulator.hpp"
+
+namespace tdtcp {
+namespace {
+
+// The rotor_churn shape: an 8-rack rotor fabric, every host a Poisson
+// source sending TDTCP to a uniformly drawn host in another rack.
+struct RotorChurn {
+  RotorChurn(std::uint32_t hosts_per_rack, ChurnConfig cc)
+      : topo(sim, Random(7), TopoConfig(hosts_per_rack)),
+        rotor(sim, RotorConfig(topo.config()), &topo),
+        churn(sim, topo, Churn(std::move(cc)), 7) {
+    rotor.Start();
+    churn.Start();
+  }
+
+  static TopologyConfig TopoConfig(std::uint32_t hosts_per_rack) {
+    TopologyConfig tc;
+    tc.num_racks = 8;
+    tc.hosts_per_rack = hosts_per_rack;
+    return tc;
+  }
+  static RotorController::Config RotorConfig(const TopologyConfig& tc) {
+    RotorController::Config rc;
+    rc.packet_mode = tc.packet_mode;
+    rc.circuit_mode = tc.circuit_mode;
+    rc.seed = 7;
+    return rc;
+  }
+  static ChurnConfig Churn(ChurnConfig cc) {
+    cc.enabled = true;
+    cc.target_connections = 6000;
+    cc.mean_interarrival = SimTime::Micros(100);
+    cc.rack_policy = RackPolicy::kUniform;
+    cc.scope_tdn_to_peer = true;
+    cc.variant = Variant::kTdtcp;
+    return cc;
+  }
+
+  void RunUntilClosed(std::uint64_t n) {
+    while (churn.stats().closed < n) {
+      sim.RunUntil(sim.now() + SimTime::Micros(20));
+    }
+  }
+
+  // Allocations made by lifecycles [2000, 4000), after 2000 to warm up.
+  test::AllocDelta CountWarmLifecycles() {
+    RunUntilClosed(2000);
+    const std::uint64_t opened = churn.stats().opened;
+    const test::AllocDelta d =
+        test::CountAllocations([&] { RunUntilClosed(4000); });
+    EXPECT_GT(churn.stats().opened - opened, 1900u);
+    return d;
+  }
+
+  Simulator sim;
+  Topology topo;
+  RotorController rotor;
+  ChurnGenerator churn;
+};
+
+// Building and freeing both connections of every cycle cost about 36
+// allocations per lifecycle, 72,000 in this window.
+constexpr std::uint64_t kBuildAndFreeAllocs = 2000 * 36;
+
+TEST(ChurnAlloc, ReopenedLifecyclesDoNotAllocate) {
+  // One-segment transfers over a 64-slot pool: every slot runs about 30
+  // cycles in the warm-up, and every cycle runs the whole lifecycle
+  // (handshake, FIN exchange, TIME-WAIT, retire, reopen) with a buffer
+  // footprint the warm-up has already seen.
+  ChurnConfig cc;
+  cc.max_concurrent = 64;
+  cc.min_transfer_bytes = cc.max_transfer_bytes = 8940;
+  RotorChurn run(4, cc);
+  const test::AllocDelta d = run.CountWarmLifecycles();
+  // What is left is amortized growth: sized_fcts() and the hosts' listener
+  // lists reaching a new high-water mark.
+  EXPECT_LT(d.news, 20u) << "allocations in 2000 reopened lifecycles";
+}
+
+TEST(ChurnAlloc, HeavyTailedCyclesOnlyRegrowBuffers) {
+  // perfbench's rotor_churn: websearch sizes over a 2048-slot pool. No
+  // lifecycle builds or frees a connection, but a reopen keeps room for
+  // only TcpConnection::kMaxKeptOnReset elements per buffer, so a cycle
+  // longer than a few segments regrows its scoreboard, out-of-order store
+  // and scratch vectors (about 5 allocations per lifecycle here).
+  ChurnConfig cc;
+  cc.max_concurrent = 2048;
+  cc.size_cdf = BuiltinFlowSizeCdf("websearch");
+  cc.size_scale = 1.0 / 24;
+  cc.size_cap_bytes = 2'000'000;
+  RotorChurn run(16, cc);
+  const test::AllocDelta d = run.CountWarmLifecycles();
+  EXPECT_LT(d.news, kBuildAndFreeAllocs / 4);
+}
+
+}  // namespace
+}  // namespace tdtcp
