@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "tcp/tcp_connection.hpp"
 
@@ -19,26 +20,47 @@ const char* TcpInvariantChecker::EventName(Event ev) {
   return "?";
 }
 
+namespace {
+
+// Per-TDN counters recomputed from the scoreboard (the ground truth).
+struct Recount {
+  std::uint32_t packets_out = 0;
+  std::uint32_t sacked_out = 0;
+  std::uint32_t lost_out = 0;
+  std::uint32_t retrans_out = 0;
+};
+
+// Pre-switch (cwnd, ssthresh) per TDN, captured by WillSwitchTdn for the
+// checker in `owner` and consumed by that checker's next kTdnSwitch Check.
+struct SwitchSnapshot {
+  const TcpInvariantChecker* owner = nullptr;
+  std::uint8_t active = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> windows;
+};
+
+// Per-thread scratch, shared by every checker on the thread: Check runs on
+// every ACK, and none of it is live once Check returns (the snapshot lives
+// from WillSwitchTdn to the Check that follows it synchronously).
+thread_local std::vector<Recount> t_recount;
+thread_local SwitchSnapshot t_switch;
+
+}  // namespace
+
 void TcpInvariantChecker::Reset() {
-  std::vector<Recount> recount = std::move(recount_scratch_);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> windows =
-      std::move(pre_switch_windows_);
   *this = TcpInvariantChecker();
-  recount_scratch_ = std::move(recount);
-  recount_scratch_.clear();
-  pre_switch_windows_ = std::move(windows);
-  pre_switch_windows_.clear();
+  if (t_switch.owner == this) t_switch.owner = nullptr;
 }
 
 void TcpInvariantChecker::WillSwitchTdn(const TcpConnection& conn) {
   const TdnManager& tdns = conn.tdns();
-  pre_switch_windows_.clear();
+  SwitchSnapshot& snap = t_switch;
+  snap.windows.clear();
   for (std::size_t i = 0; i < tdns.num_tdns(); ++i) {
     const TdnState& st = tdns.state(static_cast<TdnId>(i));
-    pre_switch_windows_.emplace_back(st.cwnd, st.ssthresh);
+    snap.windows.emplace_back(st.cwnd, st.ssthresh);
   }
-  pre_switch_active_ = tdns.active_id();
-  have_switch_snapshot_ = true;
+  snap.active = tdns.active_id();
+  snap.owner = this;
 }
 
 void TcpInvariantChecker::Check(TcpConnection& conn, Event ev) {
@@ -48,8 +70,8 @@ void TcpInvariantChecker::Check(TcpConnection& conn, Event ev) {
 
   // Recompute every pipe counter from the scoreboard and compare with the
   // per-TDN state the fast paths maintain incrementally.
-  recount_scratch_.assign(n, Recount{});
-  std::vector<Recount>& actual = recount_scratch_;
+  std::vector<Recount>& actual = t_recount;
+  actual.assign(n, Recount{});
   for (const TxSegment& seg : conn.send_queue().segments()) {
     if (seg.tdn >= n) {
       Violate(conn, ev,
@@ -134,22 +156,22 @@ void TcpInvariantChecker::Check(TcpConnection& conn, Event ev) {
 
   // Per-TDN isolation across a switch (§3.1): only the TDN being resumed
   // may see its congestion window touched by the switch itself.
-  if (ev == Event::kTdnSwitch && have_switch_snapshot_) {
-    for (std::size_t i = 0;
-         i < pre_switch_windows_.size() && i < n; ++i) {
+  SwitchSnapshot& snap = t_switch;
+  if (ev == Event::kTdnSwitch && snap.owner == this) {
+    snap.owner = nullptr;
+    const auto& pre = snap.windows;
+    for (std::size_t i = 0; i < pre.size() && i < n; ++i) {
       if (i == tdns.active_id()) continue;
       const TdnState& st = tdns.state(static_cast<TdnId>(i));
-      if (st.cwnd != pre_switch_windows_[i].first ||
-          st.ssthresh != pre_switch_windows_[i].second) {
+      if (st.cwnd != pre[i].first || st.ssthresh != pre[i].second) {
         Violate(conn, ev,
-                "TDN switch " + std::to_string(pre_switch_active_) + " -> " +
+                "TDN switch " + std::to_string(snap.active) + " -> " +
                     std::to_string(tdns.active_id()) +
                     " modified inactive TDN " + std::to_string(i) +
-                    " (cwnd " + std::to_string(pre_switch_windows_[i].first) +
-                    " -> " + std::to_string(st.cwnd) + ")");
+                    " (cwnd " + std::to_string(pre[i].first) + " -> " +
+                    std::to_string(st.cwnd) + ")");
       }
     }
-    have_switch_snapshot_ = false;
   }
 }
 

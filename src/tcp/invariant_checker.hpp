@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 namespace tdtcp {
 
@@ -46,38 +45,29 @@ class TcpInvariantChecker {
 
   // Snapshot per-TDN congestion windows immediately before a TDN switch so
   // the kTdnSwitch check can verify isolation: switching TDNs must not
-  // touch any non-active TDN's cwnd/ssthresh (§3.1's "snapshot view").
+  // touch any non-active TDN's cwnd/ssthresh (§3.1's "snapshot view"). The
+  // snapshot lives in per-thread scratch, tagged with this checker, so the
+  // kTdnSwitch Check must follow its own WillSwitchTdn synchronously, with
+  // no other connection's switch in between (both TcpConnection call sites
+  // do). A kTdnSwitch check that finds another checker's snapshot skips the
+  // isolation comparison.
   void WillSwitchTdn(const TcpConnection& conn);
 
   std::uint64_t checks_run() const { return checks_run_; }
 
-  // Starts over as a fresh checker (a reopened connection's) that keeps its
-  // scratch vectors' capacity.
+  // Starts over as a fresh checker (a reopened connection's).
   void Reset();
 
  private:
-  // Per-TDN counters recomputed from the scoreboard (the ground truth).
-  struct Recount {
-    std::uint32_t packets_out = 0;
-    std::uint32_t sacked_out = 0;
-    std::uint32_t lost_out = 0;
-    std::uint32_t retrans_out = 0;
-  };
-
   [[noreturn]] void Violate(TcpConnection& conn, Event ev,
                             const std::string& what);
 
+  // The checker holds only what outlives a call: the recount and the
+  // pre-switch snapshot are per-thread scratch (invariant_checker.cpp).
   std::uint64_t checks_run_ = 0;
-  // Recount scratch: Check runs on every ACK, so the recount buffer is a
-  // member rather than a fresh per-call vector.
-  std::vector<Recount> recount_scratch_;
   // Monotonicity watermarks.
   std::uint64_t last_snd_una_ = 0;
   std::uint64_t last_rcv_nxt_ = 0;
-  // Pre-switch (cwnd, ssthresh) per TDN, captured by WillSwitchTdn.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pre_switch_windows_;
-  std::uint8_t pre_switch_active_ = 0;
-  bool have_switch_snapshot_ = false;
 };
 
 }  // namespace tdtcp

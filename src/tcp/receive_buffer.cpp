@@ -10,9 +10,14 @@ ReceiveBuffer::Result ReceiveBuffer::OnData(std::uint64_t seq, std::uint32_t len
                                             SimTime now) {
   Result result;
   const std::uint64_t end = seq + len;
+  if (ooo_.empty()) ooo_.emplace_back();  // the delivery slot
+  ooo_.erase(ooo_.begin() + 1,
+             ooo_.begin() + 1 + static_cast<std::ptrdiff_t>(released_));
+  released_ = 0;
 
   // Fully old data: duplicate; report a DSACK block (RFC 2883).
-  const auto at = std::ranges::lower_bound(ooo_, seq, {}, &OooSegment::seq);
+  const auto at = std::ranges::lower_bound(ooo_.begin() + 1, ooo_.end(), seq,
+                                           {}, &Delivered::seq);
   if (end <= rcv_nxt_ || (at != ooo_.end() && at->seq == seq)) {
     result.duplicate = true;
     result.dsack = SackBlock{seq, end};
@@ -27,48 +32,41 @@ ReceiveBuffer::Result ReceiveBuffer::OnData(std::uint64_t seq, std::uint32_t len
   }
 
   if (seq == rcv_nxt_) {
-    // In-order: deliver it plus any now-contiguous buffered segments.
-    delivered_scratch_.clear();
-    delivered_scratch_.push_back(Delivered{seq, len, has_dss, dss_seq});
+    // In-order: deliver it plus any now-contiguous buffered segments. Every
+    // buffered segment lies above rcv_nxt_, so with the arrival in the slot
+    // in front of them the delivered run is the store's prefix.
+    ooo_.front() = Delivered{seq, len, has_dss, dss_seq};
     rcv_nxt_ = seq + len;
-    auto it = ooo_.begin();
-    while (it != ooo_.end() && it->seq == rcv_nxt_) {
-      delivered_scratch_.push_back(
-          Delivered{it->seq, it->len, it->has_dss, it->dss_seq});
-      rcv_nxt_ += it->len;
-      ooo_bytes_ -= it->len;
-      ++it;
+    std::size_t n = 1;
+    while (n < ooo_.size() && ooo_[n].seq == rcv_nxt_) {
+      rcv_nxt_ += ooo_[n].len;
+      ooo_bytes_ -= ooo_[n].len;
+      ++n;
     }
-    ooo_.erase(ooo_.begin(), it);
+    released_ = n - 1;
     // Drop ranges that are now fully delivered.
     std::erase_if(ranges_, [this](const Range& r) { return r.end <= rcv_nxt_; });
     for (auto& r : ranges_) r.start = std::max(r.start, rcv_nxt_);
-    result.delivered = delivered_scratch_;
+    result.delivered = std::span<const Delivered>(ooo_.data(), n);
     return result;
   }
 
   // Out of order: buffer and record for SACK.
   result.out_of_order = true;
-  ooo_.insert(at, OooSegment{seq, len, has_dss, dss_seq});
+  ooo_.insert(at, Delivered{seq, len, has_dss, dss_seq});
   ooo_bytes_ += len;
   TouchRange(seq, seq + len, now);
   return result;
 }
 
 void ReceiveBuffer::Reset(std::size_t max_kept) {
-  std::vector<OooSegment> ooo = std::move(ooo_);
+  std::vector<Delivered> ooo = std::move(ooo_);
   std::vector<Range> ranges = std::move(ranges_);
-  std::vector<Delivered> delivered = std::move(delivered_scratch_);
-  std::vector<Range> sorted = std::move(sorted_scratch_);
   *this = ReceiveBuffer();
   ooo_ = std::move(ooo);
   ranges_ = std::move(ranges);
-  delivered_scratch_ = std::move(delivered);
-  sorted_scratch_ = std::move(sorted);
   ClearKeepingAtMost(ooo_, max_kept);
   ClearKeepingAtMost(ranges_, max_kept);
-  ClearKeepingAtMost(delivered_scratch_, max_kept);
-  ClearKeepingAtMost(sorted_scratch_, max_kept);
 }
 
 void ReceiveBuffer::TouchRange(std::uint64_t start, std::uint64_t end, SimTime now) {
@@ -84,18 +82,26 @@ void ReceiveBuffer::TouchRange(std::uint64_t start, std::uint64_t end, SimTime n
   ranges_.push_back(merged);
 }
 
-std::span<const SackBlock> ReceiveBuffer::BuildSackBlocks(const Result& last) {
+std::size_t ReceiveBuffer::BuildSackBlocks(
+    const Result& last, std::span<SackBlock, kMaxSackBlocks> out) const {
   std::size_t n = 0;
-  if (last.duplicate) sack_scratch_[n++] = last.dsack;
+  if (last.duplicate) out[n++] = last.dsack;
 
-  sorted_scratch_.assign(ranges_.begin(), ranges_.end());
-  std::sort(sorted_scratch_.begin(), sorted_scratch_.end(),
-            [](const Range& a, const Range& b) { return a.last_touch > b.last_touch; });
-  for (const auto& r : sorted_scratch_) {
-    if (n >= kMaxSackBlocks) break;
-    sack_scratch_[n++] = SackBlock{r.start, r.end};
+  // ranges_ is in last_touch order, so newest first is back to front. Ranges
+  // that grew at the same instant form one run, emitted front to back.
+  std::size_t run_end = ranges_.size();
+  while (run_end > 0 && n < kMaxSackBlocks) {
+    std::size_t run_begin = run_end - 1;
+    while (run_begin > 0 &&
+           ranges_[run_begin - 1].last_touch == ranges_[run_end - 1].last_touch) {
+      --run_begin;
+    }
+    for (std::size_t i = run_begin; i < run_end && n < kMaxSackBlocks; ++i) {
+      out[n++] = SackBlock{ranges_[i].start, ranges_[i].end};
+    }
+    run_end = run_begin;
   }
-  return {sack_scratch_.data(), n};
+  return n;
 }
 
 }  // namespace tdtcp

@@ -8,7 +8,6 @@
 // meta-level can reassemble.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -29,8 +28,12 @@ class ReceiveBuffer {
   };
 
   struct Result {
-    // In-order segments released to the application by this arrival. Views
-    // the buffer's scratch storage: valid until the next OnData call.
+    // In-order segments released to the application by this arrival: the
+    // arrival itself, then the buffered segments it made contiguous. Views
+    // the buffer's own out-of-order store (no copy): valid until the next
+    // OnData or Reset call. Every other piece of buffer state is already
+    // final, so a caller may hand these segments to code that feeds another
+    // ReceiveBuffer (MPTCP's meta buffer) while it iterates.
     std::span<const Delivered> delivered;
     bool duplicate = false;   // arrival was (fully) already-received data
     SackBlock dsack;          // valid when duplicate
@@ -49,18 +52,14 @@ class ReceiveBuffer {
   std::uint64_t rcv_nxt() const { return rcv_nxt_; }
   std::uint64_t ooo_bytes() const { return ooo_bytes_; }
 
-  // Builds up to kMaxSackBlocks SACK blocks: the optional DSACK first, then
-  // out-of-order ranges ordered by how recently they grew. The returned view
-  // is valid until the next BuildSackBlocks call.
-  std::span<const SackBlock> BuildSackBlocks(const Result& last);
+  // Writes up to kMaxSackBlocks SACK blocks into `out` (an outgoing ACK's
+  // block array) and returns how many: the optional DSACK first, then
+  // out-of-order ranges ordered by how recently they grew, newest first
+  // (ranges grown at the same instant in the order they are stored).
+  std::size_t BuildSackBlocks(const Result& last,
+                              std::span<SackBlock, kMaxSackBlocks> out) const;
 
  private:
-  struct OooSegment {
-    std::uint64_t seq;
-    std::uint32_t len;
-    bool has_dss;
-    std::uint64_t dss_seq;
-  };
   struct Range {
     std::uint64_t start;
     std::uint64_t end;
@@ -73,13 +72,17 @@ class ReceiveBuffer {
   std::uint64_t ooo_bytes_ = 0;
   // Buffered out-of-order segments, sorted by seq with at most one per seq:
   // a flat store that keeps its capacity instead of a node per segment.
-  std::vector<OooSegment> ooo_;
-  std::vector<Range> ranges_;  // coalesced OOO ranges with recency
-  // Scratch reused per call, so the per-segment receive path never
-  // allocates once warm.
-  std::vector<Delivered> delivered_scratch_;
-  std::vector<Range> sorted_scratch_;
-  std::array<SackBlock, kMaxSackBlocks> sack_scratch_{};
+  // Once data has arrived, ooo_[0] is the delivery slot, not a buffered
+  // segment: an in-order arrival is written there, so it and the buffered
+  // segments it released form one run, Result::delivered. Those
+  // `released_` segments (from ooo_[1]) stay until the next call erases
+  // them, just as the run's view stays valid until then.
+  std::vector<Delivered> ooo_;
+  std::size_t released_ = 0;
+  // Coalesced OOO ranges in the order they last grew: TouchRange appends the
+  // merged range, and delivery only erases and trims, so last_touch never
+  // decreases along the vector.
+  std::vector<Range> ranges_;
 };
 
 }  // namespace tdtcp

@@ -13,6 +13,31 @@
 
 namespace tdtcp {
 
+namespace {
+
+// What one ACK newly acked and SACKed on one TDN, and the RTT sample it took
+// there: OnAckPacket fills one row per TDN, AdvanceStateMachines reads them.
+struct AckRow {
+  std::uint32_t acked_pkts = 0;
+  std::uint32_t sacked_pkts = 0;
+  std::uint64_t acked_bytes = 0;
+  SimTime rtt = SimTime::Zero();
+};
+
+// Per-call scratch, one copy per thread instead of one per connection. Each
+// is dead once the call that fills it returns, and nothing between the fill
+// and the last read enters another connection's ACK path (packets leave
+// through links, whose arrivals are events), so connections on one thread
+// cannot see each other's values; threads (sweep workers) each have their own.
+//   t_ack_rows: OnAckPacket, through AdvanceStateMachines.
+//   t_sacked_above: DetectLosses' suffix counts, t_sacked_above[i] = SACKed
+//     segments strictly after scoreboard index i (one backward pass per ACK
+//     instead of the O(n^2) per-hole rescan).
+thread_local std::vector<AckRow> t_ack_rows;
+thread_local std::vector<std::uint32_t> t_sacked_above;
+
+}  // namespace
+
 TcpConnection::TcpConnection(Simulator& sim, Host* host, FlowId flow,
                              NodeId peer, TcpConfig config,
                              SubflowOwner* owner, std::uint8_t subflow)
@@ -29,9 +54,6 @@ TcpConnection::TcpConnection(Simulator& sim, Host* host, FlowId flow,
   tlp_entry_.Init(this, &TlpTrampoline);
   persist_entry_.Init(this, &PersistTrampoline);
   time_wait_entry_.Init(this, &TimeWaitTrampoline);
-  if (config_.invariant_checks) {
-    checker_ = std::make_unique<TcpInvariantChecker>();
-  }
   Attach();
 }
 
@@ -91,20 +113,9 @@ void TcpConnection::Reopen(Host* host, FlowId flow, NodeId peer,
   send_queue_.Reset(kMaxKeptOnReset);
   rcv_buffer_.Reset(kMaxKeptOnReset);
   pending_.Reset(kMaxKeptOnReset);
-  ClearKeepingAtMost(sacked_above_scratch_, kMaxKeptOnReset);
-  acked_pkts_scratch_.clear();
-  sacked_pkts_scratch_.clear();
-  acked_bytes_scratch_.clear();
-  rtt_scratch_.clear();
   forced_retired_.clear();
   orphaned_dss_.clear();
-  if (!config_.invariant_checks) {
-    checker_.reset();
-  } else if (checker_ != nullptr) {
-    checker_->Reset();
-  } else {
-    checker_ = std::make_unique<TcpInvariantChecker>();
-  }
+  checker_.Reset();
   Attach();
 }
 
@@ -563,7 +574,7 @@ void TcpConnection::OnTdnReconfig(std::uint32_t live_tdns) {
   // switch.
   if (!tdtcp_active_) return;
   ++stats_.tdn_reconfigs;
-  if (checker_) checker_->WillSwitchTdn(*this);
+  if (config_.invariant_checks) checker_.WillSwitchTdn(*this);
   const bool moved = tdns_.RetireAbove(live_tdns);
   if (moved) {
     ++stats_.tdn_switches;
@@ -576,7 +587,7 @@ void TcpConnection::OnTdnReconfig(std::uint32_t live_tdns) {
 }
 
 void TcpConnection::SwitchActiveTdn(TdnId tdn) {
-  if (checker_) checker_->WillSwitchTdn(*this);
+  if (config_.invariant_checks) checker_.WillSwitchTdn(*this);
   if (!tdns_.SwitchTo(tdn)) return;  // duplicate notification: no-op
   ++stats_.tdn_switches;
   // First transmission on the new TDN will advance the TDN change pointer.
@@ -749,10 +760,8 @@ void TcpConnection::SendAck(const ReceiveBuffer::Result& result,
       std::min<std::uint64_t>(wnd, 0xffffffffu));
   a.has_rwnd = true;
   if (config_.sack_enabled) {
-    const std::span<const SackBlock> blocks =
-        rcv_buffer_.BuildSackBlocks(result);
-    a.num_sack = static_cast<std::uint8_t>(blocks.size());
-    std::copy(blocks.begin(), blocks.end(), a.sack.begin());
+    a.num_sack =
+        static_cast<std::uint8_t>(rcv_buffer_.BuildSackBlocks(result, a.sack));
   }
   // DCTCP-style precise per-packet ECN echo.
   a.ece = (data.ecn == Ecn::kCe);
@@ -814,11 +823,8 @@ void TcpConnection::OnAckPacket(const Packet& p) {
 
   NoteCircuitEcho(p.circuit_echo);
 
-  // Per-ACK scratch accounting (per TDN).
-  acked_pkts_scratch_.assign(tdns_.num_tdns(), 0);
-  acked_bytes_scratch_.assign(tdns_.num_tdns(), 0);
-  sacked_pkts_scratch_.assign(tdns_.num_tdns(), 0);
-  rtt_scratch_.assign(tdns_.num_tdns(), SimTime::Zero());
+  // Per-ACK accounting, one row per TDN.
+  t_ack_rows.assign(tdns_.num_tdns(), AckRow{});
   ece_target_tdn_ = trigger_tdn;
 
   std::uint32_t newly_sacked = 0;
@@ -853,7 +859,7 @@ void TcpConnection::OnAckPacket(const Packet& p) {
       TdnState& st = ActiveState();
       if (st.sacked_out + st.lost_out < st.packets_out) {
         st.sacked_out++;
-        sacked_pkts_scratch_[tdns_.active_id()]++;
+        t_ack_rows[tdns_.active_id()].sacked_pkts++;
       }
     }
   }
@@ -911,7 +917,7 @@ void TcpConnection::NoteSackedSegment(TxSegment& seg, TdnId ack_tdn) {
   Trace(TracePoint::kTcpSackEdit,
         static_cast<std::uint64_t>(TraceSackEdit::kSacked), seg.seq, seg.len,
         seg.tdn);
-  if (seg.tdn < sacked_pkts_scratch_.size()) sacked_pkts_scratch_[seg.tdn]++;
+  if (seg.tdn < t_ack_rows.size()) t_ack_rows[seg.tdn].sacked_pkts++;
   if (seg.lost) {
     // The receiver has it after all; it was reordered, not lost.
     seg.lost = false;
@@ -998,15 +1004,17 @@ TdnState& TcpConnection::RetireFromPipe(const TxSegment& seg) {
 
 bool TcpConnection::ProcessCumulativeAck(const Packet& p) {
   bool acked_fresh_data = false;
-  send_queue_.AckThrough(p.ack, [this, &p,
-                                 &acked_fresh_data](const TxSegment& seg) {
+  std::vector<AckRow>& rows = t_ack_rows;
+  send_queue_.AckThrough(p.ack, [this, &p, &acked_fresh_data,
+                                 &rows](const TxSegment& seg) {
     // §4.3 "specific TDN": scan the retransmission queue and update the
     // tracking variables of the TDN each segment belongs to.
     TdnState& st = RetireFromPipe(seg);
     if (!seg.syn && !seg.fin) {
       st.bytes_acked += seg.len;
-      acked_pkts_scratch_[seg.tdn]++;
-      acked_bytes_scratch_[seg.tdn] += seg.len;
+      AckRow& row = rows[seg.tdn];
+      row.acked_pkts++;
+      row.acked_bytes += seg.len;
       ece_target_tdn_ = seg.tdn;
     }
     // An acked never-retransmitted FIN proves path liveness just like data.
@@ -1037,13 +1045,13 @@ bool TcpConnection::ProcessCumulativeAck(const Packet& p) {
     if (tdtcp_active_ && config_.per_tdn_rtt) {
       if (p.ack_tdn != kNoTdn && p.ack_tdn == seg.tdn) {
         st.rtt.AddSample(rtt);
-        rtt_scratch_[seg.tdn] = rtt;
+        rows[seg.tdn].rtt = rtt;
       } else {
         ++stats_.rtt_samples_dropped;
       }
     } else {
       st.rtt.AddSample(rtt);
-      rtt_scratch_[seg.tdn] = rtt;
+      rows[seg.tdn].rtt = rtt;
     }
   });
   snd_una_ = p.ack;
@@ -1070,11 +1078,15 @@ void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) 
   // Suffix counts of SACKed segments: one backward pass replaces the
   // quadratic per-hole rescan. The loop below never changes `sacked` (only
   // `lost`/`retrans`), so the counts stay valid throughout.
-  sacked_above_scratch_.resize(segs.size());
+  // The buffer only grows: the pass writes every entry it reads, and one
+  // shared by connections with scoreboards of different lengths would
+  // otherwise zero-fill the difference on every ACK.
+  std::vector<std::uint32_t>& sacked_above = t_sacked_above;
+  if (sacked_above.size() < segs.size()) sacked_above.resize(segs.size());
   {
     std::uint32_t cnt = 0;
     for (std::size_t j = segs.size(); j-- > 0;) {
-      sacked_above_scratch_[j] = cnt;
+      sacked_above[j] = cnt;
       if (segs[j].sacked) ++cnt;
     }
   }
@@ -1109,8 +1121,7 @@ void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) 
     ++holes;
 
     // Classic dupACK-count analogue: enough SACKed segments above this one.
-    const bool dup_cond =
-        sacked_above_scratch_[i] >= config_.dupack_threshold;
+    const bool dup_cond = sacked_above[i] >= config_.dupack_threshold;
 
     // RACK: delivered segments transmitted sufficiently later imply loss.
     bool rack_cond = false;
@@ -1176,11 +1187,13 @@ void TcpConnection::MarkSegmentLost(TxSegment& seg) {
 }
 
 void TcpConnection::AdvanceStateMachines(const Packet& p) {
+  const std::vector<AckRow>& rows = t_ack_rows;
+  const AckRow none;  // a TDN added since the rows were sized
   for (std::size_t i = 0; i < tdns_.num_tdns(); ++i) {
     const TdnId id = static_cast<TdnId>(i);
     TdnState& st = tdns_.state(id);
-    const std::uint32_t acked_here =
-        i < acked_pkts_scratch_.size() ? acked_pkts_scratch_[i] : 0;
+    const AckRow& row = i < rows.size() ? rows[i] : none;
+    const std::uint32_t acked_here = row.acked_pkts;
     const CaState prev_ca = st.ca_state;
     const std::uint32_t prev_cwnd = st.cwnd;
     const std::uint32_t prev_ssthresh = st.ssthresh;
@@ -1189,10 +1202,10 @@ void TcpConnection::AdvanceStateMachines(const Packet& p) {
     if (acked_here > 0) {
       AckContext ctx;
       ctx.event.newly_acked_packets = acked_here;
-      ctx.event.newly_acked_bytes = acked_bytes_scratch_[i];
+      ctx.event.newly_acked_bytes = row.acked_bytes;
       ctx.event.ece = p.ece && id == ece_target_tdn_;
       ctx.event.circuit_echo = p.circuit_echo;
-      ctx.event.rtt_sample = rtt_scratch_[i];
+      ctx.event.rtt_sample = row.rtt;
       ctx.event.cwnd_limited = st.cwnd_limited;
       ctx.snd_una = snd_una_;
       ctx.snd_nxt = snd_nxt_;
@@ -1213,9 +1226,7 @@ void TcpConnection::AdvanceStateMachines(const Packet& p) {
           EnterRecovery(st);
           // The entering ACK participates in the rate reduction (Linux runs
           // tcp_cwnd_reduction on the same ACK that enters recovery).
-          ProportionalRateReduction(st, acked_here,
-                                    i < sacked_pkts_scratch_.size()
-                                        ? sacked_pkts_scratch_[i] : 0);
+          ProportionalRateReduction(st, acked_here, row.sacked_pkts);
         } else if (st.sacked_out > 0) {
           st.ca_state = CaState::kDisorder;
         } else {
@@ -1223,9 +1234,7 @@ void TcpConnection::AdvanceStateMachines(const Packet& p) {
         }
         break;
       case CaState::kCwr:
-        ProportionalRateReduction(st, acked_here,
-                                  i < sacked_pkts_scratch_.size()
-                                      ? sacked_pkts_scratch_[i] : 0);
+        ProportionalRateReduction(st, acked_here, row.sacked_pkts);
         if (snd_una_ >= st.high_seq) {
           st.ca_state = CaState::kOpen;
           st.cwnd = std::max(2u, st.ssthresh);  // tcp_end_cwnd_reduction
@@ -1236,9 +1245,7 @@ void TcpConnection::AdvanceStateMachines(const Packet& p) {
       case CaState::kLoss:
         MaybeUndo(st);
         if (st.ca_state == CaState::kRecovery) {
-          ProportionalRateReduction(st, acked_here,
-                                    i < sacked_pkts_scratch_.size()
-                                        ? sacked_pkts_scratch_[i] : 0);
+          ProportionalRateReduction(st, acked_here, row.sacked_pkts);
         }
         if ((st.ca_state == CaState::kRecovery || st.ca_state == CaState::kLoss) &&
             snd_una_ >= st.high_seq) {

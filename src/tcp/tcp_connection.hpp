@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 
 #include "net/host.hpp"
@@ -416,11 +415,12 @@ class TcpConnection : public PacketSink,
 
   // --- open / reopen -------------------------------------------------------------
   // The most elements a reopen keeps room for in each per-segment buffer
-  // (scoreboard, out-of-order store, their scratch): enough for a
-  // one-segment flow's SYN, data and FIN, the most common churn cycle, while
-  // a slot that once carried a long flow does not pin that flow's footprint
-  // (peak RSS grows with this bound; DESIGN.md, "Churn slots reopen their
-  // connections").
+  // (scoreboard, out-of-order store, SACK ranges, unsent chunks): enough for
+  // a one-segment flow's SYN, data and FIN, the most common churn cycle,
+  // while a slot that once carried a long flow does not pin that flow's
+  // footprint. Peak RSS grows with this bound times the retained
+  // connections; per-call scratch is per thread and not bounded here
+  // (DESIGN.md, "Churn slots reopen their connections").
   static constexpr std::size_t kMaxKeptOnReset = 4;
   // Registers with the host's recovery agent and (never for a subflow) the
   // host's demux table and TDN listener list.
@@ -553,7 +553,7 @@ class TcpConnection : public PacketSink,
   bool IsCwndLimited() const;
   void NoteCircuitEcho(bool circuit);
   void RunChecker(TcpInvariantChecker::Event ev) {
-    if (checker_) checker_->Check(*this, ev);
+    if (config_.invariant_checks) checker_.Check(*this, ev);
   }
   // Connection-state transition with its tracepoint.
   void SetState(State s);
@@ -581,17 +581,9 @@ class TcpConnection : public PacketSink,
   // --- app data ------------------------------------------------------------------
   VectorFifo<PendingChunk> pending_;   // unsent application bytes
 
-  // --- loss detection scratch ---------------------------------------------------
-  // DetectLosses suffix counts: sacked_above_scratch_[i] = SACKed segments
-  // strictly after scoreboard index i (one backward pass per ACK instead of
-  // the O(n^2) per-hole rescan).
-  std::vector<std::uint32_t> sacked_above_scratch_;
-
-  // --- per-ACK scratch (per-TDN newly-acked accounting) -------------------------
-  std::vector<std::uint32_t> acked_pkts_scratch_;
-  std::vector<std::uint32_t> sacked_pkts_scratch_;
-  std::vector<std::uint64_t> acked_bytes_scratch_;
-  std::vector<SimTime> rtt_scratch_;
+  // Scratch that lives only within one call (the per-ACK per-TDN rows, the
+  // loss-detection suffix counts) is per thread, in tcp_connection.cpp, not
+  // here: a connection holds only state that outlives a call.
 
   // --- timers ---------------------------------------------------------------------
   // RTO/TLP/persist/TimeWait live on the host's hierarchical timer wheel as
@@ -626,7 +618,8 @@ class TcpConnection : public PacketSink,
   std::vector<std::pair<std::uint64_t, std::uint64_t>> forced_retired_;
 
   // --- invariant checking / fault context ---------------------------------------
-  std::unique_ptr<TcpInvariantChecker> checker_;
+  // Runs only with config_.invariant_checks.
+  TcpInvariantChecker checker_;
   const FaultTraceSource* fault_trace_ = nullptr;
 
   // --- callbacks -------------------------------------------------------------------

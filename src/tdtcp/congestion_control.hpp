@@ -69,8 +69,5 @@ class CongestionControl {
 };
 
 using CcFactory = std::function<std::unique_ptr<CongestionControl>()>;
-// A plain maker function. The registry's factories are these, so a
-// CcFactory holding one tells which class it builds without building it.
-using CcMaker = std::unique_ptr<CongestionControl> (*)();
 
 }  // namespace tdtcp

@@ -32,7 +32,6 @@ TdnManager::TdnManager(std::uint32_t num_tdns, IndexedCcFactory factory,
     : TdnManager(std::move(factory), rtt_config, initial_cwnd) {
   CheckTdnCount(num_tdns);
   states_.reserve(num_tdns);
-  makers_.reserve(num_tdns);
   EnsureTdn(static_cast<TdnId>(num_tdns - 1));
 }
 
@@ -41,20 +40,12 @@ void TdnManager::Reopen(std::uint32_t num_tdns,
                         std::uint32_t initial_cwnd) {
   CheckTdnCount(num_tdns);
   std::vector<TdnState> states = std::move(states_);
-  std::vector<CcMaker> makers = std::move(makers_);
-  std::vector<bool> retired = std::move(retired_);
   *this = TdnManager(std::move(factory_), rtt_config, initial_cwnd);
   states_ = std::move(states);
-  makers_ = std::move(makers);
-  retired_ = std::move(retired);
-  if (states_.size() > num_tdns) {
-    states_.resize(num_tdns);
-    makers_.resize(num_tdns);
-  }
+  if (states_.size() > num_tdns) states_.resize(num_tdns);
   for (std::size_t id = 0; id < states_.size(); ++id) {
     InitState(static_cast<TdnId>(id));
   }
-  retired_.assign(states_.size(), false);
   EnsureTdn(static_cast<TdnId>(num_tdns - 1));
 }
 
@@ -63,16 +54,18 @@ void TdnManager::InitState(TdnId id) {
   const CcFactory& factory = factory_(id);
   const CcMaker* maker = factory.target<CcMaker>();
   std::unique_ptr<CongestionControl> cc = std::move(s.cc);
+  const CcMaker built_by = s.maker;
   s = TdnState();
   s.id = id;
   s.cwnd = initial_cwnd_;
   s.rtt = RttEstimator(rtt_config_);
-  if (cc != nullptr && maker != nullptr && makers_[id] == *maker) {
+  if (cc != nullptr && maker != nullptr && built_by == *maker) {
     cc->Reset();
     s.cc = std::move(cc);
+    s.maker = built_by;
   } else {
     s.cc = factory();
-    makers_[id] = maker != nullptr ? *maker : nullptr;
+    s.maker = maker != nullptr ? *maker : nullptr;
   }
   s.cc->Init(s);
 }
@@ -81,14 +74,12 @@ void TdnManager::EnsureTdn(TdnId id) {
   while (states_.size() <= id) {
     const auto next = static_cast<TdnId>(states_.size());
     states_.emplace_back();
-    makers_.push_back(nullptr);
     InitState(next);
     if (has_trace_) {
       trace_->Emit(trace_sim_->now().picos(), TracePoint::kTdnStateSelect,
                    trace_flow_, next);
     }
   }
-  if (retired_.size() < states_.size()) retired_.resize(states_.size(), false);
 }
 
 void TdnManager::ReviveIfDrained(TdnState& s) {
@@ -103,10 +94,10 @@ void TdnManager::ReviveIfDrained(TdnState& s) {
 bool TdnManager::SwitchTo(TdnId id) {
   EnsureTdn(id);
   if (id == active_) return false;
-  if (retired_[id]) {
+  if (states_[id].retired) {
     // Reviving a retired TDN (the schedule grew back): reset to fresh
     // connection state if it drained while parked, carry over otherwise.
-    retired_[id] = false;
+    states_[id].retired = false;
     ReviveIfDrained(states_[id]);
   }
   const TdnId prev = active_;
@@ -129,18 +120,19 @@ bool TdnManager::RetireAbove(std::uint32_t live) {
   ++retire_events_;
   std::uint64_t newly_retired = 0;
   for (std::size_t id = 0; id < states_.size(); ++id) {
+    TdnState& s = states_[id];
     const bool retire = id >= live;
-    if (retire && !retired_[id]) ++newly_retired;
-    if (!retire && retired_[id]) {
+    if (retire && !s.retired) ++newly_retired;
+    if (!retire && s.retired) {
       // The schedule grew back: ids below the new count are live again.
-      retired_[id] = false;
-      ReviveIfDrained(states_[id]);
+      s.retired = false;
+      ReviveIfDrained(s);
     } else {
-      retired_[id] = retire;
+      s.retired = retire;
     }
   }
   bool moved = false;
-  if (active_ < retired_.size() && retired_[active_]) {
+  if (states_[active_].retired) {
     // Never leave the connection tagging new data with a retired TDN; TDN 0
     // always survives (live >= 1).
     moved = SwitchTo(0);

@@ -47,10 +47,10 @@ class TdnManager {
 
   // Starts over as the manager the constructor builds for these arguments
   // (same factory): num_tdns fresh state sets, TDN 0 active, nothing
-  // retired, no trace sink. The state and retirement vectors keep their
-  // capacity, and a TDN keeps its congestion-control module, reset to a
-  // fresh instance's state, when its factory is a plain maker function
-  // and the same one that built the module (the class is unchanged).
+  // retired, no trace sink. The state vector keeps its capacity, and a TDN
+  // keeps its congestion-control module, reset to a fresh instance's state,
+  // when its factory is a plain maker function and the same one that built
+  // the module (TdnState::maker; the class is unchanged).
   void Reopen(std::uint32_t num_tdns, RttEstimator::Config rtt_config,
               std::uint32_t initial_cwnd);
 
@@ -86,11 +86,11 @@ class TdnManager {
   // live == 0.
   bool RetireAbove(std::uint32_t live);
   bool retired(TdnId id) const {
-    return id < retired_.size() && retired_[id];
+    return id < states_.size() && states_[id].retired;
   }
   std::uint32_t live_tdns() const {
     std::uint32_t live = 0;
-    for (bool r : retired_) live += r ? 0 : 1;
+    for (const TdnState& s : states_) live += s.retired ? 0 : 1;
     return live;
   }
   std::uint64_t retire_events() const { return retire_events_; }
@@ -126,15 +126,11 @@ class TdnManager {
   TdnManager(IndexedCcFactory factory, RttEstimator::Config rtt_config,
              std::uint32_t initial_cwnd);
   void ReviveIfDrained(TdnState& s);
-  // (Re)initializes state set `id` to a fresh TDN's values, keeping its
-  // module when the same plain maker would build it again.
+  // (Re)initializes state set `id` to a fresh, live TDN's values, keeping
+  // its module when the same plain maker would build it again.
   void InitState(TdnId id);
 
   std::vector<TdnState> states_;
-  // The plain maker function that built states_[i].cc, or nullptr when its
-  // factory was some other callable (then a fresh start always rebuilds).
-  std::vector<CcMaker> makers_;
-  std::vector<bool> retired_;
   std::uint64_t retire_events_ = 0;
   IndexedCcFactory factory_;
   RttEstimator::Config rtt_config_;

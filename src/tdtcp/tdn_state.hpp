@@ -21,9 +21,15 @@
 namespace tdtcp {
 
 class CongestionControl;
+// A plain maker function. The registry's factories are these, so a
+// CcFactory holding one tells which class it builds without building it.
+using CcMaker = std::unique_ptr<CongestionControl> (*)();
 
 struct TdnState {
   TdnId id = 0;
+  // Set by a schedule reconfiguration that no longer drives this TDN
+  // (TdnManager::RetireAbove); its accounting drains as usual.
+  bool retired = false;
 
   // --- "pipe" variables ---------------------------------------------------
   std::uint32_t packets_out = 0;   // segments transmitted, not yet cumACKed
@@ -40,6 +46,9 @@ struct TdnState {
   std::uint32_t cwnd = 10;                 // segments
   std::uint32_t ssthresh = 0x7fffffff;     // segments
   CaState ca_state = CaState::kOpen;
+  // Was the sender using the full window at its last send attempt?
+  // (Linux tcp_is_cwnd_limited gates congestion-avoidance growth.)
+  bool cwnd_limited = false;
   std::uint64_t high_seq = 0;       // recovery/CWR exit point (snd_nxt at entry)
   std::uint32_t prior_cwnd = 0;     // for undo
   std::uint32_t prior_ssthresh = 0;
@@ -57,16 +66,15 @@ struct TdnState {
   // Fractional congestion-avoidance growth (Linux snd_cwnd_cnt).
   std::uint32_t cwnd_cnt = 0;
 
-  // Was the sender using the full window at its last send attempt?
-  // (Linux tcp_is_cwnd_limited gates congestion-avoidance growth.)
-  bool cwnd_limited = false;
-
   // --- delay / RTT variables ------------------------------------------------
   RttEstimator rtt;
 
   // --- CC module (one instance per TDN; §3.5: in principle each TDN could
   // even run a different CCA) -------------------------------------------------
   std::unique_ptr<CongestionControl> cc;
+  // The plain maker function that built `cc`, or nullptr when its factory
+  // was some other callable (then a fresh start always rebuilds the module).
+  CcMaker maker = nullptr;
 
   // --- statistics -----------------------------------------------------------
   std::uint64_t bytes_acked = 0;

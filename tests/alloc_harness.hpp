@@ -1,8 +1,11 @@
-// Counting global allocator for zero-allocation assertions.
+// Counting global allocator for zero-allocation and footprint assertions.
 //
 // Including this header replaces the global operator new/delete with
 // counting versions and provides CountAllocations() to measure a scoped
-// block. Replacement allocation functions must be defined exactly once per
+// block, and LiveHeapBytes() for the bytes operator new holds right now.
+// Bytes are counted by malloc_usable_size at both ends, so they include the
+// allocator's rounding (exact request sizes under AddressSanitizer, whose
+// allocator rounds nothing) and need no size at delete. Replacement allocation functions must be defined exactly once per
 // binary, so include this from exactly one translation unit of a test
 // executable (each add_tdtcp_test target is a single .cpp, which makes
 // that automatic).
@@ -19,23 +22,51 @@
 #include <cstdlib>
 #include <new>
 
+#include <malloc.h>
+
 namespace tdtcp::test {
 
 inline std::atomic<std::uint64_t> g_news{0};
 inline std::atomic<std::uint64_t> g_deletes{0};
+inline std::atomic<std::uint64_t> g_new_bytes{0};
+inline std::atomic<std::uint64_t> g_deleted_bytes{0};
+
+// Heap bytes obtained through operator new and not yet deleted.
+inline std::int64_t LiveHeapBytes() {
+  return static_cast<std::int64_t>(
+      g_new_bytes.load(std::memory_order_relaxed) -
+      g_deleted_bytes.load(std::memory_order_relaxed));
+}
 
 struct AllocDelta {
   std::uint64_t news;
   std::uint64_t deletes;
+  std::int64_t live_bytes;  // change in LiveHeapBytes()
 };
 
 template <typename F>
 AllocDelta CountAllocations(F&& f) {
   const std::uint64_t n0 = g_news.load(std::memory_order_relaxed);
   const std::uint64_t d0 = g_deletes.load(std::memory_order_relaxed);
+  const std::int64_t b0 = LiveHeapBytes();
   f();
   return AllocDelta{g_news.load(std::memory_order_relaxed) - n0,
-                    g_deletes.load(std::memory_order_relaxed) - d0};
+                    g_deletes.load(std::memory_order_relaxed) - d0,
+                    LiveHeapBytes() - b0};
+}
+
+inline void* CountNew(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
+  return p;
+}
+
+inline void CountDelete(void* p) {
+  if (p == nullptr) return;
+  g_deletes.fetch_add(1, std::memory_order_relaxed);
+  g_deleted_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
 }
 
 }  // namespace tdtcp::test
@@ -48,37 +79,26 @@ AllocDelta CountAllocations(F&& f) {
 // although every path pairs malloc/aligned_alloc with free.
 [[gnu::noinline]]
 void* operator new(std::size_t n) {
-  tdtcp::test::g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
+  return tdtcp::test::CountNew(std::malloc(n ? n : 1));
 }
 [[gnu::noinline]]
 void* operator new(std::size_t n, std::align_val_t al) {
-  tdtcp::test::g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                   (n + static_cast<std::size_t>(al) - 1) &
-                                       ~(static_cast<std::size_t>(al) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
+  return tdtcp::test::CountNew(std::aligned_alloc(
+      static_cast<std::size_t>(al),
+      (n + static_cast<std::size_t>(al) - 1) &
+          ~(static_cast<std::size_t>(al) - 1)));
 }
 [[gnu::noinline]]
-void operator delete(void* p) noexcept {
-  tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
+void operator delete(void* p) noexcept { tdtcp::test::CountDelete(p); }
 [[gnu::noinline]]
 void operator delete(void* p, std::size_t) noexcept {
-  tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
+  tdtcp::test::CountDelete(p);
 }
 [[gnu::noinline]]
 void operator delete(void* p, std::align_val_t) noexcept {
-  tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
+  tdtcp::test::CountDelete(p);
 }
 [[gnu::noinline]]
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
+  tdtcp::test::CountDelete(p);
 }

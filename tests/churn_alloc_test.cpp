@@ -1,13 +1,16 @@
-// A churn lifecycle that does not allocate. A ChurnGenerator keeps each
-// slot's two connections and reopens them, so once a slot's buffers, the
-// hosts' tables and the event core have grown, opening and closing
-// connections touches the global heap only to grow the generator's result
-// vectors. The counting allocator (alloc_harness.hpp) replaces the global
-// operator new, so this test is its own executable.
+// A churn lifecycle that does not allocate, and what the retained
+// connections cost. A ChurnGenerator keeps each slot's two connections and
+// reopens them, so once a slot's buffers, the hosts' tables and the event
+// core have grown, opening and closing connections touches the global heap
+// only to grow the generator's result vectors. What a slot keeps is bounded
+// too: a connection holds no per-call scratch. The counting allocator
+// (alloc_harness.hpp) replaces the global operator new, so this test is its
+// own executable.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "alloc_harness.hpp"
 #include "app/flow_cdf.hpp"
@@ -95,20 +98,48 @@ TEST(ChurnAlloc, ReopenedLifecyclesDoNotAllocate) {
   EXPECT_LT(d.news, 20u) << "allocations in 2000 reopened lifecycles";
 }
 
-TEST(ChurnAlloc, HeavyTailedCyclesOnlyRegrowBuffers) {
-  // perfbench's rotor_churn: websearch sizes over a 2048-slot pool. No
-  // lifecycle builds or frees a connection, but a reopen keeps room for
-  // only TcpConnection::kMaxKeptOnReset elements per buffer, so a cycle
-  // longer than a few segments regrows its scoreboard, out-of-order store
-  // and scratch vectors (about 5 allocations per lifecycle here).
+// perfbench's rotor_churn: websearch sizes over a 2048-slot pool.
+ChurnConfig WebsearchChurn() {
   ChurnConfig cc;
   cc.max_concurrent = 2048;
   cc.size_cdf = BuiltinFlowSizeCdf("websearch");
   cc.size_scale = 1.0 / 24;
   cc.size_cap_bytes = 2'000'000;
-  RotorChurn run(16, cc);
+  return cc;
+}
+
+TEST(ChurnAlloc, HeavyTailedCyclesOnlyRegrowBuffers) {
+  // No lifecycle builds or frees a connection, but a reopen keeps room for
+  // only TcpConnection::kMaxKeptOnReset elements per buffer, so a cycle
+  // longer than a few segments regrows its scoreboard and out-of-order
+  // store.
+  RotorChurn run(16, WebsearchChurn());
   const test::AllocDelta d = run.CountWarmLifecycles();
   EXPECT_LT(d.news, kBuildAndFreeAllocs / 4);
+}
+
+// Heap bytes per slot of a warmed rotor_churn pool (RetainedBytesPerSlotPair)
+// as measured with glibc's allocator: 5,777. The bound adds 48 bytes of
+// margin. A connection member that holds a heap block costs at least 16
+// bytes of object (the allocator's grain) and a 24-byte block, twice per
+// pair, so a per-connection scratch vector fails it. AddressSanitizer's
+// allocator rounds nothing, so it reads lower.
+constexpr std::int64_t kMaxBytesPerSlotPair = 5777 + 48;
+
+TEST(ChurnAlloc, RetainedBytesPerSlotPair) {
+  // The heap a warmed slot pool holds, per slot: both connections and
+  // everything they keep between cycles, plus this run's share of the
+  // fabric's and generator's growth. rotor_churn's peak memory is set by
+  // these pairs, as its pool stays full.
+  const std::int64_t before = test::LiveHeapBytes();
+  RotorChurn run(16, WebsearchChurn());
+  run.RunUntilClosed(4000);
+  ASSERT_GT(run.churn.stats().deferred, 0u)
+      << "the pool never filled, so not every slot holds a pair";
+  const std::int64_t per_pair =
+      (test::LiveHeapBytes() - before) / std::int64_t{2048};
+  RecordProperty("bytes_per_slot_pair", std::to_string(per_pair));
+  EXPECT_LE(per_pair, kMaxBytesPerSlotPair);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "sim/hash.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace tdtcp {
 namespace {
@@ -132,6 +133,65 @@ TEST(Mptcp, MetaDeliveryIsExactlyOnce) {
   // reinjection duplicates; duplicates are counted and discarded.
   const auto scheduled = f.sender->stats().scheduled_segments * 8940;
   EXPECT_LE(f.receiver->meta_bytes_delivered(), scheduled);
+}
+
+TEST(Mptcp, MetaReassemblesInsideSubflowDeliveryLoop) {
+  // A receiving meta fed by hand. Subflow 1 carries data sequence
+  // [1001, 4001), which the meta must hold out of order. Subflow 0 carries
+  // [1, 1001) and then [4001, 7001), and the latter arrive first. The one
+  // in-order segment on subflow 0 then releases its three buffered
+  // segments, and the meta reassembles all of them from inside subflow 0's
+  // delivery loop: its own release (four segments) must not disturb the
+  // subflow's delivered view.
+  Simulator sim;
+  test::LoopbackHarness h(sim);
+  MptcpConnection rx(sim, &h.host, 7, 99, MptcpConnection::Config());
+  rx.Listen();
+  const auto packet = [](std::uint8_t subflow) {
+    Packet p;
+    p.type = PacketType::kData;
+    p.flow = 7;
+    p.subflow = subflow;
+    p.is_mptcp = true;
+    p.size_bytes = 60;
+    return p;
+  };
+  for (std::uint8_t i : {0, 1}) {
+    Packet syn = packet(i);
+    syn.syn = true;
+    rx.HandlePacket(std::move(syn));
+  }
+  std::vector<std::uint64_t> meta_delivered;
+  const auto data = [&](std::uint8_t subflow, std::uint64_t seq,
+                        std::uint64_t dss) {
+    Packet d = packet(subflow);
+    d.seq = seq;
+    d.payload = 1000;
+    d.size_bytes = 1060;
+    d.has_dss = true;
+    d.dss_seq = dss;
+    rx.HandlePacket(std::move(d));
+    meta_delivered.push_back(rx.meta_bytes_delivered());
+  };
+  data(1, 1, 1001);
+  data(1, 1001, 2001);
+  data(1, 2001, 3001);
+  data(0, 1001, 4001);
+  data(0, 2001, 5001);
+  data(0, 3001, 6001);
+  data(0, 1, 1);
+  EXPECT_EQ(meta_delivered,
+            (std::vector<std::uint64_t>{0, 0, 0, 0, 0, 0, 7000}));
+  EXPECT_EQ(rx.subflow(0)->rcv_nxt(), 4001u);
+  EXPECT_EQ(rx.subflow(0)->stats().bytes_received, 4000u);
+  EXPECT_EQ(rx.subflow(1)->rcv_nxt(), 3001u);
+  EXPECT_EQ(rx.stats().meta_duplicates, 0u);
+  // Subflow 0's ACK of that segment carries the whole reassembled range.
+  h.Settle();
+  ASSERT_FALSE(h.out.Empty());
+  EXPECT_EQ(h.out.packets.back().subflow, 0u);
+  EXPECT_EQ(h.out.packets.back().ack, 4001u);
+  EXPECT_EQ(h.out.packets.back().dss_ack, 7001u);
 }
 
 TEST(Mptcp, PinnedPacketsStrandAtToR) {
