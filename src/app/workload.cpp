@@ -166,6 +166,20 @@ Workload::Workload(Simulator& sim, Topology& topo, WorkloadConfig config)
         ") exceeds hosts_per_rack (" +
         std::to_string(topo.config().hosts_per_rack) + ")");
   }
+  // Every long flow's sender shares one engine config, and every receiver
+  // another.
+  std::shared_ptr<const TcpConfig> sender_config;
+  std::shared_ptr<const TcpConfig> receiver_config;
+  if (config_.variant != Variant::kMptcp) {
+    TcpConfig tc = MakeVariantConfig(config_.variant, config_.base);
+    TcpConfig rc = tc;
+    if (config_.scope_tdn_to_peer) {
+      tc.peer_rack = config_.dst_rack;
+      rc.peer_rack = config_.src_rack;
+    }
+    sender_config = std::make_shared<const TcpConfig>(std::move(tc));
+    receiver_config = std::make_shared<const TcpConfig>(std::move(rc));
+  }
   for (std::uint32_t i = 0; i < config_.num_flows; ++i) {
     const FlowId id = config_.first_flow_id + i;
     Host* src = topo.host(config_.src_rack, i);
@@ -179,16 +193,10 @@ Workload::Workload(Simulator& sim, Topology& topo, WorkloadConfig config)
       flow.mptcp_sender = std::make_unique<MptcpConnection>(
           sim, src, id, dst->id(), mc);
     } else {
-      TcpConfig tc = MakeVariantConfig(config_.variant, config_.base);
-      TcpConfig rc = tc;
-      if (config_.scope_tdn_to_peer) {
-        tc.peer_rack = config_.dst_rack;
-        rc.peer_rack = config_.src_rack;
-      }
       flow.tcp_receiver = std::make_unique<TcpConnection>(
-          sim, dst, id, src->id(), rc);
+          sim, dst, id, src->id(), receiver_config);
       flow.tcp_sender = std::make_unique<TcpConnection>(
-          sim, src, id, dst->id(), tc);
+          sim, src, id, dst->id(), sender_config);
     }
     flows_.push_back(std::move(flow));
   }
@@ -239,6 +247,8 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
     : sim_(sim),
       topo_(topo),
       config_(std::move(config)),
+      end_configs_(kNumVariants * 2 *
+                   (config_.scope_tdn_to_peer ? topo.config().num_racks : 1)),
       slots_(config_.max_concurrent),
       next_flow_(config_.first_flow_id) {
   if (config_.variant == Variant::kMptcp) {
@@ -452,22 +462,27 @@ void ChurnGenerator::OpenSlot(RackId src_rack, std::uint32_t src_host,
   ++active_;
 }
 
-const TcpConfig& ChurnGenerator::EndConfig(Variant variant, RackId peer_rack,
-                                           bool receiver) {
-  std::optional<TcpConfig>& config =
-      variant_configs_[static_cast<std::size_t>(variant)];
-  if (!config) config = MakeVariantConfig(variant, config_.base);
-  config->peer_rack =
-      config_.scope_tdn_to_peer ? peer_rack : config_.base.peer_rack;
-  // The server closes as soon as the request ends.
-  config->close_on_peer_fin = receiver || config_.base.close_on_peer_fin;
-  return *config;
+const std::shared_ptr<const TcpConfig>& ChurnGenerator::EndConfig(
+    Variant variant, RackId peer_rack, bool receiver) {
+  const std::size_t racks = end_configs_.size() / (kNumVariants * 2);
+  const std::size_t rack = config_.scope_tdn_to_peer ? peer_rack : 0;
+  std::shared_ptr<const TcpConfig>& shared =
+      end_configs_[(static_cast<std::size_t>(variant) * 2 + receiver) * racks +
+                   rack];
+  if (shared == nullptr) {
+    TcpConfig config = MakeVariantConfig(variant, config_.base);
+    if (config_.scope_tdn_to_peer) config.peer_rack = peer_rack;
+    // The server closes as soon as the request ends.
+    config.close_on_peer_fin = receiver || config_.base.close_on_peer_fin;
+    shared = std::make_shared<const TcpConfig>(std::move(config));
+  }
+  return shared;
 }
 
-TcpConnection& ChurnGenerator::OpenEnd(std::unique_ptr<TcpConnection>& end,
-                                       Host* host, NodeId peer,
-                                       const TcpConfig& config,
-                                       std::uint32_t idx, bool sender_end) {
+TcpConnection& ChurnGenerator::OpenEnd(
+    std::unique_ptr<TcpConnection>& end, Host* host, NodeId peer,
+    const std::shared_ptr<const TcpConfig>& config, std::uint32_t idx,
+    bool sender_end) {
   const FlowId flow = slots_[idx].flow;
   if (end == nullptr) {
     end = std::make_unique<TcpConnection>(sim_, host, flow, peer, config);

@@ -3,10 +3,8 @@
 // bulk transfers, all flows starting together).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -267,6 +265,12 @@ class ChurnGenerator {
   // (flow, open time, close time, close reasons) — the determinism
   // fingerprint the sweep engine's jobs=1 == jobs=N check compares.
   std::uint64_t hash() const { return hash_.value(); }
+  // The sender or receiver end slot `idx` holds: null before the slot's
+  // first cycle, retired between cycles. For inspection only.
+  const TcpConnection* end(std::uint32_t idx, bool sender_end) const {
+    const Slot& slot = slots_[idx];
+    return sender_end ? slot.sender.get() : slot.receiver.get();
+  }
 
  private:
   struct Slot {
@@ -301,14 +305,19 @@ class ChurnGenerator {
   Variant DrawVariant(Random& rng);
   void OpenSlot(RackId src_rack, std::uint32_t src_host, RackId dst_rack,
                 std::uint32_t dst_host, std::uint64_t bytes, Variant variant);
-  // The engine config of one end of a `variant` cycle: the variant's config
-  // (built on first use) with this end's peer rack and close_on_peer_fin
-  // written in. Valid until the next call.
-  const TcpConfig& EndConfig(Variant variant, RackId peer_rack, bool receiver);
+  // The engine config of one end of a `variant` cycle:
+  // MakeVariantConfig(variant, base) with the end's peer rack (when
+  // scope_tdn_to_peer) and close_on_peer_fin (the receiver's) written in.
+  // Built on first use and shared, immutable, by every end opened with the
+  // same variant, role and peer rack.
+  const std::shared_ptr<const TcpConfig>& EndConfig(Variant variant,
+                                                    RackId peer_rack,
+                                                    bool receiver);
   // Builds the slot's end on first use, reopens it after, and wires its
   // closed callback and trace ring.
   TcpConnection& OpenEnd(std::unique_ptr<TcpConnection>& end, Host* host,
-                         NodeId peer, const TcpConfig& config,
+                         NodeId peer,
+                         const std::shared_ptr<const TcpConfig>& config,
                          std::uint32_t idx, bool sender_end);
   void OnEndClosed(std::uint32_t idx, bool sender_end, CloseReason reason);
   void OnSlotTimeout(std::uint32_t idx);
@@ -317,8 +326,9 @@ class ChurnGenerator {
   Simulator& sim_;
   Topology& topo_;
   ChurnConfig config_;
-  // MakeVariantConfig(v, config_.base) per variant, built on first use.
-  std::array<std::optional<TcpConfig>, kNumVariants> variant_configs_;
+  // EndConfig's table, one entry per (variant, role, peer rack); a single
+  // rack column unless scope_tdn_to_peer. Null until first used.
+  std::vector<std::shared_ptr<const TcpConfig>> end_configs_;
   TraceRing* trace_ring_ = nullptr;
   std::vector<Source> sources_;
   double mix_weight_ = 0.0;  // sum of tenant_mix weights

@@ -1,8 +1,10 @@
 #include "mptcp/mptcp_connection.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace tdtcp {
 
@@ -15,8 +17,11 @@ MptcpConnection::MptcpConnection(Simulator& sim, Host* host, FlowId flow,
         "MptcpConnection: num_subflows must be 1-8, got " +
         std::to_string(config_.num_subflows));
   }
-  TcpConfig sc = config_.subflow;
-  sc.tdtcp_enabled = false;
+  // Every subflow shares one engine config.
+  TcpConfig subflow_config = config_.subflow;
+  subflow_config.tdtcp_enabled = false;
+  const auto sc =
+      std::make_shared<const TcpConfig>(std::move(subflow_config));
   SubflowOwner* owner = this;  // the base is private: convert here
   for (std::uint32_t i = 0; i < config_.num_subflows; ++i) {
     auto sub = std::make_unique<TcpConnection>(

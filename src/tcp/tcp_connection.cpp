@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "cc/cubic.hpp"
-
 namespace tdtcp {
 
 namespace {
@@ -36,16 +34,30 @@ struct AckRow {
 thread_local std::vector<AckRow> t_ack_rows;
 thread_local std::vector<std::uint32_t> t_sacked_above;
 
+// The state sets a connection with `config` starts with.
+std::uint32_t InitialTdns(const TcpConfig& config) {
+  return config.tdtcp_enabled ? config.num_tdns : 1;
+}
+
+// `config`, checked before the TdnManager reads it.
+std::shared_ptr<const TcpConfig> NonNull(
+    std::shared_ptr<const TcpConfig> config, FlowId flow) {
+  if (config == nullptr) {
+    throw std::invalid_argument("TcpConnection on flow " +
+                                std::to_string(flow) + ": null config");
+  }
+  return config;
+}
+
 }  // namespace
 
 TcpConnection::TcpConnection(Simulator& sim, Host* host, FlowId flow,
-                             NodeId peer, TcpConfig config,
+                             NodeId peer,
+                             std::shared_ptr<const TcpConfig> config,
                              SubflowOwner* owner, std::uint8_t subflow)
     : sim_(sim), host_(host), flow_(flow), peer_(peer),
-      config_(std::move(config)), owner_(owner), subflow_(subflow),
-      tdns_(config_.tdtcp_enabled ? config_.num_tdns : 1,
-            [this](TdnId id) -> const CcFactory& { return CcFactoryFor(id); },
-            config_.rtt, config_.initial_cwnd) {
+      config_(NonNull(std::move(config), flow)), owner_(owner),
+      subflow_(subflow), tdns_(InitialTdns(*config_), *config_) {
   if (host_ == nullptr) {
     throw std::invalid_argument("TcpConnection on flow " +
                                 std::to_string(flow_) + ": null host");
@@ -68,7 +80,7 @@ void TcpConnection::Attach() {
   // driven by the meta's notifications.
   if (owner_ == nullptr) {
     host_->RegisterEndpoint(flow_, this);
-    host_->AddTdnListener(this, config_.peer_rack);
+    host_->AddTdnListener(this, config_->peer_rack);
     host_registered_ = true;
   }
 }
@@ -84,10 +96,11 @@ void TcpConnection::Retire() {
 }
 
 void TcpConnection::Reopen(Host* host, FlowId flow, NodeId peer,
-                           const TcpConfig& config) {
-  if (host == nullptr) {
+                           std::shared_ptr<const TcpConfig> config) {
+  if (host == nullptr || config == nullptr) {
     throw std::invalid_argument("TcpConnection::Reopen on flow " +
-                                std::to_string(flow) + ": null host");
+                                std::to_string(flow) + ": null " +
+                                (host == nullptr ? "host" : "config"));
   }
   if (owner_ != nullptr || state_ != State::kClosed || host_registered_ ||
       recovery_node_.agent != nullptr) {
@@ -99,17 +112,15 @@ void TcpConnection::Reopen(Host* host, FlowId flow, NodeId peer,
   host_ = host;
   flow_ = flow;
   peer_ = peer;
-  config_ = config;
+  config_ = std::move(config);
   static_cast<TcpLifecycleVars&>(*this) = TcpLifecycleVars{};
   SetClosedCallback(nullptr);
   SetDeliverCallback(nullptr);
   SetPacketTap(nullptr);
   SetFaultTraceSource(nullptr);
-  // Detached before the state sets are rebuilt: construction runs before
-  // any SetTraceRing, so a reopen must not trace kTdnStateSelect either.
   SetTraceRing(nullptr);
-  tdns_.Reopen(config_.tdtcp_enabled ? config_.num_tdns : 1, config_.rtt,
-               config_.initial_cwnd);
+  // Untraced, as at construction: no kTdnStateSelect for these sets.
+  tdns_.Reopen(InitialTdns(*config_), *config_);
   send_queue_.Reset(kMaxKeptOnReset);
   rcv_buffer_.Reset(kMaxKeptOnReset);
   pending_.Reset(kMaxKeptOnReset);
@@ -117,16 +128,6 @@ void TcpConnection::Reopen(Host* host, FlowId flow, NodeId peer,
   orphaned_dss_.clear();
   checker_.Reset();
   Attach();
-}
-
-const CcFactory& TcpConnection::CcFactoryFor(TdnId id) const {
-  if (!config_.per_tdn_cc.empty()) {
-    return config_.per_tdn_cc[std::min<std::size_t>(
-        id, config_.per_tdn_cc.size() - 1)];
-  }
-  if (config_.cc_factory) return config_.cc_factory;
-  static const CcFactory kCubic = MakeCubic;
-  return kCubic;
 }
 
 // ---------------------------------------------------------------------------
@@ -209,10 +210,10 @@ void TcpConnection::SendSyn() {
 }
 
 void TcpConnection::ResendSynPacket() {
-  Packet p = NewPacket(PacketType::kData, config_.header_bytes);
+  Packet p = NewPacket(PacketType::kData, config_->header_bytes);
   p.syn = true;
-  p.td_capable = config_.tdtcp_enabled;
-  p.td_num_tdns = config_.num_tdns;
+  p.td_capable = config_->tdtcp_enabled;
+  p.td_num_tdns = config_->num_tdns;
   if (state_ == State::kSynReceived) p.ack = 1;  // SYN/ACK
   ++stats_.segments_sent;
   Emit(std::move(p));
@@ -221,16 +222,16 @@ void TcpConnection::ResendSynPacket() {
 void TcpConnection::OnSyn(const Packet& p) {
   // Passive open. Negotiate TD_CAPABLE: both sides must agree on the number
   // of TDNs so the IDs refer to the same network conditions (§4.2).
-  tdtcp_active_ = config_.tdtcp_enabled && p.td_capable &&
-                  p.td_num_tdns == config_.num_tdns;
+  tdtcp_active_ = config_->tdtcp_enabled && p.td_capable &&
+                  p.td_num_tdns == config_->num_tdns;
   SetState(State::kSynReceived);
   SendSyn();
   ArmRto();
 }
 
 void TcpConnection::OnSynAck(const Packet& p) {
-  tdtcp_active_ = config_.tdtcp_enabled && p.td_capable &&
-                  p.td_num_tdns == config_.num_tdns;
+  tdtcp_active_ = config_->tdtcp_enabled && p.td_capable &&
+                  p.td_num_tdns == config_->num_tdns;
   // The SYN/ACK acknowledges our SYN. The SYN may have been marked lost by
   // an RTO while its path (e.g. a pinned subflow's circuit) was unavailable,
   // so account every flag it carries.
@@ -243,7 +244,7 @@ void TcpConnection::OnSynAck(const Packet& p) {
     TdnState& st = tdns_.state(static_cast<TdnId>(i));
     if (st.ca_state == CaState::kLoss && st.packets_out == 0) {
       st.ca_state = CaState::kOpen;
-      st.cwnd = std::max(st.cwnd, config_.initial_cwnd);
+      st.cwnd = std::max(st.cwnd, config_->initial_cwnd);
       st.undo_marker = 0;
     }
   }
@@ -251,7 +252,7 @@ void TcpConnection::OnSynAck(const Packet& p) {
   CompleteHandshake();
 
   // Final handshake ACK.
-  Packet a = NewPacket(PacketType::kAck, config_.ack_bytes);
+  Packet a = NewPacket(PacketType::kAck, config_->ack_bytes);
   a.ack = 1;
   Emit(std::move(a));
 }
@@ -349,7 +350,7 @@ void TcpConnection::Abort(CloseReason reason) {
 }
 
 void TcpConnection::SendRst() {
-  Packet p = NewPacket(PacketType::kData, config_.header_bytes);
+  Packet p = NewPacket(PacketType::kData, config_->header_bytes);
   p.rst = true;
   p.seq = snd_nxt_;
   ++stats_.rsts_sent;
@@ -378,7 +379,7 @@ void TcpConnection::ConsumePeerFin() {
   switch (state_) {
     case State::kEstablished:
       SetState(State::kCloseWait);
-      if (config_.close_on_peer_fin) Close();
+      if (config_->close_on_peer_fin) Close();
       break;
     case State::kFinWait1:
       // Our FIN is still unacked (an ACK covering it would have moved us to
@@ -417,7 +418,7 @@ void TcpConnection::EnterTimeWait() {
   // the duty to re-ACK a retransmitted peer FIN remain.
   CancelTimers();
   const SimTime deadline = host_->wheel().Arm(
-      time_wait_entry_, sim_.now() + config_.time_wait_duration);
+      time_wait_entry_, sim_.now() + config_->time_wait_duration);
   Trace(TracePoint::kTcpTimerArm,
         static_cast<std::uint64_t>(TraceTimer::kTimeWait),
         static_cast<std::uint64_t>(deadline.picos()));
@@ -574,8 +575,8 @@ void TcpConnection::OnTdnReconfig(std::uint32_t live_tdns) {
   // switch.
   if (!tdtcp_active_) return;
   ++stats_.tdn_reconfigs;
-  if (config_.invariant_checks) checker_.WillSwitchTdn(*this);
-  const bool moved = tdns_.RetireAbove(live_tdns);
+  if (config_->invariant_checks) checker_.WillSwitchTdn(*this);
+  const bool moved = tdns_.RetireAbove(live_tdns, TdnTrace());
   if (moved) {
     ++stats_.tdn_switches;
     tdn_pointer_pending_ = true;
@@ -587,8 +588,8 @@ void TcpConnection::OnTdnReconfig(std::uint32_t live_tdns) {
 }
 
 void TcpConnection::SwitchActiveTdn(TdnId tdn) {
-  if (config_.invariant_checks) checker_.WillSwitchTdn(*this);
-  if (!tdns_.SwitchTo(tdn)) return;  // duplicate notification: no-op
+  if (config_->invariant_checks) checker_.WillSwitchTdn(*this);
+  if (!tdns_.SwitchTo(tdn, TdnTrace())) return;  // duplicate: no-op
   ++stats_.tdn_switches;
   // First transmission on the new TDN will advance the TDN change pointer.
   tdn_pointer_pending_ = true;
@@ -602,7 +603,7 @@ void TcpConnection::SwitchActiveTdn(TdnId tdn) {
 }
 
 void TcpConnection::NotePeerTdn(TdnId tdn) {
-  if (!tdtcp_active_ || !config_.tdn_inference || tdn == kNoTdn) return;
+  if (!tdtcp_active_ || !config_->tdn_inference || tdn == kNoTdn) return;
   if (tdn == ActiveTdn()) {
     // Peer agrees with our view: any mismatch streak was stragglers.
     peer_tdn_candidate_ = kNoTdn;
@@ -616,7 +617,7 @@ void TcpConnection::NotePeerTdn(TdnId tdn) {
     return;
   }
   ++peer_tdn_streak_;
-  if (peer_tdn_streak_ < config_.tdn_infer_packets) return;
+  if (peer_tdn_streak_ < config_->tdn_infer_packets) return;
   // In-flight traffic tagged with the previous TDN drains within about one
   // RTT of a genuine switch, so require the mismatch streak to outlive the
   // same patience the relaxed reordering heuristic uses (1.5x the slowest
@@ -625,7 +626,7 @@ void TcpConnection::NotePeerTdn(TdnId tdn) {
   const RttEstimator& slowest = tdns_.SlowestRtt(ActiveTdn());
   const SimTime patience = slowest.has_sample()
                                ? slowest.srtt() + slowest.srtt() / 2
-                               : config_.rtt.initial_rto;
+                               : config_->rtt.initial_rto;
   if (sim_.now() - peer_tdn_first_ <= patience) return;
   if (notify_seen_ && sim_.now() - last_notify_time_ <= patience) return;
   // Our notification for this TDN change was lost: converge via the data
@@ -751,15 +752,15 @@ void TcpConnection::OnDataSegment(Packet&& p) {
 
 void TcpConnection::SendAck(const ReceiveBuffer::Result& result,
                             const Packet& data) {
-  Packet a = NewPacket(PacketType::kAck, config_.ack_bytes);
+  Packet a = NewPacket(PacketType::kAck, config_->ack_bytes);
   a.ack = AckValue();
   const std::uint64_t used = rcv_buffer_.ooo_bytes();
   const std::uint64_t wnd =
-      config_.rcv_buf_bytes > used ? config_.rcv_buf_bytes - used : 0;
+      config_->rcv_buf_bytes > used ? config_->rcv_buf_bytes - used : 0;
   a.rcv_window = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(wnd, 0xffffffffu));
   a.has_rwnd = true;
-  if (config_.sack_enabled) {
+  if (config_->sack_enabled) {
     a.num_sack =
         static_cast<std::uint8_t>(rcv_buffer_.BuildSackBlocks(result, a.sack));
   }
@@ -780,7 +781,7 @@ void TcpConnection::SendAck(const ReceiveBuffer::Result& result,
 void TcpConnection::SendPureAck() {
   // Bare re-ACK (retransmitted SYN-ACK or peer FIN): no SACK blocks, no
   // window recomputation — just the cumulative ACK the peer is missing.
-  Packet a = NewPacket(PacketType::kAck, config_.ack_bytes);
+  Packet a = NewPacket(PacketType::kAck, config_->ack_bytes);
   a.ack = AckValue();
   if (tdtcp_active_) a.ack_tdn = ActiveTdn();
   Emit(std::move(a));
@@ -819,7 +820,7 @@ void TcpConnection::OnAckPacket(const Packet& p) {
 
   const TdnId trigger_tdn =
       (tdtcp_active_ && p.ack_tdn != kNoTdn) ? p.ack_tdn : ActiveTdn();
-  tdns_.EnsureTdn(trigger_tdn);
+  tdns_.EnsureTdn(trigger_tdn, TdnTrace());
 
   NoteCircuitEcho(p.circuit_echo);
 
@@ -828,7 +829,7 @@ void TcpConnection::OnAckPacket(const Packet& p) {
   ece_target_tdn_ = trigger_tdn;
 
   std::uint32_t newly_sacked = 0;
-  if (config_.sack_enabled && p.num_sack > 0) {
+  if (config_->sack_enabled && p.num_sack > 0) {
     newly_sacked = ProcessSackBlocks(p);
   }
 
@@ -853,7 +854,7 @@ void TcpConnection::OnAckPacket(const Packet& p) {
     if (recovery_agent_ != nullptr) recovery_agent_->NoteProgress(recovery_node_);
   } else if (p.ack == snd_una_ && p.payload == 0 && newly_sacked == 0) {
     ++dupack_count_;
-    if (!config_.sack_enabled) {
+    if (!config_->sack_enabled) {
       // Reno-SACK emulation (Linux tcp_add_reno_sack): each dupACK means one
       // segment left the network, so account a virtual SACK for pipe/PRR.
       TdnState& st = ActiveState();
@@ -863,7 +864,7 @@ void TcpConnection::OnAckPacket(const Packet& p) {
       }
     }
   }
-  if (!config_.sack_enabled && newly_acked_total > 0) {
+  if (!config_->sack_enabled && newly_acked_total > 0) {
     // Linux tcp_remove_reno_sacks: the cumulative ACK consumes virtual SACKs.
     TdnState& st = ActiveState();
     st.sacked_out -= std::min(st.sacked_out, newly_acked_total);
@@ -933,10 +934,10 @@ void TcpConnection::NoteSackedSegment(TxSegment& seg, TdnId ack_tdn) {
   // delivered segments are SACKed keeps RTO pinned at initial_rto, whose
   // exponential backoff can phase-lock with the rotation week so every
   // retransmission lands in the same congested schedule segment.
-  if (!config_.sack_rtt) return;
+  if (!config_->sack_rtt) return;
   if (seg.ever_retrans) return;
   const SimTime rtt = sim_.now() - seg.last_sent;
-  if (tdtcp_active_ && config_.per_tdn_rtt) {
+  if (tdtcp_active_ && config_->per_tdn_rtt) {
     if (ack_tdn != kNoTdn && ack_tdn == seg.tdn) {
       st.rtt.AddSample(rtt);
     } else {
@@ -1042,7 +1043,7 @@ bool TcpConnection::ProcessCumulativeAck(const Packet& p) {
     // that TDN's estimator; "type-3" mixed samples are dropped.
     if (seg.ever_retrans) return;
     const SimTime rtt = sim_.now() - seg.last_sent;
-    if (tdtcp_active_ && config_.per_tdn_rtt) {
+    if (tdtcp_active_ && config_->per_tdn_rtt) {
       if (p.ack_tdn != kNoTdn && p.ack_tdn == seg.tdn) {
         st.rtt.AddSample(rtt);
         rows[seg.tdn].rtt = rtt;
@@ -1059,9 +1060,9 @@ bool TcpConnection::ProcessCumulativeAck(const Packet& p) {
 }
 
 void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) {
-  if (!config_.sack_enabled) {
+  if (!config_->sack_enabled) {
     // Classic triple-dupACK: mark the head segment lost.
-    if (dupack_count_ >= config_.dupack_threshold && !send_queue_.Empty()) {
+    if (dupack_count_ >= config_->dupack_threshold && !send_queue_.Empty()) {
       TxSegment& head = send_queue_.front();
       if (!head.lost && !head.sacked) MarkSegmentLost(head);
     }
@@ -1100,7 +1101,7 @@ void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) 
     // until the rtx itself times out or proves lost).
     if (seg.retrans) {
       bool rtx_lost = false;
-      if (config_.rack_enabled && rack_mstamp_ > SimTime::Zero()) {
+      if (config_->rack_enabled && rack_mstamp_ > SimTime::Zero()) {
         const TdnState& st = tdns_.state(seg.tdn);
         const SimTime reo_wnd = st.rtt.has_sample() ? st.rtt.min_rtt() / 4
                                                     : SimTime::Micros(25);
@@ -1121,11 +1122,11 @@ void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) 
     ++holes;
 
     // Classic dupACK-count analogue: enough SACKed segments above this one.
-    const bool dup_cond = sacked_above[i] >= config_.dupack_threshold;
+    const bool dup_cond = sacked_above[i] >= config_->dupack_threshold;
 
     // RACK: delivered segments transmitted sufficiently later imply loss.
     bool rack_cond = false;
-    if (config_.rack_enabled && rack_mstamp_ > SimTime::Zero()) {
+    if (config_->rack_enabled && rack_mstamp_ > SimTime::Zero()) {
       const TdnState& st = tdns_.state(seg.tdn);
       const SimTime reo_wnd = st.rtt.has_sample()
                                   ? st.rtt.min_rtt() / 4
@@ -1138,18 +1139,18 @@ void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) 
     // triggering ACK is suspected cross-TDN reordering — its ACK is merely
     // delayed on the slower path. Exempt it unless it has been silent for a
     // full pessimistic cross-TDN RTT (then RACK-TLP-style recovery kicks in).
-    if (tdtcp_active_ && config_.relaxed_reordering &&
+    if (tdtcp_active_ && config_->relaxed_reordering &&
         SuspectCrossTdnReordering(seg, trigger_tdn, tdn_change_)) {
       const RttEstimator& slowest = tdns_.SlowestRtt(seg.tdn);
       SimTime patience = slowest.has_sample()
                              ? slowest.srtt() + slowest.srtt() / 2
-                             : config_.rtt.initial_rto;
+                             : config_->rtt.initial_rto;
       // "Pessimistic" requires the hole's own path to have been measured: a
       // fast TDN's samples bound nothing about an unsampled slow path, so
       // until the hole's TDN has an RTT of its own, wait at least the
       // conservative pre-handshake RTO.
       if (!tdns_.state(seg.tdn).rtt.has_sample()) {
-        patience = std::max(patience, config_.rtt.initial_rto);
+        patience = std::max(patience, config_->rtt.initial_rto);
       }
       if (sim_.now() - seg.last_sent <= patience) {
         ++stats_.cross_tdn_exemptions;
@@ -1392,7 +1393,7 @@ void TcpConnection::EnterLoss(TdnState& st) {
 // ---------------------------------------------------------------------------
 
 bool TcpConnection::PacingDefers() {
-  if (!config_.pacing_enabled) return false;
+  if (!config_->pacing_enabled) return false;
   const RttEstimator& rtt = tdns_.active().rtt;
   if (!rtt.has_sample()) return false;  // no rate estimate yet
   if (next_send_time_ <= sim_.now()) return false;
@@ -1406,12 +1407,12 @@ bool TcpConnection::PacingDefers() {
 }
 
 void TcpConnection::NotePacedTransmission(std::uint32_t bytes) {
-  if (!config_.pacing_enabled) return;
+  if (!config_->pacing_enabled) return;
   const TdnState& st = tdns_.active();
   if (!st.rtt.has_sample()) return;
   // rate = gain * cwnd * mss / srtt; the gap for `bytes` is bytes/rate.
-  const double rate_Bps = config_.pacing_gain *
-                          static_cast<double>(st.cwnd) * config_.mss /
+  const double rate_Bps = config_->pacing_gain *
+                          static_cast<double>(st.cwnd) * config_->mss /
                           st.rtt.srtt().seconds();
   if (rate_Bps <= 0) return;
   const SimTime gap = SimTime::SecondsF(bytes / rate_Bps);
@@ -1462,8 +1463,8 @@ bool TcpConnection::CanSendNewSegment() const {
   if (!CanTransmit() || fin_sent_) return false;
   if (!unlimited_data_ && pending_bytes_ == 0) return false;
   if (IsCwndLimited()) return false;
-  const std::uint64_t wnd = std::min<std::uint64_t>(peer_rwnd_, config_.snd_buf_bytes);
-  std::uint32_t next_len = config_.mss;
+  const std::uint64_t wnd = std::min<std::uint64_t>(peer_rwnd_, config_->snd_buf_bytes);
+  std::uint32_t next_len = config_->mss;
   if (!unlimited_data_ && !pending_.empty()) {
     next_len = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(next_len, pending_.front().bytes));
@@ -1472,7 +1473,7 @@ bool TcpConnection::CanSendNewSegment() const {
 }
 
 void TcpConnection::SendNewSegment(std::uint32_t len_cap) {
-  std::uint32_t len = config_.mss;
+  std::uint32_t len = config_->mss;
   if (len_cap != 0) len = std::min(len, len_cap);
   bool has_dss = false;
   std::uint64_t dss = 0;
@@ -1598,7 +1599,7 @@ bool TcpConnection::RetransmitOneLost() {
 
 void TcpConnection::TransmitSegment(TxSegment& seg, bool is_retransmission) {
   const std::uint32_t payload = (seg.syn || seg.fin) ? 0 : seg.len;
-  Packet p = NewPacket(PacketType::kData, payload + config_.header_bytes);
+  Packet p = NewPacket(PacketType::kData, payload + config_->header_bytes);
   p.seq = seg.seq;
   p.payload = payload;
   p.syn = seg.syn;
@@ -1608,7 +1609,7 @@ void TcpConnection::TransmitSegment(TxSegment& seg, bool is_retransmission) {
   // virtual byte an implicit handshake completion left on the scoreboard.
   if (seg.syn && state_ != State::kSynSent) p.ack = 1;
   p.fin = seg.fin;
-  if (config_.ecn_enabled || ActiveState().cc->WantsEcn()) p.ecn = Ecn::kEct0;
+  if (config_->ecn_enabled || ActiveState().cc->WantsEcn()) p.ecn = Ecn::kEct0;
   if (tdtcp_active_) p.data_tdn = seg.tdn;  // TD_DATA_ACK, D bit
   if (seg.has_dss) {
     p.has_dss = true;
@@ -1652,7 +1653,7 @@ void TcpConnection::Emit(Packet&& p) {
 SimTime TcpConnection::RtoForSegment(const TxSegment& seg) const {
   // §4.4: TDTCP cannot predict which TDN the ACK will return on, so it
   // pessimistically assumes the slowest.
-  return tdns_.RtoFor(seg.tdn, tdtcp_active_ && config_.synthesized_rto);
+  return tdns_.RtoFor(seg.tdn, tdtcp_active_ && config_->synthesized_rto);
 }
 
 void TcpConnection::ArmRto() {
@@ -1705,8 +1706,8 @@ void TcpConnection::OnRtoFire() {
   if (head.syn &&
       (state_ == State::kSynSent || state_ == State::kSynReceived)) {
     const std::uint32_t cap = state_ == State::kSynSent
-                                  ? config_.max_syn_retries
-                                  : config_.max_synack_retries;
+                                  ? config_->max_syn_retries
+                                  : config_->max_synack_retries;
     if (head.transmissions > cap) {
       if (state_ == State::kSynSent) {
         ToClosed(CloseReason::kConnectTimeout);
@@ -1732,8 +1733,8 @@ void TcpConnection::OnRtoFire() {
   // budget and is reported as kPersistTimeout.
   ++rto_retries_;
   const std::uint32_t retry_cap = persist_probing_
-                                      ? config_.max_persist_retries
-                                      : config_.max_rto_retries;
+                                      ? config_->max_persist_retries
+                                      : config_->max_rto_retries;
   if (rto_retries_ > retry_cap) {
     Abort(persist_probing_ ? CloseReason::kPersistTimeout
                            : CloseReason::kRetryLimit);
@@ -1783,11 +1784,11 @@ void TcpConnection::OnRtoFire() {
 
 void TcpConnection::ArmTlp() {
   host_->wheel().Disarm(tlp_entry_);
-  if (!config_.tlp_enabled || tlp_in_flight_) return;
+  if (!config_->tlp_enabled || tlp_in_flight_) return;
   if (send_queue_.Empty()) return;
   if (tdns_.AnyRetransmitPending()) return;  // RTO/recovery owns the clock
   const RttEstimator& rtt = tdns_.active().rtt;
-  SimTime pto = rtt.has_sample() ? rtt.srtt() * 2 : config_.rtt.initial_rto;
+  SimTime pto = rtt.has_sample() ? rtt.srtt() * 2 : config_->rtt.initial_rto;
   pto = std::max(pto, SimTime::Micros(300));
   const SimTime deadline = host_->wheel().Arm(tlp_entry_, sim_.now() + pto);
   Trace(TracePoint::kTcpTimerArm,
@@ -1840,9 +1841,9 @@ void TcpConnection::ArmPersist() {
   // itself (RFC 9293 recommends the same clamped doubling). Only the shift
   // is capped: persist_backoff_ keeps counting toward the give-up limit.
   SimTime interval =
-      tdns_.RtoFor(ActiveTdn(), tdtcp_active_ && config_.synthesized_rto) *
+      tdns_.RtoFor(ActiveTdn(), tdtcp_active_ && config_->synthesized_rto) *
       (std::int64_t{1} << std::min(persist_backoff_, 8u));
-  interval = std::min(interval, config_.rtt.max_rto);
+  interval = std::min(interval, config_->rtt.max_rto);
   const SimTime deadline =
       host_->wheel().Arm(persist_entry_, sim_.now() + interval);
   Trace(TracePoint::kTcpTimerArm,
@@ -1875,7 +1876,7 @@ void TcpConnection::OnPersistFire() {
   // run on the RTO timer and the give-up there reports kPersistTimeout while
   // persist_probing_ is set); this branch only fires if probing somehow
   // recurs without either an answer or an RTO exhaustion.
-  if (persist_backoff_ >= config_.max_persist_retries) {
+  if (persist_backoff_ >= config_->max_persist_retries) {
     Abort(CloseReason::kPersistTimeout);
     return;
   }
@@ -1932,7 +1933,7 @@ SimTime TcpConnection::RecoveryRttHint() const {
     const RttEstimator& rtt = tdns_.state(static_cast<TdnId>(i)).rtt;
     if (rtt.has_sample() && rtt.srtt() > hint) hint = rtt.srtt();
   }
-  if (hint == SimTime::Zero()) hint = config_.rtt.initial_rto;
+  if (hint == SimTime::Zero()) hint = config_->rtt.initial_rto;
   return hint;
 }
 

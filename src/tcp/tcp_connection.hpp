@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "net/host.hpp"
@@ -32,6 +33,7 @@
 #include "tcp/rtt_estimator.hpp"
 #include "tcp/send_queue.hpp"
 #include "tcp/subflow_owner.hpp"
+#include "tcp/tcp_config.hpp"
 #include "tcp/types.hpp"
 #include "tdtcp/congestion_control.hpp"
 #include "tdtcp/reordering.hpp"
@@ -39,97 +41,6 @@
 #include "trace/tracepoints.hpp"
 
 namespace tdtcp {
-
-struct TcpConfig {
-  // --- segmentation (jumbo frames per §5.1) --------------------------------
-  std::uint32_t mss = 8940;          // payload bytes per segment
-  std::uint32_t header_bytes = 60;   // wire overhead per data segment
-  std::uint32_t ack_bytes = 60;      // pure-ACK wire size
-
-  // --- windows --------------------------------------------------------------
-  std::uint32_t initial_cwnd = 10;   // segments (Linux default)
-  std::uint64_t snd_buf_bytes = 8ull << 20;
-  std::uint64_t rcv_buf_bytes = 8ull << 20;
-
-  // --- TDTCP ----------------------------------------------------------------
-  bool tdtcp_enabled = false;      // negotiate TD_CAPABLE, per-TDN state
-  std::uint8_t num_tdns = 1;
-  bool relaxed_reordering = true;  // §3.4 heuristic       (ablation switch)
-  bool per_tdn_rtt = true;         // §4.4 sample matching (ablation switch)
-  bool synthesized_rto = true;     // §4.4 pessimistic RTO (ablation switch)
-
-  // --- multi-rack fabrics ---------------------------------------------------
-  // Only react to notifications about paths toward the peer's rack
-  // (kAllRacks = the paper's fabric-wide semantics).
-  RackId peer_rack = kAllRacks;
-
-  // --- robustness (§3.2: unreliable control plane) --------------------------
-  // Always-on accounting validation after every ACK/loss/RTO/TDN-switch
-  // event (see tcp/invariant_checker.hpp). Throws std::logic_error on the
-  // first corrupted counter.
-  bool invariant_checks = true;
-  // Data-path TDN inference: when a notification is lost, converge to the
-  // peer's TDN from the TD_DATA_ACK tags on incoming traffic. A switch is
-  // inferred only after `tdn_infer_packets` consecutive identically-tagged
-  // mismatches that persist longer than the reordering patience (1.5x the
-  // slowest sRTT), so in-flight stragglers from a genuine switch never
-  // trigger it.
-  bool tdn_inference = true;
-  std::uint32_t tdn_infer_packets = 4;
-
-  // --- loss detection ---------------------------------------------------------
-  bool sack_enabled = true;
-  // Linux sack_rtt parity: take RTT samples from newly SACKed (never
-  // retransmitted) segments. Disabling it starves the RTT estimator during
-  // recovery — RTO stays pinned at its initial/backed-off value, which is the
-  // historical ingredient of the RTO-backoff phase-locking failure mode (the
-  // bench_stability canary flips this off to reproduce it).
-  bool sack_rtt = true;
-  std::uint32_t dupack_threshold = 3;
-  bool rack_enabled = true;   // time-based marking
-  bool tlp_enabled = true;    // tail-loss probes
-
-  // --- ECN -------------------------------------------------------------------
-  bool ecn_enabled = false;   // send data ECT(0); DCTCP forces this on
-
-  // --- timers ------------------------------------------------------------------
-  RttEstimator::Config rtt;
-
-  // --- lifecycle / bounded retries (RFC 9293 teardown + dead-peer aborts) ---
-  // Caps count retransmissions of the respective segment; exceeding one
-  // aborts the connection (or, for the SYN-ACK, returns the endpoint to
-  // kListen) with the matching CloseReason.
-  std::uint32_t max_syn_retries = 6;      // active open → kConnectTimeout
-  std::uint32_t max_synack_retries = 5;   // passive open → back to kListen
-  // Consecutive RTO fires from a synchronized state without forward progress
-  // (any cumulative-ACK advance resets the count) → kRetryLimit.
-  std::uint32_t max_rto_retries = 8;
-  // Consecutive unanswered transmissions of a zero-window probe before the
-  // stall is declared fatal (kPersistTimeout). The probe is real 1-byte data,
-  // so its retransmissions run on the RTO timer; this cap replaces
-  // max_rto_retries while the probe is what's outstanding.
-  std::uint32_t max_persist_retries = 10;
-  // 2MSL analogue. Real stacks wait minutes; the simulated fabric's MSL is a
-  // few RTTs, and churn workloads need TIME_WAIT to actually free state.
-  SimTime time_wait_duration = SimTime::Millis(1);
-  // Receiver convenience for request/response and churn apps: entering
-  // kCloseWait immediately answers the peer's FIN with our own (Close()).
-  bool close_on_peer_fin = false;
-
-  // --- pacing -------------------------------------------------------------------
-  // §5.2 suggests sender pacing to blunt the cwnd-sized burst a TDN switch
-  // releases into the (possibly frozen) VOQ. When enabled, transmissions
-  // are spaced at pacing_gain * cwnd * mss / srtt of the active TDN.
-  bool pacing_enabled = false;
-  double pacing_gain = 2.0;
-
-  // --- congestion control --------------------------------------------------
-  CcFactory cc_factory;  // defaults to CUBIC when empty
-  // §3.5: "In principle, TDTCP could use multiple, different CCAs within a
-  // single flow." When non-empty, TDN i uses per_tdn_cc[min(i, size-1)]
-  // instead of cc_factory.
-  std::vector<CcFactory> per_tdn_cc;
-};
 
 struct TcpStats {
   std::uint64_t segments_sent = 0;
@@ -264,11 +175,19 @@ class TcpConnection : public PacketSink,
   using DeliverFn = std::function<void(const DeliverInfo&)>;
 
   // A non-null `owner` makes this MPTCP subflow `subflow` of that
-  // meta-connection (tcp/subflow_owner.hpp). Throws std::invalid_argument on
-  // a null host.
+  // meta-connection (tcp/subflow_owner.hpp). The connection shares
+  // `config` and never writes to it. Throws std::invalid_argument on a null
+  // host or config.
+  TcpConnection(Simulator& sim, Host* host, FlowId flow, NodeId peer,
+                std::shared_ptr<const TcpConfig> config,
+                SubflowOwner* owner = nullptr, std::uint8_t subflow = 0);
+  // A connection that owns its config alone.
   TcpConnection(Simulator& sim, Host* host, FlowId flow, NodeId peer,
                 TcpConfig config, SubflowOwner* owner = nullptr,
-                std::uint8_t subflow = 0);
+                std::uint8_t subflow = 0)
+      : TcpConnection(sim, host, flow, peer,
+                      std::make_shared<const TcpConfig>(std::move(config)),
+                      owner, subflow) {}
   ~TcpConnection() override;
 
   TcpConnection(const TcpConnection&) = delete;
@@ -284,11 +203,14 @@ class TcpConnection : public PacketSink,
   // sets, buffers and the checker start over, and every hook (closed,
   // deliver, tap, trace ring, fault trace) is detached. Containers keep
   // their capacity and a TDN keeps its congestion-control module when the
-  // module's class is unchanged. Connect() and Listen() still refuse a
-  // closed connection; only this entry point reopens one. Throws
-  // std::logic_error on a subflow or on a connection that is not kClosed
-  // and retired, std::invalid_argument on a null host.
-  void Reopen(Host* host, FlowId flow, NodeId peer, const TcpConfig& config);
+  // module's class is unchanged. The connection and its TdnManager now
+  // share `config`; the previous one is released, and nothing is copied.
+  // Connect() and Listen() still refuse a closed connection; only this
+  // entry point reopens one. Throws std::logic_error on a subflow or on a
+  // connection that is not kClosed and retired, std::invalid_argument on a
+  // null host or config.
+  void Reopen(Host* host, FlowId flow, NodeId peer,
+              std::shared_ptr<const TcpConfig> config);
 
   // --- connection lifecycle --------------------------------------------------
   void Listen();
@@ -349,10 +271,10 @@ class TcpConnection : public PacketSink,
   const FaultTraceSource* fault_trace() const { return fault_trace_; }
   // Tracepoint sink (trace/tracepoints.hpp). Same hoisted-bool discipline as
   // the packet tap: the disabled fast path costs one predictable branch.
+  // The TDN manager's tracepoints go to the same ring (TdnTrace()).
   void SetTraceRing(TraceRing* ring) {
     trace_ = ring;
     has_trace_ = ring != nullptr;
-    tdns_.SetTrace(ring, &sim_, flow_);
   }
 
   // --- introspection -----------------------------------------------------------
@@ -369,7 +291,7 @@ class TcpConnection : public PacketSink,
   TdnManager& tdns() { return tdns_; }
   const TdnManager& tdns() const { return tdns_; }
   const TcpStats& stats() const { return stats_; }
-  const TcpConfig& config() const { return config_; }
+  const TcpConfig& config() const { return *config_; }
   const SendQueue& send_queue() const { return send_queue_; }
   FlowId flow() const { return flow_; }
   // An MPTCP subflow (built with a SubflowOwner).
@@ -425,9 +347,6 @@ class TcpConnection : public PacketSink,
   // Registers with the host's recovery agent and (never for a subflow) the
   // host's demux table and TDN listener list.
   void Attach();
-  // TDN `id`'s congestion-control factory: §3.5's per-TDN list (ids past
-  // its end reuse the last entry), else cc_factory, else CUBIC.
-  const CcFactory& CcFactoryFor(TdnId id) const;
 
   // --- handshake ---------------------------------------------------------------
   void SendSyn();
@@ -553,7 +472,7 @@ class TcpConnection : public PacketSink,
   bool IsCwndLimited() const;
   void NoteCircuitEcho(bool circuit);
   void RunChecker(TcpInvariantChecker::Event ev) {
-    if (config_.invariant_checks) checker_.Check(*this, ev);
+    if (config_->invariant_checks) checker_.Check(*this, ev);
   }
   // Connection-state transition with its tracepoint.
   void SetState(State s);
@@ -563,16 +482,28 @@ class TcpConnection : public PacketSink,
       trace_->Emit(sim_.now().picos(), point, flow_, a0, a1, a2, a3);
     }
   }
+  // Where a TdnManager call emits its tracepoints: this connection's ring,
+  // flow and clock, or nowhere.
+  TdnTraceSink TdnTrace() const {
+    if (!has_trace_) return {};
+    return {trace_, sim_.now().picos(), flow_};
+  }
 
   Simulator& sim_;
   Host* host_;
   FlowId flow_;
   NodeId peer_;
-  TcpConfig config_;
+  // Shared with every endpoint opened from the same config; tdns_ points
+  // into it too.
+  std::shared_ptr<const TcpConfig> config_;
   // MPTCP meta-connection; null for a plain connection.
   SubflowOwner* owner_;
   // Subflow index: the path the packets are pinned to (owner_ only).
   std::uint8_t subflow_;
+  // Whether tap_ and trace_ are set (SetPacketTap, SetTraceRing); they sit
+  // beside subflow_ to share its word.
+  bool has_tap_ = false;
+  bool has_trace_ = false;
 
   TdnManager tdns_;
   SendQueue send_queue_;
@@ -618,16 +549,14 @@ class TcpConnection : public PacketSink,
   std::vector<std::pair<std::uint64_t, std::uint64_t>> forced_retired_;
 
   // --- invariant checking / fault context ---------------------------------------
-  // Runs only with config_.invariant_checks.
+  // Runs only with config_->invariant_checks.
   TcpInvariantChecker checker_;
   const FaultTraceSource* fault_trace_ = nullptr;
 
   // --- callbacks -------------------------------------------------------------------
   DeliverFn deliver_;
   TapFn tap_;
-  bool has_tap_ = false;
   TraceRing* trace_ = nullptr;
-  bool has_trace_ = false;
   ClosedFn on_closed_;
   // MPTCP: DSS ranges stranded when an aborted subflow's scoreboard was
   // released — the meta-connection reinjects them onto a survivor.

@@ -1,9 +1,10 @@
 #include "tdtcp/tdn_manager.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
-#include "sim/simulator.hpp"
+#include "cc/cubic.hpp"
 
 namespace tdtcp {
 
@@ -21,26 +22,17 @@ void CheckTdnCount(std::uint32_t num_tdns) {
 
 }  // namespace
 
-TdnManager::TdnManager(IndexedCcFactory factory,
-                       RttEstimator::Config rtt_config,
-                       std::uint32_t initial_cwnd)
-    : factory_(std::move(factory)), rtt_config_(rtt_config),
-      initial_cwnd_(initial_cwnd) {}
-
-TdnManager::TdnManager(std::uint32_t num_tdns, IndexedCcFactory factory,
-                       RttEstimator::Config rtt_config, std::uint32_t initial_cwnd)
-    : TdnManager(std::move(factory), rtt_config, initial_cwnd) {
+TdnManager::TdnManager(std::uint32_t num_tdns, const TcpConfig& config)
+    : TdnManager(config) {
   CheckTdnCount(num_tdns);
   states_.reserve(num_tdns);
   EnsureTdn(static_cast<TdnId>(num_tdns - 1));
 }
 
-void TdnManager::Reopen(std::uint32_t num_tdns,
-                        RttEstimator::Config rtt_config,
-                        std::uint32_t initial_cwnd) {
+void TdnManager::Reopen(std::uint32_t num_tdns, const TcpConfig& config) {
   CheckTdnCount(num_tdns);
   std::vector<TdnState> states = std::move(states_);
-  *this = TdnManager(std::move(factory_), rtt_config, initial_cwnd);
+  *this = TdnManager(config);
   states_ = std::move(states);
   if (states_.size() > num_tdns) states_.resize(num_tdns);
   for (std::size_t id = 0; id < states_.size(); ++id) {
@@ -49,16 +41,26 @@ void TdnManager::Reopen(std::uint32_t num_tdns,
   EnsureTdn(static_cast<TdnId>(num_tdns - 1));
 }
 
+const CcFactory& TdnManager::CcFactoryFor(TdnId id) const {
+  const std::vector<CcFactory>& per_tdn = config_->per_tdn_cc;
+  if (!per_tdn.empty()) {
+    return per_tdn[std::min<std::size_t>(id, per_tdn.size() - 1)];
+  }
+  if (config_->cc_factory) return config_->cc_factory;
+  static const CcFactory kCubic = MakeCubic;
+  return kCubic;
+}
+
 void TdnManager::InitState(TdnId id) {
   TdnState& s = states_[id];
-  const CcFactory& factory = factory_(id);
+  const CcFactory& factory = CcFactoryFor(id);
   const CcMaker* maker = factory.target<CcMaker>();
   std::unique_ptr<CongestionControl> cc = std::move(s.cc);
   const CcMaker built_by = s.maker;
   s = TdnState();
   s.id = id;
-  s.cwnd = initial_cwnd_;
-  s.rtt = RttEstimator(rtt_config_);
+  s.cwnd = config_->initial_cwnd;
+  s.rtt = RttEstimator(config_->rtt);
   if (cc != nullptr && maker != nullptr && built_by == *maker) {
     cc->Reset();
     s.cc = std::move(cc);
@@ -70,14 +72,14 @@ void TdnManager::InitState(TdnId id) {
   s.cc->Init(s);
 }
 
-void TdnManager::EnsureTdn(TdnId id) {
+void TdnManager::EnsureTdn(TdnId id, const TdnTraceSink& trace) {
   while (states_.size() <= id) {
     const auto next = static_cast<TdnId>(states_.size());
     states_.emplace_back();
     InitState(next);
-    if (has_trace_) {
-      trace_->Emit(trace_sim_->now().picos(), TracePoint::kTdnStateSelect,
-                   trace_flow_, next);
+    if (trace.ring != nullptr) {
+      trace.ring->Emit(trace.now_ps, TracePoint::kTdnStateSelect, trace.flow,
+                       next);
     }
   }
 }
@@ -91,8 +93,8 @@ void TdnManager::ReviveIfDrained(TdnState& s) {
   InitState(s.id);
 }
 
-bool TdnManager::SwitchTo(TdnId id) {
-  EnsureTdn(id);
+bool TdnManager::SwitchTo(TdnId id, const TdnTraceSink& trace) {
+  EnsureTdn(id, trace);
   if (id == active_) return false;
   if (states_[id].retired) {
     // Reviving a retired TDN (the schedule grew back): reset to fresh
@@ -104,14 +106,14 @@ bool TdnManager::SwitchTo(TdnId id) {
   active_ = id;
   TdnState& s = states_[active_];
   s.cc->OnCwndEvent(s, CwndEvent::kTdnResume);
-  if (has_trace_) {
-    trace_->Emit(trace_sim_->now().picos(), TracePoint::kTdnSwitch,
-                 trace_flow_, prev, id);
+  if (trace.ring != nullptr) {
+    trace.ring->Emit(trace.now_ps, TracePoint::kTdnSwitch, trace.flow, prev,
+                     id);
   }
   return true;
 }
 
-bool TdnManager::RetireAbove(std::uint32_t live) {
+bool TdnManager::RetireAbove(std::uint32_t live, const TdnTraceSink& trace) {
   if (live == 0) {
     throw std::invalid_argument(
         "TdnManager::RetireAbove: a reconfiguration must leave at least one "
@@ -135,11 +137,11 @@ bool TdnManager::RetireAbove(std::uint32_t live) {
   if (states_[active_].retired) {
     // Never leave the connection tagging new data with a retired TDN; TDN 0
     // always survives (live >= 1).
-    moved = SwitchTo(0);
+    moved = SwitchTo(0, trace);
   }
-  if (has_trace_) {
-    trace_->Emit(trace_sim_->now().picos(), TracePoint::kTdnRetire,
-                 trace_flow_, live, newly_retired, moved);
+  if (trace.ring != nullptr) {
+    trace.ring->Emit(trace.now_ps, TracePoint::kTdnRetire, trace.flow, live,
+                     newly_retired, moved);
   }
   return moved;
 }

@@ -11,48 +11,44 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "tcp/rtt_estimator.hpp"
+#include "tcp/tcp_config.hpp"
 #include "tdtcp/congestion_control.hpp"
 #include "tdtcp/tdn_state.hpp"
 #include "trace/tracepoints.hpp"
 
 namespace tdtcp {
-class Simulator;
-}
 
-namespace tdtcp {
+// Where a TdnManager call emits its tracepoints: SwitchTo emits kTdnSwitch,
+// EnsureTdn kTdnStateSelect for each state set it lazily allocates, and
+// RetireAbove kTdnRetire. The caller passes its ring, clock and flow per
+// call (a null ring emits nothing), so the manager keeps no sink.
+struct TdnTraceSink {
+  TraceRing* ring = nullptr;
+  std::int64_t now_ps = 0;
+  FlowId flow = 0;
+};
 
 class TdnManager {
  public:
-  // §3.5: each TDN could in principle run a different CCA, so the factory
-  // is chosen per TDN id. The manager calls the returned factory at once and
-  // keeps no reference to it (a connection returns one from its config).
-  using IndexedCcFactory = std::function<const CcFactory&(TdnId)>;
+  // `config` gives every state set its congestion-control factory (§3.5:
+  // TDN i runs per_tdn_cc[min(i, size-1)] when that list is non-empty, else
+  // cc_factory, else CUBIC), its RTT estimator parameters and its initial
+  // window. The manager reads it through a pointer and copies nothing, so
+  // it must outlive the manager (or the next Reopen); a connection passes
+  // the config it shares.
+  TdnManager(std::uint32_t num_tdns, const TcpConfig& config);
+  TdnManager(std::uint32_t num_tdns, const TcpConfig&& config) = delete;
 
-  TdnManager(std::uint32_t num_tdns, IndexedCcFactory factory,
-             RttEstimator::Config rtt_config, std::uint32_t initial_cwnd);
-
-  // Convenience: the same CCA on every TDN.
-  TdnManager(std::uint32_t num_tdns, const CcFactory& factory,
-             RttEstimator::Config rtt_config, std::uint32_t initial_cwnd)
-      : TdnManager(num_tdns,
-                   IndexedCcFactory([factory](TdnId) -> const CcFactory& {
-                     return factory;
-                   }),
-                   rtt_config, initial_cwnd) {}
-
-  // Starts over as the manager the constructor builds for these arguments
-  // (same factory): num_tdns fresh state sets, TDN 0 active, nothing
-  // retired, no trace sink. The state vector keeps its capacity, and a TDN
-  // keeps its congestion-control module, reset to a fresh instance's state,
-  // when its factory is a plain maker function and the same one that built
-  // the module (TdnState::maker; the class is unchanged).
-  void Reopen(std::uint32_t num_tdns, RttEstimator::Config rtt_config,
-              std::uint32_t initial_cwnd);
+  // Starts over as the manager the constructor builds for these arguments:
+  // num_tdns fresh state sets, TDN 0 active, nothing retired. The state
+  // vector keeps its capacity, and a TDN keeps its congestion-control
+  // module, reset to a fresh instance's state, when its factory is a plain
+  // maker function and the same one that built the module (TdnState::maker;
+  // the class is unchanged).
+  void Reopen(std::uint32_t num_tdns, const TcpConfig& config);
+  void Reopen(std::uint32_t num_tdns, const TcpConfig&& config) = delete;
 
   TdnId active_id() const { return active_; }
   TdnState& active() { return states_[active_]; }
@@ -67,9 +63,9 @@ class TdnManager {
   // switch itself only flips an index and notifies the new TDN's CC module.
   // Unknown ids allocate fresh state (runtime schedule change). Returns
   // false if the id was already active.
-  bool SwitchTo(TdnId id);
+  bool SwitchTo(TdnId id, const TdnTraceSink& trace = {});
 
-  void EnsureTdn(TdnId id);
+  void EnsureTdn(TdnId id, const TdnTraceSink& trace = {});
 
   // Schedule reconfiguration (TDN-count change): retire every state set with
   // id >= `live`. Semantics (DESIGN.md §13):
@@ -84,7 +80,7 @@ class TdnManager {
   //     carry-over, the data is still in flight) otherwise.
   // Returns true when the active TDN moved. Throws std::invalid_argument on
   // live == 0.
-  bool RetireAbove(std::uint32_t live);
+  bool RetireAbove(std::uint32_t live, const TdnTraceSink& trace = {});
   bool retired(TdnId id) const {
     return id < states_.size() && states_[id].retired;
   }
@@ -112,34 +108,20 @@ class TdnManager {
   // when `synthesized` (TDTCP), the TDN's own RTO otherwise.
   SimTime RtoFor(TdnId id, bool synthesized) const;
 
-  // Tracepoint sink: SwitchTo emits kTdnSwitch, EnsureTdn emits
-  // kTdnStateSelect when it lazily allocates a new state set.
-  void SetTrace(TraceRing* ring, const Simulator* sim, FlowId flow) {
-    trace_ = ring;
-    trace_sim_ = sim;
-    trace_flow_ = flow;
-    has_trace_ = ring != nullptr && sim != nullptr;
-  }
-
  private:
   // Everything but the state sets: Reopen's fresh start.
-  TdnManager(IndexedCcFactory factory, RttEstimator::Config rtt_config,
-             std::uint32_t initial_cwnd);
+  explicit TdnManager(const TcpConfig& config) : config_(&config) {}
+  // TDN `id`'s congestion-control factory (see the constructor).
+  const CcFactory& CcFactoryFor(TdnId id) const;
   void ReviveIfDrained(TdnState& s);
   // (Re)initializes state set `id` to a fresh, live TDN's values, keeping
   // its module when the same plain maker would build it again.
   void InitState(TdnId id);
 
   std::vector<TdnState> states_;
+  const TcpConfig* config_;
   std::uint64_t retire_events_ = 0;
-  IndexedCcFactory factory_;
-  RttEstimator::Config rtt_config_;
-  std::uint32_t initial_cwnd_;
   TdnId active_ = 0;
-  TraceRing* trace_ = nullptr;
-  const Simulator* trace_sim_ = nullptr;
-  FlowId trace_flow_ = 0;
-  bool has_trace_ = false;
 };
 
 }  // namespace tdtcp

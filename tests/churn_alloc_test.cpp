@@ -9,8 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "alloc_harness.hpp"
 #include "app/flow_cdf.hpp"
@@ -70,6 +75,7 @@ struct RotorChurn {
     const test::AllocDelta d =
         test::CountAllocations([&] { RunUntilClosed(4000); });
     EXPECT_GT(churn.stats().opened - opened, 1900u);
+    ::testing::Test::RecordProperty("allocations", std::to_string(d.news));
     return d;
   }
 
@@ -118,13 +124,70 @@ TEST(ChurnAlloc, HeavyTailedCyclesOnlyRegrowBuffers) {
   EXPECT_LT(d.news, kBuildAndFreeAllocs / 4);
 }
 
+TEST(ChurnAlloc, EndsOfOneVariantShareOneConfig) {
+  // A tenant mix of TDTCP and CUBIC over a 64-slot rotor pool. The
+  // generator builds one engine config per (variant, role, peer rack) and
+  // every end opened with that key shares it: all sender ends of one
+  // variant toward one rack read the same config object, the receiver ends
+  // another one.
+  ChurnConfig cc;
+  cc.max_concurrent = 64;
+  cc.min_transfer_bytes = cc.max_transfer_bytes = 8940;
+  cc.tenant_mix = {{Variant::kTdtcp, 1.0}, {Variant::kCubic, 1.0}};
+  RotorChurn run(4, cc);
+  run.RunUntilClosed(500);
+
+  // Key: (TDTCP variant, receiver end, peer rack).
+  std::map<std::tuple<bool, bool, RackId>, const TcpConfig*> by_key;
+  std::set<const TcpConfig*> distinct;
+  std::vector<const TcpConfig*> sender_before(cc.max_concurrent);
+  for (std::uint32_t i = 0; i < cc.max_concurrent; ++i) {
+    for (const bool sender_end : {true, false}) {
+      const TcpConnection* end = run.churn.end(i, sender_end);
+      ASSERT_NE(end, nullptr) << "slot " << i << " never ran a cycle";
+      const TcpConfig* config = &end->config();
+      EXPECT_EQ(config->close_on_peer_fin, !sender_end);
+      const auto key = std::make_tuple(config->tdtcp_enabled, !sender_end,
+                                       config->peer_rack);
+      EXPECT_EQ(by_key.emplace(key, config).first->second, config)
+          << "slot " << i << (sender_end ? " sender" : " receiver");
+      distinct.insert(config);
+      if (sender_end) sender_before[i] = config;
+    }
+  }
+  // Sender and receiver ends, and the two variants, never share.
+  EXPECT_EQ(distinct.size(), by_key.size());
+  std::set<std::pair<bool, bool>> roles_and_variants;
+  for (const auto& [key, config] : by_key) {
+    roles_and_variants.emplace(std::get<0>(key), std::get<1>(key));
+  }
+  EXPECT_EQ(roles_and_variants.size(), 4u);
+
+  // A slot whose next cycles reopened its sender into the other variant
+  // now reads that variant's config.
+  run.RunUntilClosed(1500);
+  std::uint32_t switched = 0;
+  for (std::uint32_t i = 0; i < cc.max_concurrent; ++i) {
+    const TcpConfig* config = &run.churn.end(i, true)->config();
+    if (config->tdtcp_enabled == sender_before[i]->tdtcp_enabled) continue;
+    ++switched;
+    EXPECT_NE(config, sender_before[i]) << "slot " << i;
+    EXPECT_EQ(by_key.at(std::make_tuple(config->tdtcp_enabled, false,
+                                        config->peer_rack)),
+              config)
+        << "slot " << i;
+  }
+  EXPECT_GT(switched, 0u);
+}
+
 // Heap bytes per slot of a warmed rotor_churn pool (RetainedBytesPerSlotPair)
-// as measured with glibc's allocator: 5,777. The bound adds 48 bytes of
-// margin. A connection member that holds a heap block costs at least 16
-// bytes of object (the allocator's grain) and a 24-byte block, twice per
-// pair, so a per-connection scratch vector fails it. AddressSanitizer's
-// allocator rounds nothing, so it reads lower.
-constexpr std::int64_t kMaxBytesPerSlotPair = 5777 + 48;
+// as measured with glibc's allocator: 5,262. The bound adds 48 bytes of
+// margin. A connection member that holds a heap block costs at
+// least 16 bytes of object (the allocator's grain) and a 24-byte block,
+// twice per pair, so a per-connection scratch vector fails it, and so does
+// a per-connection TcpConfig copy. AddressSanitizer's allocator rounds
+// nothing, so it reads lower.
+constexpr std::int64_t kMaxBytesPerSlotPair = 5262 + 48;
 
 TEST(ChurnAlloc, RetainedBytesPerSlotPair) {
   // The heap a warmed slot pool holds, per slot: both connections and

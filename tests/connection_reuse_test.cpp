@@ -187,8 +187,10 @@ Outcome RunScripted(const TcpConfig& dirty_config, const TcpConfig& config,
   TcpConnection* tx;
   TcpConnection* rx;
   if (reopen) {
-    dirty.receiver->Reopen(&net.d, 2, net.c.id(), rc);
-    dirty.sender->Reopen(&net.c, 2, net.d.id(), config);
+    dirty.receiver->Reopen(&net.d, 2, net.c.id(),
+                           std::make_shared<const TcpConfig>(rc));
+    dirty.sender->Reopen(&net.c, 2, net.d.id(),
+                         std::make_shared<const TcpConfig>(config));
     rx = dirty.receiver.get();
     tx = dirty.sender.get();
   } else {
@@ -278,22 +280,70 @@ TEST(ConnectionReuse, ReopenFromPerTdnCcToOneCc) {
   ExpectSameOutcome(dirty, TdtcpConfig("cubic"));
 }
 
+TEST(ConnectionReuse, ConfigFromTemporaryOutlivesCaller) {
+  // A connection built from a temporary TcpConfig owns its config, and a
+  // reopen with a config nobody else holds any more keeps that one alive:
+  // the connection and its TdnManager read it through the whole next
+  // lifecycle (the switch to TDN 2 builds a state set from it). Under
+  // AddressSanitizer a read of a released config fails here.
+  Simulator sim;
+  TwoPairs net(sim);
+  TcpConfig rc = TdtcpConfig("cubic");
+  rc.close_on_peer_fin = true;
+  Pair p;
+  p.receiver = std::make_unique<TcpConnection>(sim, &net.b, 1, 0, rc);
+  p.sender =
+      std::make_unique<TcpConnection>(sim, &net.a, 1, 1, TdtcpConfig("reno"));
+  const auto lifecycle = [&sim](TcpConnection& tx, TcpConnection& rx) {
+    rx.Listen();
+    tx.Connect();
+    tx.AddAppData(20'000);
+    sim.RunUntil(sim.now() + SimTime::Micros(300));
+    tx.OnTdnChange(2, false);
+    rx.OnTdnChange(2, false);
+    tx.Close();
+    sim.RunUntil(sim.now() + SimTime::Millis(10));
+    EXPECT_EQ(tx.close_reason(), CloseReason::kNormal);
+    EXPECT_EQ(rx.close_reason(), CloseReason::kNormal);
+    EXPECT_EQ(tx.bytes_acked(), 20'000u);
+    EXPECT_EQ(tx.tdns().num_tdns(), 3u);
+  };
+  lifecycle(*p.sender, *p.receiver);
+  EXPECT_STREQ(p.sender->tdns().state(2).cc->name(), "reno");
+  p.sender->Retire();
+  p.receiver->Retire();
+
+  {
+    TcpConfig reopened = TdtcpConfig("dctcp");
+    reopened.close_on_peer_fin = true;
+    p.receiver->Reopen(&net.d, 2, net.c.id(),
+                       std::make_shared<const TcpConfig>(reopened));
+    p.sender->Reopen(&net.c, 2, net.d.id(),
+                     std::make_shared<const TcpConfig>(TdtcpConfig("dctcp")));
+  }
+  lifecycle(*p.sender, *p.receiver);
+  EXPECT_STREQ(p.sender->tdns().state(2).cc->name(), "dctcp");
+  EXPECT_TRUE(p.receiver->config().close_on_peer_fin);
+  EXPECT_FALSE(p.sender->config().close_on_peer_fin);
+}
+
 TEST(ConnectionReuse, ReopenRefusesALiveOrUnretiredConnection) {
   Simulator sim;
   TwoPairs net(sim);
   TcpConnection conn(sim, &net.a, 1, 1, TdtcpConfig("cubic"));
+  const auto config = std::make_shared<const TcpConfig>(TdtcpConfig("cubic"));
   // Closed but still registered with the host: not retired.
-  EXPECT_THROW(conn.Reopen(&net.c, 2, 3, TdtcpConfig("cubic")),
+  EXPECT_THROW(conn.Reopen(&net.c, 2, 3, config),
                std::logic_error);
   conn.Connect();
   conn.Retire();
-  EXPECT_THROW(conn.Reopen(&net.c, 2, 3, TdtcpConfig("cubic")),
+  EXPECT_THROW(conn.Reopen(&net.c, 2, 3, config),
                std::logic_error);
   conn.Abort();
   conn.Retire();
-  EXPECT_THROW(conn.Reopen(nullptr, 2, 3, TdtcpConfig("cubic")),
+  EXPECT_THROW(conn.Reopen(nullptr, 2, 3, config),
                std::invalid_argument);
-  conn.Reopen(&net.c, 2, 3, TdtcpConfig("cubic"));
+  conn.Reopen(&net.c, 2, 3, config);
   EXPECT_EQ(conn.state(), TcpConnection::State::kClosed);
   EXPECT_EQ(conn.close_reason(), CloseReason::kNone);
   EXPECT_EQ(net.a.num_endpoints(), 0u);

@@ -103,7 +103,7 @@ TEST(RttEstimator, SynthesizedRtoWithoutSlowSamplesFallsBack) {
 // ---------------------------------------------------------------------------
 
 TEST(TdnManager, SlowestRttSelection) {
-  TdnManager mgr(3, [] { return MakeReno(); }, RttEstimator::Config{}, 10);
+  TdnManager mgr(3, test::RenoTcpConfig());
   for (int i = 0; i < 50; ++i) {
     mgr.state(0).rtt.AddSample(SimTime::Micros(100));
     mgr.state(1).rtt.AddSample(SimTime::Micros(40));
@@ -113,15 +113,15 @@ TEST(TdnManager, SlowestRttSelection) {
 }
 
 TEST(TdnManager, SlowestRttIgnoresEmptyEstimators) {
-  TdnManager mgr(2, [] { return MakeReno(); }, RttEstimator::Config{}, 10);
+  TdnManager mgr(2, test::RenoTcpConfig());
   for (int i = 0; i < 50; ++i) mgr.state(0).rtt.AddSample(SimTime::Micros(40));
   EXPECT_EQ(&mgr.SlowestRtt(0), &mgr.state(0).rtt);
 }
 
 TEST(TdnManager, RtoForSynthesizedVsPlain) {
-  RttEstimator::Config cfg;
-  cfg.min_rto = SimTime::Micros(10);
-  TdnManager mgr(2, [] { return MakeReno(); }, cfg, 10);
+  TcpConfig cfg = test::RenoTcpConfig();
+  cfg.rtt.min_rto = SimTime::Micros(10);
+  TdnManager mgr(2, cfg);
   for (int i = 0; i < 300; ++i) {
     mgr.state(0).rtt.AddSample(SimTime::Micros(200));
     mgr.state(1).rtt.AddSample(SimTime::Micros(40));

@@ -18,6 +18,7 @@
 #include "rdcn/schedule.hpp"
 #include "sim/time.hpp"
 #include "tdtcp/tdn_manager.hpp"
+#include "test_util.hpp"
 #include "trace/convergence.hpp"
 #include "trace/tracepoints.hpp"
 
@@ -104,12 +105,12 @@ TEST(ScheduleValidation, SlotAtRejectsNegativeTime) {
 }
 
 TEST(TdnManagerValidation, RejectsZeroTdns) {
-  EXPECT_THROW(TdnManager(0, MakeCcFactory("reno"), RttEstimator::Config{}, 10),
+  EXPECT_THROW(TdnManager(0, test::RenoTcpConfig()),
                std::invalid_argument);
 }
 
 TEST(TdnManagerValidation, RetireAboveRejectsZeroLive) {
-  TdnManager mgr(2, MakeCcFactory("reno"), RttEstimator::Config{}, 10);
+  TdnManager mgr(2, test::RenoTcpConfig());
   EXPECT_THROW(mgr.RetireAbove(0), std::invalid_argument);
 }
 
@@ -228,7 +229,7 @@ TEST(SchedulePerturbation, RestartHoldCoversWindow) {
 // ---------------------------------------------------------------------------
 
 TEST(TdnRetirement, ActiveNeverLeftRetired) {
-  TdnManager mgr(4, MakeCcFactory("reno"), RttEstimator::Config{}, 10);
+  TdnManager mgr(4, test::RenoTcpConfig());
   mgr.SwitchTo(2);
   ASSERT_EQ(mgr.active_id(), 2);
 
@@ -248,7 +249,7 @@ TEST(TdnRetirement, ActiveNeverLeftRetired) {
 }
 
 TEST(TdnRetirement, DrainedRevivalReinitializes) {
-  TdnManager mgr(2, MakeCcFactory("reno"), RttEstimator::Config{}, 10);
+  TdnManager mgr(2, test::RenoTcpConfig());
   mgr.state(1).cwnd = 77;
   mgr.state(1).ssthresh = 5;
   mgr.RetireAbove(1);
@@ -263,7 +264,7 @@ TEST(TdnRetirement, DrainedRevivalReinitializes) {
 }
 
 TEST(TdnRetirement, UndrainedRevivalCarriesStateOver) {
-  TdnManager mgr(2, MakeCcFactory("reno"), RttEstimator::Config{}, 10);
+  TdnManager mgr(2, test::RenoTcpConfig());
   mgr.state(1).cwnd = 99;
   mgr.state(1).packets_out = 5;  // data still in flight on the retired TDN
   mgr.RetireAbove(1);
@@ -278,14 +279,14 @@ TEST(TdnRetirement, UndrainedRevivalCarriesStateOver) {
 }
 
 TEST(TdnRetirement, RegrowUnretiresAndEmitsTracepoint) {
-  Simulator sim;
   TraceRing ring(64);
-  TdnManager mgr(4, MakeCcFactory("reno"), RttEstimator::Config{}, 10);
-  mgr.SetTrace(&ring, &sim, /*flow=*/9);
+  TdnManager mgr(4, test::RenoTcpConfig());
+  const TdnTraceSink trace{&ring, /*now_ps=*/0, /*flow=*/9};
 
-  mgr.RetireAbove(1);
+  mgr.RetireAbove(1, trace);
   EXPECT_EQ(mgr.live_tdns(), 1u);
-  mgr.RetireAbove(4);  // regrow: everything live again, drained sets fresh
+  // Regrow: everything live again, drained sets fresh.
+  mgr.RetireAbove(4, trace);
   EXPECT_EQ(mgr.live_tdns(), 4u);
   for (TdnId i = 0; i < 4; ++i) EXPECT_FALSE(mgr.retired(i));
 

@@ -55,7 +55,7 @@ struct TdtcpFixture {
 // ---------------------------------------------------------------------------
 
 TEST(TdnManager, StartsWithRequestedStates) {
-  TdnManager mgr(3, [] { return MakeReno(); }, RttEstimator::Config{}, 10);
+  TdnManager mgr(3, test::RenoTcpConfig());
   EXPECT_EQ(mgr.num_tdns(), 3u);
   EXPECT_EQ(mgr.active_id(), 0);
   for (TdnId i = 0; i < 3; ++i) {
@@ -66,7 +66,7 @@ TEST(TdnManager, StartsWithRequestedStates) {
 }
 
 TEST(TdnManager, SwitchPreservesSnapshots) {
-  TdnManager mgr(2, [] { return MakeReno(); }, RttEstimator::Config{}, 10);
+  TdnManager mgr(2, test::RenoTcpConfig());
   mgr.state(0).cwnd = 5;
   mgr.state(1).cwnd = 77;
   EXPECT_TRUE(mgr.SwitchTo(1));
@@ -79,12 +79,12 @@ TEST(TdnManager, SwitchPreservesSnapshots) {
 }
 
 TEST(TdnManager, SwitchToSameIsNoOp) {
-  TdnManager mgr(2, [] { return MakeReno(); }, RttEstimator::Config{}, 10);
+  TdnManager mgr(2, test::RenoTcpConfig());
   EXPECT_FALSE(mgr.SwitchTo(0));
 }
 
 TEST(TdnManager, RuntimeGrowthAllocatesFreshState) {
-  TdnManager mgr(2, [] { return MakeReno(); }, RttEstimator::Config{}, 10);
+  TdnManager mgr(2, test::RenoTcpConfig());
   mgr.SwitchTo(4);  // §4.2: new TDN seen for the first time
   EXPECT_EQ(mgr.num_tdns(), 5u);
   EXPECT_EQ(mgr.active_id(), 4);
@@ -92,7 +92,7 @@ TEST(TdnManager, RuntimeGrowthAllocatesFreshState) {
 }
 
 TEST(TdnManager, AllTdnsAggregation) {
-  TdnManager mgr(3, [] { return MakeReno(); }, RttEstimator::Config{}, 10);
+  TdnManager mgr(3, test::RenoTcpConfig());
   mgr.state(0).packets_out = 3;
   mgr.state(1).packets_out = 4;
   mgr.state(2).packets_out = 5;
@@ -102,7 +102,7 @@ TEST(TdnManager, AllTdnsAggregation) {
 }
 
 TEST(TdnManager, AnyTdnRetransmitRule) {
-  TdnManager mgr(2, [] { return MakeReno(); }, RttEstimator::Config{}, 10);
+  TdnManager mgr(2, test::RenoTcpConfig());
   EXPECT_FALSE(mgr.AnyRetransmitPending());
   // lost_out alone is not enough: the state machine must be recovering.
   mgr.state(1).lost_out = 1;

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "cc/registry.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
@@ -26,6 +27,18 @@
 #include "tcp/tcp_connection.hpp"
 
 namespace tdtcp::test {
+
+// An engine config whose TDNs all run Reno, with the default RTT
+// parameters and initial window: what a standalone TdnManager reads. A
+// manager keeps a pointer to its config, so this one lives for the program.
+inline const TcpConfig& RenoTcpConfig() {
+  static const TcpConfig config = [] {
+    TcpConfig c;
+    c.cc_factory = MakeCcFactory("reno");
+    return c;
+  }();
+  return config;
+}
 
 class CaptureSink : public PacketSink {
  public:
