@@ -7,6 +7,7 @@
 
 #include "fault/fault_injector.hpp"
 #include "rdcn/rotor_controller.hpp"
+#include "trace/convergence.hpp"
 #include "trace/replayer.hpp"
 
 namespace tdtcp {
@@ -31,7 +32,7 @@ ExperimentConfig& ExperimentConfig::WithQdisc(QdiscKind kind) {
   if (kind == QdiscKind::kSharedPool) {
     // Let the dynamic threshold govern admission: the per-queue cap opens up
     // to the whole pool and alpha * free_pool becomes the binding bound.
-    topology.voq.capacity_packets = topology.voq.shared_pool_packets;
+    topology.voq.capacity_packets = kSharedPoolPackets;
   }
   return *this;
 }
@@ -111,7 +112,7 @@ Experiment::Experiment(const ExperimentConfig& config)
   if (config_.recovery == RecoveryMode::kAgent) {
     for (NodeId id = 0; id < topo_.num_hosts(); ++id) {
       agents_.push_back(std::make_unique<RecoveryAgent>(
-          sim_, *topo_.host_by_id(id), config_.recovery_config));
+          sim_, *topo_.host_by_id(id)));
     }
   }
 
@@ -416,10 +417,8 @@ ExperimentResult Experiment::Finish() {
     }
     // Convergence oracle over the post-warmup cwnd evolution of every traced
     // flow (long-lived and churned alike — both emit kTcpCwndUpdate).
-    ConvergenceConfig oracle = config_.stability;
-    oracle.from_ps = config_.warmup.picos();
-    const ConvergenceReport report =
-        ClassifyConvergence(trace_ring_->Snapshot(), oracle);
+    const ConvergenceReport report = ClassifyConvergence(
+        trace_ring_->Snapshot(), ConvergenceConfig{config_.warmup.picos()});
     r.stability_converged = report.flows_converged;
     r.stability_oscillating = report.flows_oscillating;
     r.stability_starved = report.flows_starved;

@@ -22,7 +22,6 @@
 #include "rdcn/perturbation.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "trace/convergence.hpp"
 #include "trace/samplers.hpp"
 #include "trace/trace_io.hpp"
 
@@ -74,17 +73,12 @@ struct ExperimentConfig {
   // boundary jitter, mid-flow schedule changes, controller-restart windows.
   // Empty (the default) arms nothing. Composes with `fault`.
   PerturbationConfig perturb;
-  // Convergence-oracle thresholds for the stability_* result fields. Only
-  // consulted when tracing is enabled (the oracle reads the trace ring);
-  // from_ps is overridden with the warmup time at run start.
-  ConvergenceConfig stability;
   // Tail-recovery axis. kRack is the stack's default (RACK + TLP, no agent);
   // kOff disables both on every connection (pure RTO recovery); kAgent
   // additionally runs one shared RecoveryAgent per host, scanning every
   // connection off the host's timer wheel and forcing early retransmits for
   // flows quiet past the adaptive threshold.
   RecoveryMode recovery = RecoveryMode::kRack;
-  RecoveryConfig recovery_config;
   // Tracepoint ring / replay recording; disabled by default.
   TraceOptions trace;
   // Fabric scheduler; see FabricKind. Set via WithRotorFabric().
@@ -172,11 +166,6 @@ struct ExperimentConfig {
     recovery = m;
     return *this;
   }
-  ExperimentConfig& WithRecoveryConfig(const RecoveryConfig& rc) {
-    recovery = RecoveryMode::kAgent;
-    recovery_config = rc;
-    return *this;
-  }
   // Adds a churn workload of `connections` open/transfer/close cycles with
   // Poisson arrivals, inheriting the experiment's transport configuration.
   ExperimentConfig& WithChurn(std::uint32_t connections,
@@ -236,11 +225,6 @@ struct ExperimentConfig {
   // inject mid-flow schedule changes and restart windows.
   ExperimentConfig& WithSchedulePerturbation(PerturbationConfig p) {
     perturb = std::move(p);
-    return *this;
-  }
-  // Convergence-oracle thresholds (stability_* result fields; needs tracing).
-  ExperimentConfig& WithStabilityOracle(const ConvergenceConfig& c) {
-    stability = c;
     return *this;
   }
   // Mixed tenant population: each churn arrival draws its transport variant

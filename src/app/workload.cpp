@@ -110,27 +110,13 @@ std::uint64_t Flow::reorder_marked_lost() const {
 
 std::uint64_t Flow::retransmissions() const {
   if (tcp_sender) return tcp_sender->stats().retransmissions;
-  if (mptcp_sender) {
-    std::uint64_t total = 0;
-    for (std::uint32_t i = 0; i < 2; ++i) {
-      total += const_cast<MptcpConnection*>(mptcp_sender.get())
-                   ->subflow(i)->stats().retransmissions;
-    }
-    return total;
-  }
+  if (mptcp_sender) return mptcp_sender->retransmissions();
   return 0;
 }
 
 std::uint64_t Flow::duplicate_segments() const {
   if (tcp_receiver) return tcp_receiver->stats().duplicate_segments;
-  if (mptcp_receiver) {
-    std::uint64_t total = 0;
-    for (std::uint32_t i = 0; i < 2; ++i) {
-      total += const_cast<MptcpConnection*>(mptcp_receiver.get())
-                   ->subflow(i)->stats().duplicate_segments;
-    }
-    return total;
-  }
+  if (mptcp_receiver) return mptcp_receiver->duplicate_segments();
   return 0;
 }
 
@@ -186,7 +172,7 @@ Workload::Workload(Simulator& sim, Topology& topo, WorkloadConfig config)
     Host* dst = topo.host(config_.dst_rack, i);
     Flow flow;
     if (config_.variant == Variant::kMptcp) {
-      MptcpConnection::Config mc = config_.mptcp;
+      MptcpConnection::Config mc;
       mc.subflow = MakeVariantConfig(config_.variant, config_.base);
       flow.mptcp_receiver = std::make_unique<MptcpConnection>(
           sim, dst, id, src->id(), mc);
@@ -280,7 +266,7 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
   const std::uint32_t racks = topo_.config().num_racks;
   // The generator's own stream: a permutation run draws its rack shift
   // from it, and every source forks its stream from it by source index.
-  Random rng = Random(seed).Fork(config_.seed_salt);
+  Random rng = Random(seed).Fork(kChurnSeedSalt);
   if (config_.rack_policy == RackPolicy::kFixedPair) {
     ValidateRackPair(topo_, config_.src_rack, config_.dst_rack, "churn");
     // One arrival process for the pair; each cycle's host comes from its

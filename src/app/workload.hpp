@@ -49,7 +49,6 @@ struct WorkloadConfig {
   RackId src_rack = 0;
   RackId dst_rack = 1;
   TcpConfig base;  // shared engine parameters (mss, timers, ...)
-  MptcpConnection::Config mptcp;  // used when variant == kMptcp
   FlowId first_flow_id = 1;
   // Scope each connection's TDN notifications to its peer's rack instead of
   // the fabric-wide kAllRacks default. Required on rotor fabrics, where each
@@ -144,6 +143,13 @@ enum class RackPolicy {
 const char* RackPolicyName(RackPolicy p);
 RackPolicy RackPolicyFromName(std::string_view name);
 
+// Keys, with the experiment seed, the churn generator's own stream. The
+// value equals kFaultSeedSalt (fault/fault_plan.hpp): both fork from one
+// parent key, and stay disjoint only because every churn source forks with
+// StreamKind::kChurnSource while the fault injector uses kLinkFault and
+// kNotifyFault and never draws from the parent (DESIGN.md §14).
+inline constexpr std::uint64_t kChurnSeedSalt = 0x9e3779b97f4a7c15ull;
+
 struct ChurnConfig {
   bool enabled = false;
   // Stop opening new connections once this many have been opened.
@@ -202,7 +208,6 @@ struct ChurnConfig {
   // Churn flows live in their own id range so they never collide with the
   // long-lived workload flows sharing the hosts.
   FlowId first_flow_id = 1'000'000;
-  std::uint64_t seed_salt = 0x9e3779b97f4a7c15ull;
 };
 
 struct ChurnStats {
@@ -233,7 +238,7 @@ struct SizedFct {
 class ChurnGenerator {
  public:
   // `seed` is the experiment seed; the generator draws from its own stream
-  // (keyed by seed and seed_salt) so adding churn never perturbs other
+  // (keyed by seed and kChurnSeedSalt) so adding churn never perturbs other
   // seeded draws. Every arrival process (one per host under the
   // multi-source policies) forks its own stream from it, so a source's draw
   // sequence is independent of how arrivals interleave across the fabric.

@@ -29,7 +29,7 @@ FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan,
                              std::uint64_t run_seed)
     : sim_(sim),
       plan_(std::move(plan)),
-      streams_(Random(run_seed).Fork(plan_.seed_salt)) {}
+      streams_(Random(run_seed).Fork(kFaultSeedSalt)) {}
 
 void FaultInjector::Arm(Topology& topo) {
   if (armed_) throw std::logic_error("FaultInjector::Arm called twice");

@@ -89,16 +89,20 @@ struct ControlFaultSpec {
   }
 };
 
+// Keys, with the experiment seed, the injector's dedicated Random streams
+// (fault decisions never consume workload randomness). The value equals
+// kChurnSeedSalt (app/workload.hpp), so the injector and the churn generator
+// fork from one parent key. Their streams stay disjoint only through their
+// StreamKinds (kLinkFault/kNotifyFault here, kChurnSource there) and because
+// the injector never draws from the parent itself (DESIGN.md §14).
+inline constexpr std::uint64_t kFaultSeedSalt = 0x9e3779b97f4a7c15ull;
+
 struct FaultPlan {
   LinkFaultSpec fabric;      // every ToR-to-ToR fabric port
   LinkFaultSpec host_links;  // every rack NIC link (up and down)
   std::vector<LinkDownWindow> link_downs;
   std::vector<HostDownWindow> host_downs;
   ControlFaultSpec control;
-
-  // Keys, with the experiment seed, the injector's dedicated Random streams
-  // (fault decisions never consume workload randomness).
-  std::uint64_t seed_salt = 0x9e3779b97f4a7c15ull;
 
   // Period of the injector's network-invariant audit (VOQ occupancy within
   // bound on every fabric port). Zero disables the audit.

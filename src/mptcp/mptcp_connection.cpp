@@ -164,11 +164,10 @@ void MptcpConnection::TrySchedule() {
   if (sub->state() != TcpConnection::State::kEstablished) return;
 
   const std::uint64_t mss = config_.subflow.mss;
-  const std::uint64_t queue_target =
-      static_cast<std::uint64_t>(config_.subflow_queue_segments) * mss;
+  const std::uint64_t queue_target = kSubflowQueueSegments * mss;
 
   while (sub->unsent_buffered_bytes() < queue_target &&
-         MetaWindowUsed() + mss <= config_.meta_snd_buf_bytes &&
+         MetaWindowUsed() + mss <= kMetaSndBufBytes &&
          MetaWindowUsed() + mss <= peer_meta_wnd_) {
     sub->AddMappedData(static_cast<std::uint32_t>(mss), dss_next_);
     dss_next_ += mss;
@@ -178,8 +177,7 @@ void MptcpConnection::TrySchedule() {
 
 std::uint64_t MptcpConnection::MetaWindow() const {
   const std::uint64_t used = meta_rcv_.ooo_bytes();
-  return config_.meta_rcv_buf_bytes > used ? config_.meta_rcv_buf_bytes - used
-                                           : 0;
+  return kMetaRcvBufBytes > used ? kMetaRcvBufBytes - used : 0;
 }
 
 void MptcpConnection::OnMetaAck(std::uint64_t dss_ack, std::uint64_t dss_rwnd) {
@@ -201,7 +199,7 @@ void MptcpConnection::OnSubflowDeliver(const TcpConnection::DeliverInfo& info) {
 }
 
 void MptcpConnection::ArmReinjectTimer() {
-  reinject_timer_ = sim_.Schedule(config_.reinject_delay, [this] {
+  reinject_timer_ = sim_.Schedule(kReinjectDelay, [this] {
     reinject_timer_ = kInvalidEventId;
     MaybeReinject();
     ArmReinjectTimer();
@@ -214,7 +212,7 @@ void MptcpConnection::MaybeReinject() {
   // A stall: no meta progress for a full reinjection delay while data-level
   // sequence space is outstanding (the hole is parked on a subflow whose
   // path is gone, closing the meta window / filling the meta send buffer).
-  if (sim_.now() - last_progress_ < config_.reinject_delay) return;
+  if (sim_.now() - last_progress_ < kReinjectDelay) return;
   if (MetaWindowUsed() == 0) return;
 
   TcpConnection* active = subflows_[active_subflow_].get();
@@ -242,7 +240,7 @@ void MptcpConnection::MaybeReinject() {
   }
   if (best_len == 0) return;
 
-  std::uint32_t budget = config_.reinject_burst_segments;
+  std::uint32_t budget = kReinjectBurstSegments;
   std::uint64_t dss = best_dss;
   while (budget-- > 0 && dss < dss_next_) {
     if (!active->AddMappedData(best_len, dss)) break;
@@ -261,6 +259,18 @@ std::uint64_t MptcpConnection::reorder_events() const {
 std::uint64_t MptcpConnection::reorder_marked_lost() const {
   std::uint64_t total = 0;
   for (const auto& s : subflows_) total += s->stats().reorder_marked_lost;
+  return total;
+}
+
+std::uint64_t MptcpConnection::retransmissions() const {
+  std::uint64_t total = 0;
+  for (const auto& s : subflows_) total += s->stats().retransmissions;
+  return total;
+}
+
+std::uint64_t MptcpConnection::duplicate_segments() const {
+  std::uint64_t total = 0;
+  for (const auto& s : subflows_) total += s->stats().duplicate_segments;
   return total;
 }
 

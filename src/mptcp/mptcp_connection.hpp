@@ -35,23 +35,24 @@ class MptcpConnection : public PacketSink,
   struct Config {
     TcpConfig subflow;                 // base subflow configuration
     std::uint32_t num_subflows = 2;    // subflow i is pinned to path i
-    // Meta-level send buffer: unacked-at-meta data is bounded by this, which
-    // is what turns a stalled DATA_ACK (hole parked on a dead subflow) into
-    // a transmission stall a few hundred microseconds later.
-    std::uint64_t meta_snd_buf_bytes = 128 * 8940;
-    // Meta-level receive buffer shared by all subflows (Linux-scale, MBs). A
-    // data-sequence hole lets in-order-at-subflow data pile up here; if it
-    // ever fills, the advertised meta window closes — §3.3's flow-control
-    // stall. The send buffer usually binds first.
-    std::uint64_t meta_rcv_buf_bytes = 512 * 8940;
-    // How long the scheduler tolerates a stall before reinjecting, and how
-    // many segments one reinjection pass remaps. The delay approximates the
-    // subflow-RTO-scale trigger of the reference implementation.
-    SimTime reinject_delay = SimTime::Micros(500);
-    std::uint32_t reinject_burst_segments = 8;
-    // Keep this many unsent segments queued per active subflow.
-    std::uint32_t subflow_queue_segments = 2;
   };
+
+  // Meta-level send buffer: unacked-at-meta data is bounded by this, which
+  // is what turns a stalled DATA_ACK (hole parked on a dead subflow) into a
+  // transmission stall a few hundred microseconds later.
+  static constexpr std::uint64_t kMetaSndBufBytes = 128 * 8940;
+  // Meta-level receive buffer shared by all subflows (Linux-scale, MBs). A
+  // data-sequence hole lets in-order-at-subflow data pile up here; if it
+  // ever fills, the advertised meta window closes — §3.3's flow-control
+  // stall. The send buffer usually binds first.
+  static constexpr std::uint64_t kMetaRcvBufBytes = 512 * 8940;
+  // How long the scheduler tolerates a stall before reinjecting, and how
+  // many segments one reinjection pass remaps. The delay approximates the
+  // subflow-RTO-scale trigger of the reference implementation.
+  static constexpr SimTime kReinjectDelay = SimTime::Micros(500);
+  static constexpr std::uint32_t kReinjectBurstSegments = 8;
+  // Keep this many unsent segments queued per active subflow.
+  static constexpr std::uint32_t kSubflowQueueSegments = 2;
 
   struct Stats {
     std::uint64_t scheduled_segments = 0;
@@ -106,6 +107,9 @@ class MptcpConnection : public PacketSink,
   // Aggregate reordering stats across subflows (Fig. 10's MPTCP line).
   std::uint64_t reorder_events() const;
   std::uint64_t reorder_marked_lost() const;
+  // Sender- and receiver-side totals across subflows.
+  std::uint64_t retransmissions() const;
+  std::uint64_t duplicate_segments() const;
 
  private:
   // Host::TdnListener: tdm_schd steers to the subflow of the active TDN.

@@ -77,6 +77,8 @@ QdiscKind QdiscKindFromName(const std::string& name);
 // ToRSwitch; queues hold a non-owning pointer and keep `used` current as
 // they admit and release packets. The next release wakes every waiter in
 // one scheduled event, never from inside the releasing queue's Dequeue.
+// A ToR provisions its pool to kSharedPoolPackets once a port shares it.
+inline constexpr std::uint32_t kSharedPoolPackets = 64;
 struct SharedBufferPool {
   std::uint32_t total_packets = 0;
   std::uint32_t used = 0;
@@ -112,10 +114,8 @@ class QueueDisc {
 
     // --- kSharedPool -------------------------------------------------------
     // Per-queue DT threshold factor: admit while occupancy < alpha * free.
+    // The pool itself holds kSharedPoolPackets.
     double shared_alpha = 1.0;
-    // Pool size the owning ToR provisions (the ToR takes the max over its
-    // ports' configs when it creates the pool).
-    std::uint32_t shared_pool_packets = 64;
   };
 
   struct Stats {

@@ -26,7 +26,7 @@ Topology::Topology(Simulator& sim, const Random& rng,
   // Rack machine NICs (shared by all hosts in the rack, per Fig. 6).
   Link::Config host_link;
   host_link.rate_bps = config.host_link_rate_bps;
-  host_link.propagation = config.host_link_delay;
+  host_link.propagation = kHostLinkDelay;
   host_link.queue = config.host_queue;
 
   for (RackId r = 0; r < config.num_racks; ++r) {
@@ -60,9 +60,6 @@ Topology::Topology(Simulator& sim, const Random& rng,
       if (a == b) continue;
       FabricPort::Config fp;
       fp.voq = config.voq;
-      for (const auto& ov : config.voq_overrides) {
-        if (ov.src == a && ov.dst == b) fp.voq = ov.voq;
-      }
       fp.initial_mode = config.packet_mode;
       fp.reorder_jitter = config.fabric_reorder_jitter;
       fp.name = "fabric" + std::to_string(a) + "-" + std::to_string(b);

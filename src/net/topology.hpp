@@ -20,6 +20,9 @@
 
 namespace tdtcp {
 
+// Propagation delay of every rack NIC link (Fig. 6's machine NIC).
+inline constexpr SimTime kHostLinkDelay = SimTime::Nanos(500);
+
 struct TopologyConfig {
   std::uint32_t num_racks = 2;
   std::uint32_t hosts_per_rack = 16;
@@ -30,7 +33,6 @@ struct TopologyConfig {
   // the synchronized post-notification burst from instantly overflowing the
   // VOQ at circuit start in the real testbed.
   std::uint64_t host_link_rate_bps = 100'000'000'000;
-  SimTime host_link_delay = SimTime::Nanos(500);
 
   // The two TDN personalities of the fabric. Defaults reproduce §5.1:
   // packet network 10 Gbps / ~100 us RTT, optical 100 Gbps / ~40 us RTT.
@@ -42,15 +44,8 @@ struct TopologyConfig {
   // The single queue-discipline default for every fabric-port VOQ
   // (QueueDisc::Config's own defaults are the paper's 16-packet drop-tail
   // VOQ with marking disabled; DCTCP configs lower the threshold and
-  // ExperimentConfig::WithQdisc swaps the discipline). Per-port exceptions
-  // go in `voq_overrides`.
+  // ExperimentConfig::WithQdisc swaps the discipline).
   QueueDisc::Config voq;
-  struct VoqOverride {
-    RackId src = 0;
-    RackId dst = 0;
-    QueueDisc::Config voq;
-  };
-  std::vector<VoqOverride> voq_overrides;
 
   // The rack NIC queues (deep drop-tail by default; a NIC is not a VOQ).
   QueueDisc::Config host_queue = HostQueueDefault();

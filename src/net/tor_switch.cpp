@@ -1,6 +1,5 @@
 #include "net/tor_switch.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -26,10 +25,7 @@ void ToRSwitch::AttachHost(NodeId host, Link* downlink, PacketSink* control_sink
 FabricPort* ToRSwitch::AddRemoteRack(RackId rack, FabricPort::Config config,
                                      PacketSink* remote_tor) {
   const bool shares = config.voq.kind == QdiscKind::kSharedPool;
-  if (shares) {
-    shared_pool_.total_packets =
-        std::max(shared_pool_.total_packets, config.voq.shared_pool_packets);
-  }
+  if (shares) shared_pool_.total_packets = kSharedPoolPackets;
   auto port = std::make_unique<FabricPort>(
       sim_, std::move(config), remote_tor,
       rng_.Fork(StreamId(StreamKind::kFabricPort, rack)));
@@ -79,10 +75,10 @@ void ToRSwitch::HandlePacket(Packet&& p) {
 
 SimTime ToRSwitch::SampleGenDelay() {
   if (notify_.cached_packet) {
-    return rng_.LognormalTime(notify_.gen_delay_cached_median,
-                              notify_.cached_sigma);
+    return rng_.LognormalTime(kNotifyGenCachedMedian, kNotifyGenCachedSigma);
   }
-  return rng_.LognormalTime(notify_.gen_delay_fresh_median, notify_.gen_sigma);
+  return rng_.LognormalTime(notify_.gen_delay_fresh_median,
+                            kNotifyGenFreshSigma);
 }
 
 void ToRSwitch::NotifyHosts(TdnId tdn, bool imminent, RackId peer,
@@ -117,7 +113,7 @@ void ToRSwitch::NotifyHosts(TdnId tdn, bool imminent, RackId peer,
       Packet* stashed = sim_.StashPacket(Packet(icmp));
       if (notify_.via_control_network) {
         PacketSink* sink = hosts_[i].control;
-        sim_.ScheduleNoCancel(when + notify_.control_delay, [this, sink, stashed] {
+        sim_.ScheduleNoCancel(when + kNotifyControlDelay, [this, sink, stashed] {
           sink->HandlePacket(std::move(*stashed));
           sim_.ReleasePacket(stashed);
         });

@@ -24,17 +24,19 @@ namespace tdtcp {
 //    heavy-tailed cost (unoptimized; 8x slower at p50, 2.7x at p99).
 //  * via_control_network: dedicated control NIC with a fixed small delay
 //    (optimized) vs riding the busy data-plane downlink queue (unoptimized).
+// Both construction paths are lognormal; caching cuts the median ~8x but
+// keeps a relatively fatter tail (the paper measures 8x at p50, 2.7x at
+// p99 — §5.4).
+inline constexpr SimTime kNotifyGenCachedMedian = SimTime::Nanos(500);
+inline constexpr double kNotifyGenCachedSigma = 0.7;
+inline constexpr double kNotifyGenFreshSigma = 0.35;
+// The control network's fixed delivery delay.
+inline constexpr SimTime kNotifyControlDelay = SimTime::Micros(1);
+
 struct NotifyGenConfig {
   bool cached_packet = true;
-  // Both construction paths are lognormal; caching cuts the median ~8x but
-  // keeps a relatively fatter tail (the paper measures 8x at p50, 2.7x at
-  // p99 — §5.4).
-  SimTime gen_delay_cached_median = SimTime::Nanos(500);
-  double cached_sigma = 0.7;
   SimTime gen_delay_fresh_median = SimTime::Micros(4);
-  double gen_sigma = 0.35;
   bool via_control_network = true;
-  SimTime control_delay = SimTime::Micros(1);
 };
 
 class ToRSwitch : public PacketSink {
@@ -55,10 +57,9 @@ class ToRSwitch : public PacketSink {
   void AttachHost(NodeId host, Link* downlink, PacketSink* control_sink);
 
   // Creates the fabric port toward `rack`. A port configured with
-  // QdiscKind::kSharedPool is attached to this switch's buffer pool (the
-  // pool is provisioned to the largest shared_pool_packets seen across
-  // ports), so every such VOQ on the ToR competes under dynamic-threshold
-  // sharing.
+  // QdiscKind::kSharedPool is attached to this switch's buffer pool of
+  // kSharedPoolPackets, so every such VOQ on the ToR competes under
+  // dynamic-threshold sharing.
   FabricPort* AddRemoteRack(RackId rack, FabricPort::Config config,
                             PacketSink* remote_tor);
 

@@ -37,9 +37,6 @@ bool FabricScheduler::DeferForRestart(std::uint32_t day, bool night) {
 void FabricScheduler::ApplyChange(const ScheduleChange& change) {
   if (!change.day_length.IsZero()) day_length_ = change.day_length;
   if (!change.night_length.IsZero()) night_length_ = change.night_length;
-  if (change.circuit_tdn >= 0) {
-    circuit_mode_.tdn = static_cast<TdnId>(change.circuit_tdn);
-  }
   ApplyFabricChange(change);
   Trace(TracePoint::kSchedChange,
         static_cast<std::uint64_t>(day_length_.picos()),

@@ -8,7 +8,7 @@ namespace tdtcp {
 SchedulePerturbation::SchedulePerturbation(PerturbationConfig config,
                                            std::uint64_t seed)
     : config_(std::move(config)),
-      rng_(Random(seed).Fork(config_.seed_salt)) {
+      rng_(Random(seed).Fork(kPerturbationSeedSalt)) {
   if (config_.day_skew < 0.0 || config_.day_skew >= 1.0) {
     throw std::invalid_argument(
         "SchedulePerturbation: day_skew must be in [0, 1) (got " +

@@ -5,9 +5,9 @@
 // (rotation-period change, matching reshuffle, TDN-count change), and
 // controller-restart windows during which the fabric freezes in place. The
 // SchedulePerturbation engine executes a config with a dedicated Random
-// stream (keyed by seed and seed_salt, like the fault injector), so the
-// same (config, seed) always produces the same perturbed schedule no matter
-// what the workload's own randomness does.
+// stream (keyed by seed and kPerturbationSeedSalt, like the fault injector),
+// so the same (config, seed) always produces the same perturbed schedule no
+// matter what the workload's own randomness does.
 //
 // The week clock both fabrics share (FabricScheduler, the base of
 // RdcnController and RotorController) owns the engine and consults it at
@@ -35,7 +35,6 @@ struct ScheduleChange {
   SimTime day_length = SimTime::Zero();    // zero = keep
   SimTime night_length = SimTime::Zero();  // zero = keep
   std::int32_t circuit_day = -1;           // pair fabric only; -1 = keep
-  std::int32_t circuit_tdn = -1;           // new circuit-day TDN id; -1 = keep
   // TDN-count change: hosts retire per-TDN state sets with id >= this count
   // (TdnManager::RetireAbove semantics — surviving TDNs carry their state,
   // retired sets drain in place and re-initialize on revival). -1 = keep.
@@ -56,6 +55,11 @@ struct RestartWindow {
   SimTime duration = SimTime::Zero();
 };
 
+// Keys, with the experiment seed, the engine's dedicated Random stream.
+// Distinct from kFaultSeedSalt so an experiment running both never
+// correlates fault and schedule draws.
+inline constexpr std::uint64_t kPerturbationSeedSalt = 0xc2b2ae3d27d4eb4full;
+
 struct PerturbationConfig {
   // Skewed day lengths: even-indexed days stretch to (1 + day_skew) x
   // nominal, odd-indexed days shrink to (1 - day_skew) x nominal. Must be in
@@ -69,11 +73,6 @@ struct PerturbationConfig {
 
   std::vector<ScheduleChange> changes;
   std::vector<RestartWindow> restarts;
-
-  // Keys, with the experiment seed, the engine's dedicated Random stream.
-  // Distinct default from FaultPlan::seed_salt so an experiment running both
-  // never correlates fault and schedule draws.
-  std::uint64_t seed_salt = 0xc2b2ae3d27d4eb4full;
 
   bool Empty() const {
     return day_skew == 0.0 && jitter.IsZero() && changes.empty() &&

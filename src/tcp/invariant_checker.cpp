@@ -95,10 +95,7 @@ void TcpInvariantChecker::Check(TcpConnection& conn, Event ev) {
               tdn() + "packets_out=" + std::to_string(st.packets_out) +
                   " but scoreboard holds " + std::to_string(c.packets_out));
     }
-    // Without SACK, sacked_out is Linux's Reno emulation (a dup-ack count,
-    // tcp_add_reno_sack): it has no scoreboard counterpart, so only the
-    // left_out bound below applies to it.
-    if (conn.config().sack_enabled && st.sacked_out != c.sacked_out) {
+    if (st.sacked_out != c.sacked_out) {
       Violate(conn, ev,
               tdn() + "sacked_out=" + std::to_string(st.sacked_out) +
                   " but scoreboard holds " + std::to_string(c.sacked_out));

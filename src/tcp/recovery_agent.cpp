@@ -81,13 +81,13 @@ void RecoveryAgent::Deregister(Node& node) {
 
 void RecoveryAgent::NoteSpurious() {
   ++stats_.spurious;
-  scale_ = std::min(scale_ * cfg_.spurious_growth, cfg_.max_scale);
+  scale_ = std::min(scale_ * kRecoverySpuriousGrowth, kRecoveryMaxScale);
 }
 
 SimTime RecoveryAgent::ThresholdFor(const TcpConnection& conn) const {
   const double srtt_ps = static_cast<double>(conn.RecoveryRttHint().picos());
   double t = std::max(static_cast<double>(cfg_.min_linger.picos()),
-                      cfg_.srtt_mult * srtt_ps) *
+                      kRecoverySrttMult * srtt_ps) *
              scale_;
   t = std::clamp(t, static_cast<double>(cfg_.min_linger.picos()),
                  static_cast<double>(cfg_.max_linger.picos()));
@@ -114,7 +114,7 @@ void RecoveryAgent::OnEpoch() {
     }
     n = next;
   }
-  scale_ = std::max(1.0, scale_ * cfg_.decay);
+  scale_ = std::max(1.0, scale_ * kRecoveryDecay);
   host_.wheel().Arm(epoch_timer_, now + cfg_.epoch);
 }
 

@@ -22,10 +22,11 @@
 // bumping rto_backoff_: the agent, not the exponential ladder, paces
 // recovery for quiet flows.
 //
-// Threshold adaptation: quiet > clamp(max(min_linger, srtt_mult * srtt) *
-// scale, min_linger, max_linger) forces a retransmit. Every DSACK-detected
-// spurious forcing multiplies `scale` up (the agent was too eager for this
-// host's RTT population); each clean epoch decays it back toward 1.
+// Threshold adaptation: quiet > clamp(max(min_linger, kRecoverySrttMult *
+// srtt) * scale, min_linger, max_linger) forces a retransmit. Every
+// DSACK-detected spurious forcing multiplies `scale` up (the agent was too
+// eager for this host's RTT population); each clean epoch decays it back
+// toward 1.
 #pragma once
 
 #include <cstdint>
@@ -49,19 +50,21 @@ const char* RecoveryModeName(RecoveryMode m);
 // "off" | "rack" | "agent"; throws std::invalid_argument otherwise.
 RecoveryMode RecoveryModeFromName(const std::string& name);
 
+// Threshold shape (see header comment).
+inline constexpr double kRecoverySrttMult = 2.0;
+// Adaptive scale: grows on every spurious forcing, decays per clean epoch.
+inline constexpr double kRecoverySpuriousGrowth = 1.5;
+inline constexpr double kRecoveryDecay = 0.999;
+inline constexpr double kRecoveryMaxScale = 8.0;
+
 struct RecoveryConfig {
   // Shared timer quantum: every connection on the host is scanned once per
   // epoch. A few RTT quanta — coarse enough to be one timer, fine enough
   // that a rescue lands well before the first backed-off RTO.
   SimTime epoch = SimTime::Micros(100);
-  // Threshold clamp and shape (see header comment).
+  // Threshold clamp (see header comment).
   SimTime min_linger = SimTime::Micros(400);
   SimTime max_linger = SimTime::Millis(4);
-  double srtt_mult = 2.0;
-  // Adaptive scale: grows on every spurious forcing, decays per clean epoch.
-  double spurious_growth = 1.5;
-  double decay = 0.999;
-  double max_scale = 8.0;
 };
 
 struct RecoveryAgentStats {

@@ -20,11 +20,24 @@
 
 namespace tdtcp {
 
+// --- fixed engine parameters --------------------------------------------------
+// The paper's TDTCP runs with SACK and data-path TDN inference always on
+// (§3.2, §4), so neither is a switch; these are their fixed parameters.
+inline constexpr std::uint32_t kHeaderBytes = 60;  // wire overhead per data segment
+inline constexpr std::uint32_t kAckBytes = 60;     // pure-ACK wire size
+// Data-path TDN inference: when a notification is lost, converge to the
+// peer's TDN from the TD_DATA_ACK tags on incoming traffic. A switch is
+// inferred only after this many consecutive identically-tagged mismatches
+// that persist longer than the reordering patience (1.5x the slowest sRTT),
+// so in-flight stragglers from a genuine switch never trigger it.
+inline constexpr std::uint32_t kTdnInferPackets = 4;
+// Classic dupACK-count analogue of SACK loss marking: a hole with this many
+// SACKed segments above it is lost.
+inline constexpr std::uint32_t kDupAckThreshold = 3;
+
 struct TcpConfig {
   // --- segmentation (jumbo frames per §5.1) --------------------------------
   std::uint32_t mss = 8940;          // payload bytes per segment
-  std::uint32_t header_bytes = 60;   // wire overhead per data segment
-  std::uint32_t ack_bytes = 60;      // pure-ACK wire size
 
   // --- windows --------------------------------------------------------------
   std::uint32_t initial_cwnd = 10;   // segments (Linux default)
@@ -48,24 +61,14 @@ struct TcpConfig {
   // event (see tcp/invariant_checker.hpp). Throws std::logic_error on the
   // first corrupted counter.
   bool invariant_checks = true;
-  // Data-path TDN inference: when a notification is lost, converge to the
-  // peer's TDN from the TD_DATA_ACK tags on incoming traffic. A switch is
-  // inferred only after `tdn_infer_packets` consecutive identically-tagged
-  // mismatches that persist longer than the reordering patience (1.5x the
-  // slowest sRTT), so in-flight stragglers from a genuine switch never
-  // trigger it.
-  bool tdn_inference = true;
-  std::uint32_t tdn_infer_packets = 4;
 
-  // --- loss detection ---------------------------------------------------------
-  bool sack_enabled = true;
+  // --- loss detection (SACK is always on) ---------------------------------
   // Linux sack_rtt parity: take RTT samples from newly SACKed (never
   // retransmitted) segments. Disabling it starves the RTT estimator during
   // recovery — RTO stays pinned at its initial/backed-off value, which is the
   // historical ingredient of the RTO-backoff phase-locking failure mode (the
   // bench_stability canary flips this off to reproduce it).
   bool sack_rtt = true;
-  std::uint32_t dupack_threshold = 3;
   bool rack_enabled = true;   // time-based marking
   bool tlp_enabled = true;    // tail-loss probes
 

@@ -210,7 +210,7 @@ void TcpConnection::SendSyn() {
 }
 
 void TcpConnection::ResendSynPacket() {
-  Packet p = NewPacket(PacketType::kData, config_->header_bytes);
+  Packet p = NewPacket(PacketType::kData, kHeaderBytes);
   p.syn = true;
   p.td_capable = config_->tdtcp_enabled;
   p.td_num_tdns = config_->num_tdns;
@@ -252,7 +252,7 @@ void TcpConnection::OnSynAck(const Packet& p) {
   CompleteHandshake();
 
   // Final handshake ACK.
-  Packet a = NewPacket(PacketType::kAck, config_->ack_bytes);
+  Packet a = NewPacket(PacketType::kAck, kAckBytes);
   a.ack = 1;
   Emit(std::move(a));
 }
@@ -350,7 +350,7 @@ void TcpConnection::Abort(CloseReason reason) {
 }
 
 void TcpConnection::SendRst() {
-  Packet p = NewPacket(PacketType::kData, config_->header_bytes);
+  Packet p = NewPacket(PacketType::kData, kHeaderBytes);
   p.rst = true;
   p.seq = snd_nxt_;
   ++stats_.rsts_sent;
@@ -447,7 +447,6 @@ void TcpConnection::ToClosed(CloseReason reason) {
   pending_.clear();
   pending_bytes_ = 0;
   unlimited_data_ = false;
-  dupack_count_ = 0;
   CancelTimers();
   // Every path into kClosed funnels through here; the wheel's idempotent
   // disarm makes CancelTimers safe to repeat, and after it no timer may
@@ -603,7 +602,7 @@ void TcpConnection::SwitchActiveTdn(TdnId tdn) {
 }
 
 void TcpConnection::NotePeerTdn(TdnId tdn) {
-  if (!tdtcp_active_ || !config_->tdn_inference || tdn == kNoTdn) return;
+  if (!tdtcp_active_ || tdn == kNoTdn) return;
   if (tdn == ActiveTdn()) {
     // Peer agrees with our view: any mismatch streak was stragglers.
     peer_tdn_candidate_ = kNoTdn;
@@ -617,7 +616,7 @@ void TcpConnection::NotePeerTdn(TdnId tdn) {
     return;
   }
   ++peer_tdn_streak_;
-  if (peer_tdn_streak_ < config_->tdn_infer_packets) return;
+  if (peer_tdn_streak_ < kTdnInferPackets) return;
   // In-flight traffic tagged with the previous TDN drains within about one
   // RTT of a genuine switch, so require the mismatch streak to outlive the
   // same patience the relaxed reordering heuristic uses (1.5x the slowest
@@ -752,7 +751,7 @@ void TcpConnection::OnDataSegment(Packet&& p) {
 
 void TcpConnection::SendAck(const ReceiveBuffer::Result& result,
                             const Packet& data) {
-  Packet a = NewPacket(PacketType::kAck, config_->ack_bytes);
+  Packet a = NewPacket(PacketType::kAck, kAckBytes);
   a.ack = AckValue();
   const std::uint64_t used = rcv_buffer_.ooo_bytes();
   const std::uint64_t wnd =
@@ -760,10 +759,8 @@ void TcpConnection::SendAck(const ReceiveBuffer::Result& result,
   a.rcv_window = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(wnd, 0xffffffffu));
   a.has_rwnd = true;
-  if (config_->sack_enabled) {
-    a.num_sack =
-        static_cast<std::uint8_t>(rcv_buffer_.BuildSackBlocks(result, a.sack));
-  }
+  a.num_sack =
+      static_cast<std::uint8_t>(rcv_buffer_.BuildSackBlocks(result, a.sack));
   // DCTCP-style precise per-packet ECN echo.
   a.ece = (data.ecn == Ecn::kCe);
   // reTCP: echo the switch's circuit mark back to the sender.
@@ -781,7 +778,7 @@ void TcpConnection::SendAck(const ReceiveBuffer::Result& result,
 void TcpConnection::SendPureAck() {
   // Bare re-ACK (retransmitted SYN-ACK or peer FIN): no SACK blocks, no
   // window recomputation — just the cumulative ACK the peer is missing.
-  Packet a = NewPacket(PacketType::kAck, config_->ack_bytes);
+  Packet a = NewPacket(PacketType::kAck, kAckBytes);
   a.ack = AckValue();
   if (tdtcp_active_) a.ack_tdn = ActiveTdn();
   Emit(std::move(a));
@@ -828,17 +825,11 @@ void TcpConnection::OnAckPacket(const Packet& p) {
   t_ack_rows.assign(tdns_.num_tdns(), AckRow{});
   ece_target_tdn_ = trigger_tdn;
 
-  std::uint32_t newly_sacked = 0;
-  if (config_->sack_enabled && p.num_sack > 0) {
-    newly_sacked = ProcessSackBlocks(p);
-  }
+  const std::uint32_t newly_sacked =
+      p.num_sack > 0 ? ProcessSackBlocks(p) : 0;
 
-  const std::uint32_t total_acked_before = tdns_.TotalPacketsOut();
-  std::uint32_t newly_acked_total = 0;
   if (p.ack > snd_una_) {
     const bool acked_fresh_data = ProcessCumulativeAck(p);
-    newly_acked_total = total_acked_before - tdns_.TotalPacketsOut();
-    dupack_count_ = 0;
     rto_retries_ = 0;      // forward progress: the peer is alive
     persist_backoff_ = 0;  // an ACKed probe is an answered probe
     persist_probing_ = false;
@@ -852,23 +843,6 @@ void TcpConnection::OnAckPacket(const Packet& p) {
     // Cumulative advance = forward progress: reset the recovery agent's
     // quiet clock for this connection.
     if (recovery_agent_ != nullptr) recovery_agent_->NoteProgress(recovery_node_);
-  } else if (p.ack == snd_una_ && p.payload == 0 && newly_sacked == 0) {
-    ++dupack_count_;
-    if (!config_->sack_enabled) {
-      // Reno-SACK emulation (Linux tcp_add_reno_sack): each dupACK means one
-      // segment left the network, so account a virtual SACK for pipe/PRR.
-      TdnState& st = ActiveState();
-      if (st.sacked_out + st.lost_out < st.packets_out) {
-        st.sacked_out++;
-        t_ack_rows[tdns_.active_id()].sacked_pkts++;
-      }
-    }
-  }
-  if (!config_->sack_enabled && newly_acked_total > 0) {
-    // Linux tcp_remove_reno_sacks: the cumulative ACK consumes virtual SACKs.
-    TdnState& st = ActiveState();
-    st.sacked_out -= std::min(st.sacked_out, newly_acked_total);
-    if (snd_una_ >= snd_nxt_) st.sacked_out = 0;
   }
 
   DetectLosses(trigger_tdn, newly_sacked);
@@ -1060,15 +1034,6 @@ bool TcpConnection::ProcessCumulativeAck(const Packet& p) {
 }
 
 void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) {
-  if (!config_->sack_enabled) {
-    // Classic triple-dupACK: mark the head segment lost.
-    if (dupack_count_ >= config_->dupack_threshold && !send_queue_.Empty()) {
-      TxSegment& head = send_queue_.front();
-      if (!head.lost && !head.sacked) MarkSegmentLost(head);
-    }
-    return;
-  }
-
   const std::uint64_t high_sacked = send_queue_.highest_sacked();
   if (high_sacked <= snd_una_) return;
 
@@ -1122,7 +1087,7 @@ void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) 
     ++holes;
 
     // Classic dupACK-count analogue: enough SACKed segments above this one.
-    const bool dup_cond = sacked_above[i] >= config_->dupack_threshold;
+    const bool dup_cond = sacked_above[i] >= kDupAckThreshold;
 
     // RACK: delivered segments transmitted sufficiently later imply loss.
     bool rack_cond = false;
@@ -1599,7 +1564,7 @@ bool TcpConnection::RetransmitOneLost() {
 
 void TcpConnection::TransmitSegment(TxSegment& seg, bool is_retransmission) {
   const std::uint32_t payload = (seg.syn || seg.fin) ? 0 : seg.len;
-  Packet p = NewPacket(PacketType::kData, payload + config_->header_bytes);
+  Packet p = NewPacket(PacketType::kData, payload + kHeaderBytes);
   p.seq = seg.seq;
   p.payload = payload;
   p.syn = seg.syn;

@@ -111,7 +111,6 @@ struct TcpLifecycleVars {
   std::uint64_t peer_rwnd_ = 1ull << 30;
 
   // --- loss detection state -----------------------------------------------------
-  std::uint32_t dupack_count_ = 0;
   SimTime rack_mstamp_ = SimTime::Zero();  // newest delivered tx timestamp
   TdnId rack_mstamp_tdn_ = 0;
   std::uint32_t prev_holes_ = 0;  // reordering-event edge detection

@@ -43,7 +43,7 @@ SeriesVerdict ClassifySeries(const std::vector<CwndSample>& samples,
     }
   }
   out.num_points = kept_cwnds.size();
-  if (out.num_points < config.min_points) {
+  if (out.num_points < kConvergenceMinPoints) {
     out.verdict = ConvergenceVerdict::kInsufficient;
     return out;
   }
@@ -83,12 +83,12 @@ SeriesVerdict ClassifySeries(const std::vector<CwndSample>& samples,
     out.period_us = pmean / 1e6;  // ps -> us
   }
 
-  const bool oscillating = out.amplitude >= config.osc_amplitude &&
-                           out.cycles >= config.min_cycles &&
-                           out.cycles >= 2 && period_cv <= config.max_period_cv;
+  const bool oscillating = out.amplitude >= kOscAmplitude &&
+                           out.cycles >= kOscMinCycles &&
+                           period_cv <= kOscMaxPeriodCv;
   if (oscillating) {
     out.verdict = ConvergenceVerdict::kOscillating;
-  } else if (out.mean_cwnd <= config.starved_cwnd) {
+  } else if (out.mean_cwnd <= kStarvedCwnd) {
     out.verdict = ConvergenceVerdict::kStarved;
   } else {
     out.verdict = ConvergenceVerdict::kConverged;

@@ -6,14 +6,15 @@
 // not an eyeballed plot.
 //
 // Algorithm (per (flow, tdn) series, post-warmup):
-//   1. Fewer than min_points samples -> insufficient (too short to judge).
-//   2. Oscillating: relative amplitude (max-min)/max >= osc_amplitude AND at
-//      least min_cycles full low->high traversals of a 25% hysteresis band
-//      AND the inter-cycle periods are regular (CV <= max_period_cv). The
+//   1. Fewer than kConvergenceMinPoints samples -> insufficient (too short
+//      to judge).
+//   2. Oscillating: relative amplitude (max-min)/max >= kOscAmplitude AND at
+//      least kOscMinCycles full low->high traversals of a 25% hysteresis band
+//      AND the inter-cycle periods are regular (CV <= kOscMaxPeriodCv). The
 //      hysteresis band rejects one-off loss episodes; the period-regularity
 //      test rejects ordinary AIMD sawtooth noise and keeps only schedule-
 //      locked limit cycles.
-//   3. Starved: mean cwnd <= starved_cwnd (the window never grows).
+//   3. Starved: mean cwnd <= kStarvedCwnd (the window never grows).
 //   4. Otherwise converged.
 // Oscillation is tested BEFORE starvation so a periodic-collapse limit
 // cycle (RTO backoff phase-locked with the rotation week: cwnd ramps then
@@ -37,17 +38,18 @@ enum class ConvergenceVerdict : std::uint8_t {
 
 const char* ConvergenceVerdictName(ConvergenceVerdict v);
 
+inline constexpr std::size_t kConvergenceMinPoints = 8;
+// Starvation threshold: mean cwnd at or below this many segments.
+inline constexpr double kStarvedCwnd = 2.0;
+// Oscillation tests (see file comment).
+inline constexpr double kOscAmplitude = 0.6;
+inline constexpr std::size_t kOscMinCycles = 3;
+inline constexpr double kOscMaxPeriodCv = 0.55;
+
 struct ConvergenceConfig {
   // Ignore samples before this time (slow-start and ramp-up are expected to
   // look wild; the oracle judges steady state).
   std::int64_t from_ps = 0;
-  std::size_t min_points = 8;
-  // Starvation threshold: mean cwnd at or below this many segments.
-  double starved_cwnd = 2.0;
-  // Oscillation tests (see file comment).
-  double osc_amplitude = 0.6;
-  std::size_t min_cycles = 3;
-  double max_period_cv = 0.55;
 };
 
 // One (flow, tdn) cwnd series' verdict.

@@ -50,6 +50,15 @@ struct SackList {
   }
 };
 
+// A retired TcpConfig key whose value the engine now fixes (tcp_config.hpp).
+// The writer still emits it, so documents keep their keys. The reader throws,
+// naming the key, on any other value: the recording ran with a switch this
+// engine no longer has, and would replay as if it were at its fixed value.
+template <typename T>
+struct Fixed {
+  T value;
+};
+
 // The `config` object: TcpConfig plus the cc registry names that rebuild its
 // factories, which RecordedConnection keeps beside it.
 template <typename R>
@@ -66,12 +75,19 @@ struct ConfigObject {
 // Only fields that influence sender behavior are serialized. TcpConfig holds
 // no MPTCP state (a subflow is a connection built with a SubflowOwner), and
 // the recorder refuses subflows.
+//
+// A new TcpConfig field must also get a line here, or a recording made with
+// it at a non-default value replays with the default. The assert (the size
+// under libstdc++ on a 64-bit target) trips on any change to the struct's
+// layout as that reminder; update it together with the list.
+static_assert(sizeof(TcpConfig) == 168,
+              "TcpConfig changed: add its new fields to ConfigFields");
 template <typename R, typename F>
 void ConfigFields(R& rec, F&& f) {
   auto& c = rec.config;
   f("mss", c.mss);
-  f("header_bytes", c.header_bytes);
-  f("ack_bytes", c.ack_bytes);
+  f("header_bytes", Fixed{kHeaderBytes});
+  f("ack_bytes", Fixed{kAckBytes});
   f("initial_cwnd", c.initial_cwnd);
   f("snd_buf_bytes", c.snd_buf_bytes);
   f("rcv_buf_bytes", c.rcv_buf_bytes);
@@ -81,11 +97,11 @@ void ConfigFields(R& rec, F&& f) {
   f("per_tdn_rtt", c.per_tdn_rtt);
   f("synthesized_rto", c.synthesized_rto);
   f("invariant_checks", c.invariant_checks);
-  f("tdn_inference", c.tdn_inference);
-  f("tdn_infer_packets", c.tdn_infer_packets);
-  f("sack_enabled", c.sack_enabled);
+  f("tdn_inference", Fixed{true});
+  f("tdn_infer_packets", Fixed{kTdnInferPackets});
+  f("sack_enabled", Fixed{true});
   f("sack_rtt", c.sack_rtt);
-  f("dupack_threshold", c.dupack_threshold);
+  f("dupack_threshold", Fixed{kDupAckThreshold});
   f("rack_enabled", c.rack_enabled);
   f("tlp_enabled", c.tlp_enabled);
   f("ecn_enabled", c.ecn_enabled);
@@ -239,6 +255,10 @@ class ObjectWriter {
   }
   void Value(double v) { out_ += NumberToJson(v); }
   void Value(SimTime t) { Value(t.picos()); }
+  template <typename T>
+  void Value(const Fixed<T>& v) {
+    Value(v.value);
+  }
   void Value(const std::string& s) {
     out_ += '"';
     out_ += EscapeJson(s);
@@ -385,6 +405,21 @@ class ObjectReader {
   }
   static void Read(const JsonValue& j, const std::string& what, std::string& v) {
     v = Expect(j, JsonValue::Type::kString, what).string;
+  }
+  template <typename T>
+  static void Read(const JsonValue& j, const std::string& what,
+                   const Fixed<T>& fixed) {
+    T v{};
+    Read(j, what, v);
+    if (v == fixed.value) return;
+    std::string want;
+    if constexpr (std::is_same_v<T, bool>) {
+      want = fixed.value ? "true" : "false";
+    } else {
+      want = std::to_string(fixed.value);
+    }
+    throw std::runtime_error(what + " must be " + want +
+                             ": the engine no longer has this switch");
   }
   template <typename T>
   static void Read(const JsonValue& j, const std::string& what,

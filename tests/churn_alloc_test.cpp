@@ -181,13 +181,13 @@ TEST(ChurnAlloc, EndsOfOneVariantShareOneConfig) {
 }
 
 // Heap bytes per slot of a warmed rotor_churn pool (RetainedBytesPerSlotPair)
-// as measured with glibc's allocator: 5,262. The bound adds 48 bytes of
+// as measured with glibc's allocator: 5,234. The bound adds 48 bytes of
 // margin. A connection member that holds a heap block costs at
 // least 16 bytes of object (the allocator's grain) and a 24-byte block,
 // twice per pair, so a per-connection scratch vector fails it, and so does
 // a per-connection TcpConfig copy. AddressSanitizer's allocator rounds
 // nothing, so it reads lower.
-constexpr std::int64_t kMaxBytesPerSlotPair = 5262 + 48;
+constexpr std::int64_t kMaxBytesPerSlotPair = 5234 + 48;
 
 TEST(ChurnAlloc, RetainedBytesPerSlotPair) {
   // The heap a warmed slot pool holds, per slot: both connections and

@@ -455,7 +455,7 @@ TEST(EventCore, LinkPropagationPipelineHoldsOneHeapEntry) {
   sink.sim = &sim;
   Link::Config lc;
   lc.rate_bps = topo.host_link_rate_bps;
-  lc.propagation = topo.host_link_delay;
+  lc.propagation = kHostLinkDelay;
   lc.queue.capacity_packets = 1000;
   Link link(sim, lc, &sink);
   Packet p;

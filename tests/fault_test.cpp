@@ -335,23 +335,6 @@ TEST(TdnInference, StragglersAfterGenuineNotificationDoNotFlap) {
   EXPECT_EQ(f.conn.stats().tdn_inferred_switches, 0u);
 }
 
-TEST(TdnInference, DisabledByConfig) {
-  TcpConfig cfg = TdtcpConfig();
-  cfg.tdn_inference = false;
-  TdtcpFixture f(cfg);
-  f.conn.SetUnlimitedData(true);
-  f.harness.Settle();
-  std::vector<Packet> data = f.TakeData();
-  ASSERT_GE(data.size(), 6u);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    f.sim.RunUntil(f.sim.now() + SimTime::Micros(400));
-    f.conn.HandlePacket(LoopbackHarness::Ack(
-        1, data[i].seq + data[i].payload, {}, /*ack_tdn=*/1));
-  }
-  EXPECT_EQ(f.conn.tdns().active_id(), 0);
-  EXPECT_EQ(f.conn.stats().tdn_inferred_switches, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Runtime invariant checker
 // ---------------------------------------------------------------------------

@@ -311,25 +311,6 @@ TEST(Recovery, PipeAccountingConsistentThroughRecovery) {
   EXPECT_EQ(st.packets_out, f.conn.send_queue().size());
 }
 
-TEST(Recovery, DupAcksWithoutSackTriggerRetransmit) {
-  TcpConfig c = BaseConfig();
-  c.sack_enabled = false;
-  c.rack_enabled = false;
-  ClientFixture f(c);
-  f.conn.SetUnlimitedData(true);
-  f.harness.Settle();
-  f.TakeData();
-  for (int i = 0; i < 3; ++i) {
-    f.conn.HandlePacket(LoopbackHarness::Ack(1, 1));
-  }
-  f.harness.Settle();
-  auto sent = f.TakeData();
-  bool head_retransmitted = false;
-  for (auto& p : sent) head_retransmitted |= (p.seq == 1);
-  EXPECT_TRUE(head_retransmitted);
-  EXPECT_EQ(f.conn.tdns().active().ca_state, CaState::kRecovery);
-}
-
 TEST(Recovery, RetransmissionNotRemarkedWhileInFlight) {
   ClientFixture f;
   f.conn.SetUnlimitedData(true);

@@ -24,7 +24,9 @@
 #   fairness    bench_fairness: the tdtcp-bench/1 counters of every run
 #   fault_sweep bench_fault_sweep: stdout
 #   pinned      Mptcp.WireDigestIsPinned and Soak.DeliveryMultisetIsPinned
-#               pass on both trees (their digests are constants)
+#               pass on both trees (their digests are constants), and so
+#               do the two Fixture.*ReplaysFromDisk tests (each tree loads
+#               and replays the checked-in tdtcp-trace/1 fixtures)
 #
 # Figure CSVs are compared with cmp. The sweep's out.csv is compared
 # without its sim_* event-core columns, and those columns get a line of
@@ -198,15 +200,20 @@ cmp -s "$work/parent/fault_sweep/stdout" "$work/change/fault_sweep/stdout" ||
 cmp -s "$work/parent/fault_sweep/exit" "$work/change/fault_sweep/exit" || ok=1
 report "fault_sweep stdout" $ok
 
-for t in "mptcp_test Mptcp.WireDigestIsPinned" \
-         "net_test Soak.DeliveryMultisetIsPinned"; do
-  set -- $t
+# BINARY FILTER COUNT: COUNT tests must run and pass on each tree.
+for t in "mptcp_test Mptcp.WireDigestIsPinned 1" \
+         "net_test Soak.DeliveryMultisetIsPinned 1" \
+         "tracepoint_test Fixture.*ReplaysFromDisk 2"; do
+  read -r bin filter count <<<"$t"
   ok=0
-  for build in "$parent_build" "$change_build"; do
-    "$build/tests/$1" --gtest_filter="$2" >"$work/$1.log" 2>&1 || ok=1
-    grep -q "\[  PASSED  \] 1 test" "$work/$1.log" || ok=1
+  for side in parent change; do
+    if [ "$side" = parent ]; then build=$parent_build; else build=$change_build; fi
+    log=$work/$side/$bin.log
+    mkdir -p "$work/$side"
+    "$build/tests/$bin" --gtest_filter="$filter" >"$log" 2>&1 || ok=1
+    grep -q "\[  PASSED  \] $count test" "$log" || ok=1
   done
-  report "$2" $ok
+  report "$filter" $ok
 done
 
 exit $status
