@@ -87,9 +87,11 @@ BenchRun ToRun(const Cell& cell, const ExperimentResult& r) {
   c["abnormal"] = static_cast<double>(r.churn.abnormal());
   // Nearest-rank: tail percentiles of a few hundred completions must be
   // observed samples, not interpolations between order statistics.
-  c["fct_p50_us"] = PercentileNearestRank(r.churn_fct_us, 50);
-  c["fct_p99_us"] = PercentileNearestRank(r.churn_fct_us, 99);
-  c["fct_p999_us"] = PercentileNearestRank(r.churn_fct_us, 99.9);
+  const std::vector<double> tails =
+      PercentilesNearestRank(r.churn_fct_us, {50, 99, 99.9});
+  c["fct_p50_us"] = tails[0];
+  c["fct_p99_us"] = tails[1];
+  c["fct_p999_us"] = tails[2];
   c["timeouts"] = static_cast<double>(r.timeouts);
   c["recovery_forced"] = static_cast<double>(r.recovery_forced);
   c["recovery_rescued"] = static_cast<double>(r.recovery_rescued);

@@ -339,22 +339,27 @@ ExperimentResult Experiment::Finish() {
     r.churn = churn_->stats();
     r.churn_hash = churn_->hash();
     r.churn_all_closed = churn_->AllClosed();
-    // Every completion, then per-size-bucket FCT tails over the same ones
-    // (nearest-rank: the tail of a small bucket is an observed sample, not
-    // an interpolation).
-    r.churn_fct_us.reserve(churn_->sized_fcts().size());
-    std::vector<double> bucket_us[kNumFctBuckets];
-    for (const SizedFct& sf : churn_->sized_fcts()) {
-      r.churn_fct_us.push_back(sf.fct.micros_f());
-      bucket_us[FctBucketOf(sf.bytes)].push_back(sf.fct.micros_f());
-    }
+    // Per-size-bucket FCT tails (nearest-rank: the tail of a small bucket
+    // is an observed sample, not an interpolation), one bucket's copy at a
+    // time, then every completion, handed over without a copy.
+    const std::vector<double>& fct_us = churn_->fct_us();
+    const std::vector<std::uint8_t>& fct_buckets = churn_->fct_buckets();
     for (std::size_t bkt = 0; bkt < kNumFctBuckets; ++bkt) {
       auto& out = r.churn_fct_bucket[bkt];
-      out.count = bucket_us[bkt].size();
-      out.p50_us = PercentileNearestRank(bucket_us[bkt], 50);
-      out.p99_us = PercentileNearestRank(bucket_us[bkt], 99);
-      out.p999_us = PercentileNearestRank(bucket_us[bkt], 99.9);
+      out.count = static_cast<std::uint64_t>(
+          std::count(fct_buckets.begin(), fct_buckets.end(), bkt));
+      std::vector<double> bucket_us;
+      bucket_us.reserve(out.count);
+      for (std::size_t i = 0; i < fct_us.size(); ++i) {
+        if (fct_buckets[i] == bkt) bucket_us.push_back(fct_us[i]);
+      }
+      const std::vector<double> tails =
+          PercentilesNearestRank(std::move(bucket_us), {50, 99, 99.9});
+      out.p50_us = tails[0];
+      out.p99_us = tails[1];
+      out.p999_us = tails[2];
     }
+    r.churn_fct_us = churn_->TakeFctUs();
   }
 
   // Host recovery agent accounting.

@@ -394,6 +394,9 @@ class Experiment {
   Simulator& sim() { return sim_; }
   Topology& topology() { return topo_; }
   Workload& workload() { return *workload_; }
+  // The churn generator, or null when churn is off. Finish takes its
+  // fct_us() for the result.
+  const ChurnGenerator* churn() const { return churn_.get(); }
 
  private:
   // In wiring order, so teardown runs in reverse: connections go before

@@ -316,6 +316,8 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
   for (std::uint32_t i = static_cast<std::uint32_t>(slots_.size()); i > 0; --i) {
     free_.push_back(i - 1);
   }
+  fct_us_.reserve(config_.target_connections);
+  fct_buckets_.reserve(config_.target_connections);
 }
 
 void ChurnGenerator::Start() {
@@ -502,7 +504,8 @@ void ChurnGenerator::OnEndClosed(std::uint32_t idx, bool sender_end,
   ++stats_.reasons[static_cast<std::size_t>(slot.sender_reason)];
   stats_.bytes_completed += slot.sender->bytes_acked();
   if (slot.sender_reason == CloseReason::kNormal) {
-    sized_fcts_.push_back(SizedFct{slot.bytes, sim_.now() - slot.opened_at});
+    fct_us_.push_back((sim_.now() - slot.opened_at).micros_f());
+    fct_buckets_.push_back(static_cast<std::uint8_t>(FctBucketOf(slot.bytes)));
   }
   hash_.Mix(slot.flow);
   hash_.Mix(slot.src_node);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "app/flow_cdf.hpp"
@@ -228,13 +229,6 @@ struct ChurnStats {
   std::uint64_t abnormal() const { return closed - normal(); }
 };
 
-// One completed (kNormal) cycle's requested size and completion time: the
-// raw material for per-size-bucket FCT percentiles.
-struct SizedFct {
-  std::uint64_t bytes = 0;
-  SimTime fct;
-};
-
 class ChurnGenerator {
  public:
   // `seed` is the experiment seed; the generator draws from its own stream
@@ -261,11 +255,16 @@ class ChurnGenerator {
   // awaiting their deferred reclamation event).
   bool AllClosed() const { return active_ == 0; }
   const ChurnStats& stats() const { return stats_; }
-  // Flow completion time (open -> both ends closed) and requested transfer
-  // size of every cycle whose sender closed kNormal, in completion order.
-  // The short-flow tail percentiles the recovery benches gate on, overall
-  // and per size bucket, are computed from this.
-  const std::vector<SizedFct>& sized_fcts() const { return sized_fcts_; }
+  // Flow completion time in µs (open -> both ends closed) of every cycle
+  // whose sender closed kNormal, in completion order, and the size bucket
+  // (FctBucketOf its requested bytes) of each. The short-flow tail
+  // percentiles the recovery benches gate on, overall and per size bucket,
+  // are computed from these. Both are reserved for target_connections
+  // completions up front: 9 bytes each, never regrown.
+  const std::vector<double>& fct_us() const { return fct_us_; }
+  const std::vector<std::uint8_t>& fct_buckets() const { return fct_buckets_; }
+  // Hands fct_us() over without a copy, leaving it empty.
+  std::vector<double> TakeFctUs() { return std::exchange(fct_us_, {}); }
   // Order-sensitive FNV-1a over every completed connection's
   // (flow, open time, close time, close reasons) — the determinism
   // fingerprint the sweep engine's jobs=1 == jobs=N check compares.
@@ -344,7 +343,8 @@ class ChurnGenerator {
   std::uint32_t active_ = 0;
   FlowId next_flow_;
   ChurnStats stats_;
-  std::vector<SizedFct> sized_fcts_;
+  std::vector<double> fct_us_;
+  std::vector<std::uint8_t> fct_buckets_;
   Fnv1a64 hash_;
 };
 

@@ -1,10 +1,9 @@
 #include "fault/fault_injector.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <stdexcept>
 #include <string>
-
-#include "sim/hash.hpp"
 
 namespace tdtcp {
 
@@ -202,28 +201,36 @@ void FaultInjector::OnNotify(const Packet& icmp, SimTime base_delay,
 
 void FaultInjector::Record(FaultKind kind, std::uint64_t packet_id,
                            std::uint32_t subject, SimTime at) {
-  trace_.push_back(FaultEvent{at, kind, packet_id, subject});
+  hash_.Mix(static_cast<std::uint64_t>(at.picos()));
+  hash_.Mix(static_cast<std::uint64_t>(kind));
+  hash_.Mix(packet_id);
+  hash_.Mix(subject);
+  const FaultEvent e{at, kind, packet_id, subject};
+  if (recent_.size() < kRecentFaults) {
+    recent_.push_back(e);
+  } else {
+    recent_[recorded_ % kRecentFaults] = e;
+  }
+  ++recorded_;
 }
 
-std::uint64_t FaultInjector::TraceHash() const {
-  Fnv1a64 h;
-  for (const FaultEvent& e : trace_) {
-    h.Mix(static_cast<std::uint64_t>(e.at.picos()));
-    h.Mix(static_cast<std::uint64_t>(e.kind));
-    h.Mix(e.packet_id);
-    h.Mix(e.subject);
+std::vector<FaultEvent> FaultInjector::RecentFaults() const {
+  std::vector<FaultEvent> out;
+  out.reserve(recent_.size());
+  for (std::uint64_t i = recorded_ - recent_.size(); i < recorded_; ++i) {
+    out.push_back(recent_[i % kRecentFaults]);
   }
-  return h.value();
+  return out;
 }
 
 void FaultInjector::DumpRecentFaults(std::FILE* out,
                                      std::size_t last_n) const {
-  const std::size_t start =
-      trace_.size() > last_n ? trace_.size() - last_n : 0;
-  std::fprintf(out, "recent fault trace (%zu of %zu events):\n",
-               trace_.size() - start, trace_.size());
-  for (std::size_t i = start; i < trace_.size(); ++i) {
-    const FaultEvent& e = trace_[i];
+  const std::uint64_t shown = std::min<std::uint64_t>(last_n, recent_.size());
+  std::fprintf(out,
+               "recent fault trace (%" PRIu64 " of %" PRIu64 " events):\n",
+               shown, recorded_);
+  for (std::uint64_t i = recorded_ - shown; i < recorded_; ++i) {
+    const FaultEvent& e = recent_[i % kRecentFaults];
     std::fprintf(out, "  t=%.3fus %s packet=%" PRIu64 " subject=%u\n",
                  static_cast<double>(e.at.picos()) / 1e6, FaultKindName(e.kind),
                  e.packet_id, e.subject);

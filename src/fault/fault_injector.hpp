@@ -9,10 +9,12 @@
 // link's decisions do not depend on any other link's traffic. This composes
 // with the sweep engine's jobs=1 == jobs=N determinism guarantee.
 //
-// Every injected fault is appended to an ordered trace; TraceHash() folds
-// it into a single value tests can compare across runs, and
+// Every injected fault is folded, in order, into a running hash that tests
+// compare across runs (TraceHash()), and only the most recent
+// kRecentFaults are kept: RecentFaults() returns them, and
 // DumpRecentFaults() renders the tail into TCP invariant-violation reports
-// (the FaultTraceSource interface from tcp/invariant_checker.hpp).
+// (the FaultTraceSource interface from tcp/invariant_checker.hpp). The
+// injector's memory does not grow with the number of faults.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "net/topology.hpp"
+#include "sim/hash.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/invariant_checker.hpp"
@@ -81,11 +84,15 @@ class FaultInjector final : public FaultTraceSource {
 
   const FaultPlan& plan() const { return plan_; }
   const FaultStats& stats() const { return stats_; }
-  const std::vector<FaultEvent>& trace() const { return trace_; }
 
-  // FNV-1a over the ordered (time, kind, packet, subject) tuples: two runs
-  // with identical fault behaviour hash identically.
-  std::uint64_t TraceHash() const;
+  // How many of the latest fault events are kept (32 KB).
+  static constexpr std::size_t kRecentFaults = 1024;
+  // The last min(stats().total(), kRecentFaults) fault events, oldest first.
+  std::vector<FaultEvent> RecentFaults() const;
+
+  // FNV-1a over every recorded (time, kind, packet, subject) tuple in
+  // order: two runs with identical fault behaviour hash identically.
+  std::uint64_t TraceHash() const { return hash_.value(); }
 
   // FaultTraceSource: render the last `last_n` fault events.
   void DumpRecentFaults(std::FILE* out, std::size_t last_n) const override;
@@ -118,7 +125,11 @@ class FaultInjector final : public FaultTraceSource {
   std::vector<LinkState> links_;  // by subject
   std::vector<Random> notify_rngs_;  // by rack
   std::vector<const FabricPort*> audited_ports_;
-  std::vector<FaultEvent> trace_;
+  // Ring of the latest events: grows to kRecentFaults, then event n
+  // overwrites entry n % kRecentFaults.
+  std::vector<FaultEvent> recent_;
+  std::uint64_t recorded_ = 0;  // events recorded so far
+  Fnv1a64 hash_;
   FaultStats stats_;
   bool armed_ = false;
 };

@@ -84,6 +84,15 @@ void TcpInvariantChecker::Check(TcpConnection& conn, Event ev) {
     if (seg.lost) ++c.lost_out;
     if (seg.retrans) ++c.retrans_out;
   }
+  // The queue's own SACKed count, which loss detection reads.
+  std::uint64_t sacked = 0;
+  for (const Recount& c : actual) sacked += c.sacked_out;
+  if (sacked != conn.send_queue().sacked()) {
+    Violate(conn, ev,
+            "send queue counts " + std::to_string(conn.send_queue().sacked()) +
+                " SACKed segments but scoreboard holds " +
+                std::to_string(sacked));
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const TdnState& st = tdns.state(static_cast<TdnId>(i));
     const Recount& c = actual[i];

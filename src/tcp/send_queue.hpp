@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -74,33 +75,53 @@ class SendQueue {
   void AckThrough(std::uint64_t ack, Fn&& fn) {
     while (!segs_.empty() && segs_.front().end_seq() <= ack) {
       fn(static_cast<const TxSegment&>(segs_.front()));
+      if (segs_.front().sacked) --sacked_;
       segs_.pop_front();
     }
   }
 
   // Marks segments fully covered by the SACK blocks; invokes
-  // `fn(TxSegment&)` for each segment that transitions to sacked. Returns
-  // the count newly sacked.
+  // `fn(TxSegment&)` for each segment that transitions to sacked, in
+  // sequence order. Returns the count newly sacked.
   template <typename Fn>
   std::uint32_t ApplySack(std::span<const SackBlock> blocks, Fn&& fn) {
+    // Blocks by ascending start: a segment a later block newly covers lies
+    // past every segment an earlier one did (it would be covered by the
+    // earlier block otherwise), so the visits come in sequence order.
+    std::array<SackBlock, kMaxSackBlocks> sorted;
+    assert(blocks.size() <= sorted.size());
+    const std::size_t n = std::min(blocks.size(), sorted.size());
+    for (std::size_t i = 0; i < n; ++i) {  // insertion sort of <= 4 blocks
+      std::size_t j = i;
+      for (; j > 0 && sorted[j - 1].start > blocks[i].start; --j) {
+        sorted[j] = sorted[j - 1];
+      }
+      sorted[j] = blocks[i];
+    }
     std::uint32_t newly = 0;
-    for (TxSegment& seg : segs_) {
-      if (seg.sacked) continue;
-      for (const SackBlock& b : blocks) {
-        if (seg.seq >= b.start && seg.end_seq() <= b.end) {
-          seg.sacked = true;
-          highest_sacked_ = std::max(highest_sacked_, seg.end_seq());
-          fn(seg);
-          ++newly;
-          break;
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+      const SackBlock& b = sorted[i];
+      // The segments wholly inside the block: sequence order makes both
+      // their starts and their ends ascend.
+      TxSegment* seg = std::lower_bound(
+          segs_.begin(), segs_.end(), b.start,
+          [](const TxSegment& s, std::uint64_t v) { return s.seq < v; });
+      for (; seg != segs_.end() && seg->end_seq() <= b.end; ++seg) {
+        if (seg->sacked) continue;
+        seg->sacked = true;
+        highest_sacked_ = std::max(highest_sacked_, seg->end_seq());
+        fn(*seg);
+        ++newly;
       }
     }
+    sacked_ += newly;
     return newly;
   }
 
   // Highest sequence that has ever been SACKed (0 if none).
   std::uint64_t highest_sacked() const { return highest_sacked_; }
+  // Segments in the queue marked SACKed (CountSacked() without the walk).
+  std::uint32_t sacked() const { return sacked_; }
 
   // Every segment, oldest first (loss marking, retransmit scans).
   std::span<TxSegment> segments() { return {segs_.begin(), segs_.end()}; }
@@ -109,7 +130,10 @@ class SendQueue {
   }
 
   // Drops every segment (the caller retires their per-TDN accounting).
-  void Clear() { segs_.clear(); }
+  void Clear() {
+    segs_.clear();
+    sacked_ = 0;
+  }
 
   // Starts over as a fresh, empty queue that keeps its buffer when it has
   // room for at most `max_kept` segments.
@@ -131,6 +155,7 @@ class SendQueue {
  private:
   VectorFifo<TxSegment> segs_;
   std::uint64_t highest_sacked_ = 0;
+  std::uint32_t sacked_ = 0;  // only ApplySack sets the flag
 };
 
 }  // namespace tdtcp

@@ -22,17 +22,13 @@ struct AckRow {
   SimTime rtt = SimTime::Zero();
 };
 
-// Per-call scratch, one copy per thread instead of one per connection. Each
-// is dead once the call that fills it returns, and nothing between the fill
-// and the last read enters another connection's ACK path (packets leave
-// through links, whose arrivals are events), so connections on one thread
-// cannot see each other's values; threads (sweep workers) each have their own.
-//   t_ack_rows: OnAckPacket, through AdvanceStateMachines.
-//   t_sacked_above: DetectLosses' suffix counts, t_sacked_above[i] = SACKed
-//     segments strictly after scoreboard index i (one backward pass per ACK
-//     instead of the O(n^2) per-hole rescan).
+// Per-call scratch of OnAckPacket, through AdvanceStateMachines: one copy
+// per thread instead of one per connection. It is dead once the call that
+// fills it returns, and nothing between the fill and the last read enters
+// another connection's ACK path (packets leave through links, whose
+// arrivals are events), so connections on one thread cannot see each
+// other's values; threads (sweep workers) each have their own.
 thread_local std::vector<AckRow> t_ack_rows;
-thread_local std::vector<std::uint32_t> t_sacked_above;
 
 // The state sets a connection with `config` starts with.
 std::uint32_t InitialTdns(const TcpConfig& config) {
@@ -1041,26 +1037,17 @@ void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) 
   std::uint32_t holes = 0;
   std::uint32_t marked = 0;
 
-  // Suffix counts of SACKed segments: one backward pass replaces the
-  // quadratic per-hole rescan. The loop below never changes `sacked` (only
-  // `lost`/`retrans`), so the counts stay valid throughout.
-  // The buffer only grows: the pass writes every entry it reads, and one
-  // shared by connections with scoreboards of different lengths would
-  // otherwise zero-fill the difference on every ACK.
-  std::vector<std::uint32_t>& sacked_above = t_sacked_above;
-  if (sacked_above.size() < segs.size()) sacked_above.resize(segs.size());
-  {
-    std::uint32_t cnt = 0;
-    for (std::size_t j = segs.size(); j-- > 0;) {
-      sacked_above[j] = cnt;
-      if (segs[j].sacked) ++cnt;
-    }
-  }
+  // SACKed segments after the current one: the queue's total less those
+  // passed. The loop never changes `sacked` (only `lost`/`retrans`).
+  const std::uint32_t sacked_total = send_queue_.sacked();
+  std::uint32_t sacked_seen = 0;
 
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    TxSegment& seg = segs[i];
+  for (TxSegment& seg : segs) {
     if (seg.end_seq() > high_sacked) break;
-    if (seg.sacked) continue;
+    if (seg.sacked) {
+      ++sacked_seen;
+      continue;
+    }
     // A retransmission is in flight: only RACK-on-the-retransmission may
     // re-declare it (Linux keeps SACKED_RETRANS segments off the mark list
     // until the rtx itself times out or proves lost).
@@ -1087,7 +1074,7 @@ void TcpConnection::DetectLosses(TdnId trigger_tdn, std::uint32_t newly_sacked) 
     ++holes;
 
     // Classic dupACK-count analogue: enough SACKed segments above this one.
-    const bool dup_cond = sacked_above[i] >= kDupAckThreshold;
+    const bool dup_cond = sacked_total - sacked_seen >= kDupAckThreshold;
 
     // RACK: delivered segments transmitted sufficiently later imply loss.
     bool rack_cond = false;

@@ -511,9 +511,9 @@ class TcpConnection : public PacketSink,
   // --- app data ------------------------------------------------------------------
   VectorFifo<PendingChunk> pending_;   // unsent application bytes
 
-  // Scratch that lives only within one call (the per-ACK per-TDN rows, the
-  // loss-detection suffix counts) is per thread, in tcp_connection.cpp, not
-  // here: a connection holds only state that outlives a call.
+  // Scratch that lives only within one call (the per-ACK per-TDN rows) is
+  // per thread, in tcp_connection.cpp, not here: a connection holds only
+  // state that outlives a call.
 
   // --- timers ---------------------------------------------------------------------
   // RTO/TLP/persist/TimeWait live on the host's hierarchical timer wheel as

@@ -122,16 +122,25 @@ double Percentile(const std::vector<double>& values, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
+std::vector<double> PercentilesNearestRank(std::vector<double> values,
+                                           std::initializer_list<double> ps) {
+  if (values.empty()) return std::vector<double>(ps.size(), 0.0);
+  std::sort(values.begin(), values.end());
+  const double n = static_cast<double>(values.size());
+  std::vector<double> out;
+  out.reserve(ps.size());
+  for (const double p : ps) {
+    std::size_t rank =
+        static_cast<std::size_t>(std::ceil(p / 100.0 * n));  // 1-based
+    if (rank < 1) rank = 1;
+    if (rank > values.size()) rank = values.size();
+    out.push_back(values[rank - 1]);
+  }
+  return out;
+}
+
 double PercentileNearestRank(const std::vector<double>& values, double p) {
-  if (values.empty()) return 0.0;
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  const double n = static_cast<double>(sorted.size());
-  std::size_t rank =
-      static_cast<std::size_t>(std::ceil(p / 100.0 * n));  // 1-based
-  if (rank < 1) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
+  return PercentilesNearestRank(values, {p})[0];
 }
 
 void WriteSeriesCsv(const std::string& path,

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,11 @@ double Percentile(const std::vector<double>& values, double p);
 // right semantics for tail gating (p99 of N=2 is the max, not an average),
 // and what the FCT reporting uses.
 double PercentileNearestRank(const std::vector<double>& values, double p);
+// The nearest-rank percentiles of `values` at each of `ps`, in order, from
+// one sort: the values PercentileNearestRank returns one call at a time.
+// Move `values` in to sort the caller's storage instead of a copy.
+std::vector<double> PercentilesNearestRank(std::vector<double> values,
+                                           std::initializer_list<double> ps);
 
 // --- output helpers ---------------------------------------------------------
 

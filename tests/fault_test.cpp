@@ -2,11 +2,21 @@
 // exercises: deterministic fault traces, sweep determinism under a fault
 // plan, the hosts' notification sequence filter, data-path TDN inference
 // after lost notifications, the runtime TCP invariant checker, drain-then-
-// shrink VOQ resizing, and end-to-end graceful degradation.
+// shrink VOQ resizing, and end-to-end graceful degradation. The counting
+// allocator (alloc_harness.hpp) replaces the global operator new in this
+// executable, for the injector's retained-bytes check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "alloc_harness.hpp"
 
 #include "app/experiment.hpp"
 #include "app/sweep.hpp"
@@ -57,6 +67,17 @@ TEST(FaultTrace, BitIdenticalAcrossRuns) {
   EXPECT_EQ(a.faults_injected, b.faults_injected);
   EXPECT_EQ(a.total_bytes, b.total_bytes);
   EXPECT_DOUBLE_EQ(a.goodput_bps, b.goodput_bps);
+}
+
+TEST(FaultTrace, HashIsPinned) {
+  // The values the injector gave when it kept every event and hashed the
+  // whole list at the end. The running hash folds the same tuples in the
+  // same order, and this run records more faults than the ring keeps.
+  const ExperimentResult r =
+      RunExperiment(ShortConfig(Variant::kTdtcp, 20).WithFault(MixedPlan()));
+  EXPECT_EQ(r.faults_injected, 1102u);
+  EXPECT_GT(r.faults_injected, FaultInjector::kRecentFaults);
+  EXPECT_EQ(r.fault_trace_hash, 0xeec517cfbf8986a4ull);
 }
 
 TEST(FaultTrace, SeedChangesTrace) {
@@ -132,11 +153,12 @@ TEST(FaultInjector, LinkDownWindowTogglesLinkAndRecordsTrace) {
   EXPECT_TRUE(topo.rack_uplink(0)->enabled());
 
   EXPECT_EQ(inj.stats().link_transitions, 2u);
-  ASSERT_EQ(inj.trace().size(), 2u);
-  EXPECT_EQ(inj.trace()[0].kind, FaultKind::kLinkDown);
-  EXPECT_EQ(inj.trace()[0].at, SimTime::Micros(100));
-  EXPECT_EQ(inj.trace()[1].kind, FaultKind::kLinkUp);
-  EXPECT_EQ(inj.trace()[1].at, SimTime::Micros(150));
+  const std::vector<FaultEvent> trace = inj.RecentFaults();
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].kind, FaultKind::kLinkDown);
+  EXPECT_EQ(trace[0].at, SimTime::Micros(100));
+  EXPECT_EQ(trace[1].kind, FaultKind::kLinkUp);
+  EXPECT_EQ(trace[1].at, SimTime::Micros(150));
   EXPECT_NE(inj.TraceHash(), 0u);
 }
 
@@ -158,7 +180,72 @@ TEST(FaultInjector, SecondArmThrowsAndLeavesTheFirstArmingAlone) {
 
   sim.RunUntil(SimTime::Micros(200));
   EXPECT_EQ(inj.stats().link_transitions, 2u);  // one window, not two
-  EXPECT_EQ(inj.trace().size(), 2u);
+  EXPECT_EQ(inj.RecentFaults().size(), 2u);
+}
+
+TEST(FaultInjector, RetainedBytesDoNotGrowWithFaults) {
+  Simulator sim;
+  TopologyConfig tc;
+  tc.hosts_per_rack = 2;
+  Topology topo(sim, Random(1), tc);
+  FaultPlan plan;
+  plan.fabric.loss_rate = 1.0;  // every packet a fabric port sends
+  plan.audit_interval = SimTime::Zero();
+  FaultInjector inj(sim, plan, /*run_seed=*/1);
+  inj.Arm(topo);
+
+  // One RST a microsecond into port 0->1, each dropped as it starts
+  // serializing.
+  std::uint64_t sent = 0;
+  std::function<void()> send = [&] {
+    Packet p;
+    p.id = ++sent;
+    p.src = topo.host_id(0, 0);
+    p.dst = topo.host_id(1, 0);
+    p.rst = true;
+    p.size_bytes = 500;
+    topo.port(0, 1)->Enqueue(std::move(p));
+    sim.ScheduleNoCancel(SimTime::Micros(1), [&send] { send(); });
+  };
+  sim.ScheduleNoCancel(SimTime::Zero(), [&send] { send(); });
+  const auto run_to = [&](std::uint64_t faults) {
+    while (inj.stats().total() < faults) {
+      sim.RunUntil(sim.now() + SimTime::Micros(10));
+    }
+  };
+
+  run_to(1'000);
+  const std::int64_t at_1e3 = test::LiveHeapBytes();
+  run_to(100'000);
+  const std::int64_t at_1e5 = test::LiveHeapBytes();
+  EXPECT_EQ(at_1e5 - at_1e3, 0) << "heap bytes gained over 99,000 faults";
+
+  // The ring holds the latest events, oldest first.
+  const std::uint64_t total = inj.stats().total();
+  EXPECT_EQ(total, inj.stats().data_dropped);
+  const std::vector<FaultEvent> recent = inj.RecentFaults();
+  ASSERT_EQ(recent.size(), FaultInjector::kRecentFaults);
+  for (std::size_t i = 0; i < recent.size(); ++i) {
+    EXPECT_EQ(recent[i].packet_id, total - recent.size() + 1 + i) << i;
+    EXPECT_EQ(recent[i].kind, FaultKind::kDataLoss);
+  }
+
+  // The invariant report renders the tail and counts every event.
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* out = open_memstream(&buf, &len);
+  ASSERT_NE(out, nullptr);
+  inj.DumpRecentFaults(out, 32);
+  std::fclose(out);
+  const std::string dump(buf, len);
+  std::free(buf);
+  EXPECT_NE(dump.find("(32 of " + std::to_string(total) + " events)"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("packet=" + std::to_string(total) + " "),
+            std::string::npos)
+      << dump;
+  EXPECT_EQ(std::count(dump.begin(), dump.end(), '\n'), 33);
 }
 
 TEST(FaultInjector, GilbertElliottBurstsAreDeterministic) {

@@ -268,10 +268,13 @@ std::vector<std::tuple<std::uint32_t, std::int64_t, FaultKind>> PairDrops(
     }
   }
   sim.Run();
+  // The injector keeps only its latest faults: every one of this run's must
+  // still be there.
+  EXPECT_LE(inj.stats().total(), FaultInjector::kRecentFaults);
   // Fault subjects number fabric ports src-major: 0->1 is 0, 0->2 is 1,
   // 1->0 is 2.
   std::vector<std::tuple<std::uint32_t, std::int64_t, FaultKind>> drops;
-  for (const FaultEvent& e : inj.trace()) {
+  for (const FaultEvent& e : inj.RecentFaults()) {
     if (e.subject == 0 || e.subject == 2) {
       drops.emplace_back(e.subject, e.at.picos(), e.kind);
     }

@@ -4,6 +4,9 @@
 // sweep's jobs=1 == jobs=N bit-identity contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -310,6 +313,46 @@ TEST(RotorSweep, PerBucketFctsPartitionCompletions) {
   EXPECT_EQ(total, r.churn_fct_us.size());
   EXPECT_GT(total, 0u);
   // Websearch/64 under a 2 MB cap spans at least the first three buckets.
+  EXPECT_GT(r.churn_fct_bucket[0].count, 0u);
+  EXPECT_GT(r.churn_fct_bucket[1].count, 0u);
+}
+
+TEST(RotorSweep, BucketTailsMatchCopyAndSortReference) {
+  // Long enough that every lifecycle closes before `duration`, so the
+  // generator holds every completion before Finish drains nothing.
+  ExperimentConfig cfg = RotorChurnConfig(RackPolicy::kUniform);
+  cfg.duration = SimTime::Millis(40);
+  Experiment exp(cfg);
+  exp.RunUntil(cfg.duration);
+  const ChurnGenerator& churn = *exp.churn();
+  ASSERT_TRUE(churn.AllClosed());
+  ASSERT_EQ(churn.stats().opened, cfg.churn.target_connections);
+  const std::vector<double> fct_us = churn.fct_us();
+  const std::vector<std::uint8_t> fct_buckets = churn.fct_buckets();
+  ASSERT_EQ(fct_buckets.size(), fct_us.size());
+  const ExperimentResult r = exp.Finish();
+
+  EXPECT_EQ(r.churn_fct_us, fct_us);
+  for (std::size_t b = 0; b < kNumFctBuckets; ++b) {
+    SCOPED_TRACE(kFctBucketNames[b]);
+    std::vector<double> sorted;
+    for (std::size_t i = 0; i < fct_us.size(); ++i) {
+      if (fct_buckets[i] == b) sorted.push_back(fct_us[i]);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    const auto nearest_rank = [&](double p) {
+      if (sorted.empty()) return 0.0;
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
+      return sorted[std::clamp<std::size_t>(rank, 1, sorted.size()) - 1];
+    };
+    const auto& bucket = r.churn_fct_bucket[b];
+    EXPECT_EQ(bucket.count, sorted.size());
+    EXPECT_EQ(bucket.p50_us, nearest_rank(50));
+    EXPECT_EQ(bucket.p99_us, nearest_rank(99));
+    EXPECT_EQ(bucket.p999_us, nearest_rank(99.9));
+  }
+  // The check covered more than one non-empty bucket.
   EXPECT_GT(r.churn_fct_bucket[0].count, 0u);
   EXPECT_GT(r.churn_fct_bucket[1].count, 0u);
 }

@@ -201,6 +201,7 @@ TEST(SendQueue, MatchesDequeModelAcrossCompactions) {
     }
     ASSERT_EQ(q.size(), m.segs.size()) << "op " << op;
     ASSERT_EQ(q.highest_sacked(), m.highest_sacked) << "op " << op;
+    ASSERT_EQ(q.sacked(), q.CountSacked()) << "op " << op;
     std::size_t i = 0;
     for (const TxSegment& seg : q.segments()) {
       const TxSegment& ref = m.segs[i++];
@@ -221,7 +222,11 @@ TEST(SendQueue, MatchesDequeModelAcrossCompactions) {
 TEST(SendQueue, ClearEmptiesAndAppendStartsOver) {
   SendQueue q;
   for (int i = 0; i < 5; ++i) q.Append(Seg(1 + i * 100, 100));
+  SackBlock blocks[] = {{101, 301}};
+  EXPECT_EQ(q.ApplySack(blocks, [](TxSegment&) {}), 2u);
+  EXPECT_EQ(q.sacked(), 2u);
   q.Clear();
+  EXPECT_EQ(q.sacked(), 0u);
   EXPECT_TRUE(q.Empty());
   EXPECT_TRUE(q.segments().empty());
   q.Append(Seg(501, 100));
