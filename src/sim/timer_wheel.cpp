@@ -8,9 +8,11 @@ TimerWheel::~TimerWheel() {
   if (driver_ != kInvalidEventId) sim_.Cancel(driver_);
   // Orphan any still-armed entries so their destructors (which may run after
   // this wheel is gone) see an unarmed timer instead of a dangling pointer.
-  for (auto& level : slots_) {
-    for (Slot& s : level) {
-      for (Timer* t = s.head; t != nullptr;) {
+  // Only the occupied slots are visited; the others were never written.
+  for (int level = 0; level < kLevels; ++level) {
+    for (std::uint64_t bits = occupied_[level]; bits != 0; bits &= bits - 1) {
+      for (Timer* t = slots_[level][std::countr_zero(bits)].head;
+           t != nullptr;) {
         Timer* next = t->next_;
         t->wheel_ = nullptr;
         t->prev_ = t->next_ = nullptr;
@@ -47,8 +49,7 @@ SimTime TimerWheel::Arm(Timer& t, SimTime at) {
   return SimTime::Picos(tick << kTickShift);
 }
 
-void TimerWheel::Disarm(Timer& t) {
-  if (t.wheel_ == nullptr) return;  // idempotent: double-disarm is a no-op
+void TimerWheel::DisarmArmed(Timer& t) {
   assert(t.wheel_ == this);
   Unlink(t);
   t.wheel_ = nullptr;
@@ -70,15 +71,18 @@ void TimerWheel::Insert(Timer& t) {
   t.level_ = static_cast<std::int8_t>(level);
   t.slot_ = static_cast<std::int8_t>(slot);
   Slot& s = slots_[level][slot];
-  t.prev_ = s.tail;
+  const std::uint64_t bit = std::uint64_t{1} << slot;
   t.next_ = nullptr;
-  if (s.tail != nullptr) {
+  if ((occupied_[level] & bit) != 0) {
+    t.prev_ = s.tail;
     s.tail->next_ = &t;
   } else {
+    // An empty slot's pointers are stale or were never written.
+    t.prev_ = nullptr;
     s.head = &t;
+    occupied_[level] |= bit;
   }
   s.tail = &t;
-  occupied_[level] |= std::uint64_t{1} << slot;
 }
 
 void TimerWheel::Unlink(Timer& t) {
@@ -167,11 +171,10 @@ void TimerWheel::OnDriver() {
 }
 
 void TimerWheel::Cascade(int level, int slot) {
-  Slot& s = slots_[level][slot];
-  Timer* t = s.head;
-  if (t == nullptr) return;
-  s.head = s.tail = nullptr;
-  occupied_[level] &= ~(std::uint64_t{1} << slot);
+  const std::uint64_t bit = std::uint64_t{1} << slot;
+  if ((occupied_[level] & bit) == 0) return;
+  occupied_[level] &= ~bit;
+  Timer* t = slots_[level][slot].head;
   std::uint64_t moved = 0;
   while (t != nullptr) {
     Timer* next = t->next_;
@@ -190,12 +193,15 @@ void TimerWheel::Cascade(int level, int slot) {
 
 void TimerWheel::FireCurrentSlot() {
   const int slot = static_cast<int>(current_tick_ & (kSlots - 1));
+  const std::uint64_t bit = std::uint64_t{1} << slot;
   Slot& s = slots_[0][slot];
   // Pop-and-fire one entry at a time: a callback may disarm or rearm any
   // other pending entry — including ones due this very tick — so the list
   // must stay intact (and disarmable) between callbacks. New arms for this
-  // tick append at the tail and are drained by the same loop.
-  while (Timer* t = s.head) {
+  // tick append at the tail (setting the bit again if the slot had
+  // emptied) and are drained by the same loop.
+  while ((occupied_[0] & bit) != 0) {
+    Timer* t = s.head;
     assert(t->tick_ == current_tick_);
     Unlink(*t);
     t->wheel_ = nullptr;

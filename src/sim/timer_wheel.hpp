@@ -27,6 +27,13 @@
 // wheel's cursor enters its slot's range — the classic hashed hierarchical
 // wheel, except the cursor jumps straight to the next occupied tick (via
 // per-level occupancy bitmaps) instead of ticking through empty slots.
+//
+// The bitmaps are the only record of which slots hold entries. A slot's
+// head/tail are written when an entry lands in an empty slot and are read
+// only while its bit is set; an emptied slot keeps stale pointers, and a slot
+// never used holds uninitialised storage. So constructing a wheel writes
+// none of its 6 KB slot table, and destroying one visits only the occupied
+// slots: both cost O(occupied slots), not O(kLevels * kSlots).
 #pragma once
 
 #include <cassert>
@@ -92,7 +99,10 @@ class TimerWheel {
 
   // O(1) and idempotent: disarming an unarmed timer is a no-op, so teardown
   // paths may disarm unconditionally (and repeatedly) without bookkeeping.
-  void Disarm(Timer& t);
+  // Most calls find the timer unarmed, so that check is inline.
+  void Disarm(Timer& t) {
+    if (t.wheel_ != nullptr) DisarmArmed(t);
+  }
 
   std::size_t armed_count() const { return armed_; }
   std::uint64_t cascades() const { return cascades_; }
@@ -106,15 +116,17 @@ class TimerWheel {
   }
 
  private:
+  // Valid only while the slot's occupied_ bit is set (see the file comment).
   struct Slot {
-    Timer* head = nullptr;
-    Timer* tail = nullptr;
+    Timer* head;
+    Timer* tail;
   };
 
   static std::int64_t CeilTick(std::int64_t picos) {
     return (picos + ((std::int64_t{1} << kTickShift) - 1)) >> kTickShift;
   }
 
+  void DisarmArmed(Timer& t);
   void Insert(Timer& t);
   void Unlink(Timer& t);
   void Cascade(int level, int slot);
@@ -126,8 +138,10 @@ class TimerWheel {
   void FireCurrentSlot();
 
   Simulator& sim_;
-  Slot slots_[kLevels][kSlots];
-  std::uint64_t occupied_[kLevels] = {};  // bit s set <=> slots_[L][s] nonempty
+  Slot slots_[kLevels][kSlots];  // left uninitialised
+  // Bit s set <=> slots_[L][s] is nonempty; a clear bit means the slot's
+  // pointers must not be read.
+  std::uint64_t occupied_[kLevels] = {};
   // Wheel cursor: every entry's tick is >= current_tick_, and level-0 slots
   // hold only ticks within (current_tick_, current_tick_ + kSlots).
   std::int64_t current_tick_ = 0;

@@ -7,8 +7,11 @@
 // 10k-timer arm/rearm/disarm soak allocates nothing after warmup.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "alloc_harness.hpp"
@@ -338,6 +341,84 @@ TEST(WheelLifetime, WheelDestructorOrphansArmedTimers) {
   EXPECT_FALSE(p.timer.armed());
   sim.Run();
   EXPECT_TRUE(log.empty());
+}
+
+// The wheel never writes its slot table up front: a slot's pointers are read
+// only while its occupancy bit is set. Two wheels built over storage filled
+// with different bytes must therefore run the same script identically, and a
+// read of a never-written slot (a 0xA5 pattern is not a valid pointer) would
+// crash the second one.
+struct ScriptTimer {
+  Simulator* sim = nullptr;
+  TimerWheel* wheel = nullptr;
+  std::vector<std::pair<SimTime, int>>* log = nullptr;
+  int id = 0;
+  ScriptTimer* arm_now = nullptr;  // armed for this very tick from Fire
+  TimerWheel::Timer timer;
+
+  static void Fire(void* self) {
+    auto* t = static_cast<ScriptTimer*>(self);
+    t->log->emplace_back(t->sim->now(), t->id);
+    if (t->arm_now != nullptr) t->wheel->Arm(t->arm_now->timer, t->sim->now());
+  }
+};
+
+std::vector<std::pair<SimTime, int>> RunScriptOverStorage(unsigned char fill) {
+  alignas(TimerWheel) unsigned char storage[sizeof(TimerWheel)];
+  // Volatile stores, so the fill cannot be dropped as dead before the
+  // constructor runs.
+  volatile unsigned char* bytes = storage;
+  for (std::size_t i = 0; i < sizeof(storage); ++i) bytes[i] = fill;
+
+  Simulator sim;
+  std::vector<std::pair<SimTime, int>> log;
+  std::vector<ScriptTimer> timers(13);
+  TimerWheel* wheel = new (storage) TimerWheel(sim);
+  for (int i = 0; i < static_cast<int>(timers.size()); ++i) {
+    ScriptTimer& t = timers[i];
+    t.sim = &sim;
+    t.wheel = wheel;
+    t.log = &log;
+    t.id = i;
+    t.timer.Init(&t, &ScriptTimer::Fire);
+  }
+  constexpr std::int64_t kL1 = 64, kL2 = 64 * 64, kL3 = 64 * 64 * 64;
+  wheel->Arm(timers[0].timer, Ticks(5));                // level 0
+  wheel->Arm(timers[1].timer, Ticks(100));              // level 1
+  wheel->Arm(timers[2].timer, Ticks(2 * kL2 + 70));     // level 2
+  wheel->Arm(timers[3].timer, Ticks(2 * kL3 + 5));      // level 3
+  wheel->Arm(timers[4].timer, Ticks(40));               // rearmed outward
+  wheel->Arm(timers[4].timer, Ticks(kL2 + 3));
+  wheel->Arm(timers[5].timer, Ticks(7 * kL1));          // disarmed
+  wheel->Disarm(timers[5].timer);
+  wheel->Arm(timers[6].timer, Ticks(5 * kL2));          // rearmed inward
+  wheel->Arm(timers[6].timer, Ticks(20));
+  timers[7].arm_now = &timers[8];                       // 8 joins 7's tick
+  wheel->Arm(timers[7].timer, Ticks(30));
+  wheel->Arm(timers[9].timer, Ticks(3 * kL3 * 64));     // parked, level 4
+  wheel->Arm(timers[10].timer, Ticks(40 * kL3));        // parked, level 3
+  sim.RunUntil(Ticks(3 * kL3));
+  EXPECT_GE(wheel->cascades(), 3u);
+  wheel->Arm(timers[11].timer, sim.now() + Ticks(10 * kL2));       // level 2
+  wheel->Arm(timers[12].timer, sim.now() + Ticks(kL3 * 64 * 64));  // level 5
+  EXPECT_EQ(wheel->armed_count(), 4u);
+
+  wheel->~TimerWheel();
+  for (const ScriptTimer& t : timers) {
+    EXPECT_FALSE(t.timer.armed()) << "timer " << t.id;
+  }
+  return log;
+}
+
+TEST(WheelLifetime, UninitialisedSlotStorageIsNeverRead) {
+  const auto zeroed = RunScriptOverStorage(0x00);
+  const auto patterned = RunScriptOverStorage(0xA5);
+  EXPECT_EQ(zeroed, patterned);
+  const std::vector<std::pair<SimTime, int>> expect = {
+      {Ticks(5), 0},   {Ticks(20), 6},  {Ticks(30), 7},
+      {Ticks(30), 8},  {Ticks(100), 1}, {Ticks(64 * 64 + 3), 4},
+      {Ticks(2 * 64 * 64 + 70), 2},     {Ticks(2 * 64 * 64 * 64 + 5), 3}};
+  EXPECT_EQ(zeroed, expect);
 }
 
 // ---------------------------------------------------------------------------
